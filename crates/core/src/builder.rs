@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use ppm_rbf::{FittedRbf, RbfTrainer, TrainError};
 use ppm_regtree::{Dataset, DatasetError, RegressionTree};
@@ -13,7 +14,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::metrics::ErrorStats;
 use crate::response::Response;
 use crate::space::DesignSpace;
-use crate::supervise::{eval_batch_supervised, Quarantine, SupervisorPolicy};
+use crate::supervise::{eval_batch_grouped, Quarantine, SupervisorPolicy, LANES_PER_GROUP};
 
 /// Errors from model building.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +126,11 @@ pub struct BuildConfig {
     pub trainer: RbfTrainer,
     /// Seed for sampling decisions.
     pub seed: u64,
-    /// Worker threads for simulation.
+    /// Worker threads for simulation: lane groups of the batched
+    /// simulator (and per-point evaluations of responses without one)
+    /// run on this many `ppm-exec` workers. Defaults to `PPM_THREADS`,
+    /// else the available parallelism. Values are byte-identical for
+    /// any value ≥ 1.
     pub threads: usize,
     /// Worker threads for the training-side hot paths (LHS candidate
     /// sweep and the RBF grid search). The built model is byte-identical
@@ -400,9 +405,9 @@ impl RbfModelBuilder {
     ///
     /// Points already present in the journal are served from it without
     /// re-simulation (emitting a `robust.resume` event). New results are
-    /// recorded and flushed atomically after the batch — including when
-    /// the batch then fails the quarantine threshold, so the completed
-    /// work survives the failure.
+    /// recorded and flushed atomically after every lane group — also
+    /// when the batch then fails the quarantine threshold, so completed
+    /// work survives both a failure and a killed process.
     ///
     /// Because sampling is deterministic in the seed, a resumed build
     /// produces a model bit-identical to an uninterrupted one.
@@ -422,7 +427,7 @@ impl RbfModelBuilder {
     fn build_with_checkpoint<R: Response>(
         &self,
         response: &R,
-        mut checkpoint: Option<&mut Checkpoint>,
+        checkpoint: Option<&mut Checkpoint>,
     ) -> Result<BuiltModel, BuildError> {
         let (design, discrepancy) = self.select_sample()?;
         let precomputed: Vec<Option<f64>> = match checkpoint.as_deref() {
@@ -447,20 +452,34 @@ impl RbfModelBuilder {
             .supervisor
             .clone()
             .with_max_quarantined_frac(1.0);
-        let outcome = eval_batch_supervised(
+        // The journal is recorded and flushed after every lane group, so
+        // a build killed mid-simulation loses at most the groups still in
+        // flight. The first flush failure is returned after the batch.
+        let journal = checkpoint.map(|cp| Mutex::new((cp, Ok(()))));
+        let outcome = eval_batch_grouped(
             response,
             &design,
             self.config.threads,
             &permissive,
             &precomputed,
-        )?;
-        if let Some(cp) = checkpoint.take() {
-            for (p, v) in design.iter().zip(&outcome.values) {
-                if let Some(y) = v {
-                    cp.record(p, *y);
+            LANES_PER_GROUP,
+            &|done| {
+                let Some(journal) = &journal else { return };
+                let mut guard = journal.lock().unwrap_or_else(PoisonError::into_inner);
+                let (cp, flushed) = &mut *guard;
+                for &(i, y) in done {
+                    cp.record(&design[i], y);
                 }
-            }
-            cp.flush()?;
+                if flushed.is_ok() {
+                    *flushed = cp.flush();
+                }
+            },
+        )?;
+        if let Some(journal) = journal {
+            journal
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .1?;
         }
         outcome.check_threshold(&self.config.supervisor)?;
         let (survivors, responses) = outcome.survivors(&design);

@@ -14,7 +14,9 @@
 //! `robust.retries`), every quarantine a `robust.quarantine` event
 //! (counter `robust.quarantined`), and every evaluated point increments
 //! `sim.batch_points` — the counter resume tests use to prove that
-//! checkpointed points are never re-simulated.
+//! checkpointed points are never re-simulated. `sim.batch_groups` counts
+//! lane groups, and `sim.batch_declined` the groups whose one-pass
+//! evaluation panicked or returned the wrong number of values.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -231,10 +233,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Most design points simulated together as one lane group: one
+/// [`Response::eval_many`] call, so one trace pass shared by this many
+/// timing lanes. Chosen from the lanes-per-group curve in DESIGN §13:
+/// larger groups amortize the shared trace pass over more lanes but keep
+/// more lane state resident per worker, and fewer groups balance worse
+/// across threads.
+pub const LANES_PER_GROUP: usize = 16;
+
 /// Evaluates a batch under supervision: faults are isolated per point,
 /// panics retried per `policy`, and persistent failures quarantined.
 /// Results are in input order and deterministic for a deterministic
 /// response, regardless of `threads`.
+///
+/// The points still to evaluate are split into lane groups of at most
+/// [`LANES_PER_GROUP`] points (fewer when that would leave a worker
+/// idle), which run on `threads` workers. Each group is tried as one
+/// [`Response::eval_many`] call under its own `catch_unwind`; a group
+/// that panics, declines, or returns the wrong number of values falls
+/// back to supervised per-point evaluation of its own points only.
 ///
 /// `precomputed` carries checkpoint hits: `Some(v)` entries are taken
 /// as-is (counted as `resumed`) and never re-evaluated. Pass `&[]` when
@@ -253,11 +270,33 @@ pub fn eval_batch_supervised<R: Response>(
     policy: &SupervisorPolicy,
     precomputed: &[Option<f64>],
 ) -> Result<BatchOutcome, BuildError> {
-    if threads == 0 {
-        return Err(BuildError::InvalidConfig(
-            "need at least one worker thread".to_string(),
-        ));
-    }
+    eval_batch_grouped(
+        response,
+        points,
+        threads,
+        policy,
+        precomputed,
+        LANES_PER_GROUP,
+        &|_| {},
+    )
+}
+
+/// [`eval_batch_supervised`] with an explicit lane-group bound and a
+/// completion hook. `on_group` runs on the worker once per finished
+/// group, in completion order, with that group's surviving
+/// `(index, value)` pairs — the checkpointing builder journals there.
+pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
+    response: &R,
+    points: &[Vec<f64>],
+    threads: usize,
+    policy: &SupervisorPolicy,
+    precomputed: &[Option<f64>],
+    lanes_per_group: usize,
+    on_group: &H,
+) -> Result<BatchOutcome, BuildError> {
+    // Rejects zero threads ("need at least one worker thread").
+    let exec =
+        ppm_exec::Executor::new(threads).map_err(|e| BuildError::InvalidConfig(e.to_string()))?;
     if !precomputed.is_empty() && precomputed.len() != points.len() {
         return Err(BuildError::InvalidConfig(format!(
             "precomputed length {} does not match batch size {}",
@@ -292,69 +331,87 @@ pub fn eval_batch_supervised<R: Response>(
     ppm_telemetry::counter("build.points_resumed").add(resumed as u64);
 
     let quarantined: Mutex<Vec<Quarantine>> = Mutex::new(Vec::new());
-    let mut fresh: Vec<Option<f64>> = vec![None; todo.len()];
-
-    // Batched fast path: a response with a one-pass multi-point
-    // evaluator (the cycle-level simulator shares the trace pass across
-    // all lanes) handles the whole remainder at once. The batch runs
-    // under a single catch_unwind — a panic anywhere falls back to the
-    // per-point path below, which re-isolates and retries each point
-    // individually. Non-finite values quarantine exactly as in the
-    // serial path (deterministic, so never retried).
-    if todo.len() >= 2 {
-        let todo_points: Vec<Vec<f64>> = todo.iter().map(|&i| points[i].clone()).collect();
-        let batched = catch_unwind(AssertUnwindSafe(|| response.eval_many(&todo_points)));
-        if let Ok(Some(vals)) = batched {
-            assert_eq!(
-                vals.len(),
-                todo.len(),
-                "eval_many must return one value per point"
-            );
-            ppm_telemetry::event("sim.batch_fastpath", &[("points", todo.len().into())]);
-            for ((slot, &i), v) in fresh.iter_mut().zip(&todo).zip(vals) {
-                if v.is_finite() {
-                    *slot = Some(v);
-                } else {
-                    record_quarantine(i, &points[i], Fault::NonFinite(v), 1, &quarantined);
-                }
-                ppm_telemetry::counter("build.points_done").inc();
-            }
-            return finish(values, todo, fresh, quarantined, resumed, policy);
-        }
-    }
-
-    let workers = threads.min(todo.len().max(1));
-    if workers <= 1 {
-        for (slot, &i) in fresh.iter_mut().zip(&todo) {
-            run_one(response, i, &points[i], policy, slot, &quarantined);
-        }
-    } else {
-        let chunk = todo.len().div_ceil(workers);
-        // Workers inherit this thread's telemetry context so their
-        // shard spans nest under stage.simulation (and any scoped
-        // registry follows them); shards render as timeline lanes in
-        // the trace export.
-        let ctx = ppm_telemetry::current_context();
-        std::thread::scope(|s| {
-            for (w, (idxs, out)) in todo.chunks(chunk).zip(fresh.chunks_mut(chunk)).enumerate() {
-                let quarantined = &quarantined;
-                let ctx = &ctx;
-                s.spawn(move || {
-                    let _ctx_guard = ctx.attach();
-                    let _shard = ppm_telemetry::span(&format!("sim.batch.w{w}"));
-                    for (slot, &i) in out.iter_mut().zip(idxs) {
-                        run_one(response, i, &points[i], policy, slot, quarantined);
-                    }
-                });
-            }
-        });
-    }
+    // Cap the group so a small batch still gives every worker a group.
+    let group = lanes_per_group.min(todo.len().div_ceil(threads)).max(1);
+    let groups: Vec<&[usize]> = todo.chunks(group).collect();
+    ppm_telemetry::counter("sim.batch_groups").add(groups.len() as u64);
+    // Each group depends only on its own points and results land in
+    // group-ordered slots, so the values are the same for any thread
+    // count or group size.
+    let fresh: Vec<Option<f64>> = exec
+        .map("sim_batch", groups.len(), |g| {
+            let idxs = groups[g];
+            let vals = run_group(response, idxs, points, policy, &quarantined);
+            let done: Vec<(usize, f64)> = idxs
+                .iter()
+                .zip(&vals)
+                .filter_map(|(&i, v)| v.map(|y| (i, y)))
+                .collect();
+            on_group(&done);
+            vals
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     finish(values, todo, fresh, quarantined, resumed, policy)
 }
 
+/// Evaluates one lane group. A response with a one-pass multi-point
+/// evaluator (the cycle-level simulator shares the trace pass across
+/// lanes) takes the whole group at once under one catch_unwind. A panic,
+/// a decline, or a result of the wrong length falls back to supervised
+/// per-point evaluation of this group's points, which re-isolates and
+/// retries each one. Non-finite values quarantine exactly as in the
+/// per-point path (deterministic, so never retried).
+fn run_group<R: Response>(
+    response: &R,
+    idxs: &[usize],
+    points: &[Vec<f64>],
+    policy: &SupervisorPolicy,
+    quarantined: &Mutex<Vec<Quarantine>>,
+) -> Vec<Option<f64>> {
+    if idxs.len() >= 2 {
+        let group_points: Vec<Vec<f64>> = idxs.iter().map(|&i| points[i].clone()).collect();
+        let batched = catch_unwind(AssertUnwindSafe(|| response.eval_many(&group_points)));
+        let fault = match batched {
+            Ok(Some(vals)) if vals.len() == idxs.len() => {
+                ppm_telemetry::event("sim.batch_fastpath", &[("points", idxs.len().into())]);
+                let out = idxs
+                    .iter()
+                    .zip(vals)
+                    .map(|(&i, v)| {
+                        if v.is_finite() {
+                            Some(v)
+                        } else {
+                            record_quarantine(i, &points[i], Fault::NonFinite(v), 1, quarantined);
+                            None
+                        }
+                    })
+                    .collect();
+                ppm_telemetry::counter("build.points_done").add(idxs.len() as u64);
+                return out;
+            }
+            Ok(None) => None,
+            Ok(Some(vals)) => Some(format!("returned {} values", vals.len())),
+            Err(payload) => Some(panic_message(payload.as_ref())),
+        };
+        if let Some(fault) = fault {
+            ppm_telemetry::counter("sim.batch_declined").inc();
+            ppm_telemetry::event!(
+                ppm_telemetry::Level::Warn,
+                "sim.batch_declined",
+                "points" => idxs.len(),
+                "fault" => fault,
+            );
+        }
+    }
+    idxs.iter()
+        .map(|&i| run_one(response, i, &points[i], policy, quarantined))
+        .collect()
+}
+
 /// Merges freshly evaluated values into the batch result and applies
-/// the quarantine threshold — shared by the batched fast path and the
-/// per-point worker path.
+/// the quarantine threshold.
 fn finish(
     mut values: Vec<Option<f64>>,
     todo: Vec<usize>,
@@ -413,16 +470,19 @@ fn run_one<R: Response>(
     index: usize,
     point: &[f64],
     policy: &SupervisorPolicy,
-    slot: &mut Option<f64>,
     quarantined: &Mutex<Vec<Quarantine>>,
-) {
-    match supervised_eval(response, index, point, policy) {
-        Ok(v) => *slot = Some(v),
-        Err((fault, attempts)) => record_quarantine(index, point, fault, attempts, quarantined),
-    }
+) -> Option<f64> {
+    let value = match supervised_eval(response, index, point, policy) {
+        Ok(v) => Some(v),
+        Err((fault, attempts)) => {
+            record_quarantine(index, point, fault, attempts, quarantined);
+            None
+        }
+    };
     // Quarantined points are still *done* for progress purposes: the
     // supervisor will not spend more time on them.
     ppm_telemetry::counter("build.points_done").inc();
+    value
 }
 
 #[cfg(test)]
@@ -528,6 +588,175 @@ mod tests {
         // quarantined point — progress must reach planned even when
         // points fail.
         assert_eq!(scoped.counter("build.points_done").get(), 4);
+    }
+
+    /// A response with a one-pass path: `eval_many` returns what `eval`
+    /// would for each point, except that it panics on any group holding
+    /// a point with `x[0] == poison`, and `short` drops its last value.
+    /// Counts the per-point `eval` calls it receives.
+    struct Batched {
+        poison: f64,
+        short: bool,
+        evals: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Batched {
+        fn new(poison: f64, short: bool) -> Self {
+            Batched {
+                poison,
+                short,
+                evals: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn evals(&self) -> usize {
+            self.evals.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Response for Batched {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn eval(&self, x: &[f64]) -> f64 {
+            self.evals
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if x[0] > 0.9 {
+                f64::NAN
+            } else {
+                1.0 + x[0] + 2.0 * x[1]
+            }
+        }
+
+        fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
+            assert!(
+                points.iter().all(|p| p[0] != self.poison),
+                "injected group failure"
+            );
+            let mut out: Vec<f64> = points
+                .iter()
+                .map(|p| {
+                    if p[0] > 0.9 {
+                        f64::NAN
+                    } else {
+                        1.0 + p[0] + 2.0 * p[1]
+                    }
+                })
+                .collect();
+            if self.short {
+                out.pop();
+            }
+            Some(out)
+        }
+    }
+
+    /// Values as bits plus (index, attempts) of each quarantine: what
+    /// must match between runs (a NaN fault never equals itself).
+    type Bits = (Vec<Option<u64>>, Vec<(usize, u32)>);
+
+    fn grouped<R: Response>(r: &R, pts: &[Vec<f64>], threads: usize, group: usize) -> Bits {
+        let policy = SupervisorPolicy::default().with_max_quarantined_frac(0.5);
+        let out = eval_batch_grouped(r, pts, threads, &policy, &[], group, &|_| {}).unwrap();
+        (
+            out.values.iter().map(|v| v.map(f64::to_bits)).collect(),
+            out.quarantined
+                .iter()
+                .map(|q| (q.index, q.attempts))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn lane_groups_are_identical_for_any_thread_count_and_group_size() {
+        let sim = crate::response::SimulatorResponse::new(ppm_workload::Benchmark::Crafty, 3_000);
+        let sim_pts: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                (0..9)
+                    .map(|d| ((i * 9 + d) as f64 * 0.618_034).fract())
+                    .collect()
+            })
+            .collect();
+        let serial: Vec<Option<u64>> = sim_pts
+            .iter()
+            .map(|p| Some(sim.eval(p).to_bits()))
+            .collect();
+        let fake = Batched::new(-1.0, false);
+        let fake_pts = points(23);
+        let fake_ref = grouped(&fake, &fake_pts, 1, usize::MAX);
+        for threads in [1, 2, 8] {
+            for group in [1, 2, 7, usize::MAX] {
+                let got = grouped(&sim, &sim_pts, threads, group);
+                assert_eq!(
+                    got,
+                    (serial.clone(), vec![]),
+                    "threads {threads}, group {group}"
+                );
+                let got = grouped(&fake, &fake_pts, threads, group);
+                assert_eq!(got, fake_ref, "threads {threads}, group {group}");
+            }
+        }
+        // The fake's last two points are non-finite: quarantined the
+        // same way, with one attempt, by the batched and the per-point
+        // path.
+        assert_eq!(fake_ref.1, vec![(21, 1), (22, 1)]);
+    }
+
+    #[test]
+    fn wrong_length_batch_is_declined_not_a_panic() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let r = Batched::new(-1.0, true);
+        let pts = points(10);
+        let out = grouped(&r, &pts, 1, 4);
+        assert_eq!(out, grouped(&Batched::new(-1.0, false), &pts, 1, 4));
+        // Every group (4 + 4 + 2) was declined and re-run point by point.
+        assert_eq!(scoped.counter("sim.batch_declined").get(), 3);
+        assert_eq!(r.evals(), 10);
+    }
+
+    #[test]
+    fn a_panicking_group_retries_only_its_own_points() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let pts = points(12);
+        // Point 5 sits in the second group of four: indices 4..8.
+        let r = Batched::new(pts[5][0], false);
+        let out = grouped(&r, &pts, 2, 4);
+        assert_eq!(r.evals(), 4, "only the failed group goes point by point");
+        assert_eq!(scoped.counter("sim.batch_declined").get(), 1);
+        assert_eq!(scoped.counter("sim.batch_groups").get(), 3);
+        assert_eq!(scoped.counter("build.points_done").get(), 12);
+        assert_eq!(out, grouped(&Batched::new(-1.0, false), &pts, 1, 4));
+    }
+
+    #[test]
+    fn group_hook_sees_each_survivor_once() {
+        let r = Batched::new(-1.0, false);
+        let pts = points(20);
+        let seen: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+        let policy = SupervisorPolicy::default().with_max_quarantined_frac(0.5);
+        let out = eval_batch_grouped(&r, &pts, 2, &policy, &[], 3, &|done| {
+            seen.lock()
+                .unwrap()
+                .push(done.iter().map(|&(i, _)| i).collect());
+        })
+        .unwrap();
+        let mut seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 7, "one call per group of three");
+        seen.sort();
+        let mut indices: Vec<usize> = seen.concat();
+        indices.sort_unstable();
+        // Point 19 (x = 0.95) is non-finite: never reported done.
+        let survivors: Vec<usize> = (0..20).filter(|&i| out.values[i].is_some()).collect();
+        assert_eq!(indices, survivors);
+    }
+
+    #[test]
+    fn small_batches_still_use_every_thread() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let pts = points(6);
+        eval_batch_supervised(&clean(), &pts, 8, &SupervisorPolicy::strict(), &[]).unwrap();
+        // ceil(6 / 8) = 1 lane per group: six groups, not one.
+        assert_eq!(scoped.counter("sim.batch_groups").get(), 6);
     }
 
     #[test]

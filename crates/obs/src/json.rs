@@ -350,16 +350,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by whole UTF-8 code points.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8 in string"))?;
-                match rest.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
-                }
+                // Copy the run up to the next quote or backslash at once,
+                // validating only that run: both delimiters are ASCII, so
+                // the run ends on a code-point boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|e| err(*pos + e.valid_up_to(), "invalid utf-8 in string"))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -493,6 +494,39 @@ mod tests {
         let parsed = Json::parse(line).unwrap();
         assert_eq!(parsed.get("t").unwrap().as_str(), Some("metric"));
         assert_eq!(parsed.get("value").unwrap().as_i64(), Some(90));
+    }
+
+    #[test]
+    fn megabyte_documents_with_multibyte_strings_parse_in_linear_time() {
+        // 20k records of two- to four-byte code points mixed with
+        // escapes: over 1 MB, which a parser that re-validates the rest
+        // of the document per character cannot finish in test time.
+        let records: Vec<Json> = (0..20_000)
+            .map(|i| {
+                Json::Obj(vec![
+                    ("id".to_string(), Json::from(i as u64)),
+                    (
+                        "note".to_string(),
+                        Json::Str(format!("é→𝄞 ü \"q\" {i} ✓ 中文\n")),
+                    ),
+                ])
+            })
+            .collect();
+        let text = Json::Arr(records).dump();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.dump(), text);
+        assert_eq!(
+            parsed.as_arr().unwrap()[7].get("note").unwrap().as_str(),
+            Some("é→𝄞 ü \"q\" 7 ✓ 中文\n")
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_an_error() {
+        let mut pos = 0;
+        let e = parse_string(b"\"ok \xff\"", &mut pos).unwrap_err();
+        assert_eq!(e.to_string(), err(4, "invalid utf-8 in string").to_string());
     }
 
     #[test]

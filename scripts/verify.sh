@@ -42,10 +42,12 @@ echo "== flight recorder: smoke build + regression sentry + trace check =="
 # (b) emit a structurally valid Chrome-trace file. `ppm report` exits 5
 # on regression, which fails this gate via `set -e`. The build also
 # carries `--live 127.0.0.1:0` so the gate proves the live plane binds,
-# serves, and shuts down cleanly alongside a real run.
+# serves, and shuts down cleanly alongside a real run. PPM_THREADS is
+# pinned because the number of simulation lane groups (and so the
+# sim.batch_* and exec.tasks counters) follows the worker count.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
-target/release/ppm build --benchmark ammp --sample 20 --instructions 10000 \
+PPM_THREADS=2 target/release/ppm build --benchmark ammp --sample 20 --instructions 10000 \
   --seed 7 --train-threads 2 --holdout 6 --quiet --live 127.0.0.1:0 \
   --out "$smoke_dir/m.txt" --ledger-out "$smoke_dir/ledger.json" \
   --trace-out "$smoke_dir/trace.json"

@@ -8,7 +8,7 @@ use std::str::FromStr;
 use ppm_core::builder::{BuildConfig, BuildError, RbfModelBuilder};
 use ppm_core::checkpoint::{Checkpoint, CheckpointError};
 use ppm_core::persist::{self, PersistError};
-use ppm_core::response::{Metric, Response, SimulatorResponse};
+use ppm_core::response::{eval_batch, Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::pb_screening;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
@@ -812,11 +812,13 @@ fn build(
     // Held-out accuracy on the paper's §3 test region: simulate
     // `--holdout` fresh points the training sample never saw and score
     // the model against them. Deterministic for a fixed seed, so the
-    // statistics land in the ledger's hashed body.
+    // statistics land in the ledger's hashed body. The points run as lane
+    // groups under the strict policy: a faulty held-out point fails the
+    // build instead of skewing the reported error.
     let holdout_stats = if holdout > 0 {
         let _span = ppm_telemetry::span("stage.holdout");
         let test = builder.test_points(&DesignSpace::paper_table2(), holdout);
-        let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
+        let actual = eval_batch(&response, &test, builder.config().threads)?;
         Some(built.evaluate(&test, &actual))
     } else {
         None

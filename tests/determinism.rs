@@ -2,16 +2,23 @@
 //! parallelized training hot path — the LHS candidate sweep, the
 //! (p_min, α) grid search, cross-validated fold refits, and the full
 //! `BuildRBFmodel` procedure — produces output byte-identical to its
-//! serial run, for any thread count and any seed.
+//! serial run, for any thread count and any seed. So does supervised
+//! simulation in lane groups, including `ppm build`'s held-out points.
 
-use ppm::model::{BuildConfig, FnResponse, RbfModelBuilder};
+use std::process::Command;
+
+use ppm::model::{BuildConfig, ErrorStats, FnResponse, RbfModelBuilder};
 use ppm_core::crossval::CrossValidator;
+use ppm_core::persist;
+use ppm_core::response::{Response, SimulatorResponse};
 use ppm_core::space::DesignSpace;
+use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy};
 use ppm_rbf::RbfTrainer;
 use ppm_regtree::Dataset;
 use ppm_rng::Rng;
 use ppm_sampling::lhs::LatinHypercube;
 use ppm_sampling::space::{ParamDef, ParamSpace, Transform};
+use ppm_workload::Benchmark;
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
 
@@ -122,4 +129,102 @@ fn full_build_is_byte_identical_across_thread_counts() {
             "threads {threads}"
         );
     }
+}
+
+/// Supervised simulation in lane groups yields bit-identical values at
+/// 1, 2 and 8 threads (the group count changes with the thread count).
+#[test]
+fn supervised_simulation_is_byte_identical_across_thread_counts() {
+    let response = SimulatorResponse::new(Benchmark::Mcf, 4_000).with_seed(2);
+    let mut rng = Rng::seed_from_u64(77);
+    let points: Vec<Vec<f64>> = (0..21)
+        .map(|_| (0..9).map(|_| rng.unit_f64()).collect())
+        .collect();
+    let run = |threads: usize| -> Vec<Option<u64>> {
+        eval_batch_supervised(
+            &response,
+            &points,
+            threads,
+            &SupervisorPolicy::strict(),
+            &[],
+        )
+        .expect("clean batch")
+        .values
+        .iter()
+        .map(|v| v.map(f64::to_bits))
+        .collect()
+    };
+    let serial = run(1);
+    for threads in THREAD_COUNTS {
+        assert_eq!(run(threads), serial, "threads {threads}");
+    }
+}
+
+/// `ppm build --holdout` simulates the held-out points as supervised lane
+/// groups. The printed error line must equal the one a serial,
+/// point-by-point holdout gives, and line and model bytes must not
+/// depend on the thread count.
+#[test]
+fn build_holdout_matches_the_serial_holdout_at_any_thread_count() {
+    let dir = std::env::temp_dir().join(format!("ppm-det-holdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |threads: &str| -> (String, Vec<u8>) {
+        let model = dir.join(format!("t{threads}.model"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .env("PPM_THREADS", threads)
+            .args([
+                "build",
+                "--benchmark",
+                "twolf",
+                "--sample",
+                "20",
+                "--instructions",
+                "10000",
+                "--seed",
+                "3",
+                "--holdout",
+                "9",
+                "--lhs-candidates",
+                "16",
+                "--train-threads",
+                "1",
+                "--no-ledger",
+                "--quiet",
+                "--out",
+            ])
+            .arg(&model)
+            .output()
+            .expect("ppm build runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("held-out CPI error"))
+            .unwrap_or_else(|| panic!("no held-out line in {stdout}"))
+            .to_string();
+        (line, std::fs::read(&model).expect("model written"))
+    };
+    let serial_threads = run("1");
+    for threads in ["2", "8"] {
+        assert_eq!(run(threads), serial_threads, "PPM_THREADS={threads}");
+    }
+
+    let saved = persist::load(&dir.join("t1.model")).expect("model loads");
+    let builder = RbfModelBuilder::new(
+        DesignSpace::paper_table1(),
+        BuildConfig::default().with_seed(3),
+    );
+    let test = builder.test_points(&DesignSpace::paper_table2(), 9);
+    let response = SimulatorResponse::new(Benchmark::Twolf, 10_000).with_seed(3);
+    let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
+    let predicted: Vec<f64> = test.iter().map(|p| saved.network.predict(p)).collect();
+    let stats = ErrorStats::from_predictions(&predicted, &actual);
+    assert_eq!(
+        serial_threads.0,
+        format!(
+            "held-out CPI error over 9 points: mean {:.2}% max {:.2}% std {:.2}%",
+            stats.mean_pct, stats.max_pct, stats.std_pct
+        )
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,12 +6,14 @@
 //! byte-identical to an uninterrupted run with zero re-simulation of
 //! journaled points (via the `sim.batch_points` telemetry counter).
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ppm::model::builder::{BuildConfig, BuildError, RbfModelBuilder};
 use ppm::model::response::{FnResponse, Response};
 use ppm::model::space::DesignSpace;
-use ppm::model::supervise::{eval_batch_supervised, SupervisorPolicy};
+use ppm::model::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
 use ppm::model::{persist, Checkpoint, FaultPlan, FaultyResponse, InjectedFault};
 use ppm_telemetry as tel;
 
@@ -224,6 +226,80 @@ fn interrupted_build_resumes_bit_identical_with_zero_resimulation() {
     assert!(resumed.quarantined.is_empty());
     assert_eq!(journal.len(), 40, "the resumed run completes the journal");
     std::fs::remove_file(&path).ok();
+}
+
+/// Copies the on-disk journal aside when the `kill_at`-th evaluation
+/// starts: the file a `kill -9` at that moment would leave behind.
+struct KillSnapshot<R> {
+    inner: R,
+    calls: AtomicUsize,
+    kill_at: usize,
+    journal: PathBuf,
+    snapshot: PathBuf,
+}
+
+impl<R: Response> Response for KillSnapshot<R> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn eval(&self, unit: &[f64]) -> f64 {
+        if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.kill_at {
+            std::fs::copy(&self.journal, &self.snapshot).expect("journal exists mid-batch");
+        }
+        self.inner.eval(unit)
+    }
+}
+
+/// A build killed in the last evaluation of its second lane group has
+/// journaled the first group: resuming re-simulates exactly one group of
+/// already-simulated points, and saves the uninterrupted model.
+#[test]
+fn build_killed_mid_simulation_loses_at_most_one_group() {
+    let _serial = lock();
+    let group = LANES_PER_GROUP;
+    let points = 2 * group + 8;
+    let mut config = BuildConfig::quick(points);
+    // One worker runs the groups in order, so the kill point is exact.
+    config.threads = 1;
+    let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), config);
+    let reference = builder.build(&clean_response()).expect("clean build");
+
+    let journal = temp_path("killed.ckpt");
+    let snapshot = temp_path("killed-snapshot.ckpt");
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_file(&snapshot).ok();
+    let killed = KillSnapshot {
+        inner: clean_response(),
+        calls: AtomicUsize::new(0),
+        kill_at: 2 * group,
+        journal: journal.clone(),
+        snapshot: snapshot.clone(),
+    };
+    builder
+        .build_checkpointed(&killed, &mut Checkpoint::create(&journal, &[]))
+        .expect("the run itself completes");
+
+    // What survived the kill: the first group, flushed when it finished.
+    let mut survived = Checkpoint::load(&snapshot).expect("snapshot is a valid journal");
+    assert_eq!(survived.len(), group, "journal must be flushed per group");
+
+    let fresh_before = tel::counter("sim.batch_points").get();
+    let resumed = builder
+        .build_checkpointed(&clean_response(), &mut survived)
+        .expect("resumed build");
+    let fresh = (tel::counter("sim.batch_points").get() - fresh_before) as usize;
+    // Points never started before the kill must run anyway; the rest of
+    // the fresh work is simulation the kill threw away.
+    let never_started = points - killed.kill_at;
+    let resimulated = fresh - never_started;
+    assert_eq!(resimulated, group, "{fresh} fresh points on resume");
+    assert_eq!(
+        persist::to_string(&resumed.model.network, &[]),
+        persist::to_string(&reference.model.network, &[])
+    );
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_file(&snapshot).ok();
 }
 
 /// A second resume over a complete journal re-simulates nothing at all

@@ -36,7 +36,10 @@ impl Drop for Reaped {
 /// Spawns `ppm build --live 127.0.0.1:0 ...` and returns the child
 /// plus the bound address parsed from the stderr banner.
 fn spawn_live_build(dir: &Path, sample: &str) -> (Reaped, String) {
+    // One simulation worker runs the lane groups one after another, so
+    // progress advances in steps a scraper can observe mid-stage.
     let child = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .env("PPM_THREADS", "1")
         .args([
             "build",
             "--benchmark",
@@ -44,7 +47,7 @@ fn spawn_live_build(dir: &Path, sample: &str) -> (Reaped, String) {
             "--sample",
             sample,
             "--instructions",
-            "20000",
+            "40000",
             "--seed",
             "7",
             "--train-threads",
@@ -103,41 +106,41 @@ fn live_build_shows_progress_between_two_scrapes() {
     let dir = scratch("progress");
     let (mut child, addr) = spawn_live_build(&dir, "40");
 
-    // First scrape: any successful /buildz with a plan counts.
+    // Simulation must be observed part-way: a scrape that reads 0 and
+    // one that reads the total after the stage ended would both pass a
+    // weaker "done increased" check.
     let deadline = Instant::now() + Duration::from_secs(60);
-    let first = loop {
-        assert!(Instant::now() < deadline, "no scrapeable /buildz in time");
-        if let Some(doc) = buildz(&addr) {
-            assert_eq!(
-                doc.get("schema").and_then(Json::as_str),
-                Some("ppm-buildz v1")
-            );
-            if doc
-                .get("points")
-                .and_then(|p| p.get("planned"))
-                .and_then(Json::as_i64)
-                .unwrap_or(0)
-                > 0
-            {
-                break points_done(&doc);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    };
-
-    // Second scrape: points-done must increase while the build runs.
-    let second = loop {
+    let mut last = None;
+    loop {
         assert!(
             Instant::now() < deadline,
-            "points done never increased past {first}"
+            "no scrape showed 0 < done < planned during simulation; last {last:?}"
         );
-        match buildz(&addr) {
-            Some(doc) if points_done(&doc) > first => break points_done(&doc),
-            Some(_) => std::thread::sleep(Duration::from_millis(25)),
-            None => panic!("live plane went away before progress was observed"),
+        let Some(doc) = buildz(&addr) else {
+            assert!(
+                child.0.try_wait().expect("child status").is_none(),
+                "build ended before progress was observed; last {last:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("ppm-buildz v1")
+        );
+        let stage = doc.get("stage").and_then(Json::as_str).map(str::to_string);
+        let planned = doc
+            .get("points")
+            .and_then(|p| p.get("planned"))
+            .and_then(Json::as_i64)
+            .unwrap_or(0) as u64;
+        let done = points_done(&doc);
+        if stage.as_deref() == Some("simulation") && 0 < done && done < planned {
+            break;
         }
-    };
-    assert!(second > first, "{second} <= {first}");
+        last = Some((stage, done, planned));
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // The Prometheus exposition serves the same counters mid-run.
     let (status, metrics) = http_get(&addr, "/metrics", SCRAPE_TIMEOUT).expect("scrape metrics");

@@ -15,7 +15,9 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use ppm_core::response::{Response, SimulatorResponse};
 use ppm_core::space::DesignSpace;
+use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
 use ppm_rng::Rng;
 use ppm_sim::{BatchProcessor, Processor, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
@@ -80,6 +82,43 @@ fn batch_handles_duplicate_and_extreme_configs() {
         .run(TraceGenerator::new(Benchmark::Twolf, 3).take(TRACE_LEN));
     assert_eq!(batched, serial);
     assert_eq!(batched[2], batched[3], "identical lanes, identical stats");
+}
+
+/// The supervised executor runs lane groups of at most
+/// `LANES_PER_GROUP` points, capped at `ceil(points / threads)`. Batch
+/// size and thread count pick groups of 1, 2 and 7 lanes and one group
+/// holding the whole batch; every value must be bit-identical to a
+/// serial run of its point.
+#[test]
+fn supervised_lane_groups_match_serial_runs_at_every_group_size() {
+    let response = SimulatorResponse::new(Benchmark::Twolf, 4_000).with_seed(5);
+    let mut rng = Rng::seed_from_u64(0x6209);
+    let whole = LANES_PER_GROUP;
+    for (n, threads, group) in [(8, 8, 1), (16, 8, 2), (14, 2, 7), (whole, 1, whole)] {
+        let points: Vec<Vec<f64>> = (0..n).map(|_| random_unit(&mut rng, 9)).collect();
+        let scoped = ppm_telemetry::Registry::scoped();
+        let out = eval_batch_supervised(
+            &response,
+            &points,
+            threads,
+            &SupervisorPolicy::strict(),
+            &[],
+        )
+        .expect("clean batch");
+        assert_eq!(
+            scoped.counter("sim.batch_groups").get(),
+            n.div_ceil(group) as u64,
+            "{n} points on {threads} threads"
+        );
+        drop(scoped);
+        for (i, (p, v)) in points.iter().zip(&out.values).enumerate() {
+            assert_eq!(
+                v.map(f64::to_bits),
+                Some(response.eval(p).to_bits()),
+                "point {i} of {n}, group size {group}"
+            );
+        }
+    }
 }
 
 #[test]
