@@ -134,16 +134,12 @@ impl Config {
             let Some((rule, pattern)) = rest.trim_start().split_once(' ') else {
                 return Err((idx + 1, format!("allow entry without a pattern: {line:?}")));
             };
-            if !rules::is_known_rule(rule) {
-                // The full valid set — lint and analyze rules — so a
-                // typo'd entry tells the user every name it could have
-                // meant, not just the offender.
+            if !rules::is_rule(rule) {
+                // The full valid set, so a typo'd entry tells the user
+                // every name it could have meant, not just the offender.
                 return Err((
                     idx + 1,
-                    format!(
-                        "unknown rule {rule:?} (known: {})",
-                        rules::all_rule_names().join(", ")
-                    ),
+                    format!("unknown rule {rule:?} (known: {})", rules::rule_list()),
                 ));
             }
             let pattern = pattern.trim();
@@ -191,15 +187,15 @@ mod tests {
     #[test]
     fn unknown_rule_error_lists_every_valid_name() {
         let err = Config::parse("allow panic-paths x\n").expect_err("bad rule");
-        for name in rules::all_rule_names() {
-            assert!(err.1.contains(name), "missing {name:?} in: {}", err.1);
+        for rule in rules::RULES {
+            assert!(err.1.contains(rule.name), "{}", err.1);
         }
     }
 
     #[test]
-    fn analyze_rules_are_accepted_in_the_shared_conf() {
+    fn semantic_rules_are_accepted() {
         let conf = Config::parse("allow lock-order shard.lock()\nallow exit-code 42\n")
-            .expect("analyze rules are valid in the shared allowlist");
+            .expect("semantic rules are valid allowlist entries");
         assert_eq!(conf.entries.len(), 2);
         assert!(conf.allows("lock-order", "let q = shard.lock();"));
     }

@@ -1,25 +1,50 @@
-//! ppm-lint: a token-aware static-analysis pass for this workspace.
+//! ppm-lint: the workspace's static-analysis tool.
 //!
 //! The reproduction's headline guarantees — byte-identical fixed-seed
-//! builds and panic-free typed-error library code — used to be policed
-//! by an awk/grep gate that could not see strings, comments, or module
-//! structure. This crate replaces it with a real (still zero-dependency)
-//! linter: a hand-written Rust lexer ([`lexer`]), a rule engine
-//! ([`rules`]) with six workspace-invariant rules, an allowlist
-//! ([`config`], `scripts/lint.conf` plus inline `lint:allow(<rule>)`
-//! comments), and compiler-style diagnostics in human or JSON form
-//! ([`report`]). The CLI exposes it as `ppm lint`.
+//! builds, panic-free typed-error library code, thread-safe serving,
+//! versioned wire formats — used to be policed by an awk/grep gate that
+//! could not see strings, comments, or module structure. This crate
+//! replaces it with a real (still zero-dependency) analyzer built on a
+//! hand-written Rust lexer ([`lexer`]), with two rule families:
 //!
-//! Scope: the root binary's `src/` tree and every `crates/<name>/src`
-//! tree except `crates/bench` (excluded from the workspace build). Test
-//! code — `#[cfg(test)]` modules and `#[test]` functions — is exempt
-//! from every rule.
+//! - **Token rules** ([`rules`]): six token-local invariants — a stray
+//!   `unwrap`, a `HashMap` in a deterministic crate, an ad hoc clock
+//!   read.
+//! - **Semantic rules**: the questions a token window cannot answer.
+//!   *Is the lock graph acyclic* ([`lockorder`])? *Does every
+//!   `Ordering::` use match a declared policy* ([`atomics`])? *Can a
+//!   worker thread reach a panic outside `catch_unwind`* ([`panics`])?
+//!   *Does every emitted wire-format string have a parser and a golden
+//!   test* ([`wire`])? *Do the CLI's exit codes, usage text, and README
+//!   agree* ([`exitcode`])? They consume the owned per-file indices of
+//!   [`items`].
+//!
+//! Each file is read and lexed once; the token stream feeds both the
+//! token rules and the [`items`] index. Both families share one rule
+//! table ([`rules::RULES`]), one allowlist ([`config`]:
+//! `scripts/lint.conf` plus inline `lint:allow(<rule>)` comments), and
+//! one [`Report`] in human or JSON form ([`report`]). The CLI exposes it
+//! as `ppm lint`.
+//!
+//! Scope: the root binary's `src/` tree, every `crates/<name>/src` tree
+//! except `crates/bench` (excluded from the workspace build), and
+//! `tests/` (wire formats are pinned by golden tests there), plus
+//! `README.md` for the exit-code table. Test code — `#[cfg(test)]`
+//! modules, `#[test]` functions, and all of `tests/` — is exempt from
+//! every rule; the semantic rules read it only as wire-format coverage.
 
+pub mod atomics;
 pub mod config;
+pub mod exitcode;
+pub mod items;
 pub mod lexer;
+pub mod lockorder;
+pub mod panics;
 pub mod report;
 pub mod rules;
+pub mod wire;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -57,33 +82,69 @@ impl std::error::Error for LintError {
     }
 }
 
-/// Lints one in-memory source file. `rel_path` must be workspace
-/// relative with `/` separators — it selects which rules apply.
+/// Runs the token rules over one in-memory source file (the semantic
+/// rules need the whole workspace; see [`lint_workspace`]). `rel_path`
+/// must be workspace relative with `/` separators — it selects which
+/// rules apply. Diagnostics are sorted by `(line, rule, col)`.
 pub fn lint_source(rel_path: &str, source: &str, conf: &Config) -> Vec<Diagnostic> {
-    rules::check_source(rel_path, source, conf)
+    let tokens = lexer::lex(source);
+    let allows = rules::inline_allows(&tokens);
+    let lines: Vec<&str> = source.lines().collect();
+    let mut diags = rules::check_tokens(rel_path, &tokens, &lexer::test_regions(&tokens));
+    diags.retain(|d| !suppressed(d, &allows, line_at(&lines, d.line), conf));
+    diags.sort_by_key(|d| (d.line, d.rule, d.col));
+    diags
 }
 
-/// Lints every Rust source under `root` that is in scope (see the crate
-/// docs) and returns a deterministic [`Report`] (files are visited in
-/// sorted path order).
+/// Runs both rule families over every in-scope file under `root` (see
+/// the crate docs), honoring the allowlist `conf` and inline
+/// `lint:allow(<rule>)` comments. The [`Report`] is deterministic:
+/// diagnostics are sorted by `(path, line, rule, col)`.
 ///
 /// # Errors
 ///
 /// [`LintError::Io`] when a scanned directory or file cannot be read.
 pub fn lint_workspace(root: &Path, conf: &Config) -> Result<Report, LintError> {
-    let files = workspace_files(root)?;
+    let rels = workspace_files(root)?;
     let mut diagnostics = Vec::new();
-    for rel in &files {
+    let mut files = Vec::with_capacity(rels.len());
+    let mut exit_facts = exitcode::Facts::default();
+    for rel in &rels {
         let full = root.join(rel);
         let source = std::fs::read_to_string(&full).map_err(|error| LintError::Io {
             path: full.clone(),
             error,
         })?;
-        diagnostics.extend(rules::check_source(rel, &source, conf));
+        let tokens = lexer::lex(&source);
+        let in_test = lexer::test_regions(&tokens);
+        if !rel.starts_with("tests/") {
+            diagnostics.extend(rules::check_tokens(rel, &tokens, &in_test));
+        }
+        exit_facts.collect(rel, &tokens);
+        files.push(items::index_tokens(rel, &source, &tokens, &in_test));
     }
-    // The walk already visits files in sorted order and each file's
-    // diagnostics arrive pre-sorted, but the output contract is
-    // (path, line, rule, col) regardless of walk order — enforce it.
+    let readme = std::fs::read_to_string(root.join("README.md")).ok();
+    diagnostics.extend(lockorder::check(&files));
+    diagnostics.extend(atomics::check(&files));
+    diagnostics.extend(panics::check(&files));
+    diagnostics.extend(wire::check(&files));
+    diagnostics.extend(exitcode::check(&exit_facts, readme.as_deref()));
+
+    // One suppression pass for both families. README findings (exit
+    // codes) have no inline markers, only lint.conf substrings.
+    let by_rel: BTreeMap<&str, &items::FileIndex> =
+        files.iter().map(|f| (f.rel.as_str(), f)).collect();
+    let readme_lines: Vec<&str> = readme
+        .as_deref()
+        .map_or(Vec::new(), |r| r.lines().collect());
+    let no_allows = BTreeSet::new();
+    diagnostics.retain(|d| {
+        let (allows, line_text) = match by_rel.get(d.path.as_str()) {
+            Some(f) => (&f.allows, line_at(&f.lines, d.line)),
+            None => (&no_allows, line_at(&readme_lines, d.line)),
+        };
+        !suppressed(d, allows, line_text, conf)
+    });
     diagnostics.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
     });
@@ -93,19 +154,40 @@ pub fn lint_workspace(root: &Path, conf: &Config) -> Result<Report, LintError> {
     })
 }
 
+/// True when an inline marker on or above the diagnostic's line, or a
+/// `lint.conf` entry whose substring occurs in `line_text`, allows it.
+fn suppressed(
+    d: &Diagnostic,
+    allows: &BTreeSet<(String, u32)>,
+    line_text: &str,
+    conf: &Config,
+) -> bool {
+    allows.contains(&(d.rule.to_string(), d.line)) || conf.allows(d.rule, line_text)
+}
+
+/// The text of 1-based `line` (line 0, a file-level finding, reads the
+/// first line; past the end reads as empty).
+fn line_at<S: AsRef<str>>(lines: &[S], line: u32) -> &str {
+    lines
+        .get(line.saturating_sub(1) as usize)
+        .map_or("", AsRef::as_ref)
+}
+
 /// Enumerates in-scope `.rs` files under `root`, as sorted
 /// workspace-relative `/`-separated paths: the root binary's `src/`
-/// tree plus `crates/<name>/src` for every crate except `bench`.
-/// `tests/`, `examples/`, and `benches/` trees are integration/test
-/// code and deliberately out of scope.
+/// tree, `crates/<name>/src` for every crate except `bench`, and the
+/// root `tests/` tree. Per-crate `tests/`, `examples/`, and `benches/`
+/// trees are out of scope.
 ///
 /// # Errors
 ///
 /// [`LintError::Io`] when a directory listing fails.
 pub fn workspace_files(root: &Path) -> Result<Vec<String>, LintError> {
     let mut rels = Vec::new();
-    if root.join("src").is_dir() {
-        collect_rs(root, "src", &mut rels)?;
+    for top in ["src", "tests"] {
+        if root.join(top).is_dir() {
+            collect_rs(root, top, &mut rels)?;
+        }
     }
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -186,6 +268,7 @@ mod tests {
         );
         write(&root, "crates/core/tests/it.rs", "fn t() { x.unwrap() }");
         write(&root, "crates/core/src/notes.txt", "not rust");
+        write(&root, "tests/it.rs", "fn t() {}");
         let files = workspace_files(&root).expect("walk");
         assert_eq!(
             files,
@@ -194,6 +277,7 @@ mod tests {
                 "crates/core/src/lib.rs",
                 "src/cli/mod.rs",
                 "src/main.rs",
+                "tests/it.rs",
             ]
         );
         std::fs::remove_dir_all(&root).expect("cleanup");
@@ -208,8 +292,10 @@ mod tests {
             "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }",
         );
         write(&root, "crates/core/src/ok.rs", "pub fn g() -> u32 { 4 }");
+        // Token rules skip tests/: this unwrap is not a finding.
+        write(&root, "tests/it.rs", "fn t(x: Option<u32>) { x.unwrap(); }");
         let report = lint_workspace(&root, &Config::empty()).expect("lint");
-        assert_eq!(report.files_scanned, 2);
+        assert_eq!(report.files_scanned, 3);
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].rule, "panic-path");
         assert_eq!(report.diagnostics[0].path, "crates/core/src/lib.rs");
@@ -218,10 +304,41 @@ mod tests {
     }
 
     #[test]
-    fn missing_root_is_an_io_error() {
-        let err = lint_workspace(Path::new("/nonexistent-ppm-lint"), &Config::empty());
-        // No src/ and no crates/ at all: scans nothing, cleanly.
-        let report = err.expect("empty scan is not an error");
+    fn findings_sort_and_inline_allows_suppress() {
+        let root = temp_root("allows");
+        write(
+            &root,
+            "crates/serve/src/a.rs",
+            "fn f(s: &S) {\n    // lint:allow(atomic-ordering) gauge pairs with recv\n    s.q.store(1, Ordering::SeqCst);\n    s.r.store(1, Ordering::SeqCst);\n}\n",
+        );
+        let report = lint_workspace(&root, &Config::empty()).expect("lint");
+        assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+        assert!(
+            report.diagnostics[0].message.contains('r'),
+            "{:?}",
+            report.diagnostics
+        );
+        std::fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn conf_allowlist_suppresses_semantic_findings_by_substring() {
+        let root = temp_root("conf");
+        write(
+            &root,
+            "crates/serve/src/a.rs",
+            "fn f(s: &S) {\n    s.q.store(1, Ordering::SeqCst);\n}\n",
+        );
+        let conf = Config::parse("allow atomic-ordering s.q.store(1\n").expect("conf");
+        let report = lint_workspace(&root, &conf).expect("lint");
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+        std::fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn missing_root_scans_nothing() {
+        let report = lint_workspace(Path::new("/nonexistent-ppm-lint"), &Config::empty())
+            .expect("empty scan is not an error");
         assert_eq!(report.files_scanned, 0);
     }
 }

@@ -11,7 +11,7 @@ use ppm_obs::Json;
 
 use crate::rules;
 
-/// One lint finding at a source position.
+/// One finding, from either rule family, at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The rule that fired (a name from [`rules::RULES`]).
@@ -67,7 +67,7 @@ impl Report {
         out
     }
 
-    /// Renders the JSON form (schema `ppm-lint v1`), including the rule
+    /// Renders the JSON form (schema `ppm-lint v2`), including the rule
     /// table so consumers can map names to descriptions.
     pub fn render_json(&self) -> String {
         let diags = self
@@ -93,7 +93,7 @@ impl Report {
             })
             .collect();
         Json::Obj(vec![
-            ("schema".to_string(), Json::Str("ppm-lint v1".to_string())),
+            ("schema".to_string(), Json::Str("ppm-lint v2".to_string())),
             (
                 "files_scanned".to_string(),
                 Json::Int(self.files_scanned as i64),
@@ -139,7 +139,7 @@ mod tests {
         let json = Json::parse(&report.render_json()).expect("valid JSON");
         assert_eq!(
             json.get("schema").and_then(Json::as_str),
-            Some("ppm-lint v1")
+            Some("ppm-lint v2")
         );
         assert_eq!(json.get("files_scanned").and_then(Json::as_i64), Some(3));
         let diags = match json.get("diagnostics") {
@@ -157,7 +157,7 @@ mod tests {
             Some(Json::Arr(items)) => items,
             other => panic!("rules not an array: {other:?}"),
         };
-        assert_eq!(rules_arr.len(), 6);
+        assert_eq!(rules_arr.len(), 11);
     }
 
     #[test]

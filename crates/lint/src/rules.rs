@@ -1,6 +1,6 @@
-//! The rule engine: six token-level rules over the lexed stream.
+//! The rule table for both families, and the token-rule engine.
 //!
-//! Each rule guards one workspace invariant:
+//! Each token rule guards one workspace invariant:
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -11,27 +11,29 @@
 //! | `print-in-lib` | library crates report through telemetry sinks |
 //! | `env-read` | process environment is read only by the CLI layer |
 //!
-//! Rules skip comments and string literals (the lexer already
-//! classified them), skip `#[cfg(test)]` / `#[test]` regions, and honor
-//! both `lint:allow(<rule>)` comments and the central allowlist.
+//! Token rules skip comments and string literals (the lexer already
+//! classified them) and `#[cfg(test)]` / `#[test]` regions. The five
+//! semantic rules live in their own modules (see the crate docs);
+//! suppression for both families is applied by the caller.
 
 use std::collections::BTreeSet;
 
-use crate::config::Config;
-use crate::lexer::{self, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::report::Diagnostic;
 
-/// A lint rule's name and one-line description.
+/// A rule's name and one-line description.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable kebab-case rule name (used in `lint:allow` and lint.conf).
+    /// Stable kebab-case rule name (used in `lint:allow`, lint.conf,
+    /// and `ppm lint --rule`).
     pub name: &'static str,
     /// What the rule enforces, for `--format json` consumers and docs.
     pub summary: &'static str,
 }
 
-/// All rules, in reporting order.
-pub const RULES: [Rule; 6] = [
+/// Every rule, in reporting order: the six token rules, then the five
+/// semantic rules.
+pub const RULES: [Rule; 11] = [
     Rule {
         name: "panic-path",
         summary: "unwrap/expect/panic!/todo!/unimplemented! in non-test library code \
@@ -62,36 +64,42 @@ pub const RULES: [Rule; 6] = [
         summary: "std::env reads outside the config/CLI layer \
                   (hidden environment coupling defeats reproducibility)",
     },
+    Rule {
+        name: "lock-order",
+        summary: "acquired-while-held mutex graph must be acyclic, and no blocking \
+                  I/O or channel op may run under a lock",
+    },
+    Rule {
+        name: "atomic-ordering",
+        summary: "every non-Relaxed Ordering:: use needs a declared \
+                  atomic-policy(<name>) comment; mixed orderings must be declared",
+    },
+    Rule {
+        name: "panic-reachability",
+        summary: "unwrap/expect/slice-index reachable from worker or accept threads \
+                  must sit under catch_unwind or carry a justified allow",
+    },
+    Rule {
+        name: "wire-format",
+        summary: "every emitted `ppm-* vN` version string must be registered, \
+                  parsed somewhere, and pinned by a golden test",
+    },
+    Rule {
+        name: "exit-code",
+        summary: "CliError::exit_code(), the usage text, and README's exit-code \
+                  table must agree on the full code set",
+    },
 ];
 
-/// Rule names owned by the semantic-analysis layer (`crates/analyze`,
-/// exposed as `ppm analyze`). They are declared here so the shared
-/// allowlist (`scripts/lint.conf`) can carry entries for either tool:
-/// `Config::parse` must accept every rule the workspace's static
-/// analyses know, and a typo must be rejected against the *full* set.
-pub const ANALYZE_RULE_NAMES: [&str; 5] = [
-    "lock-order",
-    "atomic-ordering",
-    "panic-reachability",
-    "wire-format",
-    "exit-code",
-];
-
-/// True when `name` is a rule either static-analysis tool knows
-/// (the six lint rules or the five `ppm analyze` rules).
-pub fn is_known_rule(name: &str) -> bool {
-    RULES.iter().any(|r| r.name == name) || ANALYZE_RULE_NAMES.contains(&name)
+/// True when `name` is a rule in [`RULES`].
+pub fn is_rule(name: &str) -> bool {
+    RULES.iter().any(|r| r.name == name)
 }
 
-/// All rule names this linter reports on, in reporting order.
-pub fn rule_names() -> Vec<&'static str> {
-    RULES.iter().map(|r| r.name).collect()
-}
-
-/// Every rule name the shared allowlist accepts: the lint rules
-/// followed by the analyze rules, in reporting order.
-pub fn all_rule_names() -> Vec<&'static str> {
-    rule_names().into_iter().chain(ANALYZE_RULE_NAMES).collect()
+/// Every rule name, comma-separated in reporting order (for error
+/// messages that list the valid choices).
+pub fn rule_list() -> String {
+    RULES.map(|r| r.name).join(", ")
 }
 
 /// Crates whose serialized artifacts (checkpoints, ledgers, persisted
@@ -151,14 +159,11 @@ pub fn rule_applies(rule: &str, rel_path: &str) -> bool {
     }
 }
 
-/// Lints one source file. `rel_path` is workspace-relative with `/`
-/// separators (it selects which rules apply).
-pub fn check_source(rel_path: &str, source: &str, conf: &Config) -> Vec<Diagnostic> {
-    let tokens = lexer::lex(source);
-    let in_test = lexer::test_regions(&tokens);
-    let lines: Vec<&str> = source.lines().collect();
-    let allow = inline_allows(&tokens, "lint:allow(");
-
+/// Runs the token rules over one lexed file. `rel_path` is
+/// workspace-relative with `/` separators (it selects which rules
+/// apply); `in_test` is [`crate::lexer::test_regions`] of `tokens`.
+/// Findings are unsuppressed and unsorted — see [`crate::lint_source`].
+pub fn check_tokens(rel_path: &str, tokens: &[Token<'_>], in_test: &[bool]) -> Vec<Diagnostic> {
     // Code view: indices of non-comment tokens, for adjacency matching.
     let code: Vec<usize> = (0..tokens.len())
         .filter(|&i| !tokens[i].is_comment())
@@ -167,13 +172,6 @@ pub fn check_source(rel_path: &str, source: &str, conf: &Config) -> Vec<Diagnost
     let mut diags = Vec::new();
     let mut emit = |rule: &'static str, tok: &Token<'_>, message: String| {
         if !rule_applies(rule, rel_path) {
-            return;
-        }
-        if allow.contains(&(rule.to_string(), tok.line)) {
-            return;
-        }
-        let line_text = lines.get(tok.line as usize - 1).copied().unwrap_or("");
-        if conf.allows(rule, line_text) {
             return;
         }
         diags.push(Diagnostic {
@@ -317,28 +315,25 @@ pub fn check_source(rel_path: &str, source: &str, conf: &Config) -> Vec<Diagnost
             }
         }
     }
-    // Deterministic reporting order regardless of rule-matching order:
-    // (line, rule, col) — the path is constant within one file.
-    diags.sort_by_key(|d| (d.line, d.rule, d.col));
     diags
 }
 
-/// Collects `<marker>rule, ...)` markers from comment tokens — the
-/// marker is the opening text up to and including `(`, e.g.
-/// `"lint:allow("` or `"analyze:allow("`. A marker covers every line
-/// its comment spans plus the line after it, so it works both trailing
-/// the violation and on the line above.
-pub fn inline_allows(tokens: &[Token<'_>], marker: &str) -> BTreeSet<(String, u32)> {
+/// Collects `lint:allow(rule, ...)` markers from comment tokens as
+/// `(rule, line)` pairs. A marker covers every line its comment spans
+/// plus the line after it, so it works both trailing the violation and
+/// on the line above. Names outside [`RULES`] are ignored.
+pub fn inline_allows(tokens: &[Token<'_>]) -> BTreeSet<(String, u32)> {
+    const MARKER: &str = "lint:allow(";
     let mut allows = BTreeSet::new();
     for tok in tokens.iter().filter(|t| t.is_comment()) {
         let mut rest = tok.text;
-        while let Some(at) = rest.find(marker) {
-            rest = &rest[at + marker.len()..];
+        while let Some(at) = rest.find(MARKER) {
+            rest = &rest[at + MARKER.len()..];
             let Some(close) = rest.find(')') else { break };
             let end_line = tok.line + tok.text.matches('\n').count() as u32;
             for rule in rest[..close].split(',') {
                 let rule = rule.trim();
-                if !is_known_rule(rule) {
+                if !is_rule(rule) {
                     continue;
                 }
                 for line in tok.line..=end_line + 1 {
@@ -354,9 +349,10 @@ pub fn inline_allows(tokens: &[Token<'_>], marker: &str) -> BTreeSet<(String, u3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{lint_source, Config};
 
     fn lint(rel: &str, src: &str) -> Vec<Diagnostic> {
-        check_source(rel, src, &Config::empty())
+        lint_source(rel, src, &Config::empty())
     }
 
     fn rules_hit(rel: &str, src: &str) -> Vec<&'static str> {
@@ -533,10 +529,10 @@ fn f(x: Option<u32>) -> u32 {
         let conf = Config::parse("allow panic-path .expect(\"non-empty model has weights\")\n")
             .expect("valid conf");
         let src = "fn f(w: Option<u32>) -> u32 { w.expect(\"non-empty model has weights\") }";
-        assert!(check_source("crates/rbf/src/selection.rs", src, &conf).is_empty());
+        assert!(lint_source("crates/rbf/src/selection.rs", src, &conf).is_empty());
         let other = "fn f(w: Option<u32>) -> u32 { w.expect(\"something else\") }";
         assert_eq!(
-            check_source("crates/rbf/src/selection.rs", other, &conf).len(),
+            lint_source("crates/rbf/src/selection.rs", other, &conf).len(),
             1
         );
     }

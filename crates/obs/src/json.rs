@@ -9,8 +9,18 @@
 //! Objects preserve insertion order (serialization is deterministic for
 //! a deterministically built document), and numbers distinguish
 //! integers from floats so counters survive a round trip exactly.
+//! Strings are escaped by `ppm-telemetry`'s writer, so both crates emit
+//! the same bytes for the same text.
+//!
+//! Input can come from outside the process (`ppm top` and `ppm tail`
+//! parse a network peer's JSON), so nesting is capped at 128 levels:
+//! deeper input is a [`JsonError`], not a stack overflow.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document this workspace writes stays under ten levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +64,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after document"));
@@ -89,7 +99,7 @@ impl Json {
                     s.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Json::Str(v) => write_escaped(s, v),
+            Json::Str(v) => ppm_telemetry::write_json_string(s, v),
             Json::Arr(items) => {
                 s.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -106,7 +116,7 @@ impl Json {
                     if i > 0 {
                         s.push(',');
                     }
-                    write_escaped(s, k);
+                    ppm_telemetry::write_json_string(s, k);
                     s.push(':');
                     v.write(s);
                 }
@@ -220,26 +230,6 @@ impl From<bool> for Json {
     }
 }
 
-fn write_escaped(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let mut buf = String::new();
-                fmt::Write::write_fmt(&mut buf, format_args!("\\u{:04x}", c as u32)).ok();
-                s.push_str(&buf);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
 fn err(offset: usize, message: &str) -> JsonError {
     JsonError {
         offset,
@@ -253,12 +243,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(err(*pos, "nesting too deep")),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -366,7 +358,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -375,7 +367,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -390,7 +382,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut entries = Vec::new();
     skip_ws(bytes, pos);
@@ -409,7 +401,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(err(*pos, "expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -449,9 +441,24 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = Json::Str("line\nwith \"quotes\" and \\slash\t".to_string());
+        let original = Json::Str("line\nwith \"quotes\" and \\slash\t\u{8}\u{c}\u{1}".to_string());
         let dumped = original.dump();
+        assert_eq!(dumped, r#""line\nwith \"quotes\" and \\slash\t\b\f\u0001""#);
         assert_eq!(Json::parse(&dumped).unwrap(), original);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let e = Json::parse(&deep).unwrap_err();
+            assert_eq!(e.message, "nesting too deep");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert_eq!(Json::parse(&over).unwrap_err().offset, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
     }
 
     #[test]

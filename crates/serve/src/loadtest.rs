@@ -297,7 +297,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
                             std::thread::sleep(lag);
                         }
                     }
-                    // analyze:allow(panic-reachability) k % len is in bounds
+                    // lint:allow(panic-reachability) k % len is in bounds
                     let rob = ROB_SIZES[k % ROB_SIZES.len()];
                     let path = match config.deadline_ms {
                         Some(ms) => format!("/predict?rob={rob}&deadline_ms={ms}"),

@@ -39,7 +39,7 @@ mod sink;
 mod span;
 
 pub use cputime::process_cpu_us;
-pub use json::{json_string, Value};
+pub use json::{json_string, write_json_string, Value};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, MetricRecord, Registry};
 pub use ring::{EventRing, RingEvent};
 pub use sink::{BufferSink, JsonlSink, Level, Record, Sink, StderrSink, Verbosity};
@@ -242,7 +242,7 @@ pub fn flush_sinks() {
         // Flushing under the lock is deliberate: it serializes with
         // in-flight dispatch() so the final flush cannot race a record
         // mid-write, and this runs once, at process exit.
-        // analyze:allow(lock-order)
+        // lint:allow(lock-order)
         s.flush();
     }
 }

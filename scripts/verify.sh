@@ -222,27 +222,20 @@ http_request POST /quitz "$addr" > /dev/null
 wait "$serve_pid"
 gate_done serve
 
-echo "== ppm lint (token-aware static analysis, all crates) =="
-# The workspace's own linter (crates/lint) supersedes the old awk/grep
-# unwrap gate: six rules (panic-path, iteration-order, wall-clock,
-# float-eq, print-in-lib, env-read) over every library crate plus src/,
-# with string/comment/test-module awareness. Allowlist lives in
-# scripts/lint.conf and inline `lint:allow(<rule>)` comments. Exits 6
-# on findings, failing this gate via `set -e`; the JSON output is the
+echo "== ppm lint (static analysis: token and semantic rules) =="
+# The workspace's own analyzer (crates/lint) in one pass over src/,
+# every library crate, and tests/. Token rules: panic-path,
+# iteration-order, wall-clock, float-eq, print-in-lib, env-read, with
+# string/comment/test-module awareness. Semantic rules: lock-order
+# cycles and I/O under a lock, atomic-ordering policies, panic
+# reachability from worker threads, wire-format registry drift, and the
+# exit-code contract. Allowlist: scripts/lint.conf and inline
+# `lint:allow(<rule>)` comments. Exits 6 on findings, failing this
+# gate; the JSON report is archived under results/ as the
 # machine-readable record of the run.
-target/release/ppm lint --format json
+target/release/ppm lint --format json > results/LINT.json \
+  || { cat results/LINT.json; exit 6; }
 gate_done lint
-
-echo "== ppm analyze (cross-crate semantic analysis) =="
-# The semantic companion to lint (crates/analyze): lock-order cycles
-# and I/O-under-lock, atomic-ordering policies, panic reachability from
-# worker threads, wire-format registry drift, and the exit-code
-# contract. Shares lint's allowlist machinery (scripts/lint.conf,
-# inline `analyze:allow(<rule>)`) and its exit-6 contract. The JSON
-# report is archived under results/ as the machine-readable record.
-target/release/ppm analyze --format json > results/ANALYZE.json \
-  || { cat results/ANALYZE.json; exit 6; }
-gate_done analyze
 
 echo "== cargo fmt --check =="
 cargo fmt --check

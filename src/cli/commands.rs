@@ -39,9 +39,6 @@ pub enum CliError {
     /// The static-analysis pass found violations (exit code 6) — the
     /// scan itself succeeded; the findings were already printed.
     Lint(usize),
-    /// The semantic-analysis pass found violations (exit code 6, same
-    /// contract as `Lint`: the scan succeeded, findings were printed).
-    Analyze(usize),
     /// The live observability plane could not start or be reached
     /// (exit code 7) — e.g. `--live` bind failures, `ppm top` against
     /// a dead endpoint.
@@ -65,7 +62,7 @@ impl CliError {
             CliError::Simulation(_) => 3,
             CliError::Persistence(_) => 4,
             CliError::Regression(_) => 5,
-            CliError::Lint(_) | CliError::Analyze(_) => 6,
+            CliError::Lint(_) => 6,
             CliError::Live(_) => 7,
             CliError::Serve(_) => 8,
             CliError::Message(_) => 1,
@@ -82,7 +79,6 @@ impl fmt::Display for CliError {
             CliError::Persistence(m) => f.write_str(m),
             CliError::Regression(m) => f.write_str(m),
             CliError::Lint(n) => write!(f, "ppm-lint: {n} finding(s)"),
-            CliError::Analyze(n) => write!(f, "ppm-analyze: {n} finding(s)"),
             CliError::Live(m) => f.write_str(m),
             CliError::Serve(m) => f.write_str(m),
             CliError::Message(m) => f.write_str(m),
@@ -176,13 +172,14 @@ pub fn run_with_artifacts(
         "check-trace" => flight::check_trace(parsed, out),
         "bench-export" => flight::bench_export(parsed, out),
         "lint" => lint(parsed, out),
-        "analyze" => analyze(parsed, out),
         "top" => top(parsed, out),
         "tail" => tail(parsed, out),
         "serve" => serve(parsed, out),
         "publish" => publish(parsed, out),
         "loadtest" => loadtest(parsed, out),
-        other => Err(msg(format!("unknown command {other:?} (try `ppm help`)"))),
+        other => Err(CliError::Usage(format!(
+            "unknown command {other:?} (try `ppm help`)"
+        ))),
     }
 }
 
@@ -951,12 +948,14 @@ fn firstorder(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError>
     Ok(())
 }
 
-/// `ppm lint`: the workspace static-analysis pass (see `crates/lint`).
+/// `ppm lint`: the workspace static-analysis tool (see `crates/lint`),
+/// running both rule families — token rules and semantic rules.
 ///
 /// Flags: `--root <dir>` (default `.`), `--conf <file>` (default
-/// `<root>/scripts/lint.conf` when present), `--format human|json`.
-/// Findings are printed to stdout and exit with code 6, so scripts can
-/// tell "violations found" from a broken scan.
+/// `<root>/scripts/lint.conf` when present), `--format human|json`,
+/// `--rule <name>` to report one rule only. Findings are printed to
+/// stdout and exit with code 6, so scripts can tell "violations found"
+/// from a broken scan.
 fn lint(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let format = parsed.get("--format").unwrap_or("human");
     if !matches!(format, "human" | "json") {
@@ -964,57 +963,12 @@ fn lint(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             "unknown lint format {format:?} (human|json)"
         )));
     }
-    let root = Path::new(parsed.get("--root").unwrap_or("."));
-    let persist = |e: &dyn fmt::Display| CliError::Persistence(e.to_string());
-    let conf = match parsed.get("--conf") {
-        Some(path) => ppm_lint::Config::load(Path::new(path)).map_err(|e| persist(&e))?,
-        None => {
-            let default = root.join("scripts").join("lint.conf");
-            if default.is_file() {
-                ppm_lint::Config::load(&default).map_err(|e| persist(&e))?
-            } else {
-                ppm_lint::Config::empty()
-            }
-        }
-    };
-    let report = {
-        let _span = ppm_telemetry::span("stage.lint");
-        ppm_lint::lint_workspace(root, &conf).map_err(|e| persist(&e))?
-    };
-    match format {
-        "json" => writeln!(out, "{}", report.render_json()).map_err(msg)?,
-        _ => out.write_str(&report.render_human()).map_err(msg)?,
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(CliError::Lint(report.diagnostics.len()))
-    }
-}
-
-/// `ppm analyze`: the cross-crate semantic-analysis pass (see
-/// `crates/analyze`): lock-order, atomic-ordering, panic-reachability,
-/// wire-format and exit-code contracts.
-///
-/// Flags: `--root <dir>` (default `.`), `--conf <file>` (default
-/// `<root>/scripts/lint.conf` when present — the allowlist is shared
-/// with `ppm lint`), `--format human|json`, `--rule <name>` to scope
-/// the run to one analysis. Findings exit with code 6, like lint.
-fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let format = parsed.get("--format").unwrap_or("human");
-    if !matches!(format, "human" | "json") {
-        return Err(CliError::Usage(format!(
-            "unknown analyze format {format:?} (human|json)"
-        )));
-    }
     let rule_filter = parsed.get("--rule");
-    if let Some(rule) = rule_filter {
-        if !ppm_lint::rules::ANALYZE_RULE_NAMES.contains(&rule) {
-            return Err(CliError::Usage(format!(
-                "unknown analyze rule {rule:?} (known: {})",
-                ppm_lint::rules::ANALYZE_RULE_NAMES.join(", ")
-            )));
-        }
+    if let Some(rule) = rule_filter.filter(|r| !ppm_lint::rules::is_rule(r)) {
+        return Err(CliError::Usage(format!(
+            "unknown lint rule {rule:?} (known: {})",
+            ppm_lint::rules::rule_list()
+        )));
     }
     let root = Path::new(parsed.get("--root").unwrap_or("."));
     let persist = |e: &dyn fmt::Display| CliError::Persistence(e.to_string());
@@ -1030,8 +984,8 @@ fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         }
     };
     let mut report = {
-        let _span = ppm_telemetry::span("stage.analyze");
-        ppm_analyze::analyze_workspace(root, &conf).map_err(|e| persist(&e))?
+        let _span = ppm_telemetry::span("stage.lint");
+        ppm_lint::lint_workspace(root, &conf).map_err(|e| persist(&e))?
     };
     if let Some(rule) = rule_filter {
         report.diagnostics.retain(|d| d.rule == rule);
@@ -1043,7 +997,7 @@ fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(CliError::Analyze(report.diagnostics.len()))
+        Err(CliError::Lint(report.diagnostics.len()))
     }
 }
 
@@ -1173,7 +1127,9 @@ mod tests {
 
     #[test]
     fn unknown_command_and_benchmark_error() {
-        assert!(run_cli(&["frobnicate"]).is_err());
+        assert_eq!(run_cli(&["frobnicate"]).unwrap_err().exit_code(), 2);
+        // The semantic rules run under `ppm lint`; there is no `analyze`.
+        assert_eq!(run_cli(&["analyze"]).unwrap_err().exit_code(), 2);
         let err = run_cli(&["simulate", "--benchmark", "gcc"]).unwrap_err();
         assert!(err.to_string().contains("gcc"));
     }

@@ -28,11 +28,11 @@
 //! `ppm report` diffs two ledgers as a regression sentry (exit code 5
 //! on regression). See [`flight`].
 //!
-//! `ppm lint` runs the workspace's token-aware static-analysis pass
-//! (`crates/lint`) and `ppm analyze` the cross-crate semantic pass
-//! (`crates/analyze`: lock-order, atomic-ordering, panic-reachability,
-//! wire-format and exit-code contracts); both exit 6 when a rule fires
-//! — see the "Static analysis" section in README.md.
+//! `ppm lint` runs the workspace's static analysis (`crates/lint`): the
+//! token rules plus the cross-crate semantic rules (lock-order,
+//! atomic-ordering, panic-reachability, wire-format and exit-code
+//! contracts); it exits 6 when a rule fires — see the "Static analysis"
+//! section in README.md.
 //!
 //! The live observability plane (`crates/live`): `--live <addr>` on
 //! `build`/`simulate`/`screen` serves `/metrics` (Prometheus text),
@@ -84,12 +84,10 @@ COMMANDS:
                                  extract one wall time from a run ledger
                                  as a `ppm-bench v1` perf-history file
   lint        [--root <dir>] [--conf <file>] [--format human|json]
-                                 static-analysis pass over the workspace
-                                 sources (exit code 6 on findings)
-  analyze     [--root <dir>] [--conf <file>] [--format human|json]
-              [--rule <name>]    cross-crate semantic analysis: lock-order,
+              [--rule <name>]    static analysis of the workspace: token
+                                 rules and semantic rules (lock-order,
                                  atomic-ordering, panic-reachability,
-                                 wire-format and exit-code contracts
+                                 wire-format and exit-code contracts)
                                  (exit code 6 on findings)
   top         <addr> [--once] [--interval-ms <n>]
                                  terminal dashboard for a --live endpoint
@@ -141,7 +139,7 @@ FAULT-TOLERANCE FLAGS (`build`):
 EXIT CODES:
   0 success    2 usage error    3 simulation fault    4 persistence failure
   5 regression (`report`, `loadtest --slo-p99-ms`)
-  6 static-analysis findings (`lint`, `analyze`)
+  6 static-analysis findings (`lint`)
   7 live-plane failure (`--live` bind, `ppm top` endpoint)
   8 serve failure (`serve` bind/registry, `publish`, `loadtest` transport,
     `ppm tail` first poll)

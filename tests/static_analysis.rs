@@ -1,13 +1,12 @@
-//! Integration tests for the static-analysis pair: `ppm lint`
-//! (token-local rules) and `ppm analyze` (cross-crate semantic rules).
-//! Golden diagnostics on seeded fixtures, one firing per rule, the
-//! CLI exit-code contract for both tools, and the self-scan gates
-//! asserting this workspace is violation-free under both.
+//! Integration tests for `ppm lint` and its two rule families: token
+//! rules and cross-crate semantic rules. Golden diagnostics on seeded
+//! fixtures, a firing for every rule, the CLI exit-code contract, and
+//! the self-scan gate asserting this workspace is violation-free.
 
 use std::path::{Path, PathBuf};
 
 use ppm::cli::{CliError, Parsed};
-use ppm_analyze::analyze_workspace;
+use ppm_lint::rules::RULES;
 use ppm_lint::{lint_source, lint_workspace, Config};
 use ppm_obs::Json;
 
@@ -149,7 +148,7 @@ fn cli_lint_json_is_parseable_and_complete() {
     let json = Json::parse(out.trim()).expect("valid JSON on stdout");
     assert_eq!(
         json.get("schema").and_then(Json::as_str),
-        Some("ppm-lint v1")
+        Some("ppm-lint v2")
     );
     assert_eq!(json.get("clean"), Some(&Json::Bool(false)));
     assert_eq!(json.get("files_scanned").and_then(Json::as_i64), Some(1));
@@ -175,6 +174,13 @@ fn cli_lint_rejects_unknown_format_and_bad_conf() {
     let (_, result) = run_cli(&["lint", "--root", &root_s, "--format", "xml"]);
     assert_eq!(result.expect_err("unknown format").exit_code(), 2);
 
+    let (_, result) = run_cli(&["lint", "--root", &root_s, "--rule", "nonsense"]);
+    let err = result.expect_err("unknown rule");
+    assert_eq!(err.exit_code(), 2);
+    for rule in RULES {
+        assert!(err.to_string().contains(rule.name), "{err}");
+    }
+
     write(&root, "bad.conf", "allow not-a-rule something\n");
     let conf = root.join("bad.conf").to_string_lossy().into_owned();
     let (_, result) = run_cli(&["lint", "--root", &root_s, "--conf", &conf]);
@@ -182,15 +188,15 @@ fn cli_lint_rejects_unknown_format_and_bad_conf() {
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
-/// The gate this whole PR exists for: the workspace itself has zero
-/// findings under its checked-in allowlist.
+/// The self-scan gate: the workspace itself has zero findings under
+/// either rule family with its checked-in allowlist.
 #[test]
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let conf = Config::load(&root.join("scripts").join("lint.conf")).expect("lint.conf loads");
     let report = lint_workspace(root, &conf).expect("workspace scan");
     assert!(
-        report.files_scanned > 50,
+        report.files_scanned > 100,
         "suspiciously few files scanned: {}",
         report.files_scanned
     );
@@ -202,12 +208,12 @@ fn workspace_is_lint_clean() {
 }
 
 // ---------------------------------------------------------------------
-// `ppm analyze`: the cross-crate semantic pass.
+// The semantic rule family.
 // ---------------------------------------------------------------------
 
-/// One seeded violation per analyze rule: `(rule, path, source)`.
+/// One seeded violation per semantic rule: `(rule, path, source)`.
 /// Each source is minimal enough to trip exactly its own rule.
-const ANALYZE_SEEDS: &[(&str, &str, &str)] = &[
+const SEMANTIC_SEEDS: &[(&str, &str, &str)] = &[
     (
         "lock-order",
         "crates/serve/src/seeded_locks.rs",
@@ -232,7 +238,7 @@ const ANALYZE_SEEDS: &[(&str, &str, &str)] = &[
         r#"pub fn start() {
     std::thread::spawn(move || {
         let v: Option<u32> = None;
-        let _ = v.unwrap();
+        let _ = v.unwrap(); // lint:allow(panic-path): seeded for reachability
     });
 }
 "#,
@@ -264,7 +270,7 @@ impl CliError {
 
 /// The usage text companion for the exit-code seed: documents a ghost
 /// code 9 that no variant produces.
-const ANALYZE_USAGE: &str = r#"pub const USAGE: &str = "ppm <command>
+const SEEDED_USAGE: &str = r#"pub const USAGE: &str = "ppm <command>
 
 EXIT CODES:
   0 success    2 usage
@@ -274,40 +280,50 @@ EXIT CODES:
 ";
 "#;
 
-fn write_analyze_seed(root: &Path, rule: &str) {
-    let (_, rel, src) = ANALYZE_SEEDS
-        .iter()
-        .find(|(r, _, _)| *r == rule)
-        .expect("known rule");
-    write(root, rel, src);
-    if rule == "exit-code" {
-        write(root, "src/cli/mod.rs", ANALYZE_USAGE);
+/// Writes the seeded fixture for `rule` under `root`: the shared token
+/// fixture for a token rule, or the rule's own semantic seed.
+fn write_seed(root: &Path, rule: &str) {
+    match SEMANTIC_SEEDS.iter().find(|(r, _, _)| *r == rule) {
+        Some((_, rel, src)) => {
+            write(root, rel, src);
+            if rule == "exit-code" {
+                write(root, "src/cli/mod.rs", SEEDED_USAGE);
+            }
+        }
+        None => write(root, SEEDED_PATH, SEEDED),
     }
 }
 
 #[test]
-fn cli_analyze_exits_6_on_each_seeded_violation() {
-    for (rule, _, _) in ANALYZE_SEEDS {
-        let root = temp_root(&format!("an-{rule}"));
-        write_analyze_seed(&root, rule);
+fn cli_lint_exits_6_on_each_seeded_rule() {
+    for rule in RULES.map(|r| r.name) {
+        let root = temp_root(&format!("seed-{rule}"));
+        write_seed(&root, rule);
         let root_s = root.to_string_lossy().into_owned();
 
-        let (out, result) = run_cli(&["analyze", "--root", &root_s]);
+        let (out, result) = run_cli(&["lint", "--root", &root_s, "--rule", rule]);
         let err = result.expect_err("seeded violation must fail the command");
         match &err {
-            CliError::Analyze(n) => assert!(*n > 0, "{rule}: {out}"),
-            other => panic!("{rule}: expected CliError::Analyze, got {other:?}"),
+            CliError::Lint(n) => assert!(*n > 0, "{rule}: {out}"),
+            other => panic!("{rule}: expected CliError::Lint, got {other:?}"),
         }
         assert_eq!(err.exit_code(), 6, "{rule}");
-        assert!(out.contains(rule), "{rule} not named in output:\n{out}");
+        let findings: Vec<&str> = out
+            .lines()
+            .filter(|l| !l.starts_with("ppm-lint:"))
+            .collect();
+        assert!(
+            !findings.is_empty() && findings.iter().all(|l| l.contains(&format!(": {rule}: "))),
+            "{rule}: --rule must report that rule only:\n{out}"
+        );
 
-        // Scoping to a different rule silences the finding (exit 0).
-        let other_rule = if *rule == "wire-format" {
+        // Scoping to a rule the seed does not trip silences it (exit 0).
+        let other_rule = if rule == "wire-format" {
             "lock-order"
         } else {
             "wire-format"
         };
-        let (out, result) = run_cli(&["analyze", "--root", &root_s, "--rule", other_rule]);
+        let (out, result) = run_cli(&["lint", "--root", &root_s, "--rule", other_rule]);
         result
             .unwrap_or_else(|e| panic!("{rule}: --rule {other_rule} must pass, got {e:?}\n{out}"));
         std::fs::remove_dir_all(&root).expect("cleanup");
@@ -316,11 +332,11 @@ fn cli_analyze_exits_6_on_each_seeded_violation() {
 
 #[test]
 fn analyze_seeded_tree_diagnostics_are_golden() {
-    let root = temp_root("an-golden");
-    for (rule, _, _) in ANALYZE_SEEDS {
-        write_analyze_seed(&root, rule);
+    let root = temp_root("semantic-golden");
+    for (rule, _, _) in SEMANTIC_SEEDS {
+        write_seed(&root, rule);
     }
-    let report = analyze_workspace(&root, &Config::empty()).expect("analyze");
+    let report = lint_workspace(&root, &Config::empty()).expect("lint");
     let rendered: Vec<String> = report
         .diagnostics
         .iter()
@@ -339,53 +355,4 @@ fn analyze_seeded_tree_diagnostics_are_golden() {
         report.diagnostics
     );
     std::fs::remove_dir_all(&root).expect("cleanup");
-}
-
-#[test]
-fn cli_analyze_json_is_parseable_and_rejects_unknown_rule() {
-    let root = temp_root("an-json");
-    write_analyze_seed(&root, "wire-format");
-    let root_s = root.to_string_lossy().into_owned();
-
-    let (out, result) = run_cli(&["analyze", "--root", &root_s, "--format", "json"]);
-    assert_eq!(result.expect_err("seeded violation").exit_code(), 6);
-    let json = Json::parse(out.trim()).expect("valid JSON on stdout");
-    assert_eq!(
-        json.get("schema").and_then(Json::as_str),
-        Some("ppm-analyze v1")
-    );
-    assert_eq!(json.get("clean"), Some(&Json::Bool(false)));
-    let diags = match json.get("diagnostics") {
-        Some(Json::Arr(items)) => items,
-        other => panic!("diagnostics not an array: {other:?}"),
-    };
-    assert_eq!(diags.len(), 1, "{out}");
-    for d in diags {
-        for key in ["rule", "path", "line", "col", "message"] {
-            assert!(d.get(key).is_some(), "diagnostic missing {key}: {d:?}");
-        }
-    }
-
-    let (_, result) = run_cli(&["analyze", "--root", &root_s, "--rule", "nonsense"]);
-    assert_eq!(result.expect_err("unknown rule").exit_code(), 2);
-    std::fs::remove_dir_all(&root).expect("cleanup");
-}
-
-/// The analyze counterpart of `workspace_is_lint_clean`: the workspace
-/// itself has zero semantic findings under its checked-in allowlist.
-#[test]
-fn workspace_is_analyze_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let conf = Config::load(&root.join("scripts").join("lint.conf")).expect("lint.conf loads");
-    let report = analyze_workspace(root, &conf).expect("workspace scan");
-    assert!(
-        report.files_scanned > 100,
-        "suspiciously few files scanned: {}",
-        report.files_scanned
-    );
-    let rendered = report.render_human();
-    assert!(
-        report.is_clean(),
-        "workspace has analyze findings:\n{rendered}"
-    );
 }

@@ -1,15 +1,15 @@
 //! Golden tests pinning every wire format in the registry
-//! (`crates/analyze/src/wire.rs`, `KNOWN_FORMATS`).
+//! (`crates/lint/src/wire.rs`, `KNOWN_FORMATS`).
 //!
 //! Each test drives the real emitter where one is reachable from a unit
 //! test (reports, rings, checkpoints) and a canonical body fixture where
 //! the emitter is buried in a server loop (`/predict`, `/statusz`), then
 //! compares the schema field against the literal version string with
-//! `==`. That comparison is deliberate: `ppm analyze` requires every
+//! `==`. That comparison is deliberate: `ppm lint` requires every
 //! registered format to have both a test pin and a parse/validation
 //! site, and these assertions are exactly that contract. Bumping a
 //! version string without updating the registry, the parser, and this
-//! file fails `ppm analyze` and these tests at the same time.
+//! file fails `ppm lint` and these tests at the same time.
 
 use ppm_obs::Json;
 
@@ -17,20 +17,6 @@ use ppm_obs::Json;
 fn schema_of(text: &str) -> Option<String> {
     let doc = Json::parse(text).ok()?;
     doc.get("schema").and_then(Json::as_str).map(str::to_string)
-}
-
-#[test]
-fn analyze_report_schema_is_pinned() {
-    let report = ppm_analyze::Report {
-        files_scanned: 3,
-        diagnostics: Vec::new(),
-    };
-    let text = report.render_json();
-    assert!(
-        schema_of(&text).as_deref() == Some("ppm-analyze v1"),
-        "{text}"
-    );
-    assert!(ppm_analyze::SCHEMA == "ppm-analyze v1");
 }
 
 #[test]
@@ -87,7 +73,7 @@ fn ledger_schema_constant_is_pinned() {
 #[test]
 fn lint_report_schema_is_pinned() {
     let text = ppm_lint::Report::default().render_json();
-    assert!(schema_of(&text).as_deref() == Some("ppm-lint v1"), "{text}");
+    assert!(schema_of(&text).as_deref() == Some("ppm-lint v2"), "{text}");
 }
 
 #[test]
