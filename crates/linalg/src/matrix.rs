@@ -170,14 +170,15 @@ impl Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
         for i in 0..self.rows {
             let r = self.row(i);
-            for a in 0..self.cols {
-                let ra = r[a];
+            for (a, &ra) in r.iter().enumerate() {
                 // Exact-zero sparsity skip as above. lint:allow(float-eq)
                 if ra == 0.0 {
                     continue;
                 }
-                for b in a..self.cols {
-                    g[(a, b)] += ra * r[b];
+                // Upper triangle of row a; each entry still accumulates
+                // over the rows of `self` in order.
+                for (gab, &rb) in g.row_mut(a)[a..].iter_mut().zip(&r[a..]) {
+                    *gab += ra * rb;
                 }
             }
         }

@@ -23,15 +23,19 @@ impl Criterion {
     /// `p` points with residual sum of squares `sse`. Lower is better.
     ///
     /// Returns `f64::INFINITY` for models too complex to be scored
-    /// (`m >= p - 1` for AICc, `m >= p` for GCV) so that the selection
-    /// search naturally rejects them.
+    /// (`m >= p - 1` for AICc, `m >= p` for GCV) and for a non-finite
+    /// `sse` (a residual that overflowed), so that the selection search
+    /// naturally rejects them.
     ///
     /// # Panics
     ///
-    /// Panics if `p == 0` or `sse` is negative or non-finite.
+    /// Panics if `p == 0` or `sse` is negative.
     pub fn score(self, p: usize, m: usize, sse: f64) -> f64 {
         assert!(p > 0, "criterion needs at least one data point");
-        assert!(sse.is_finite() && sse >= -1e-9, "invalid sse {sse}");
+        if !sse.is_finite() {
+            return f64::INFINITY;
+        }
+        assert!(sse >= -1e-9, "invalid sse {sse}");
         let pf = p as f64;
         let mf = m as f64;
         // Floor the variance so a perfect fit scores very well without
@@ -99,6 +103,14 @@ mod tests {
     fn perfect_fit_is_finite() {
         let s = Criterion::Aicc.score(50, 5, 0.0);
         assert!(s.is_finite());
+    }
+
+    #[test]
+    fn non_finite_sse_is_rejected_not_a_panic() {
+        for c in [Criterion::Aicc, Criterion::Bic, Criterion::Gcv] {
+            assert_eq!(c.score(30, 1, f64::INFINITY), f64::INFINITY, "{c:?}");
+            assert_eq!(c.score(30, 1, f64::NAN), f64::INFINITY, "{c:?}");
+        }
     }
 
     #[test]

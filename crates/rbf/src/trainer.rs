@@ -17,6 +17,21 @@ pub enum TrainError {
     EmptyGrid(&'static str),
     /// The trainer was configured with zero worker threads.
     NoThreads,
+    /// A grid candidate or option the search cannot use: `name` is
+    /// `"p_min"` (must be at least 1), `"alpha"` (must be positive and
+    /// finite) or `"max_centers"` (must be at least 1), and `value` is
+    /// the offending value as written.
+    InvalidParameter {
+        /// Which parameter.
+        name: &'static str,
+        /// The rejected value.
+        value: String,
+    },
+    /// The sample has fewer than two points, too few to fit any center.
+    TooFewPoints(usize),
+    /// The best model's residual sum of squares is not finite: the
+    /// responses are too large for their squares to be summed.
+    NonFiniteSse,
 }
 
 impl fmt::Display for TrainError {
@@ -26,6 +41,21 @@ impl fmt::Display for TrainError {
                 write!(f, "no {which} candidates: the training grid is empty")
             }
             TrainError::NoThreads => write!(f, "trainer needs at least one worker thread"),
+            TrainError::InvalidParameter { name, value } => {
+                let rule = if *name == "alpha" {
+                    "positive and finite"
+                } else {
+                    "at least 1"
+                };
+                write!(f, "invalid {name} {value}: it must be {rule}")
+            }
+            TrainError::TooFewPoints(n) => {
+                write!(f, "cannot train on {n} point(s): at least 2 are needed")
+            }
+            TrainError::NonFiniteSse => write!(
+                f,
+                "the residual sum of squares overflows: responses are too large to fit"
+            ),
         }
     }
 }
@@ -127,14 +157,14 @@ impl RbfTrainer {
     /// # Errors
     ///
     /// * [`TrainError::EmptyGrid`] if either candidate list is empty.
+    /// * [`TrainError::InvalidParameter`] if a `p_min` candidate or
+    ///   `max_centers` is 0, or an α candidate is not positive and finite.
+    /// * [`TrainError::TooFewPoints`] if `data` has a single point.
     /// * [`TrainError::NoThreads`] if `threads == 0`.
+    /// * [`TrainError::NonFiniteSse`] if even the best model's residual
+    ///   sum of squares overflows.
     pub fn fit(&self, data: &Dataset) -> Result<FittedRbf, TrainError> {
-        if self.p_min_candidates.is_empty() {
-            return Err(TrainError::EmptyGrid("p_min"));
-        }
-        if self.alpha_candidates.is_empty() {
-            return Err(TrainError::EmptyGrid("alpha"));
-        }
+        self.validate(data)?;
         let exec = Executor::new(self.threads).map_err(|_| TrainError::NoThreads)?;
         let _span = ppm_telemetry::span("stage.rbf_train");
 
@@ -179,6 +209,9 @@ impl RbfTrainer {
         let (pi, ai) = (win / n_alpha, win % n_alpha);
         let mut results = results;
         let result = results.swap_remove(win);
+        if !result.sse.is_finite() {
+            return Err(TrainError::NonFiniteSse);
+        }
         let best = FittedRbf {
             network: result.network,
             p_min: self.p_min_candidates[pi],
@@ -203,8 +236,41 @@ impl RbfTrainer {
         Ok(best)
     }
 
+    /// Checks everything the grid search would otherwise assert on a
+    /// worker thread.
+    fn validate(&self, data: &Dataset) -> Result<(), TrainError> {
+        if self.p_min_candidates.is_empty() {
+            return Err(TrainError::EmptyGrid("p_min"));
+        }
+        if self.alpha_candidates.is_empty() {
+            return Err(TrainError::EmptyGrid("alpha"));
+        }
+        let invalid = |name, value: String| Err(TrainError::InvalidParameter { name, value });
+        if let Some(p_min) = self.p_min_candidates.iter().find(|&&p| p == 0) {
+            return invalid("p_min", p_min.to_string());
+        }
+        if let Some(alpha) = self
+            .alpha_candidates
+            .iter()
+            .find(|a| !(a.is_finite() && **a > 0.0))
+        {
+            return invalid("alpha", alpha.to_string());
+        }
+        if self.max_centers == Some(0) {
+            return invalid("max_centers", "0".to_string());
+        }
+        if data.len() < 2 {
+            return Err(TrainError::TooFewPoints(data.len()));
+        }
+        Ok(())
+    }
+
     /// Fits with a single fixed `(p_min, α)` pair, bypassing the grid
     /// search (used by the method-parameter sensitivity ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p_min` is 0 or `alpha` is not positive and finite.
     pub fn fit_fixed(&self, data: &Dataset, p_min: usize, alpha: f64) -> FittedRbf {
         let tree = RegressionTree::fit(data, p_min);
         let config = SelectionConfig {
@@ -296,6 +362,74 @@ mod tests {
         };
         let err = trainer.fit(&dataset(10)).unwrap_err();
         assert_eq!(err, TrainError::EmptyGrid("alpha"));
+    }
+
+    #[test]
+    fn unusable_grid_values_are_typed_errors() {
+        let data = dataset(20);
+        for alpha in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let trainer = RbfTrainer {
+                alpha_candidates: vec![4.0, alpha],
+                ..RbfTrainer::quick()
+            };
+            let err = trainer.fit(&data).unwrap_err();
+            assert_eq!(
+                err,
+                TrainError::InvalidParameter {
+                    name: "alpha",
+                    value: alpha.to_string()
+                }
+            );
+            assert!(err.to_string().contains("positive and finite"), "{err}");
+        }
+        let trainer = RbfTrainer {
+            p_min_candidates: vec![1, 0],
+            ..RbfTrainer::quick()
+        };
+        let err = trainer.fit(&data).unwrap_err();
+        assert_eq!(
+            err,
+            TrainError::InvalidParameter {
+                name: "p_min",
+                value: "0".into()
+            }
+        );
+        assert_eq!(err.to_string(), "invalid p_min 0: it must be at least 1");
+        let trainer = RbfTrainer {
+            max_centers: Some(0),
+            ..RbfTrainer::quick()
+        };
+        assert!(matches!(
+            trainer.fit(&data),
+            Err(TrainError::InvalidParameter {
+                name: "max_centers",
+                ..
+            })
+        ));
+        let single = Dataset::new(vec![vec![0.5, 0.5]], vec![1.0]).unwrap();
+        assert_eq!(
+            RbfTrainer::quick().fit(&single).unwrap_err(),
+            TrainError::TooFewPoints(1)
+        );
+    }
+
+    /// Responses whose squares overflow make every cell's SSE infinite:
+    /// each scores +∞ and the fit reports a typed error instead of
+    /// panicking inside the criterion.
+    #[test]
+    fn overflowing_residual_is_a_typed_error() {
+        let pts: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
+        let y: Vec<f64> = pts.iter().map(|p| 1e200 * (1.0 + p[0])).collect();
+        let data = Dataset::new(pts, y).unwrap();
+        for threads in [1, 2] {
+            let err = RbfTrainer::quick()
+                .with_threads(threads)
+                .fit(&data)
+                .unwrap_err();
+            assert_eq!(err, TrainError::NonFiniteSse);
+        }
+        let fixed = RbfTrainer::quick().fit_fixed(&data, 1, 4.0);
+        assert_eq!(fixed.score, f64::INFINITY);
     }
 
     #[test]

@@ -35,6 +35,14 @@ echo "== workspace tests =="
 cargo test -q --workspace
 gate_done test
 
+echo "== paper-scale subset selection: bordered search == full refactor =="
+# The debug-mode equivalence cases stay small to keep tier-1 fast; this
+# ignored case runs the bordered-Cholesky search against the reference
+# that factors every mask in full on 200 9-D points over the whole
+# 27-cell (p_min, alpha) grid, in release mode.
+cargo test -q --release -p ppm-rbf -- --ignored
+gate_done selection
+
 echo "== flight recorder: smoke build + regression sentry + trace check =="
 # A fixed-seed smoke build must (a) reproduce the committed baseline
 # ledger — every deterministic counter and error statistic exactly, and

@@ -228,3 +228,61 @@ fn build_holdout_matches_the_serial_holdout_at_any_thread_count() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// 64-bit FNV-1a, the digest the model file's own checksum line uses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Two small fixed `ppm build`s reproduce pinned model files byte for
+/// byte. The digests are those of a subset search that factors every
+/// candidate selection in full, so they pin that the bordered search
+/// selects the same centers and refits the same weights. A change that
+/// moves a digest changes the models users build and needs a reason.
+#[test]
+fn small_builds_reproduce_pinned_model_digests() {
+    let dir = std::env::temp_dir().join(format!("ppm-det-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (benchmark, digest) in [
+        ("crafty", 0x79f7_167e_44b2_402f_u64),
+        ("mcf", 0xdd37_fc77_cce2_b265),
+    ] {
+        let model = dir.join(format!("{benchmark}.model"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args([
+                "build",
+                "--benchmark",
+                benchmark,
+                "--sample",
+                "40",
+                "--instructions",
+                "10000",
+                "--seed",
+                "5",
+                "--lhs-candidates",
+                "16",
+                "--train-threads",
+                "2",
+                "--no-ledger",
+                "--quiet",
+                "--out",
+            ])
+            .arg(&model)
+            .output()
+            .expect("ppm build runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&model).expect("model written");
+        assert_eq!(
+            format!("{:016x}", fnv1a64(&bytes)),
+            format!("{digest:016x}"),
+            "{benchmark} model digest moved"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
