@@ -220,6 +220,23 @@ impl DesignSpace {
         config
     }
 
+    /// Converts a simulator configuration back into its unit design
+    /// point, in Table 1 parameter order — the inverse of
+    /// [`DesignSpace::to_config`] on every configuration it produces.
+    pub fn to_unit(&self, config: &SimConfig) -> Vec<f64> {
+        self.params.to_unit(&[
+            f64::from(config.pipe_depth),
+            f64::from(config.rob_size),
+            config.iq_frac,
+            config.lsq_frac,
+            f64::from(config.l2_size_kb),
+            f64::from(config.l2_lat),
+            f64::from(config.il1_size_kb),
+            f64::from(config.dl1_size_kb),
+            f64::from(config.dl1_lat),
+        ])
+    }
+
     /// Snaps a unit point to the parameter level grids for a given
     /// sample size.
     pub fn snap(&self, unit: &[f64], sample_size: usize) -> Vec<f64> {
@@ -274,6 +291,19 @@ mod tests {
             let unit: Vec<f64> = (0..9).map(|_| rng.unit_f64()).collect();
             let config = s.to_config(&unit);
             assert!(config.validate().is_ok(), "invalid config from {unit:?}");
+        }
+    }
+
+    #[test]
+    fn to_unit_inverts_to_config_over_an_lhs_sample() {
+        use ppm_sampling::lhs::LatinHypercube;
+        for s in [DesignSpace::paper_table1(), DesignSpace::paper_table2()] {
+            let mut rng = Rng::seed_from_u64(11);
+            let design = LatinHypercube::new(s.params(), 64).generate(&mut rng);
+            for unit in &design {
+                let config = s.to_config(unit);
+                assert_eq!(s.to_config(&s.to_unit(&config)), config, "from {unit:?}");
+            }
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! The rest of the workspace's observability is post-hoc — ledgers and
 //! traces are readable only after a run finishes. This crate is the
-//! live half: a std `TcpListener` accept loop on a dedicated thread
-//! serving a minimal HTTP/1.1 subset with three routes:
+//! live half: three routes mounted on the workspace's one HTTP server
+//! core ([`http`]), served inline on a dedicated `ppm-live` thread:
 //!
 //! | route | payload |
 //! |-------|---------|
@@ -26,8 +26,9 @@
 //! cheap), never panics on client misbehaviour — malformed requests and
 //! mid-response disconnects become the `live.client_errors` counter and
 //! a `Level::Warn` event — and shuts down cleanly when the
-//! [`LiveServer`] handle drops. This is the exact exposition surface a
-//! future `ppm serve` mounts.
+//! [`LiveServer`] handle drops. `ppm serve` (`crates/serve`) runs on
+//! the same [`http`] core with its own route table and a worker-pool
+//! callback, and reuses [`render_prometheus`] for its `/metrics`.
 
 mod buildz;
 mod client;
@@ -89,6 +90,12 @@ impl fmt::Display for LiveError {
 }
 
 impl std::error::Error for LiveError {}
+
+impl From<http::BindError> for LiveError {
+    fn from(http::BindError { addr, detail }: http::BindError) -> Self {
+        LiveError::Bind { addr, detail }
+    }
+}
 
 /// Where the server reads instruments from: the process-global registry
 /// (the CLI's case) or a shared handle (tests with scoped registries).

@@ -1,31 +1,37 @@
-//! The accept loop: a minimal HTTP/1.1 server on a dedicated thread.
+//! The live plane's routes, mounted on the shared server core
+//! ([`crate::http`]): one `ppm-live` accept thread that serves each
+//! scrape inline — scrapes are rare and cheap, so there is no queue to
+//! protect.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::ops::ControlFlow;
 
-use ppm_telemetry::{EventRing, Level};
+use ppm_telemetry::EventRing;
 
-use crate::http::{read_head, write_response, MAX_HEAD};
+use crate::http::{self, ClientErrors, RouteEntry, Server, JSON, PROMETHEUS, TEXT};
 use crate::{buildz, expo, LiveError, RegistrySource};
 
-/// Per-connection socket budget: a scraper that cannot send a request
-/// line or drain a response in this window is dropped.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Metrics,
+    Buildz,
+    Eventz,
+    Index,
+}
+
+const ROUTES: [RouteEntry<Route>; 4] = [
+    ("GET", "/metrics", Route::Metrics),
+    ("GET", "/buildz", Route::Buildz),
+    ("GET", "/eventz", Route::Eventz),
+    ("GET", "/", Route::Index),
+];
 
 /// A running live-plane endpoint. Dropping the handle (or calling
 /// [`LiveServer::shutdown`]) stops the accept loop and joins its
 /// thread; in-flight responses finish first.
 #[derive(Debug)]
 pub struct LiveServer {
-    addr: SocketAddr,
-    // atomic-policy(stop): Release, Acquire — shutdown() publishes the
-    // flag with Release so the accept loop's Acquire load also observes
-    // any state written before the shutdown request.
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl LiveServer {
@@ -39,136 +45,45 @@ impl LiveServer {
     ///
     /// [`LiveError::Bind`] when the address cannot be bound or parsed.
     pub fn start(addr: &str, source: RegistrySource, ring: EventRing) -> Result<Self, LiveError> {
-        let listener = TcpListener::bind(addr).map_err(|e| LiveError::Bind {
-            addr: addr.to_string(),
-            detail: e.to_string(),
+        let errors = ClientErrors::new("live.client_errors", "live.client_error");
+        let server = Server::bind(addr)?.spawn("ppm-live", errors.clone(), move |stream| {
+            serve_connection(stream, &errors, &source, &ring);
+            ControlFlow::Continue(())
         })?;
-        let local = listener.local_addr().map_err(|e| LiveError::Bind {
-            addr: addr.to_string(),
-            detail: e.to_string(),
-        })?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_thread = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ppm-live".to_string())
-            .spawn(move || accept_loop(&listener, &stop_thread, &source, &ring))
-            .map_err(|e| LiveError::Bind {
-                addr: addr.to_string(),
-                detail: format!("cannot spawn accept thread: {e}"),
-            })?;
-        Ok(LiveServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        Ok(LiveServer { server })
     }
 
     /// The actually bound address (resolves `:0` to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Stops the accept loop and joins the server thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection; if even
-        // that fails the listener is already dead and join will return.
-        let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for LiveServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
+fn serve_connection(
+    mut stream: TcpStream,
+    errors: &ClientErrors,
     source: &RegistrySource,
     ring: &EventRing,
 ) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match conn {
-            Ok(stream) => handle_connection(stream, source, ring),
-            Err(e) => client_error("accept", &e.to_string()),
-        }
-    }
-}
-
-/// Records a client-side failure: typed counter plus a `Warn` event.
-/// Client misbehaviour (disconnects mid-response, garbage requests)
-/// must never take down the accept thread.
-fn client_error(op: &str, detail: &str) {
-    ppm_telemetry::counter("live.client_errors").inc();
-    ppm_telemetry::event!(
-        Level::Warn,
-        "live.client_error",
-        "op" => op,
-        "detail" => detail,
-    );
-}
-
-fn handle_connection(mut stream: TcpStream, source: &RegistrySource, ring: &EventRing) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let head = match read_head(&mut stream, MAX_HEAD) {
-        Ok(head) => head,
-        Err(detail) => {
-            client_error("read", &detail);
-            // Best-effort 400; the peer may already be gone.
-            let _ = write_response(&mut stream, 400, "text/plain", "bad request\n");
-            return;
-        }
+    let Ok(head) = http::read_head_or_400(&mut stream, errors) else {
+        return;
     };
-    let (status, content_type, body) = route(&head, source, ring);
-    if let Err(detail) = write_response(&mut stream, status, content_type, &body) {
-        client_error("write", &detail);
-    }
-}
-
-/// Dispatches one request line to a route, returning
-/// `(status, content-type, body)`.
-fn route(
-    request_line: &str,
-    source: &RegistrySource,
-    ring: &EventRing,
-) -> (u16, &'static str, String) {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    if method != "GET" {
-        return (
-            405,
-            "text/plain",
-            format!("method {method} not allowed; this endpoint is GET-only\n"),
-        );
-    }
-    match path {
-        "/metrics" => (
-            200,
-            "text/plain; version=0.0.4",
-            expo::render_prometheus(&source.snapshot()),
-        ),
-        "/buildz" => (
-            200,
-            "application/json",
-            buildz::render_buildz(&source.snapshot()),
-        ),
-        "/eventz" => (200, "application/json", ring.render_json()),
-        "/" => (
-            200,
-            "text/plain",
-            "ppm live plane: /metrics /buildz /eventz\n".to_string(),
-        ),
-        other => (404, "text/plain", format!("no route {other}\n")),
+    let (status, content_type, body) = match http::dispatch(&ROUTES, &head.line).1 {
+        Ok((Route::Metrics, _)) => (200, PROMETHEUS, expo::render_prometheus(&source.snapshot())),
+        Ok((Route::Buildz, _)) => (200, JSON, buildz::render_buildz(&source.snapshot())),
+        Ok((Route::Eventz, _)) => (200, JSON, ring.render_json()),
+        Ok((Route::Index, _)) => (200, TEXT, http::index_line("ppm live plane", &ROUTES)),
+        Err((status, body)) => (status, TEXT, body),
+    };
+    if let Err(detail) =
+        http::write_response_with_headers(&mut stream, status, content_type, &[], &body)
+    {
+        errors.record("write", &detail);
     }
 }
 
@@ -176,9 +91,12 @@ fn route(
 mod tests {
     use super::*;
     use crate::client::http_get;
+    use crate::http::IO_TIMEOUT;
     use ppm_obs::Json;
+    use ppm_telemetry::Level;
     use std::io::{Read, Write};
     use std::sync::Arc as StdArc;
+    use std::time::Duration;
 
     fn scoped_server() -> (LiveServer, StdArc<ppm_telemetry::Registry>, EventRing) {
         let registry = StdArc::new(ppm_telemetry::Registry::new());
@@ -233,14 +151,27 @@ mod tests {
         let addr = server.addr().to_string();
         let (status, _) = http_get(&addr, "/nope", IO_TIMEOUT).expect("404 response");
         assert_eq!(status, 404);
-        // A raw POST through a plain socket.
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .expect("send");
-        let mut text = String::new();
-        let _ = stream.read_to_string(&mut text);
-        assert!(text.starts_with("HTTP/1.1 405"), "{text}");
+        // The query string does not change the route.
+        let (status, _) = http_get(&addr, "/metrics?x=1", IO_TIMEOUT).expect("200 response");
+        assert_eq!(status, 200);
+        // Raw POSTs through a plain socket: a known path is 405, an
+        // unknown one is 404 whatever the method.
+        for (request, want) in [
+            (
+                &b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n"[..],
+                "HTTP/1.1 405",
+            ),
+            (
+                &b"POST /nope HTTP/1.1\r\nHost: x\r\n\r\n"[..],
+                "HTTP/1.1 404",
+            ),
+        ] {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(request).expect("send");
+            let mut text = String::new();
+            let _ = stream.read_to_string(&mut text);
+            assert!(text.starts_with(want), "{text}");
+        }
     }
 
     #[test]

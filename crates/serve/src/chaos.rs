@@ -19,12 +19,11 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ppm_core::fault::FaultPlan;
+use ppm_live::http::StopHandle;
 use ppm_rng::Rng;
 
 /// Rates tuned so a few hundred requests reliably see every fault kind
@@ -40,7 +39,7 @@ pub fn fault_plan(seed: u64) -> FaultPlan {
 }
 
 /// A background thread throwing misbehaving clients at the service.
-/// Stops when the shared stop flag is set; joined on drop.
+/// Stops once the server's stop flag is raised; joined on drop.
 pub struct ChaosClients {
     handle: Option<JoinHandle<()>>,
 }
@@ -48,7 +47,7 @@ pub struct ChaosClients {
 impl ChaosClients {
     /// Starts the mischief thread against `addr`. Failures to spawn are
     /// swallowed — chaos is best-effort by definition.
-    pub fn start(addr: SocketAddr, seed: u64, stop: Arc<AtomicBool>) -> Self {
+    pub fn start(addr: SocketAddr, seed: u64, stop: StopHandle) -> Self {
         let handle = std::thread::Builder::new()
             .name("ppm-chaos".to_string())
             .spawn(move || mischief(addr, seed, &stop))
@@ -65,12 +64,9 @@ impl Drop for ChaosClients {
     }
 }
 
-// atomic-policy(stop): Release, Acquire — the server publishes its
-// shutdown with Release; the mischief loop's Acquire load pairs with it
-// so chaos stops promptly once the service is gone.
-fn mischief(addr: SocketAddr, seed: u64, stop: &AtomicBool) {
+fn mischief(addr: SocketAddr, seed: u64, stop: &StopHandle) {
     let mut rng = Rng::seed_from_u64(ppm_rng::derive_seed(seed, 0x0c4a05));
-    while !stop.load(Ordering::Acquire) {
+    while !stop.is_stopped() {
         let connect = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
         if let Ok(mut stream) = connect {
             let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
@@ -124,10 +120,11 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         drop(listener);
-        let stop = Arc::new(AtomicBool::new(false));
-        let clients = ChaosClients::start(addr, 3, Arc::clone(&stop));
+        // A bound, never-spawned server lends its stop flag.
+        let server = ppm_live::http::Server::bind("127.0.0.1:0").unwrap();
+        let clients = ChaosClients::start(addr, 3, server.stop_handle());
         std::thread::sleep(Duration::from_millis(50));
-        stop.store(true, Ordering::Release);
+        server.stop_handle().stop();
         drop(clients); // joins; hangs the test if the flag is ignored
     }
 }

@@ -84,9 +84,26 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
+impl From<ppm_live::http::BindError> for ServeError {
+    fn from(ppm_live::http::BindError { addr, detail }: ppm_live::http::BindError) -> Self {
+        ServeError::Bind { addr, detail }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Held by every test in this crate that sends traffic to a server.
+    /// The `serve.*` counters and the latency exemplar are process-global,
+    /// so a concurrent test's requests would otherwise land in another
+    /// test's `/statusz` cross-check.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERVER_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERVER_TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn errors_render_their_context() {

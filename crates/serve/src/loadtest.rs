@@ -644,6 +644,7 @@ mod tests {
 
     #[test]
     fn closed_loop_measures_a_live_service() {
+        let _serial = crate::tests::serial();
         let server = analytical_server("closed");
         let report = run_loadtest(&LoadtestConfig {
             addr: server.addr().to_string(),
@@ -680,6 +681,7 @@ mod tests {
 
     #[test]
     fn open_loop_paces_arrivals() {
+        let _serial = crate::tests::serial();
         let server = analytical_server("open");
         let wall = Stopwatch::start();
         let report = run_loadtest(&LoadtestConfig {
@@ -702,6 +704,7 @@ mod tests {
 
     #[test]
     fn shed_all_server_times_refusals_separately_from_ok() {
+        let _serial = crate::tests::serial();
         let registry = std::env::temp_dir()
             .join(format!("ppm-loadtest-shedall-{}", std::process::id()))
             .join("registry");

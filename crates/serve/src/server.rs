@@ -32,19 +32,20 @@
 //! and clears itself on the first success — recovery is automatic, no
 //! operator action required.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ppm_core::fault::{FaultPlan, InjectedFault};
 use ppm_core::space::DesignSpace;
 use ppm_exec::{ServicePool, SubmitError};
 use ppm_live::http::{
-    read_request_head, split_query, write_response, write_response_with_headers, MAX_HEAD,
+    dispatch, index_line, read_head_or_400, write_response_with_headers, ClientErrors, RouteEntry,
+    Server, StopHandle, JSON, PROMETHEUS, TEXT,
 };
 use ppm_sim::SimConfig;
 use ppm_telemetry::{json_string, Counter, Histogram, Level, Record};
@@ -59,13 +60,34 @@ use crate::trace::{
 };
 use crate::ServeError;
 
-/// Per-connection socket budget (same rationale as the live plane): a
-/// client that cannot send a head or drain a response in this window is
-/// dropped.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Predict,
+    Healthz,
+    Readyz,
+    Metrics,
+    Statusz,
+    Tracez,
+    Index,
+    Reloadz,
+    Quitz,
+}
 
-const JSON: &str = "application/json";
-const TEXT: &str = "text/plain";
+const ROUTES: [RouteEntry<Route>; 9] = [
+    ("GET", "/predict", Route::Predict),
+    ("GET", "/healthz", Route::Healthz),
+    ("GET", "/readyz", Route::Readyz),
+    ("GET", "/metrics", Route::Metrics),
+    ("GET", "/statusz", Route::Statusz),
+    ("GET", "/tracez", Route::Tracez),
+    ("GET", "/", Route::Index),
+    ("POST", "/reloadz", Route::Reloadz),
+    ("POST", "/quitz", Route::Quitz),
+];
+
+/// A route handler's answer: status, content type, body, and the
+/// outcome and detail the trace layer records.
+type Reply = (u16, &'static str, String, TraceOutcome, String);
 
 /// Everything `ppm serve` needs to start. Field defaults are tuned for
 /// an interactive service on a developer machine; the CLI maps flags
@@ -159,7 +181,6 @@ struct Counters {
     shed: Arc<Counter>,
     degraded: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
-    client_errors: Arc<Counter>,
     reloads: Arc<Counter>,
     reload_failures: Arc<Counter>,
     model_failures: Arc<Counter>,
@@ -185,7 +206,6 @@ impl Counters {
             shed: ppm_telemetry::counter("serve.shed"),
             degraded: ppm_telemetry::counter("serve.degraded"),
             deadline_exceeded: ppm_telemetry::counter("serve.deadline_exceeded"),
-            client_errors: ppm_telemetry::counter("serve.client_errors"),
             reloads: ppm_telemetry::counter("serve.reloads"),
             reload_failures: ppm_telemetry::counter("serve.reload_failures"),
             model_failures: ppm_telemetry::counter("serve.model_failures"),
@@ -204,12 +224,10 @@ impl Counters {
 /// knobs the request path consults.
 struct ServeState {
     store: ModelStore,
-    addr: SocketAddr,
-    // atomic-policy(stop): Release, Acquire — shutdown (quitz, drop,
-    // chaos teardown) publishes the flag with Release; the accept
-    // loop's Acquire load pairs with it so everything written before
-    // the stop request is visible when the loop winds down.
-    stop: Arc<AtomicBool>,
+    /// Stops the accept loop (`POST /quitz`).
+    stop: StopHandle,
+    /// `serve.client_errors`: unreadable heads, abandoned responses.
+    errors: ClientErrors,
     space: DesignSpace,
     default_deadline: Duration,
     max_deadline: Duration,
@@ -251,9 +269,10 @@ struct ServeState {
 /// service stops (`POST /quitz` or [`ServeServer::shutdown`]); dropping
 /// the handle shuts it down.
 pub struct ServeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    // Field order is drop order: the server joins its accept thread
+    // (which drains queued requests) and leaves the stop flag raised
+    // before the chaos thread watching that flag is joined.
+    server: Server,
     chaos: Option<ChaosClients>,
 }
 
@@ -270,19 +289,13 @@ impl ServeServer {
     /// is the shed-all drill mode, not an error).
     pub fn start(config: ServeConfig) -> Result<Self, ServeError> {
         let store = ModelStore::open(&config.registry, config.fallback_benchmark)?;
-        let listener = TcpListener::bind(&config.addr).map_err(|e| ServeError::Bind {
-            addr: config.addr.clone(),
-            detail: e.to_string(),
-        })?;
-        let addr = listener.local_addr().map_err(|e| ServeError::Bind {
-            addr: config.addr.clone(),
-            detail: e.to_string(),
-        })?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let server = Server::bind(&config.addr)?;
+        let stop = server.stop_handle();
+        let errors = ClientErrors::new("serve.client_errors", "serve.client_error");
         let state = Arc::new(ServeState {
             store,
-            addr,
-            stop: Arc::clone(&stop),
+            stop: stop.clone(),
+            errors: errors.clone(),
             space: DesignSpace::paper_table1(),
             default_deadline: config.default_deadline,
             max_deadline: config.max_deadline,
@@ -311,7 +324,7 @@ impl ServeServer {
             ),
         });
         // `queue_per_worker == 0` means shed-all: no pool at all, the
-        // accept loop refuses everything. Going through ServicePool
+        // accept callback refuses everything. Going through ServicePool
         // would be rejected as a zero-slot queue, and rightly so — this
         // mode is a drill, not a degenerate pool.
         let pool = if config.queue_per_worker == 0 {
@@ -336,27 +349,19 @@ impl ServeServer {
                             handle_connection(&worker_state, conn, worker);
                         }));
                         if let Err(panic) = outcome {
-                            if let Some(ring) = &worker_state.trace {
-                                ring.offer(TraceRecord {
-                                    id: TraceContext::new(seq, None).id,
-                                    seq,
-                                    route: "(worker panic)".to_string(),
-                                    outcome: TraceOutcome::PanicContained,
-                                    status: 0,
-                                    detail: "request handler panicked".to_string(),
-                                    worker: Some(worker),
-                                    total_us: accepted.elapsed_us(),
-                                    spans: vec![SpanRec {
-                                        name: "accept",
-                                        start_us: 0,
-                                        dur_us: accepted.elapsed_us(),
-                                    }],
-                                    unix_ms: unix_now_ms(),
-                                });
-                            }
-                            worker_state
-                                .slo
-                                .observe(unix_now_sec(), false, accepted.elapsed_us());
+                            let total_us = accepted.elapsed_us();
+                            finish_request(
+                                &worker_state,
+                                TraceContext::new(seq, None),
+                                "(worker panic)",
+                                TraceOutcome::PanicContained,
+                                0,
+                                "request handler panicked".to_string(),
+                                Some(worker),
+                                vec![span("accept", 0, total_us)],
+                                total_us,
+                            );
+                            worker_state.slo.observe(unix_now_sec(), false, total_us);
                             std::panic::resume_unwind(panic);
                         }
                     },
@@ -364,111 +369,79 @@ impl ServeServer {
                 .map_err(|e| ServeError::Pool(e.to_string()))?,
             )
         };
-        let accept_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("ppm-serve".to_string())
-            .spawn(move || accept_loop(&listener, pool.as_ref(), &accept_state))
-            .map_err(|e| ServeError::Bind {
-                addr: config.addr.clone(),
-                detail: format!("cannot spawn accept thread: {e}"),
-            })?;
+        // The callback owns the pool: when the accept loop ends, the
+        // pool is dropped on the accept thread, which drains
+        // already-queued connections and joins the workers before
+        // `join` returns — accepted requests still get answers.
+        let server = server.spawn("ppm-serve", errors, move |stream| {
+            accept(&state, pool.as_ref(), stream)
+        })?;
         let chaos = config
             .chaos
-            .map(|seed| ChaosClients::start(addr, seed, Arc::clone(&stop)));
-        Ok(ServeServer {
-            addr,
-            stop,
-            handle: Some(handle),
-            chaos,
-        })
+            .map(|seed| ChaosClients::start(server.addr(), seed, stop));
+        Ok(ServeServer { server, chaos })
     }
 
     /// The actually bound address (resolves `:0` to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Blocks until the service stops — via `POST /quitz` or a signal
     /// from another thread holding [`ServeServer::shutdown`].
     pub fn wait(mut self) {
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        self.stop.store(true, Ordering::Release);
-        drop(self.chaos.take());
+        self.server.join();
     }
 
     /// Stops accepting, drains queued requests, and joins every thread
     /// (workers, accept loop, chaos clients).
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.server.shutdown();
         drop(self.chaos.take());
     }
 }
 
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, pool: Option<&ServicePool<Conn>>, state: &Arc<ServeState>) {
-    for conn in listener.incoming() {
-        if state.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match conn {
-            Ok(stream) => stream,
-            Err(e) => {
-                client_error(state, "accept", &e.to_string());
-                continue;
-            }
-        };
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        state.counters.requests.inc();
-        state.queued.fetch_add(1, Ordering::SeqCst);
-        let mut conn = Conn {
-            stream,
-            accepted: Stopwatch::start(),
-            // Numbered at accept so every request — shed ones included —
-            // has a deterministic trace identity, and so the chaos plan
-            // keys faults off the true arrival order.
-            seq: state.seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let Some(pool) = pool else {
-            // Shed-all drill mode: refuse without a pool to queue into.
-            // Unlike saturation shedding, drain the request head first:
-            // closing with unread bytes in the socket makes the kernel
-            // send RST, which clients see as a transport error instead
-            // of a 503. The slowloris argument for head-blind shedding
-            // does not apply here — there is no queue to protect.
-            state.queued.fetch_sub(1, Ordering::SeqCst);
-            let mut scratch = [0u8; 1024];
-            let _ = std::io::Read::read(&mut conn.stream, &mut scratch);
-            shed(state, conn);
-            continue;
-        };
-        match pool.try_submit(conn) {
-            Ok(()) => {}
-            Err(SubmitError::Saturated(conn)) => {
-                state.queued.fetch_sub(1, Ordering::SeqCst);
-                shed(state, conn);
-            }
-            Err(SubmitError::Closed(conn)) => {
-                state.queued.fetch_sub(1, Ordering::SeqCst);
-                shed(state, conn);
-                break;
-            }
-        }
-    }
-    // Dropping the pool here drains already-queued connections and
-    // joins the workers, so accepted requests still get answers.
+/// The accept-thread half of a request: stamp it, number it, and queue
+/// it — or shed it. Never reads the head (see [`shed`]).
+fn accept(
+    state: &ServeState,
+    pool: Option<&ServicePool<Conn>>,
+    stream: TcpStream,
+) -> ControlFlow<()> {
+    state.counters.requests.inc();
+    state.queued.fetch_add(1, Ordering::SeqCst);
+    let mut conn = Conn {
+        stream,
+        accepted: Stopwatch::start(),
+        // Numbered at accept so every request — shed ones included —
+        // has a deterministic trace identity, and so the chaos plan
+        // keys faults off the true arrival order.
+        seq: state.seq.fetch_add(1, Ordering::Relaxed),
+    };
+    let Some(pool) = pool else {
+        // Shed-all drill mode: refuse without a pool to queue into.
+        // Unlike saturation shedding, drain the request head first:
+        // closing with unread bytes in the socket makes the kernel
+        // send RST, which clients see as a transport error instead
+        // of a 503. The slowloris argument for head-blind shedding
+        // does not apply here — there is no queue to protect.
+        state.queued.fetch_sub(1, Ordering::SeqCst);
+        let mut scratch = [0u8; 1024];
+        let _ = std::io::Read::read(&mut conn.stream, &mut scratch);
+        shed(state, conn);
+        return ControlFlow::Continue(());
+    };
+    let Err(refused) = pool.try_submit(conn) else {
+        return ControlFlow::Continue(());
+    };
+    // A closed pool will never serve again, so the loop ends too.
+    let flow = match refused {
+        SubmitError::Saturated(_) => ControlFlow::Continue(()),
+        SubmitError::Closed(_) => ControlFlow::Break(()),
+    };
+    state.queued.fetch_sub(1, Ordering::SeqCst);
+    shed(state, refused.into_inner());
+    flow
 }
 
 /// Sheds an accepted connection: an immediate 503 without reading the
@@ -477,72 +450,52 @@ fn accept_loop(listener: &TcpListener, pool: Option<&ServicePool<Conn>>, state: 
 /// stall every queue decision. Because the head stays unread, a shed
 /// request's trace record carries the seq-derived ID, never a
 /// client-supplied one — clients correlate sheds by count, not by ID.
-fn shed(state: &ServeState, conn: Conn) {
+fn shed(state: &ServeState, mut conn: Conn) {
     state.counters.shed.inc();
     state.counters.shed_queue_full.inc();
-    let Conn {
-        mut stream,
-        accepted,
-        seq,
-    } = conn;
-    let ctx = TraceContext::new(seq, None);
+    let ctx = TraceContext::new(conn.seq, None);
     let body = format!(
         "{{\"error\":\"shed: request queue full\",\"queued\":{},\"trace_id\":{}}}\n",
         state.queued.load(Ordering::SeqCst),
         json_string(&ctx.id)
     );
-    let write_start = accepted.elapsed_us();
+    let write_start = conn.accepted.elapsed_us();
     let write_ok = write_response_with_headers(
-        &mut stream,
+        &mut conn.stream,
         503,
         JSON,
         &[("X-Ppm-Trace", ctx.id.as_str())],
         &body,
     )
     .is_ok();
-    let total_us = accepted.elapsed_us();
-    if let Some(ring) = &state.trace {
-        ring.offer(TraceRecord {
-            id: ctx.id,
-            seq,
-            route: "(shed)".to_string(),
-            outcome: TraceOutcome::Shed,
-            status: if write_ok { 503 } else { 0 },
-            detail: "request queue full".to_string(),
-            worker: None,
-            total_us,
-            spans: vec![
-                SpanRec {
-                    name: "accept",
-                    start_us: 0,
-                    dur_us: 0,
-                },
-                SpanRec {
-                    name: "write",
-                    start_us: write_start,
-                    dur_us: total_us.saturating_sub(write_start),
-                },
-            ],
-            unix_ms: unix_now_ms(),
-        });
-    }
+    let total_us = conn.accepted.elapsed_us();
+    let spans = vec![span("accept", 0, 0), span("write", write_start, total_us)];
+    let status = if write_ok { 503 } else { 0 };
+    let detail = "request queue full".to_string();
+    finish_request(
+        state,
+        ctx,
+        "(shed)",
+        TraceOutcome::Shed,
+        status,
+        detail,
+        None,
+        spans,
+        total_us,
+    );
     state.slo.observe(unix_now_sec(), false, total_us);
 }
 
-/// Records a client-side failure: counter plus a `Warn` event. Client
-/// misbehaviour must cost at most its own request.
-fn client_error(state: &ServeState, op: &str, detail: &str) {
-    state.counters.client_errors.inc();
-    ppm_telemetry::event!(
-        Level::Warn,
-        "serve.client_error",
-        "op" => op,
-        "detail" => detail,
-    );
+/// A trace span from `start_us` to `end_us` (offsets from accept).
+fn span(name: &'static str, start_us: u64, end_us: u64) -> SpanRec {
+    SpanRec {
+        name,
+        start_us,
+        dur_us: end_us.saturating_sub(start_us),
+    }
 }
 
-/// Records a finished request into the trace ring and — for the
-/// prediction surface — the SLO tracker.
+/// Records a finished request into the trace ring.
 #[allow(clippy::too_many_arguments)]
 fn finish_request(
     state: &ServeState,
@@ -551,11 +504,87 @@ fn finish_request(
     outcome: TraceOutcome,
     status: u16,
     detail: String,
-    worker: usize,
+    worker: Option<usize>,
     spans: Vec<SpanRec>,
     total_us: u64,
 ) {
-    if route == "/predict" {
+    if let Some(ring) = &state.trace {
+        ring.offer(TraceRecord {
+            id: ctx.id,
+            seq: ctx.seq,
+            route: route.to_string(),
+            outcome,
+            status,
+            detail,
+            worker,
+            total_us,
+            spans,
+            unix_ms: unix_now_ms(),
+        });
+    }
+}
+
+fn handle_connection(state: &Arc<ServeState>, mut conn: Conn, worker: usize) {
+    let (accepted, seq) = (conn.accepted, conn.seq);
+    let picked_up_us = accepted.elapsed_us();
+    let head = match read_head_or_400(&mut conn.stream, &state.errors) {
+        Ok(head) => head,
+        Err(detail) => {
+            finish_request(
+                state,
+                TraceContext::new(seq, None),
+                "(unreadable)",
+                TraceOutcome::Ok,
+                400,
+                detail,
+                Some(worker),
+                vec![span("queue_wait", 0, picked_up_us)],
+                accepted.elapsed_us(),
+            );
+            return;
+        }
+    };
+    let ctx = TraceContext::new(seq, head.header("x-ppm-trace"));
+    let (route, routed) = dispatch(&ROUTES, &head.line);
+    let matched = routed.as_ref().map(|&(route, _)| route).ok();
+    let eval_start_us = accepted.elapsed_us();
+    let (status, content_type, body, outcome, detail) = match routed {
+        Err((status, body)) => plain(status, TEXT, body),
+        Ok((Route::Predict, pairs)) => predict(state, &accepted, &pairs, seq, &ctx.id),
+        Ok((Route::Healthz, _)) => plain(200, TEXT, "ok\n".to_string()),
+        Ok((Route::Readyz, _)) => readyz(state),
+        Ok((Route::Metrics, _)) => {
+            state.slo.publish_gauges(unix_now_sec());
+            let text = ppm_live::render_prometheus(&ppm_telemetry::snapshot());
+            // The scrape closes this exemplar window: the next one
+            // tracks the worst request *since this scrape*.
+            let _ = state.counters.latency_us.take_exemplar();
+            plain(200, PROMETHEUS, text)
+        }
+        Ok((Route::Statusz, _)) => plain(200, JSON, statusz(state)),
+        Ok((Route::Tracez, pairs)) => tracez(state, &pairs),
+        Ok((Route::Index, _)) => plain(200, TEXT, index_line("ppm serve", &ROUTES)),
+        Ok((Route::Reloadz, _)) => reloadz(state),
+        Ok((Route::Quitz, _)) => plain(200, TEXT, "stopping\n".to_string()),
+    };
+    let write_start_us = accepted.elapsed_us();
+    if let Err(detail) = write_response_with_headers(
+        &mut conn.stream,
+        status,
+        content_type,
+        &[("X-Ppm-Trace", ctx.id.as_str())],
+        &body,
+    ) {
+        state.errors.record("write", &detail);
+    }
+    let total_us = accepted.elapsed_us();
+    let spans = vec![
+        span("accept", 0, 0),
+        span("queue_wait", 0, picked_up_us),
+        span("eval", eval_start_us, write_start_us),
+        span("write", write_start_us, total_us),
+    ];
+    if matched == Some(Route::Predict) {
         // Availability budget: a 200 (full-fidelity or degraded) is an
         // answer; sheds, deadline misses, and 5xx spend budget. Client
         // errors (4xx) spend nothing — the request was never servable.
@@ -568,135 +597,6 @@ fn finish_request(
             state.counters.latency_us.record_tagged(total_us, &ctx.id);
         }
     }
-    if let Some(ring) = &state.trace {
-        ring.offer(TraceRecord {
-            id: ctx.id,
-            seq: ctx.seq,
-            route: route.to_string(),
-            outcome,
-            status,
-            detail,
-            worker: Some(worker),
-            total_us,
-            spans,
-            unix_ms: unix_now_ms(),
-        });
-    }
-}
-
-fn handle_connection(state: &Arc<ServeState>, conn: Conn, worker: usize) {
-    let Conn {
-        mut stream,
-        accepted,
-        seq,
-    } = conn;
-    let picked_up_us = accepted.elapsed_us();
-    let head = match read_request_head(&mut stream, MAX_HEAD) {
-        Ok(head) => head,
-        Err(detail) => {
-            client_error(state, "read", &detail);
-            let _ = write_response(&mut stream, 400, TEXT, "bad request\n");
-            finish_request(
-                state,
-                TraceContext::new(seq, None),
-                "(unreadable)",
-                TraceOutcome::Ok,
-                400,
-                detail,
-                worker,
-                vec![SpanRec {
-                    name: "queue_wait",
-                    start_us: 0,
-                    dur_us: picked_up_us,
-                }],
-                accepted.elapsed_us(),
-            );
-            return;
-        }
-    };
-    let ctx = TraceContext::new(seq, head.header("x-ppm-trace"));
-    let mut parts = head.line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let (route, pairs) = split_query(target);
-    let eval_start_us = accepted.elapsed_us();
-    let (status, content_type, body, outcome, detail) = match (method, route) {
-        ("GET", "/predict") => predict(state, &accepted, &pairs, seq, &ctx.id),
-        ("GET", "/healthz") => plain(200, TEXT, "ok\n".to_string()),
-        ("GET", "/readyz") => {
-            let (status, ct, body) = readyz(state);
-            plain(status, ct, body)
-        }
-        ("GET", "/metrics") => {
-            state.slo.publish_gauges(unix_now_sec());
-            let text = ppm_live::render_prometheus(&ppm_telemetry::snapshot());
-            // The scrape closes this exemplar window: the next one
-            // tracks the worst request *since this scrape*.
-            let _ = state.counters.latency_us.take_exemplar();
-            plain(200, "text/plain; version=0.0.4", text)
-        }
-        ("GET", "/statusz") => plain(200, JSON, statusz(state)),
-        ("GET", "/tracez") => tracez(state, &pairs),
-        ("GET", "/") => plain(
-            200,
-            TEXT,
-            "ppm serve: GET /predict /healthz /readyz /metrics /statusz /tracez; \
-             POST /reloadz /quitz\n"
-                .to_string(),
-        ),
-        ("POST", "/reloadz") => {
-            let (status, ct, body) = reloadz(state);
-            plain(status, ct, body)
-        }
-        ("POST", "/quitz") => {
-            let write_start = accepted.elapsed_us();
-            let _ = write_response_with_headers(
-                &mut stream,
-                200,
-                TEXT,
-                &[("X-Ppm-Trace", ctx.id.as_str())],
-                "stopping\n",
-            );
-            drop(stream);
-            finish_request(
-                state,
-                ctx,
-                route,
-                TraceOutcome::Ok,
-                200,
-                String::new(),
-                worker,
-                request_spans(picked_up_us, eval_start_us, write_start, write_start),
-                accepted.elapsed_us(),
-            );
-            state.stop.store(true, Ordering::Release);
-            // Wake the blocking accept so it observes the stop flag.
-            let _ = TcpStream::connect_timeout(&state.addr, IO_TIMEOUT);
-            return;
-        }
-        (_, "/predict" | "/healthz" | "/readyz" | "/metrics" | "/statusz" | "/tracez" | "/") => {
-            plain(
-                405,
-                TEXT,
-                format!("method {method} not allowed on {route}\n"),
-            )
-        }
-        (_, "/reloadz" | "/quitz") => {
-            plain(405, TEXT, format!("{route} is POST-only (got {method})\n"))
-        }
-        _ => plain(404, TEXT, format!("no route {route}\n")),
-    };
-    let write_start_us = accepted.elapsed_us();
-    if let Err(detail) = write_response_with_headers(
-        &mut stream,
-        status,
-        content_type,
-        &[("X-Ppm-Trace", ctx.id.as_str())],
-        &body,
-    ) {
-        client_error(state, "write", &detail);
-    }
-    let total_us = accepted.elapsed_us();
     finish_request(
         state,
         ctx,
@@ -704,50 +604,21 @@ fn handle_connection(state: &Arc<ServeState>, conn: Conn, worker: usize) {
         outcome,
         status,
         detail,
-        worker,
-        request_spans(picked_up_us, eval_start_us, write_start_us, total_us),
+        Some(worker),
+        spans,
         total_us,
     );
-}
-
-/// The standard four-step request timeline, as offsets from accept.
-fn request_spans(
-    picked_up_us: u64,
-    eval_start_us: u64,
-    write_start_us: u64,
-    total_us: u64,
-) -> Vec<SpanRec> {
-    vec![
-        SpanRec {
-            name: "accept",
-            start_us: 0,
-            dur_us: 0,
-        },
-        SpanRec {
-            name: "queue_wait",
-            start_us: 0,
-            dur_us: picked_up_us,
-        },
-        SpanRec {
-            name: "eval",
-            start_us: eval_start_us,
-            dur_us: write_start_us.saturating_sub(eval_start_us),
-        },
-        SpanRec {
-            name: "write",
-            start_us: write_start_us,
-            dur_us: total_us.saturating_sub(write_start_us),
-        },
-    ]
+    if matched == Some(Route::Quitz) {
+        // Write, then stop: the client has its answer before the
+        // accept loop winds down.
+        drop(conn);
+        state.stop.stop();
+    }
 }
 
 /// Wraps a non-prediction response in the uniform (status, content
 /// type, body, outcome, detail) shape the trace layer consumes.
-fn plain(
-    status: u16,
-    content_type: &'static str,
-    body: String,
-) -> (u16, &'static str, String, TraceOutcome, String) {
+fn plain(status: u16, content_type: &'static str, body: String) -> Reply {
     (status, content_type, body, TraceOutcome::Ok, String::new())
 }
 
@@ -756,76 +627,50 @@ fn plain(
 /// `min_ms=`/`min_us=`, `id_prefix=`, `since_seq=`, `limit=`, and
 /// `format=chrome` for a Perfetto-loadable export of the (filtered)
 /// records.
-fn tracez(
-    state: &ServeState,
-    pairs: &[(&str, &str)],
-) -> (u16, &'static str, String, TraceOutcome, String) {
+fn tracez(state: &ServeState, pairs: &[(&str, &str)]) -> Reply {
     let Some(ring) = &state.trace else {
         return plain(200, JSON, render_tracez_disabled());
     };
+    match tracez_query(pairs) {
+        Ok((filter, false)) => plain(200, JSON, ring.render_tracez(&filter)),
+        Ok((filter, true)) => plain(200, JSON, chrome_export(&ring.snapshot(&filter))),
+        Err(detail) => bad_request(&detail),
+    }
+}
+
+/// Parses the `/tracez` query into a filter and the `format=chrome`
+/// choice; the error is the 400 detail.
+fn tracez_query(pairs: &[(&str, &str)]) -> Result<(TraceFilter, bool), String> {
+    fn int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{key} wants an integer, got {value:?}"))
+    }
     let mut filter = TraceFilter::default();
     let mut chrome = false;
-    for (key, value) in pairs {
-        match *key {
-            "outcome" => match TraceOutcome::parse(value) {
-                Some(o) => filter.outcome = Some(o),
-                None => {
-                    let (s, ct, b) = bad_request(&format!("unknown outcome {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "min_ms" => match value.parse::<u64>() {
-                Ok(ms) => filter.min_us = Some(ms.saturating_mul(1000)),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("min_ms wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "min_us" => match value.parse::<u64>() {
-                Ok(us) => filter.min_us = Some(us),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("min_us wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "id_prefix" => filter.id_prefix = Some((*value).to_string()),
-            "since_seq" => match value.parse::<u64>() {
-                Ok(seq) => filter.since_seq = Some(seq),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("since_seq wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "limit" => match value.parse::<usize>() {
-                Ok(n) => filter.limit = Some(n),
-                Err(_) => {
-                    let (s, ct, b) = bad_request(&format!("limit wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "format" => match *value {
-                "chrome" => chrome = true,
-                "json" => chrome = false,
-                other => {
-                    let (s, ct, b) =
-                        bad_request(&format!("format wants json or chrome, got {other:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            other => {
-                let (s, ct, b) = bad_request(&format!("unknown parameter {other:?}"));
-                return (s, ct, b, TraceOutcome::Ok, String::new());
+    for &(key, value) in pairs {
+        match key {
+            "outcome" => {
+                let outcome = TraceOutcome::parse(value)
+                    .ok_or_else(|| format!("unknown outcome {value:?}"))?;
+                filter.outcome = Some(outcome);
             }
+            "min_ms" => filter.min_us = Some(int::<u64>(key, value)?.saturating_mul(1000)),
+            "min_us" => filter.min_us = Some(int(key, value)?),
+            "id_prefix" => filter.id_prefix = Some(value.to_string()),
+            "since_seq" => filter.since_seq = Some(int(key, value)?),
+            "limit" => filter.limit = Some(int(key, value)?),
+            "format" => {
+                chrome = match value {
+                    "chrome" => true,
+                    "json" => false,
+                    other => return Err(format!("format wants json or chrome, got {other:?}")),
+                }
+            }
+            other => return Err(format!("unknown parameter {other:?}")),
         }
     }
-    if chrome {
-        plain(200, JSON, chrome_export(&ring.snapshot(&filter)))
-    } else {
-        plain(200, JSON, ring.render_tracez(&filter))
-    }
+    Ok((filter, chrome))
 }
 
 /// Renders trace records through the `ppm-obs` Chrome-trace writer:
@@ -897,7 +742,7 @@ fn evaluate_real(
         Some(network) => network,
         None => return Err(EvalFailure::WrongDim { model: 0, space: 0 }),
     };
-    let unit = unit_point(state, config);
+    let unit = state.space.to_unit(config);
     if network.dim() != unit.len() {
         return Err(EvalFailure::WrongDim {
             model: network.dim(),
@@ -932,22 +777,6 @@ fn evaluate_real(
         return Err(EvalFailure::NonFinite(value));
     }
     Ok(value)
-}
-
-/// The unit design point the RBF expects, in Table 1 parameter order.
-fn unit_point(state: &ServeState, config: &SimConfig) -> Vec<f64> {
-    let actual = vec![
-        f64::from(config.pipe_depth),
-        f64::from(config.rob_size),
-        config.iq_frac,
-        config.lsq_frac,
-        f64::from(config.l2_size_kb),
-        f64::from(config.l2_lat),
-        f64::from(config.il1_size_kb),
-        f64::from(config.dl1_size_kb),
-        f64::from(config.dl1_lat),
-    ];
-    state.space.params().to_unit(&actual)
 }
 
 /// Builds a simulator configuration from query parameters, defaulting
@@ -992,12 +821,17 @@ fn config_from_pairs(pairs: &[(&str, &str)]) -> Result<SimConfig, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
-fn bad_request(detail: &str) -> (u16, &'static str, String) {
-    (
-        400,
-        JSON,
-        format!("{{\"error\":{}}}\n", json_string(detail)),
-    )
+/// A JSON `{"error": ...}` reply whose trace record keeps the detail.
+fn error_reply(status: u16, detail: String) -> Reply {
+    let body = format!("{{\"error\":{}}}\n", json_string(&detail));
+    (status, JSON, body, TraceOutcome::Ok, detail)
+}
+
+/// A 400 for a malformed query; its trace record carries no detail.
+fn bad_request(detail: &str) -> Reply {
+    let mut reply = error_reply(400, detail.to_string());
+    reply.4.clear();
+    reply
 }
 
 /// Why this prediction fell back to the analytical estimator — each
@@ -1049,7 +883,7 @@ fn deadline_exceeded(
     phase: &str,
     budget_ms: u128,
     trace_id: &str,
-) -> (u16, &'static str, String, TraceOutcome, String) {
+) -> Reply {
     state.counters.deadline_exceeded.inc();
     state.counters.shed_deadline.inc();
     let detail = format!("deadline exceeded {phase}");
@@ -1073,7 +907,7 @@ fn predict(
     pairs: &[(&str, &str)],
     seq: u64,
     trace_id: &str,
-) -> (u16, &'static str, String, TraceOutcome, String) {
+) -> Reply {
     let mut budget = state.default_deadline;
     for (key, value) in pairs {
         if *key == "deadline_ms" {
@@ -1082,10 +916,9 @@ fn predict(
                     budget = Duration::from_millis(ms).min(state.max_deadline);
                 }
                 _ => {
-                    let (s, ct, b) = bad_request(&format!(
+                    return bad_request(&format!(
                         "deadline_ms wants a positive integer, got {value:?}"
                     ));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
                 }
             }
         }
@@ -1097,10 +930,7 @@ fn predict(
     }
     let config = match config_from_pairs(pairs) {
         Ok(config) => config,
-        Err(detail) => {
-            let (s, ct, b) = bad_request(&detail);
-            return (s, ct, b, TraceOutcome::Ok, detail);
-        }
+        Err(detail) => return error_reply(400, detail),
     };
     let model = state.store.active();
     // The analytical answer is a closed-form formula — cheap enough to
@@ -1108,21 +938,8 @@ fn predict(
     // latency exactly when the service is under the most pressure.
     let analytical = match model.fallback.try_predict(&config) {
         Ok(value) if value.is_finite() => value,
-        Ok(value) => {
-            let detail = format!("analytical estimate was {value}");
-            return (
-                500,
-                JSON,
-                format!("{{\"error\":{}}}\n", json_string(&detail)),
-                TraceOutcome::Ok,
-                detail,
-            );
-        }
-        Err(e) => {
-            let detail = e.to_string();
-            let (s, ct, b) = bad_request(&detail);
-            return (s, ct, b, TraceOutcome::Ok, detail);
-        }
+        Ok(value) => return error_reply(500, format!("analytical estimate was {value}")),
+        Err(e) => return error_reply(400, e.to_string()),
     };
     let queued = state.queued.load(Ordering::SeqCst);
     let mut cause: Option<DegradeCause> = None;
@@ -1206,7 +1023,7 @@ fn predict(
 
 /// Readiness is stricter than liveness: the process can be alive
 /// (`/healthz`) while unable to give full-fidelity answers.
-fn readyz(state: &ServeState) -> (u16, &'static str, String) {
+fn readyz(state: &ServeState) -> Reply {
     let model = state.store.active();
     let queued = state.queued.load(Ordering::SeqCst);
     let sticky = state.sticky.load(Ordering::Acquire);
@@ -1216,7 +1033,7 @@ fn readyz(state: &ServeState) -> (u16, &'static str, String) {
         json_string(&model.version),
         state.degrade_depth
     );
-    (if ready { 200 } else { 503 }, JSON, body)
+    plain(if ready { 200 } else { 503 }, JSON, body)
 }
 
 fn statusz(state: &ServeState) -> String {
@@ -1267,7 +1084,7 @@ fn statusz(state: &ServeState) -> String {
     )
 }
 
-fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
+fn reloadz(state: &ServeState) -> Reply {
     match state.store.reload() {
         Ok(outcome) => {
             state.counters.reloads.inc();
@@ -1276,15 +1093,12 @@ fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
                 state.streak.store(0, Ordering::Relaxed);
                 state.sticky.store(false, Ordering::Release);
             }
-            (
-                200,
-                JSON,
-                format!(
-                    "{{\"version\":{},\"changed\":{}}}\n",
-                    json_string(&outcome.version),
-                    outcome.changed
-                ),
-            )
+            let body = format!(
+                "{{\"version\":{},\"changed\":{}}}\n",
+                json_string(&outcome.version),
+                outcome.changed
+            );
+            plain(200, JSON, body)
         }
         Err(e) => {
             state.counters.reload_failures.inc();
@@ -1295,15 +1109,12 @@ fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
             );
             // 409: the request conflicted with the validation gate; the
             // previous model keeps serving (rollback by not swapping).
-            (
-                409,
-                JSON,
-                format!(
-                    "{{\"error\":{},\"version\":{}}}\n",
-                    json_string(&e.to_string()),
-                    json_string(&state.store.active().version)
-                ),
-            )
+            let body = format!(
+                "{{\"error\":{},\"version\":{}}}\n",
+                json_string(&e.to_string()),
+                json_string(&state.store.active().version)
+            );
+            plain(409, JSON, body)
         }
     }
 }
@@ -1311,6 +1122,7 @@ fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_live::http::IO_TIMEOUT;
     use ppm_live::{http_get, http_post};
     use ppm_obs::Json;
 
@@ -1331,6 +1143,7 @@ mod tests {
 
     #[test]
     fn serves_predictions_health_and_status_analytically() {
+        let _serial = crate::tests::serial();
         let server = ServeServer::start(analytical_config("basic")).unwrap();
         let addr = server.addr().to_string();
         let (status, body) = http_get(&addr, "/predict?rob=96", IO_TIMEOUT).unwrap();
@@ -1367,6 +1180,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters_and_unknown_routes() {
+        let _serial = crate::tests::serial();
         let server = ServeServer::start(analytical_config("params")).unwrap();
         let addr = server.addr().to_string();
         let (status, body) = http_get(&addr, "/predict?rob=banana", IO_TIMEOUT).unwrap();
@@ -1387,6 +1201,7 @@ mod tests {
 
     #[test]
     fn quitz_stops_the_server_and_wait_returns() {
+        let _serial = crate::tests::serial();
         let server = ServeServer::start(analytical_config("quitz")).unwrap();
         let addr = server.addr().to_string();
         let (status, _) = http_post(&addr, "/quitz", IO_TIMEOUT).unwrap();
@@ -1396,6 +1211,7 @@ mod tests {
 
     #[test]
     fn reload_of_an_empty_registry_is_a_conflict_not_a_crash() {
+        let _serial = crate::tests::serial();
         let server = ServeServer::start(analytical_config("reload")).unwrap();
         let addr = server.addr().to_string();
         let before = ppm_telemetry::registry()
@@ -1420,6 +1236,7 @@ mod tests {
 
     #[test]
     fn degrade_depth_zero_degrades_every_prediction() {
+        let _serial = crate::tests::serial();
         let config = ServeConfig {
             degrade_depth: 0,
             ..analytical_config("always-degraded")

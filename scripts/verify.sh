@@ -49,8 +49,10 @@ echo "== flight recorder: smoke build + regression sentry + trace check =="
 # stage wall times within a generous cross-machine budget — and
 # (b) emit a structurally valid Chrome-trace file. `ppm report` exits 5
 # on regression, which fails this gate via `set -e`. The build also
-# carries `--live 127.0.0.1:0` so the gate proves the live plane binds,
-# serves, and shuts down cleanly alongside a real run. PPM_THREADS is
+# carries `--live 127.0.0.1:0`; with `--quiet` nothing learns the port or
+# scrapes it, so this gate proves only that the live plane binds and
+# shuts down cleanly alongside a real run. The mid-run scrape is pinned
+# by tests/live_plane.rs. PPM_THREADS is
 # pinned because the number of simulation lane groups (and so the
 # sim.batch_* and exec.tasks counters) follows the worker count.
 smoke_dir=$(mktemp -d)

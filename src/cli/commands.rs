@@ -556,23 +556,6 @@ fn config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
         .map_err(msg)
 }
 
-/// Converts config flags to a unit design point in the Table 1 space.
-fn unit_from(parsed: &Parsed, space: &DesignSpace) -> Result<Vec<f64>, CliError> {
-    let config = config_from(parsed)?;
-    let actual = vec![
-        config.pipe_depth as f64,
-        config.rob_size as f64,
-        config.iq_frac,
-        config.lsq_frac,
-        config.l2_size_kb as f64,
-        config.l2_lat as f64,
-        config.il1_size_kb as f64,
-        config.dl1_size_kb as f64,
-        config.dl1_lat as f64,
-    ];
-    Ok(space.params().to_unit(&actual))
-}
-
 fn benchmarks(out: &mut dyn fmt::Write) -> Result<(), CliError> {
     writeln!(
         out,
@@ -853,7 +836,7 @@ fn predict(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let model_path = parsed.require("--model")?;
     let saved = persist::load(Path::new(model_path))?;
     let space = DesignSpace::paper_table1();
-    let unit = unit_from(parsed, &space)?;
+    let unit = space.to_unit(&config_from(parsed)?);
     let value = saved.network.predict(&unit);
     let metric = saved.meta_value("metric").unwrap_or("cpi");
     if let Some(bench) = saved.meta_value("benchmark") {

@@ -29,6 +29,18 @@ use ppm_workload::Benchmark;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Held by every test here that starts a server. The latency histogram
+/// and its worst-request exemplar are process-global, so a `/predict`
+/// from a concurrently running test could otherwise take the exemplar
+/// slot the chaos wave asserts on.
+static SERVER_TESTS: Mutex<()> = Mutex::new(());
+
+fn server_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    SERVER_TESTS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ppm-trace-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -167,6 +179,7 @@ fn span_names(record: &Json) -> Vec<String> {
 
 #[test]
 fn chaos_wave_accounts_for_every_failure() {
+    let _serial = server_test_lock();
     let dir = scratch("chaos");
     let registry = dir.join("registry");
     build_and_publish(&dir, &registry);
@@ -180,6 +193,10 @@ fn chaos_wave_accounts_for_every_failure() {
     })
     .expect("server starts");
     let addr = server.addr().to_string();
+    // A scrape closes the exemplar window: the one asserted below then
+    // holds only this wave's requests.
+    let (status, _) = http_get(&addr, "/metrics", CLIENT_TIMEOUT).expect("metrics answers");
+    assert_eq!(status, 200);
 
     let seen = trace_wave(&addr, 8, 40);
     assert!(seen.len() >= 300, "only {} answers landed", seen.len());
@@ -386,6 +403,7 @@ fn chaos_wave_accounts_for_every_failure() {
 
 #[test]
 fn disabled_tracing_answers_tracez_honestly_and_tail_exits_8() {
+    let _serial = server_test_lock();
     let dir = scratch("notrace");
     let server = ServeServer::start(ServeConfig {
         registry: dir.join("registry"),

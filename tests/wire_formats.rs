@@ -1,11 +1,11 @@
 //! Golden tests pinning every wire format in the registry
 //! (`crates/lint/src/wire.rs`, `KNOWN_FORMATS`).
 //!
-//! Each test drives the real emitter where one is reachable from a unit
-//! test (reports, rings, checkpoints) and a canonical body fixture where
-//! the emitter is buried in a server loop (`/predict`, `/statusz`), then
-//! compares the schema field against the literal version string with
-//! `==`. That comparison is deliberate: `ppm lint` requires every
+//! Each test drives the real emitter: reports, rings, and checkpoints
+//! directly, and the server bodies (`/predict`, `/statusz`) through a
+//! live analytical `ppm serve`, whose exact top-level key set is pinned
+//! too. Each compares the schema field against the literal version
+//! string with `==`. That comparison is deliberate: `ppm lint` requires every
 //! registered format to have both a test pin and a parse/validation
 //! site, and these assertions are exactly that contract. Bumping a
 //! version string without updating the registry, the parser, and this
@@ -151,27 +151,89 @@ fn regression_report_schema_is_pinned() {
     );
 }
 
+/// GETs `path` from a fresh analytical `ppm serve` (empty registry,
+/// fallback benchmark) and returns the body's schema and its sorted
+/// top-level keys.
+fn served_schema_and_keys(tag: &str, path: &str) -> (Option<String>, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("ppm-wire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = ppm_serve::ServeServer::start(ppm_serve::ServeConfig {
+        registry: dir.join("registry"),
+        fallback_benchmark: Some(ppm_workload::Benchmark::Ammp),
+        ..ppm_serve::ServeConfig::default()
+    })
+    .expect("analytical server starts");
+    let (status, body) = ppm_live::http_get(
+        &server.addr().to_string(),
+        path,
+        std::time::Duration::from_secs(5),
+    )
+    .expect("server answers");
+    assert_eq!(status, 200, "{body}");
+    let doc = Json::parse(&body).expect("body is JSON");
+    let mut keys: Vec<String> = doc
+        .as_obj()
+        .expect("body is an object")
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect();
+    keys.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    (schema_of(&body), keys)
+}
+
 #[test]
 fn predict_body_schema_is_pinned() {
-    // The /predict emitter lives inside the serve request loop; this is
-    // the canonical body shape it produces, validated consumer-side the
-    // same way `ppm loadtest` classifies responses.
-    let body = r#"{"schema":"ppm-serve v1","benchmark":"gcc","metric":"ipc",
-                   "prediction":1.25,"model_version":3,"degraded":false,
-                   "eval_us":42}"#;
-    assert!(schema_of(body).as_deref() == Some("ppm-serve v1"), "{body}");
+    let (schema, keys) = served_schema_and_keys("predict", "/predict?rob=96");
+    assert!(schema.as_deref() == Some("ppm-serve v1"), "{schema:?}");
+    assert_eq!(
+        keys,
+        [
+            "benchmark",
+            "deadline_ms",
+            "degraded",
+            "degraded_reason",
+            "elapsed_ms",
+            "metric",
+            "model_version",
+            "prediction",
+            "schema",
+            "trace_id",
+        ]
+    );
 }
 
 #[test]
 fn statusz_body_schema_is_pinned() {
-    // Same situation as /predict: the emitter is in the server loop, so
-    // the golden pins the canonical body shape consumer-side.
-    let body = r#"{"schema":"ppm-statusz v1","model_version":3,
-                   "benchmark":"gcc","metric":"ipc","state":"serving",
-                   "queued":0,"workers":4}"#;
-    assert!(
-        schema_of(body).as_deref() == Some("ppm-statusz v1"),
-        "{body}"
+    let (schema, keys) = served_schema_and_keys("statusz", "/statusz");
+    assert!(schema.as_deref() == Some("ppm-statusz v1"), "{schema:?}");
+    assert_eq!(
+        keys,
+        [
+            "benchmark",
+            "chaos",
+            "deadline_exceeded",
+            "degrade_depth",
+            "degraded",
+            "degraded_by_reason",
+            "fail_streak",
+            "metric",
+            "model_failures",
+            "model_version",
+            "ok",
+            "queue_capacity",
+            "queued",
+            "reload_failures",
+            "reloads",
+            "requests",
+            "schema",
+            "shed",
+            "shed_by_reason",
+            "slo",
+            "sticky_degraded",
+            "trace",
+            "workers",
+        ]
     );
 }
 
