@@ -8,7 +8,7 @@ use ppm_core::builder::RbfModelBuilder;
 use ppm_core::response::{eval_batch, FnResponse};
 use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_sim::{FixedMachine, PredictorKind, Processor, ReplacementPolicy, SimConfig};
+use ppm_sim::{BatchProcessor, FixedMachine, PredictorKind, ReplacementPolicy, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 fn machine(name: &str) -> FixedMachine {
@@ -55,7 +55,7 @@ fn main() {
                 ..space_for_response.to_config(unit)
             };
             let trace = TraceGenerator::new(bench, 1).take(trace_len);
-            Processor::new(config).run(trace).cpi()
+            BatchProcessor::new(vec![config]).expect("valid configuration").run(trace)[0].cpi()
         })
         .expect("non-zero dimension");
 

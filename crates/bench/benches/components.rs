@@ -10,7 +10,7 @@ use ppm_regtree::{Dataset, RegressionTree};
 use ppm_rng::Rng;
 use ppm_sampling::discrepancy::{centered_l2, l2_star};
 use ppm_sampling::lhs::LatinHypercube;
-use ppm_sim::{Processor, SimConfig};
+use ppm_sim::{BatchProcessor, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 fn sim_throughput(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn sim_throughput(c: &mut Criterion) {
         group.bench_function(format!("run_30k_{bench}"), |b| {
             b.iter(|| {
                 let trace = TraceGenerator::new(bench, 1).take(30_000);
-                Processor::new(SimConfig::default()).run(trace).cpi()
+                BatchProcessor::new(vec![SimConfig::default()]).unwrap().run(trace)[0].cpi()
             })
         });
     }

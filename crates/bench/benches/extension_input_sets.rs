@@ -12,7 +12,7 @@ use ppm_core::response::{eval_batch, FnResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_sim::Processor;
+use ppm_sim::BatchProcessor;
 use ppm_workload::{Benchmark, InputSet, TraceGenerator};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         let response = FnResponse::new(9, move |unit: &[f64]| {
             let config = space_for_response.to_config(unit);
             let trace = TraceGenerator::with_input(bench, input, 1).take(trace_len);
-            Processor::new(config).run(trace).cpi()
+            BatchProcessor::new(vec![config]).expect("valid configuration").run(trace)[0].cpi()
         })
         .expect("non-zero dimension");
         let builder =

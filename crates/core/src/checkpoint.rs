@@ -338,12 +338,14 @@ mod tests {
         dir.join(name)
     }
 
-    fn sample() -> Checkpoint {
+    /// A two-point journal at its own file, so tests that flush it
+    /// cannot remove each other's file mid-run.
+    fn sample(name: &str) -> Checkpoint {
         let meta = vec![
             ("benchmark".to_string(), "mcf".to_string()),
             ("seed".to_string(), "1".to_string()),
         ];
-        let mut c = Checkpoint::create(temp_path("sample.ckpt"), &meta);
+        let mut c = Checkpoint::create(temp_path(name), &meta);
         c.record(&[0.25, 0.5], 1.75);
         c.record(&[0.1, 0.9], std::f64::consts::PI);
         c
@@ -351,7 +353,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact() {
-        let c = sample();
+        let c = sample("round_trip.ckpt");
         c.flush().unwrap();
         let loaded = Checkpoint::load(c.path()).unwrap();
         assert_eq!(loaded.len(), 2);
@@ -373,7 +375,7 @@ mod tests {
 
     #[test]
     fn truncated_journal_is_rejected() {
-        let c = sample();
+        let c = sample("truncated_src.ckpt");
         let text = c.to_text();
         // Drop the checksum line entirely.
         let truncated = text.rsplit_once("checksum").unwrap().0;
@@ -386,7 +388,7 @@ mod tests {
 
     #[test]
     fn corrupted_point_line_is_rejected() {
-        let c = sample();
+        let c = sample("corrupt_src.ckpt");
         let text = c.to_text().replace("1.75", "9.75");
         let path = temp_path("corrupt.ckpt");
         fs::write(&path, text).unwrap();
@@ -408,7 +410,7 @@ mod tests {
 
     #[test]
     fn meta_mismatch_is_typed() {
-        let c = sample();
+        let c = sample("meta.ckpt");
         let err = c
             .verify_meta(&[("benchmark".to_string(), "ammp".to_string())])
             .unwrap_err();
@@ -423,10 +425,10 @@ mod tests {
 
     #[test]
     fn flush_is_atomic_rename() {
-        let c = sample();
+        let c = sample("atomic.ckpt");
         c.flush().unwrap();
         // No temporary file is left behind.
-        let tmp = c.path().with_file_name("sample.ckpt.tmp");
+        let tmp = c.path().with_file_name("atomic.ckpt.tmp");
         assert!(!tmp.exists());
         assert!(c.path().exists());
         fs::remove_file(c.path()).ok();

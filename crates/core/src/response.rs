@@ -1,7 +1,7 @@
 //! Processor responses: what the model-building procedure measures at a
 //! design point.
 
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, Processor};
+use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig, SimStats};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 use crate::builder::BuildError;
@@ -64,6 +64,9 @@ pub trait Response: Sync {
 
 /// A response computed by running the cycle-level simulator on a
 /// benchmark trace (the paper's step 3).
+///
+/// [`Response::eval`] is a 1-lane [`BatchProcessor`] run and
+/// [`Response::eval_many`] one lane per point, on one shared path.
 ///
 /// Simulator failures (invalid derived config, degenerate CPI) surface
 /// as NaN from [`Response::eval`], which the supervised executor
@@ -149,25 +152,24 @@ impl Response for SimulatorResponse {
     }
 
     fn eval(&self, unit: &[f64]) -> f64 {
-        let config = self.space.to_config(unit);
-        let trace = TraceGenerator::new(self.benchmark, self.seed).take(self.trace_len);
-        let stats = Processor::new(config.clone()).run(trace);
-        self.report(&stats, &config)
+        self.simulate(std::iter::once(unit))
+            .and_then(|values| values.first().copied())
+            .unwrap_or(f64::NAN)
     }
 
-    /// Simulates all points in one trace pass via [`BatchProcessor`].
-    /// The batched engine produces byte-identical [`ppm_sim::SimStats`]
-    /// to serial runs, so the reported metrics match [`Response::eval`]
-    /// exactly. Declines (`None`) for fewer than two points, or if the
-    /// batch cannot be assembled (all points share this response's
-    /// fixed machine, so that only happens for invalid derived
-    /// configurations — the serial path then surfaces the fault
-    /// per-point).
+    /// Simulates all points in one trace pass. Declines (`None`) only
+    /// for an invalid derived configuration, which the per-point path
+    /// then isolates.
     fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
-        if points.len() < 2 {
-            return None;
-        }
-        let configs: Vec<_> = points.iter().map(|u| self.space.to_config(u)).collect();
+        self.simulate(points.iter().map(Vec::as_slice))
+    }
+}
+
+impl SimulatorResponse {
+    /// Runs the points as the lanes of one [`BatchProcessor`] and
+    /// reduces each lane to the metric; `None` for an invalid config.
+    fn simulate<'a>(&self, units: impl Iterator<Item = &'a [f64]>) -> Option<Vec<f64>> {
+        let configs: Vec<SimConfig> = units.map(|u| self.space.to_config(u)).collect();
         let batch = BatchProcessor::new(configs.clone()).ok()?;
         let trace = TraceGenerator::new(self.benchmark, self.seed).take(self.trace_len);
         let all = batch.run(trace);
@@ -178,11 +180,9 @@ impl Response for SimulatorResponse {
                 .collect(),
         )
     }
-}
 
-impl SimulatorResponse {
     /// Reduces simulation statistics to the configured scalar metric.
-    fn report(&self, stats: &ppm_sim::SimStats, config: &ppm_sim::SimConfig) -> f64 {
+    fn report(&self, stats: &SimStats, config: &SimConfig) -> f64 {
         match self.metric {
             // A degenerate CPI becomes NaN so the supervisor can
             // quarantine the point instead of feeding it to the fit.

@@ -358,7 +358,8 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
 
 /// Evaluates one lane group. A response with a one-pass multi-point
 /// evaluator (the cycle-level simulator shares the trace pass across
-/// lanes) takes the whole group at once under one catch_unwind. A panic,
+/// lanes) takes the whole group at once, a one-point group included,
+/// under one catch_unwind. A panic,
 /// a decline, or a result of the wrong length falls back to supervised
 /// per-point evaluation of this group's points, which re-isolates and
 /// retries each one. Non-finite values quarantine exactly as in the
@@ -370,40 +371,38 @@ fn run_group<R: Response>(
     policy: &SupervisorPolicy,
     quarantined: &Mutex<Vec<Quarantine>>,
 ) -> Vec<Option<f64>> {
-    if idxs.len() >= 2 {
-        let group_points: Vec<Vec<f64>> = idxs.iter().map(|&i| points[i].clone()).collect();
-        let batched = catch_unwind(AssertUnwindSafe(|| response.eval_many(&group_points)));
-        let fault = match batched {
-            Ok(Some(vals)) if vals.len() == idxs.len() => {
-                ppm_telemetry::event("sim.batch_fastpath", &[("points", idxs.len().into())]);
-                let out = idxs
-                    .iter()
-                    .zip(vals)
-                    .map(|(&i, v)| {
-                        if v.is_finite() {
-                            Some(v)
-                        } else {
-                            record_quarantine(i, &points[i], Fault::NonFinite(v), 1, quarantined);
-                            None
-                        }
-                    })
-                    .collect();
-                ppm_telemetry::counter("build.points_done").add(idxs.len() as u64);
-                return out;
-            }
-            Ok(None) => None,
-            Ok(Some(vals)) => Some(format!("returned {} values", vals.len())),
-            Err(payload) => Some(panic_message(payload.as_ref())),
-        };
-        if let Some(fault) = fault {
-            ppm_telemetry::counter("sim.batch_declined").inc();
-            ppm_telemetry::event!(
-                ppm_telemetry::Level::Warn,
-                "sim.batch_declined",
-                "points" => idxs.len(),
-                "fault" => fault,
-            );
+    let group_points: Vec<Vec<f64>> = idxs.iter().map(|&i| points[i].clone()).collect();
+    let batched = catch_unwind(AssertUnwindSafe(|| response.eval_many(&group_points)));
+    let fault = match batched {
+        Ok(Some(vals)) if vals.len() == idxs.len() => {
+            ppm_telemetry::event("sim.batch_fastpath", &[("points", idxs.len().into())]);
+            let out = idxs
+                .iter()
+                .zip(vals)
+                .map(|(&i, v)| {
+                    if v.is_finite() {
+                        Some(v)
+                    } else {
+                        record_quarantine(i, &points[i], Fault::NonFinite(v), 1, quarantined);
+                        None
+                    }
+                })
+                .collect();
+            ppm_telemetry::counter("build.points_done").add(idxs.len() as u64);
+            return out;
         }
+        Ok(None) => None,
+        Ok(Some(vals)) => Some(format!("returned {} values", vals.len())),
+        Err(payload) => Some(panic_message(payload.as_ref())),
+    };
+    if let Some(fault) = fault {
+        ppm_telemetry::counter("sim.batch_declined").inc();
+        ppm_telemetry::event!(
+            ppm_telemetry::Level::Warn,
+            "sim.batch_declined",
+            "points" => idxs.len(),
+            "fault" => fault,
+        );
     }
     idxs.iter()
         .map(|&i| run_one(response, i, &points[i], policy, quarantined))

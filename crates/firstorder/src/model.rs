@@ -119,7 +119,7 @@ impl FirstOrderModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_sim::{Processor, SimConfig};
+    use ppm_sim::{BatchProcessor, SimConfig};
     use ppm_workload::{Benchmark, TraceGenerator};
 
     fn model(bench: Benchmark) -> FirstOrderModel {
@@ -130,8 +130,9 @@ mod tests {
     }
 
     fn simulate(bench: Benchmark, config: &SimConfig) -> f64 {
-        Processor::new(config.clone())
-            .run(TraceGenerator::new(bench, 1).take(120_000))
+        BatchProcessor::new(vec![config.clone()])
+            .unwrap()
+            .run(TraceGenerator::new(bench, 1).take(120_000))[0]
             .cpi()
     }
 

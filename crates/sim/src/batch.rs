@@ -64,21 +64,65 @@
 //! committing, issuing, dispatching, or fetching) in one jump, charging
 //! the skipped span to the statistics — ROB occupancy integral and
 //! exactly the stall counter the serial engine would have bumped — so
-//! [`SimStats`] stay byte-identical to N serial [`Processor`] runs while
-//! high-CPI idle spans cost O(1).
+//! [`SimStats`] stay byte-identical to N serial runs of the reference
+//! oracle ([`crate::reference`]) while high-CPI idle spans cost O(1).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::pipeline::{class_of, record_run_telemetry, EntryState};
 use crate::{BranchPredictor, ConfigError, Hierarchy, Instr, Op, SimConfig, SimStats, TraceSource};
 
 /// Instructions per shared chunk. Two chunks are resident at once, so
 /// the window's working set stays well under a megabyte while the
 /// per-chunk bookkeeping amortizes to noise.
 const CHUNK: usize = 16_384;
+
+/// Execution state of a ROB entry, shared with the reference oracle so
+/// both engines agree on the state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EntryState {
+    /// Waiting for operands or not yet picked.
+    Waiting,
+    /// Executing; `done_cycle` is set.
+    Issued,
+    /// Result available.
+    Done,
+}
+
+/// Functional-unit class of an op, indexing the per-cycle issue quotas
+/// `[int_alu, int_mul, fp_alu, fp_mul, mem]`.
+pub(crate) fn class_of(op: Op) -> usize {
+    match op {
+        Op::IntAlu | Op::Branch => 0,
+        Op::IntMul => 1,
+        Op::FpAlu => 2,
+        Op::FpMul => 3,
+        Op::Load | Op::Store => 4,
+    }
+}
+
+/// Adds one finished run's statistics to the global telemetry counters,
+/// in bulk so the per-cycle loop stays untouched. Called once per lane
+/// (and once per reference run), so `sim.*` counters do not depend on
+/// how runs were batched.
+pub(crate) fn record_run_telemetry(stats: &SimStats) {
+    ppm_telemetry::counter("sim.runs").inc();
+    ppm_telemetry::counter("sim.instructions").add(stats.instructions);
+    ppm_telemetry::counter("sim.cycles").add(stats.cycles);
+    ppm_telemetry::counter("sim.branches").add(stats.branches);
+    ppm_telemetry::counter("sim.mispredicts").add(stats.mispredicts);
+    ppm_telemetry::counter("sim.il1_misses").add(stats.il1.misses);
+    ppm_telemetry::counter("sim.dl1_misses").add(stats.dl1.misses);
+    ppm_telemetry::counter("sim.l2_misses").add(stats.l2.misses);
+    ppm_telemetry::counter("sim.dram_accesses").add(stats.dram_accesses);
+    if stats.instructions > 0 {
+        // Millicpi keeps the histogram integral while preserving three
+        // decimal places of CPI resolution.
+        ppm_telemetry::histogram("sim.run_millicpi").record((stats.cpi() * 1000.0) as u64);
+    }
+}
 
 /// Errors from assembling a batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,12 +166,13 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Runs N processor configurations over one shared trace pass.
+/// Runs N processor configurations over one shared trace pass; one
+/// configuration is the plain single-point simulation.
 ///
 /// # Examples
 ///
 /// ```
-/// use ppm_sim::{BatchProcessor, Processor, SimConfig, Instr, Op};
+/// use ppm_sim::{BatchProcessor, SimConfig, Instr, Op};
 ///
 /// let configs: Vec<SimConfig> = [24u32, 96]
 ///     .iter()
@@ -137,8 +182,8 @@ impl std::error::Error for BatchError {}
 ///
 /// let batched = BatchProcessor::new(configs.clone()).unwrap().run(trace());
 /// for (stats, config) in batched.iter().zip(configs) {
-///     // Byte-identical to a serial run of the same configuration.
-///     assert_eq!(*stats, Processor::new(config).run(trace()));
+///     // Byte-identical to simulating the configuration on its own.
+///     assert_eq!(*stats, BatchProcessor::new(vec![config]).unwrap().run(trace())[0]);
 /// }
 /// ```
 #[derive(Debug)]
@@ -175,7 +220,7 @@ impl BatchProcessor {
 
     /// Runs every lane over one pass of the trace and returns one
     /// [`SimStats`] per configuration, in input order — byte-identical
-    /// to running [`Processor::run`](crate::Processor::run) per
+    /// to running the [reference oracle](crate::reference) per
     /// configuration on the same trace.
     ///
     /// Bound the run length with `trace.take(n)`.
@@ -1274,7 +1319,7 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Processor;
+    use crate::reference::Processor;
 
     fn loop_pc(i: u64) -> u64 {
         0x1000 + (i % 256) * 4

@@ -117,11 +117,11 @@ impl EnergyBreakdown {
 /// # Examples
 ///
 /// ```
-/// use ppm_sim::{estimate_energy, EnergyParams, Instr, Op, Processor, SimConfig};
+/// use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, Instr, Op, SimConfig};
 ///
 /// let config = SimConfig::default();
 /// let trace = (0..20_000).map(|i| Instr::alu(Op::IntAlu, 0x1000 + (i % 256) * 4, 0, 0));
-/// let stats = Processor::new(config.clone()).run(trace);
+/// let stats = BatchProcessor::new(vec![config.clone()]).unwrap().run(trace).remove(0);
 /// let energy = estimate_energy(&stats, &config, &EnergyParams::default());
 /// assert!(energy.total() > 0.0);
 /// assert!(energy.epi() > 0.0);
@@ -168,10 +168,17 @@ pub fn estimate_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Instr, Op, Processor};
+    use crate::{BatchProcessor, Instr, Op, TraceSource};
 
     fn loop_pc(i: u64) -> u64 {
         0x1000 + (i % 256) * 4
+    }
+
+    fn simulate(config: &SimConfig, trace: impl TraceSource) -> SimStats {
+        BatchProcessor::new(vec![config.clone()])
+            .unwrap()
+            .run(trace)
+            .remove(0)
     }
 
     fn run(config: SimConfig) -> (SimStats, SimConfig) {
@@ -182,8 +189,7 @@ mod tests {
                 Instr::alu(Op::IntAlu, loop_pc(i), 1, 0)
             }
         });
-        let stats = Processor::new(config.clone()).run(trace);
-        (stats, config)
+        (simulate(&config, trace), config)
     }
 
     #[test]
@@ -231,11 +237,11 @@ mod tests {
     fn fp_work_is_accounted() {
         let trace = (0..10_000u64).map(|i| Instr::alu(Op::FpMul, loop_pc(i), 0, 0));
         let config = SimConfig::default();
-        let stats = Processor::new(config.clone()).run(trace);
+        let stats = simulate(&config, trace);
         assert_eq!(stats.fp_mul_ops, 10_000);
         let e = estimate_energy(&stats, &config, &EnergyParams::default());
         let trace2 = (0..10_000u64).map(|i| Instr::alu(Op::IntAlu, loop_pc(i), 0, 0));
-        let stats2 = Processor::new(config.clone()).run(trace2);
+        let stats2 = simulate(&config, trace2);
         let e2 = estimate_energy(&stats2, &config, &EnergyParams::default());
         assert!(
             e.core > e2.core,

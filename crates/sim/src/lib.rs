@@ -23,16 +23,20 @@
 //! function of the design point — the property the surrogate-modeling
 //! methodology requires.
 //!
+//! [`BatchProcessor`] is the one simulator every production run uses:
+//! N configurations over one trace pass, N = 1 for a single point. The
+//! [`reference`] module is the oracle it is checked against.
+//!
 //! # Examples
 //!
 //! ```
-//! use ppm_sim::{Processor, SimConfig, Instr, Op};
+//! use ppm_sim::{BatchProcessor, SimConfig, Instr, Op};
 //!
 //! // A tiny hand-written trace: independent ALU ops in a small loop
 //! // (the loop keeps the instruction cache warm).
 //! let trace = (0..50_000).map(|i| Instr::alu(Op::IntAlu, 0x1000 + (i % 256) * 4, 0, 0));
 //! let config = SimConfig::default();
-//! let stats = Processor::new(config).run(trace);
+//! let stats = &BatchProcessor::new(vec![config]).unwrap().run(trace)[0];
 //! assert!(stats.cpi() < 1.0); // superscalar issue beats 1 IPC
 //! ```
 
@@ -43,7 +47,7 @@ mod config;
 mod energy;
 mod hierarchy;
 mod memory;
-mod pipeline;
+pub mod reference;
 mod stats;
 mod trace;
 
@@ -54,6 +58,5 @@ pub use config::{ConfigError, FixedMachine, SimConfig, SimConfigBuilder};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyParams};
 pub use hierarchy::{AccessOutcome, Hierarchy};
 pub use memory::MemorySystem;
-pub use pipeline::Processor;
 pub use stats::{validate_cpi, CpiError, SimStats};
 pub use trace::{BranchKind, Instr, Op, TraceSource};

@@ -4,7 +4,10 @@ use ppm_sim::*;
 use ppm_workload::*;
 
 fn run(b: Benchmark, c: SimConfig, n: usize) -> SimStats {
-    Processor::new(c).run(TraceGenerator::new(b, 1).take(n))
+    BatchProcessor::new(vec![c])
+        .expect("valid configuration")
+        .run(TraceGenerator::new(b, 1).take(n))
+        .remove(0)
 }
 
 fn main() {

@@ -362,7 +362,15 @@ fn build_cfg(profile: &Profile, rng: &mut Rng) -> Vec<Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_sim::{BranchKind, Processor, SimConfig};
+    use ppm_sim::{BatchProcessor, BranchKind, SimConfig, SimStats};
+
+    /// One configuration on the simulator: a 1-lane batch.
+    fn simulate(config: SimConfig, trace: impl Iterator<Item = Instr>) -> SimStats {
+        BatchProcessor::new(vec![config])
+            .unwrap()
+            .run(trace)
+            .remove(0)
+    }
 
     #[test]
     fn deterministic_per_seed_and_distinct_across_seeds() {
@@ -514,7 +522,7 @@ mod tests {
     fn mcf_is_memory_bound_and_fp_runs_fast() {
         let run = |b: Benchmark| {
             let trace = TraceGenerator::new(b, 1).take(150_000);
-            Processor::new(SimConfig::default()).run(trace).cpi()
+            simulate(SimConfig::default(), trace).cpi()
         };
         let mcf = run(Benchmark::Mcf);
         let equake = run(Benchmark::Equake);
@@ -526,7 +534,7 @@ mod tests {
     fn mcf_responds_to_l2_and_vortex_to_il1() {
         let run = |b: Benchmark, c: SimConfig| {
             let trace = TraceGenerator::new(b, 1).take(250_000);
-            Processor::new(c).run(trace).cpi()
+            simulate(c, trace).cpi()
         };
         let small_l2 = SimConfig::builder().l2_size_kb(256).build().unwrap();
         let big_l2 = SimConfig::builder().l2_size_kb(8192).build().unwrap();
@@ -556,7 +564,7 @@ mod tests {
         let run = |input: crate::InputSet, l2_lat: u32| {
             let c = SimConfig::builder().l2_lat(l2_lat).build().unwrap();
             let trace = TraceGenerator::with_input(Benchmark::Twolf, input, 1).take(120_000);
-            Processor::new(c).run(trace).cpi()
+            simulate(c, trace).cpi()
         };
         let lg_swing = run(crate::InputSet::MinneLgred, 20) - run(crate::InputSet::MinneLgred, 5);
         let ref_swing = run(crate::InputSet::Reference, 20) - run(crate::InputSet::Reference, 5);
@@ -570,9 +578,7 @@ mod tests {
     fn branch_mispredict_rates_are_benchmark_dependent() {
         let rate = |b: Benchmark| {
             let trace = TraceGenerator::new(b, 1).take(120_000);
-            Processor::new(SimConfig::default())
-                .run(trace)
-                .mispredict_rate()
+            simulate(SimConfig::default(), trace).mispredict_rate()
         };
         let crafty = rate(Benchmark::Crafty);
         let equake = rate(Benchmark::Equake);

@@ -28,10 +28,10 @@
 //!
 //! ```
 //! use ppm_workload::{Benchmark, TraceGenerator};
-//! use ppm_sim::{Processor, SimConfig};
+//! use ppm_sim::{BatchProcessor, SimConfig};
 //!
 //! let trace = TraceGenerator::new(Benchmark::Mcf, 1).take(20_000);
-//! let stats = Processor::new(SimConfig::default()).run(trace);
+//! let stats = &BatchProcessor::new(vec![SimConfig::default()]).unwrap().run(trace)[0];
 //! assert!(stats.cpi() > 1.0); // mcf is memory bound
 //! ```
 

@@ -8,7 +8,7 @@
 use ppm::model::builder::{BuildConfig, RbfModelBuilder};
 use ppm::model::response::{FnResponse, Response};
 use ppm::model::space::DesignSpace;
-use ppm::sim::{Processor, SimConfig};
+use ppm::sim::{BatchProcessor, SimConfig};
 use ppm::workload::{InstrMix, MemRegion, Profile, TraceGenerator};
 
 /// A made-up "in-memory database" workload: load heavy, large flat
@@ -70,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let response = FnResponse::new(9, move |unit: &[f64]| {
         let config: SimConfig = space_for_response.to_config(unit);
         let trace = TraceGenerator::from_profile(&imdb_profile(), 1).take(80_000);
-        Processor::new(config).run(trace).cpi()
+        // Table 1 configurations are always valid; a NaN would be
+        // quarantined by the supervisor rather than trained on.
+        BatchProcessor::new(vec![config]).map_or(f64::NAN, |sim| sim.run(trace)[0].cpi())
     })?;
 
     println!("building a CPI model from 60 simulations...");

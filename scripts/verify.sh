@@ -78,15 +78,19 @@ target/release/ppm bench-export --ledger "$smoke_dir/ledger.json" \
 
 echo "== batched simulation: equivalence smoke + perf history =="
 # `ppm simulate --batch` runs a 32-point design sample in one batched
-# trace pass, then cross-checks every lane against a serial run of the
-# same configuration and exits 3 on any divergence — so this one
+# trace pass, then cross-checks every lane against a reference-oracle
+# run of the same configuration and exits 3 on any divergence — so this one
 # invocation is the byte-identity gate. Its ledger carries both wall
 # times; exporting them refreshes the batched-vs-serial perf history
 # (the speedup is the quotient of the two records).
 target/release/ppm simulate --benchmark mcf --batch 32 --seed 7 --quiet \
   --ledger-out "$smoke_dir/batch-ledger.json" > "$smoke_dir/batch.out"
-grep -q "identical" "$smoke_dir/batch.out" \
-  || { echo "batched simulate reported no cross-check"; exit 1; }
+# Exactly one cross-checked row per lane: a lane number first, `yes`
+# last (the table header also contains "identical", so matching that
+# word alone would pass with no lane checked).
+yes_rows=$(grep -cE '^[0-9]+ .* yes$' "$smoke_dir/batch.out" || true)
+[ "$yes_rows" = 32 ] \
+  || { echo "batched simulate cross-checked $yes_rows of 32 lanes"; exit 1; }
 target/release/ppm bench-export --ledger "$smoke_dir/batch-ledger.json" \
   --stage stage.simulate_batch --bench sim_batch --out results/BENCH_sim_batch.json
 target/release/ppm bench-export --ledger "$smoke_dir/batch-ledger.json" \

@@ -12,7 +12,7 @@ use ppm_core::response::{eval_batch, Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::pb_screening;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
-use ppm_sim::{estimate_energy, EnergyParams, Processor, SimConfig};
+use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 use crate::cli::args::{ArgError, Parsed};
@@ -586,10 +586,13 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let config = config_from(parsed)?;
     let instructions: usize = parsed.num("--instructions", 100_000)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
+    let batch = BatchProcessor::new(vec![config.clone()])
+        .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))?;
     let stats = {
         let _span = ppm_telemetry::span("stage.simulate");
-        let trace = TraceGenerator::new(bench, seed).take(instructions);
-        Processor::new(config.clone()).run(trace)
+        batch
+            .run(TraceGenerator::new(bench, seed).take(instructions))
+            .remove(0)
     };
     writeln!(out, "benchmark      {bench}").map_err(msg)?;
     writeln!(out, "instructions   {}", stats.instructions).map_err(msg)?;
@@ -612,10 +615,11 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 
 /// `ppm simulate --batch <n>`: simulate an n-point Latin-hypercube
 /// sample of the Table 1 design space in one batched trace pass, then
-/// cross-check every lane against a serial run of the same
-/// configuration. A statistics mismatch is a simulation fault (exit
-/// code 3) — the batched engine's contract is byte-identical results,
-/// not approximately-equal ones. Both wall times land in the run ledger
+/// cross-check every lane against a run of the reference oracle
+/// ([`ppm_sim::reference::Processor`]) on the same configuration. A
+/// statistics mismatch is a simulation fault (exit code 3) — the
+/// batched engine's contract is byte-identical results, not
+/// approximately-equal ones. Both wall times land in the run ledger
 /// (`stage.simulate_batch` / `stage.simulate_serial`) so the speedup is
 /// diffable by the regression sentry.
 fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
@@ -632,7 +636,7 @@ fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliEr
     let mut rng = ppm_rng::Rng::seed_from_u64(seed);
     let design = ppm_sampling::lhs::LatinHypercube::new(space.params(), lanes).generate(&mut rng);
     let configs: Vec<SimConfig> = design.iter().map(|u| space.to_config(u)).collect();
-    let batch = ppm_sim::BatchProcessor::new(configs.clone())
+    let batch = BatchProcessor::new(configs.clone())
         .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))?;
 
     let wall = std::time::Instant::now();
@@ -648,7 +652,8 @@ fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliEr
         configs
             .iter()
             .map(|c| {
-                Processor::new(c.clone()).run(TraceGenerator::new(bench, seed).take(instructions))
+                ppm_sim::reference::Processor::new(c.clone())
+                    .run(TraceGenerator::new(bench, seed).take(instructions))
             })
             .collect()
     };

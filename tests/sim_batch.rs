@@ -1,25 +1,31 @@
 //! Acceptance tests for batched multi-config simulation.
 //!
-//! The batched engine's whole contract is *byte-identical* statistics:
-//! `BatchProcessor` must produce exactly the `SimStats` that N serial
-//! `Processor` runs would, for any lane count, any workload profile,
-//! and any valid configuration mix — sharing the trace pass is an
-//! execution strategy, never a semantic change. These tests sweep that
-//! contract across every benchmark surrogate and random design points,
-//! and pin the CLI surfaces that ride on it: `ppm simulate --batch`
-//! cross-checks lanes against serial runs, and the loadtest SLO gate
-//! refuses to pass vacuously against a shed-everything service (a storm
-//! of fast 503s is not a met latency objective).
+//! `BatchProcessor` is the one production simulator, and its whole
+//! contract is *byte-identical* statistics: it must produce exactly the
+//! `SimStats` that N runs of the reference oracle
+//! (`ppm_sim::reference::Processor`) would, for any lane count, any
+//! workload profile, and any valid configuration mix — sharing the
+//! trace pass is an execution strategy, never a semantic change. These
+//! tests sweep that contract across every benchmark surrogate and
+//! random design points, check that no production simulation runs
+//! outside the batch engine, and pin the CLI surfaces that ride on it:
+//! `ppm simulate --batch` cross-checks lanes against the oracle, and
+//! the loadtest SLO gate refuses to pass vacuously against a
+//! shed-everything service (a storm of fast 503s is not a met latency
+//! objective).
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use ppm_core::response::{Response, SimulatorResponse};
+use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
+use ppm_obs::Json;
 use ppm_rng::Rng;
-use ppm_sim::{BatchProcessor, Processor, SimConfig};
+use ppm_sim::reference::Processor;
+use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 const TRACE_LEN: usize = 12_000;
@@ -29,8 +35,8 @@ fn random_unit(rng: &mut Rng, dim: usize) -> Vec<f64> {
     (0..dim).map(|_| rng.unit_f64()).collect()
 }
 
-/// Serial reference: one `Processor` per configuration, regenerating
-/// the trace each time, exactly as `SimulatorResponse::eval` does.
+/// Serial reference: one oracle `Processor` per configuration,
+/// regenerating the trace each time.
 fn serial_stats(configs: &[SimConfig], bench: Benchmark, seed: u64) -> Vec<ppm_sim::SimStats> {
     configs
         .iter()
@@ -87,11 +93,13 @@ fn batch_handles_duplicate_and_extreme_configs() {
 /// The supervised executor runs lane groups of at most
 /// `LANES_PER_GROUP` points, capped at `ceil(points / threads)`. Batch
 /// size and thread count pick groups of 1, 2 and 7 lanes and one group
-/// holding the whole batch; every value must be bit-identical to a
-/// serial run of its point.
+/// holding the whole batch. Every group, a one-point group included,
+/// is one batch-engine run, and every value must be bit-identical to
+/// the CPI of a reference-oracle run of its point.
 #[test]
 fn supervised_lane_groups_match_serial_runs_at_every_group_size() {
     let response = SimulatorResponse::new(Benchmark::Twolf, 4_000).with_seed(5);
+    assert_eq!(response.metric(), Metric::Cpi);
     let mut rng = Rng::seed_from_u64(0x6209);
     let whole = LANES_PER_GROUP;
     for (n, threads, group) in [(8, 8, 1), (16, 8, 2), (14, 2, 7), (whole, 1, whole)] {
@@ -105,16 +113,27 @@ fn supervised_lane_groups_match_serial_runs_at_every_group_size() {
             &[],
         )
         .expect("clean batch");
+        let groups = n.div_ceil(group) as u64;
         assert_eq!(
             scoped.counter("sim.batch_groups").get(),
-            n.div_ceil(group) as u64,
+            groups,
+            "{n} points on {threads} threads"
+        );
+        // One batch run per group: the (8, 8, 1) case runs eight
+        // one-lane batches, not eight per-point fallbacks.
+        assert_eq!(
+            scoped.counter("sim.batch_runs").get(),
+            groups,
             "{n} points on {threads} threads"
         );
         drop(scoped);
         for (i, (p, v)) in points.iter().zip(&out.values).enumerate() {
+            let stats = Processor::new(response.space().to_config(p))
+                .run(TraceGenerator::new(Benchmark::Twolf, 5).take(4_000));
+            let want = stats.checked_cpi().expect("clean reference run");
             assert_eq!(
                 v.map(f64::to_bits),
-                Some(response.eval(p).to_bits()),
+                Some(want.to_bits()),
                 "point {i} of {n}, group size {group}"
             );
         }
@@ -144,9 +163,145 @@ fn simulate_batch_cli_reports_identical_lanes() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("lanes          3"), "{stdout}");
-    // One cross-checked row per lane.
+    // One row per lane, each cross-checked against the oracle.
     assert_eq!(stdout.matches("yes").count(), 3, "{stdout}");
     assert!(stdout.contains("wall"), "{stdout}");
+}
+
+/// The final value of a counter in a `--metrics-out` JSONL file (0 when
+/// the counter was never touched).
+fn jsonl_counter(jsonl: &Path, name: &str) -> i64 {
+    std::fs::read_to_string(jsonl)
+        .expect("metrics file written")
+        .lines()
+        .map(|line| Json::parse(line).expect("JSONL line parses"))
+        .filter(|rec| {
+            rec.get("kind").and_then(Json::as_str) == Some("counter")
+                && rec.get("name").and_then(Json::as_str) == Some(name)
+        })
+        .filter_map(|rec| rec.get("value").and_then(Json::as_i64))
+        .next_back()
+        .unwrap_or(0)
+}
+
+/// No production simulation runs outside the batch engine: every
+/// `sim.runs` is a batch lane, for plain `ppm simulate` and for a
+/// `ppm build --holdout` whose holdout ends in a one-point lane group
+/// (five points on four workers: groups of 2, 2 and 1). Plain
+/// `ppm simulate` prints, byte for byte, what the reference oracle's
+/// statistics format to.
+#[test]
+fn every_production_simulation_runs_on_the_batch_engine() {
+    let dir = std::env::temp_dir().join(format!("ppm-simbatch-engine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+
+    let jsonl = dir.join("simulate.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .args([
+            "simulate",
+            "--benchmark",
+            "mcf",
+            "--instructions",
+            "20000",
+            "--seed",
+            "4",
+            "--rob",
+            "48",
+            "--dl1-lat",
+            "3",
+            "--energy",
+            "--no-ledger",
+            "--quiet",
+            "--metrics-out",
+        ])
+        .arg(&jsonl)
+        .output()
+        .expect("ppm simulate runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(jsonl_counter(&jsonl, "sim.runs"), 1);
+    assert_eq!(jsonl_counter(&jsonl, "sim.batch_lanes"), 1);
+
+    let config = SimConfig::builder()
+        .rob_size(48)
+        .dl1_lat(3)
+        .build()
+        .unwrap();
+    let s = Processor::new(config.clone()).run(TraceGenerator::new(Benchmark::Mcf, 4).take(20_000));
+    let e = estimate_energy(&s, &config, &EnergyParams::default());
+    let want = format!(
+        "benchmark      {}\n\
+         instructions   {}\n\
+         cycles         {}\n\
+         CPI            {:.4}\n\
+         IPC            {:.4}\n\
+         il1 miss rate  {:.4}\n\
+         dl1 miss rate  {:.4}\n\
+         l2 miss rate   {:.4}\n\
+         mispredicts    {:.4}\n\
+         dram accesses  {}\n\
+         energy total   {:.1}\n\
+         EPI            {:.4}\n\
+         EDP            {:.4}\n",
+        Benchmark::Mcf,
+        s.instructions,
+        s.cycles,
+        s.cpi(),
+        s.ipc(),
+        s.il1.miss_rate(),
+        s.dl1.miss_rate(),
+        s.l2.miss_rate(),
+        s.mispredict_rate(),
+        s.dram_accesses,
+        e.total(),
+        e.epi(),
+        e.edp()
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+
+    let jsonl = dir.join("build.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .env("PPM_THREADS", "4")
+        .args([
+            "build",
+            "--benchmark",
+            "twolf",
+            "--sample",
+            "20",
+            "--instructions",
+            "10000",
+            "--seed",
+            "3",
+            "--holdout",
+            "5",
+            "--lhs-candidates",
+            "16",
+            "--train-threads",
+            "1",
+            "--no-ledger",
+            "--quiet",
+            "--out",
+        ])
+        .arg(dir.join("b.model"))
+        .arg("--metrics-out")
+        .arg(&jsonl)
+        .output()
+        .expect("ppm build runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        jsonl_counter(&jsonl, "sim.runs"),
+        25,
+        "20 sample + 5 holdout points"
+    );
+    assert_eq!(jsonl_counter(&jsonl, "sim.batch_lanes"), 25);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kills the serve child on drop so a failing assertion cannot leak a

@@ -3,17 +3,26 @@
 //! The paper validates its simulator by checking component behaviour
 //! and comparing trends with a second simulator (§3). We do not have
 //! `alphasim`, but we can do something stronger for a synthetic
-//! substrate: drive the pipeline with microbenchmarks whose steady-state
-//! CPI has a *closed form*, and assert the model lands on it.
+//! substrate: drive the production engine (a 1-lane `BatchProcessor`)
+//! with microbenchmarks whose steady-state CPI has a *closed form*, and
+//! assert the model lands on it.
 
-use ppm::sim::{Instr, Op, Processor, SimConfig};
+use ppm::sim::{BatchProcessor, Instr, Op, SimConfig, SimStats};
 
 fn loop_pc(i: u64) -> u64 {
     0x1000 + (i % 512) * 4
 }
 
+/// Runs one configuration on the production engine: a 1-lane batch.
+fn simulate(config: SimConfig, trace: impl Iterator<Item = Instr>) -> SimStats {
+    BatchProcessor::new(vec![config])
+        .unwrap()
+        .run(trace)
+        .remove(0)
+}
+
 fn cpi(config: SimConfig, trace: impl Iterator<Item = Instr>) -> f64 {
-    Processor::new(config).run(trace).cpi()
+    simulate(config, trace).cpi()
 }
 
 /// Dependence chain of 1-cycle ops: exactly 1 instruction per cycle.
@@ -173,7 +182,7 @@ fn call_return_pairs_are_predicted() {
             Instr::alu(Op::IntAlu, call_pc + 4, 0, 0),
         ]
     });
-    let stats = Processor::new(SimConfig::default()).run(trace);
+    let stats = simulate(SimConfig::default(), trace);
     assert!(
         stats.mispredict_rate() < 0.01,
         "RAS should nail call/return: rate {}",
