@@ -223,9 +223,10 @@ fn is_caps_ident(s: &str) -> bool {
             .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
 }
 
-/// Extracts every `ppm-<word> v<digits>` substring from a literal's
+/// Extracts every `ppm-<name> v<digits>` substring from a literal's
 /// raw text (quotes and escapes included — the pattern cannot span an
-/// escape).
+/// escape). A name is lowercase words joined by single hyphens
+/// (`ppm-loadtest-ab v1`).
 pub fn formats_in(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let bytes = text.as_bytes();
@@ -233,7 +234,12 @@ pub fn formats_in(text: &str) -> Vec<String> {
     while let Some(at) = text[i..].find("ppm-") {
         let start = i + at;
         let mut j = start + 4;
-        while j < bytes.len() && bytes[j].is_ascii_lowercase() {
+        while j < bytes.len()
+            && (bytes[j].is_ascii_lowercase()
+                || (bytes[j] == b'-'
+                    && bytes[j - 1].is_ascii_lowercase()
+                    && bytes.get(j + 1).is_some_and(u8::is_ascii_lowercase)))
+        {
             j += 1;
         }
         // Require `<name> v<digits>`: a space, a 'v', then digits.
@@ -839,6 +845,12 @@ mod tests {
         );
         assert!(formats_in("ppm-bench").is_empty());
         assert!(formats_in("ppm- v1").is_empty());
+        assert_eq!(
+            formats_in("\"ppm-loadtest-ab v1\""),
+            vec!["ppm-loadtest-ab v1"]
+        );
+        assert!(formats_in("ppm-loadtest- v1").is_empty());
+        assert!(formats_in("ppm-a--b v1").is_empty());
     }
 
     #[test]

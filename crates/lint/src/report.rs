@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 use crate::rules;
 
@@ -74,33 +74,30 @@ impl Report {
             .diagnostics
             .iter()
             .map(|d| {
-                Json::Obj(vec![
-                    ("rule".to_string(), Json::Str(d.rule.to_string())),
-                    ("path".to_string(), Json::Str(d.path.clone())),
-                    ("line".to_string(), Json::Int(i64::from(d.line))),
-                    ("col".to_string(), Json::Int(i64::from(d.col))),
-                    ("message".to_string(), Json::Str(d.message.clone())),
+                Json::obj([
+                    ("rule", Json::Str(d.rule.to_string())),
+                    ("path", Json::Str(d.path.clone())),
+                    ("line", Json::Int(i64::from(d.line))),
+                    ("col", Json::Int(i64::from(d.col))),
+                    ("message", Json::Str(d.message.clone())),
                 ])
             })
             .collect();
         let rules = rules::RULES
             .iter()
             .map(|r| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(r.name.to_string())),
-                    ("summary".to_string(), Json::Str(r.summary.to_string())),
+                Json::obj([
+                    ("name", Json::Str(r.name.to_string())),
+                    ("summary", Json::Str(r.summary.to_string())),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str("ppm-lint v2".to_string())),
-            (
-                "files_scanned".to_string(),
-                Json::Int(self.files_scanned as i64),
-            ),
-            ("clean".to_string(), Json::Bool(self.is_clean())),
-            ("diagnostics".to_string(), Json::Arr(diags)),
-            ("rules".to_string(), Json::Arr(rules)),
+        Json::obj([
+            ("schema", Json::Str("ppm-lint v2".to_string())),
+            ("files_scanned", Json::Int(self.files_scanned as i64)),
+            ("clean", Json::Bool(self.is_clean())),
+            ("diagnostics", Json::Arr(diags)),
+            ("rules", Json::Arr(rules)),
         ])
         .dump()
     }

@@ -20,14 +20,15 @@ use crate::report::Diagnostic;
 /// Every wire format the workspace is allowed to emit. Adding a format
 /// means adding it here *and* giving it an emitter, a parser, and a
 /// golden test; removing an emitter means removing the entry.
-pub const KNOWN_FORMATS: [&str; 11] = [
-    "ppm-bench v1",
+pub const KNOWN_FORMATS: [&str; 12] = [
     "ppm-buildz v1",
     "ppm-checkpoint v1",
     "ppm-eventz v1",
     "ppm-ledger v1",
     "ppm-lint v2",
     "ppm-loadtest v1",
+    "ppm-loadtest-ab v1",
+    "ppm-rbf-model v1",
     "ppm-report v1",
     "ppm-serve v1",
     "ppm-statusz v1",

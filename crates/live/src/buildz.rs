@@ -1,7 +1,6 @@
 //! The `/buildz` route: build progress as a `ppm-buildz v1` document.
 
-use ppm_obs::Json;
-use ppm_telemetry::{monotonic_us, MetricKind, MetricRecord};
+use ppm_telemetry::{monotonic_us, Json, MetricKind, MetricRecord};
 
 /// Reads a counter value out of a snapshot (0 when absent).
 fn counter(snapshot: &[MetricRecord], name: &str) -> u64 {
@@ -50,46 +49,43 @@ pub fn render_buildz(snapshot: &[MetricRecord]) -> String {
         .filter_map(|m| {
             let stage = m.name.strip_prefix("span.stage.")?.strip_suffix(".us")?;
             let (count, sum, ..) = m.hist?;
-            Some(Json::Obj(vec![
-                ("name".to_string(), Json::Str(stage.to_string())),
-                ("count".to_string(), Json::from(count)),
-                ("wall_us".to_string(), Json::from(sum)),
+            Some(Json::obj([
+                ("name", Json::Str(stage.to_string())),
+                ("count", Json::from(count)),
+                ("wall_us", Json::from(sum)),
             ]))
         })
         .collect();
 
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str("ppm-buildz v1".to_string())),
+    Json::obj([
+        ("schema", Json::Str("ppm-buildz v1".to_string())),
         (
-            "stage".to_string(),
+            "stage",
             match ppm_telemetry::current_stage() {
                 Some(s) => Json::Str(s),
                 None => Json::Null,
             },
         ),
-        ("elapsed_ms".to_string(), Json::from(elapsed_ms)),
+        ("elapsed_ms", Json::from(elapsed_ms)),
         (
-            "points".to_string(),
-            Json::Obj(vec![
-                ("planned".to_string(), Json::from(planned)),
-                ("done".to_string(), Json::from(done)),
-                ("resumed".to_string(), Json::from(resumed)),
+            "points",
+            Json::obj([
+                ("planned", Json::from(planned)),
+                ("done", Json::from(done)),
+                ("resumed", Json::from(resumed)),
             ]),
         ),
+        ("retries", Json::from(counter(snapshot, "robust.retries"))),
         (
-            "retries".to_string(),
-            Json::from(counter(snapshot, "robust.retries")),
-        ),
-        (
-            "quarantined".to_string(),
+            "quarantined",
             Json::from(counter(snapshot, "robust.quarantined")),
         ),
         (
-            "workers_live".to_string(),
+            "workers_live",
             Json::Float(gauge(snapshot, "exec.workers_live")),
         ),
-        ("eta_ms".to_string(), eta_ms),
-        ("stages".to_string(), Json::Arr(stages)),
+        ("eta_ms", eta_ms),
+        ("stages", Json::Arr(stages)),
     ])
     .dump()
 }

@@ -92,7 +92,7 @@ mod tests {
     use super::*;
     use crate::client::http_get;
     use crate::http::IO_TIMEOUT;
-    use ppm_obs::Json;
+    use ppm_telemetry::Json;
     use ppm_telemetry::Level;
     use std::io::{Read, Write};
     use std::sync::Arc as StdArc;
@@ -116,11 +116,11 @@ mod tests {
         registry.counter("live.test_hits").add(7);
         {
             let mut writer = ring.clone();
-            use ppm_telemetry::{Record, Sink, Value};
+            use ppm_telemetry::{Record, Sink};
             writer.record(&Record::Event {
                 name: "t.ring".into(),
                 level: Level::Warn,
-                fields: vec![("k".into(), Value::from(1u64))],
+                fields: vec![("k".into(), Json::from(1u64))],
                 depth: 0,
             });
         }

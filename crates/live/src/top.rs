@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 use crate::client::http_get;
 use crate::LiveError;
@@ -465,15 +465,15 @@ mod tests {
         registry.counter("build.points_done").add(2);
         let ring = ppm_telemetry::EventRing::new(8);
         {
-            use ppm_telemetry::{Level, Record, Sink, Value};
+            use ppm_telemetry::{Level, Record, Sink};
             let mut writer = ring.clone();
             writer.record(&Record::Event {
                 name: "robust.quarantine".into(),
                 level: Level::Error,
                 fields: vec![
-                    ("index".into(), Value::from(3u64)),
-                    ("attempts".into(), Value::from(3u64)),
-                    ("fault".into(), Value::from("panicked: injected")),
+                    ("index".into(), Json::from(3u64)),
+                    ("attempts".into(), Json::from(3u64)),
+                    ("fault".into(), Json::from("panicked: injected")),
                 ],
                 depth: 1,
             });

@@ -19,9 +19,8 @@
 use std::fmt;
 use std::path::Path;
 
-use ppm_telemetry::{MetricKind, MetricRecord};
+use ppm_telemetry::{Json, JsonError, MetricKind, MetricRecord};
 
-use crate::json::{Json, JsonError};
 use crate::trace::StageTiming;
 
 /// The ledger format version tag.
@@ -81,14 +80,14 @@ impl Ledger {
             .iter()
             .map(metric_json)
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from(LEDGER_SCHEMA)),
-            ("command".to_string(), Json::from(self.command.as_str())),
-            ("args".to_string(), Json::Obj(args)),
-            ("env".to_string(), Json::Obj(env)),
-            ("metrics".to_string(), Json::Arr(metrics)),
+        Json::obj([
+            ("schema", Json::from(LEDGER_SCHEMA)),
+            ("command", Json::from(self.command.as_str())),
+            ("args", Json::Obj(args)),
+            ("env", Json::Obj(env)),
+            ("metrics", Json::Arr(metrics)),
             (
-                "diagnostics".to_string(),
+                "diagnostics",
                 self.diagnostics.clone().unwrap_or(Json::Null),
             ),
         ])
@@ -105,32 +104,26 @@ impl Ledger {
             .stages
             .iter()
             .map(|s| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::from(s.name.as_str())),
-                    ("wall_us".to_string(), Json::from(s.wall_us)),
-                    (
-                        "cpu_us".to_string(),
-                        s.cpu_us.map(Json::from).unwrap_or(Json::Null),
-                    ),
+                Json::obj([
+                    ("name", Json::from(s.name.as_str())),
+                    ("wall_us", Json::from(s.wall_us)),
+                    ("cpu_us", s.cpu_us.map(Json::from).unwrap_or(Json::Null)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from(LEDGER_SCHEMA)),
-            ("run_id".to_string(), Json::from(self.run_id.as_str())),
+        Json::obj([
+            ("schema", Json::from(LEDGER_SCHEMA)),
+            ("run_id", Json::from(self.run_id.as_str())),
+            ("created_unix_ms", Json::from(self.created_unix_ms)),
             (
-                "created_unix_ms".to_string(),
-                Json::from(self.created_unix_ms),
-            ),
-            (
-                "timings".to_string(),
-                Json::Obj(vec![
-                    ("total_wall_us".to_string(), Json::from(self.total_wall_us)),
+                "timings",
+                Json::obj([
+                    ("total_wall_us", Json::from(self.total_wall_us)),
                     (
-                        "total_cpu_us".to_string(),
+                        "total_cpu_us",
                         self.total_cpu_us.map(Json::from).unwrap_or(Json::Null),
                     ),
-                    ("stages".to_string(), Json::Arr(stages)),
+                    ("stages", Json::Arr(stages)),
                 ]),
             ),
         ])
@@ -138,10 +131,7 @@ impl Ledger {
 
     /// The full two-block document.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("header".to_string(), self.header_json()),
-            ("body".to_string(), self.body_json()),
-        ])
+        Json::obj([("header", self.header_json()), ("body", self.body_json())])
     }
 
     /// Serializes the full document (compact, one line).
@@ -397,7 +387,7 @@ mod tests {
                     exemplar: None,
                 },
             ],
-            diagnostics: Some(Json::Obj(vec![("mean_pct".to_string(), Json::Float(2.1))])),
+            diagnostics: Some(Json::obj([("mean_pct", Json::Float(2.1))])),
             stages: vec![StageTiming {
                 name: "stage.rbf_train".to_string(),
                 wall_us: 139_000,

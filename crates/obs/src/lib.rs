@@ -17,29 +17,26 @@
 //! * [`report`] — the regression sentry: diff two ledgers' stage
 //!   times, error statistics, and counters against thresholds, for
 //!   `ppm report` and the CI gate in `scripts/verify.sh`.
-//! * [`bench`] — `ppm-bench v1` perf-history files: one wall-time
-//!   measurement each, with the comparable identity (`body`) split
-//!   from the wall-clock sidecar (`timing`), for `ppm bench-export`
-//!   and the `results/BENCH_*.json` trajectory.
 //!
-//! Like the rest of the workspace, this crate has no external
-//! dependencies; [`json`] is a small self-contained JSON value type
-//! with a parser and serializer.
+//! Every document here is parsed and written by `ppm-telemetry`'s
+//! [`Json`] codec, the workspace's only one. Like the rest of the
+//! workspace, this crate has no external dependencies.
 
-pub mod bench;
-pub mod json;
 pub mod ledger;
 pub mod report;
 pub mod trace;
 
-pub use bench::{load_bench, write_bench, BenchError, BenchRecord, BENCH_SCHEMA};
-pub use json::{Json, JsonError};
 pub use ledger::{
     deterministic_metrics, fnv1a64_hex, load_ledger, verify_content_hash, Ledger, LedgerError,
     LEDGER_SCHEMA,
 };
 pub use report::{compare, Finding, FindingCategory, Report, ReportError, Thresholds};
 pub use trace::{validate_chrome_trace, FlightRecorder, StageTiming, TraceError, TraceSummary};
+
+// Re-exported for the benchmark harness, which imports `ppm_obs::Json`
+// and builds against this crate unchanged; workspace code imports
+// `ppm_telemetry::Json`.
+pub use ppm_telemetry::{Json, JsonError};
 
 use std::io::Write;
 use std::path::Path;

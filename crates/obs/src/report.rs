@@ -10,7 +10,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::Json;
+use ppm_telemetry::Json;
 
 /// Regression thresholds; [`Thresholds::default`] gives the values
 /// used by `scripts/verify.sh`.
@@ -153,23 +153,23 @@ impl Report {
             .findings
             .iter()
             .map(|f| {
-                Json::Obj(vec![
-                    ("category".to_string(), Json::from(f.category.label())),
-                    ("name".to_string(), Json::from(f.name.as_str())),
-                    ("baseline".to_string(), Json::Float(f.baseline)),
-                    ("candidate".to_string(), Json::Float(f.candidate)),
-                    ("ratio".to_string(), Json::Float(f.ratio)),
-                    ("limit".to_string(), Json::Float(f.limit)),
-                    ("regressed".to_string(), Json::Bool(f.regressed)),
+                Json::obj([
+                    ("category", Json::from(f.category.label())),
+                    ("name", Json::from(f.name.as_str())),
+                    ("baseline", Json::Float(f.baseline)),
+                    ("candidate", Json::Float(f.candidate)),
+                    ("ratio", Json::Float(f.ratio)),
+                    ("limit", Json::Float(f.limit)),
+                    ("regressed", Json::Bool(f.regressed)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from("ppm-report v1")),
-            ("regressed".to_string(), Json::Bool(self.regressed())),
-            ("findings".to_string(), Json::Arr(findings)),
+        Json::obj([
+            ("schema", Json::from("ppm-report v1")),
+            ("regressed", Json::Bool(self.regressed())),
+            ("findings", Json::Arr(findings)),
             (
-                "unmatched".to_string(),
+                "unmatched",
                 Json::Arr(
                     self.unmatched
                         .iter()

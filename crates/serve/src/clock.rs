@@ -40,9 +40,8 @@ impl Deadline {
     }
 }
 
-/// Unix wall-clock milliseconds — the provenance stamp a `ppm-bench v1`
-/// timing sidecar carries. Zero if the system clock is before the
-/// epoch.
+/// Unix wall-clock milliseconds — the completion stamp on a trace
+/// record. Zero if the system clock is before the epoch.
 pub fn unix_now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

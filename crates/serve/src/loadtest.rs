@@ -13,10 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use ppm_live::{http_get, http_request_full};
-use ppm_obs::{BenchRecord, Json};
-use ppm_telemetry::Registry;
+use ppm_telemetry::{Json, Registry};
 
-use crate::clock::{unix_now_ms, Stopwatch};
+use crate::clock::Stopwatch;
 use crate::ServeError;
 
 /// ROB sizes cycled across requests so the service sees varied (but
@@ -148,15 +147,12 @@ impl TraceCheckReport {
 
     /// The check as a JSON object.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("prefix".to_string(), Json::Str(self.prefix.clone())),
-            ("checked".to_string(), Json::Bool(self.checked)),
+        Json::obj([
+            ("prefix", Json::Str(self.prefix.clone())),
+            ("checked", Json::Bool(self.checked)),
+            ("matched_traces", Json::from(self.matched_traces)),
             (
-                "matched_traces".to_string(),
-                Json::from(self.matched_traces),
-            ),
-            (
-                "mismatches".to_string(),
+                "mismatches",
                 Json::Arr(
                     self.mismatches
                         .iter()
@@ -171,58 +167,31 @@ impl TraceCheckReport {
 impl LoadtestReport {
     /// The report as a JSON document (`ppm-loadtest v1`).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        Json::obj([
+            ("schema", Json::Str("ppm-loadtest v1".to_string())),
+            ("sent", Json::from(self.sent)),
+            ("ok", Json::from(self.ok)),
+            ("degraded", Json::from(self.degraded)),
+            ("shed", Json::from(self.shed)),
+            ("deadline_exceeded", Json::from(self.deadline_exceeded)),
+            ("errors", Json::from(self.errors)),
+            ("p50_ms", Json::Float(self.p50_ms)),
+            ("p95_ms", Json::Float(self.p95_ms)),
+            ("p99_ms", Json::Float(self.p99_ms)),
+            ("mean_ms", Json::Float(self.mean_ms)),
+            ("refusal_p50_ms", Json::Float(self.refusal_p50_ms)),
+            ("refusal_p99_ms", Json::Float(self.refusal_p99_ms)),
+            ("refusal_mean_ms", Json::Float(self.refusal_mean_ms)),
+            ("wall_ms", Json::Float(self.wall_ms)),
+            ("rps", Json::Float(self.rps)),
             (
-                "schema".to_string(),
-                Json::Str("ppm-loadtest v1".to_string()),
-            ),
-            ("sent".to_string(), Json::from(self.sent)),
-            ("ok".to_string(), Json::from(self.ok)),
-            ("degraded".to_string(), Json::from(self.degraded)),
-            ("shed".to_string(), Json::from(self.shed)),
-            (
-                "deadline_exceeded".to_string(),
-                Json::from(self.deadline_exceeded),
-            ),
-            ("errors".to_string(), Json::from(self.errors)),
-            ("p50_ms".to_string(), Json::Float(self.p50_ms)),
-            ("p95_ms".to_string(), Json::Float(self.p95_ms)),
-            ("p99_ms".to_string(), Json::Float(self.p99_ms)),
-            ("mean_ms".to_string(), Json::Float(self.mean_ms)),
-            (
-                "refusal_p50_ms".to_string(),
-                Json::Float(self.refusal_p50_ms),
-            ),
-            (
-                "refusal_p99_ms".to_string(),
-                Json::Float(self.refusal_p99_ms),
-            ),
-            (
-                "refusal_mean_ms".to_string(),
-                Json::Float(self.refusal_mean_ms),
-            ),
-            ("wall_ms".to_string(), Json::Float(self.wall_ms)),
-            ("rps".to_string(), Json::Float(self.rps)),
-            (
-                "trace_check".to_string(),
+                "trace_check",
                 match &self.trace_check {
                     Some(check) => check.to_json(),
                     None => Json::Null,
                 },
             ),
         ])
-    }
-
-    /// A `ppm-bench v1` record carrying the p99 latency of successful
-    /// answers — the SLO number the regression sentry gates on.
-    pub fn bench_record(&self) -> BenchRecord {
-        BenchRecord {
-            bench: "serve_latency_p99".to_string(),
-            unit: "ms".to_string(),
-            wall_ms: self.p99_ms,
-            source_run: "loadtest".to_string(),
-            created_unix_ms: unix_now_ms(),
-        }
     }
 }
 
@@ -524,32 +493,15 @@ pub struct AbReport {
 }
 
 impl AbReport {
-    /// A `ppm-bench v1` record carrying the measured p99 overhead.
-    pub fn bench_record(&self) -> BenchRecord {
-        BenchRecord {
-            bench: "serve_trace_overhead_p99".to_string(),
-            unit: "pct".to_string(),
-            wall_ms: self.overhead_pct,
-            source_run: "loadtest-ab".to_string(),
-            created_unix_ms: unix_now_ms(),
-        }
-    }
-
     /// The A/B comparison as a JSON document (`ppm-loadtest-ab v1`).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str("ppm-loadtest-ab v1".to_string()),
-            ),
-            ("traced_p99_ms".to_string(), Json::Float(self.traced.p99_ms)),
-            (
-                "baseline_p99_ms".to_string(),
-                Json::Float(self.baseline.p99_ms),
-            ),
-            ("overhead_pct".to_string(), Json::Float(self.overhead_pct)),
-            ("traced".to_string(), self.traced.to_json()),
-            ("baseline".to_string(), self.baseline.to_json()),
+        Json::obj([
+            ("schema", Json::Str("ppm-loadtest-ab v1".to_string())),
+            ("traced_p99_ms", Json::Float(self.traced.p99_ms)),
+            ("baseline_p99_ms", Json::Float(self.baseline.p99_ms)),
+            ("overhead_pct", Json::Float(self.overhead_pct)),
+            ("traced", self.traced.to_json()),
+            ("baseline", self.baseline.to_json()),
         ])
     }
 }
@@ -664,9 +616,6 @@ mod tests {
         assert_eq!(report.degraded, report.ok);
         assert!(report.p99_ms >= report.p50_ms);
         assert!(report.rps > 0.0);
-        let bench = report.bench_record();
-        assert_eq!(bench.bench, "serve_latency_p99");
-        assert_eq!(bench.wall_ms, report.p99_ms);
         // The accounting cross-check ran against the (traced) server
         // and the books balanced.
         let check = report.trace_check.as_ref().expect("check ran");

@@ -48,7 +48,7 @@ use ppm_live::http::{
     Server, StopHandle, JSON, PROMETHEUS, TEXT,
 };
 use ppm_sim::SimConfig;
-use ppm_telemetry::{json_string, Counter, Histogram, Level, Record};
+use ppm_telemetry::{Counter, Histogram, Json, Level, Record};
 use ppm_workload::Benchmark;
 
 use crate::chaos::ChaosClients;
@@ -454,11 +454,11 @@ fn shed(state: &ServeState, mut conn: Conn) {
     state.counters.shed.inc();
     state.counters.shed_queue_full.inc();
     let ctx = TraceContext::new(conn.seq, None);
-    let body = format!(
-        "{{\"error\":\"shed: request queue full\",\"queued\":{},\"trace_id\":{}}}\n",
-        state.queued.load(Ordering::SeqCst),
-        json_string(&ctx.id)
-    );
+    let body = json_body(&Json::obj([
+        ("error", Json::from("shed: request queue full")),
+        ("queued", Json::from(state.queued.load(Ordering::SeqCst))),
+        ("trace_id", Json::from(ctx.id.as_str())),
+    ]));
     let write_start = conn.accepted.elapsed_us();
     let write_ok = write_response_with_headers(
         &mut conn.stream,
@@ -821,9 +821,16 @@ fn config_from_pairs(pairs: &[(&str, &str)]) -> Result<SimConfig, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
+/// A JSON body: the compact document and a trailing newline.
+fn json_body(doc: &Json) -> String {
+    let mut body = doc.dump();
+    body.push('\n');
+    body
+}
+
 /// A JSON `{"error": ...}` reply whose trace record keeps the detail.
 fn error_reply(status: u16, detail: String) -> Reply {
-    let body = format!("{{\"error\":{}}}\n", json_string(&detail));
+    let body = json_body(&Json::obj([("error", Json::from(detail.as_str()))]));
     (status, JSON, body, TraceOutcome::Ok, detail)
 }
 
@@ -881,24 +888,19 @@ fn deadline_exceeded(
     state: &ServeState,
     accepted: &Stopwatch,
     phase: &str,
-    budget_ms: u128,
+    budget_ms: u64,
     trace_id: &str,
 ) -> Reply {
     state.counters.deadline_exceeded.inc();
     state.counters.shed_deadline.inc();
     let detail = format!("deadline exceeded {phase}");
-    (
-        503,
-        JSON,
-        format!(
-            "{{\"error\":{},\"deadline_ms\":{budget_ms},\"elapsed_ms\":{},\"trace_id\":{}}}\n",
-            json_string(&detail),
-            accepted.elapsed_ms(),
-            json_string(trace_id)
-        ),
-        TraceOutcome::DeadlineExpired,
-        detail,
-    )
+    let body = json_body(&Json::obj([
+        ("error", Json::from(detail.as_str())),
+        ("deadline_ms", Json::from(budget_ms)),
+        ("elapsed_ms", Json::from(accepted.elapsed_ms())),
+        ("trace_id", Json::from(trace_id)),
+    ]));
+    (503, JSON, body, TraceOutcome::DeadlineExpired, detail)
 }
 
 fn predict(
@@ -924,7 +926,7 @@ fn predict(
         }
     }
     let deadline = accepted.deadline_after(budget);
-    let budget_ms = budget.as_millis();
+    let budget_ms = u64::try_from(budget.as_millis()).unwrap_or(u64::MAX);
     if deadline.expired() {
         return deadline_exceeded(state, accepted, "while queued", budget_ms, trace_id);
     }
@@ -999,23 +1001,25 @@ fn predict(
         None => (TraceOutcome::Ok, None),
     };
     state.counters.ok.inc();
-    let reason_json = match &degraded_reason {
-        Some(reason) => json_string(reason),
-        None => "null".to_string(),
-    };
+    let body = json_body(&Json::obj([
+        ("schema", Json::from("ppm-serve v1")),
+        ("benchmark", Json::from(model.benchmark.to_string())),
+        ("metric", Json::from(model.metric.as_str())),
+        ("prediction", Json::Float(prediction)),
+        ("degraded", Json::from(degraded)),
+        (
+            "degraded_reason",
+            degraded_reason.as_deref().map_or(Json::Null, Json::from),
+        ),
+        ("model_version", Json::from(model.version.as_str())),
+        ("deadline_ms", Json::from(budget_ms)),
+        ("elapsed_ms", Json::from(accepted.elapsed_ms())),
+        ("trace_id", Json::from(trace_id)),
+    ]));
     (
         200,
         JSON,
-        format!(
-            "{{\"schema\":\"ppm-serve v1\",\"benchmark\":{},\"metric\":{},\"prediction\":{prediction},\
-             \"degraded\":{degraded},\"degraded_reason\":{reason_json},\"model_version\":{},\
-             \"deadline_ms\":{budget_ms},\"elapsed_ms\":{},\"trace_id\":{}}}\n",
-            json_string(&model.benchmark.to_string()),
-            json_string(&model.metric),
-            json_string(&model.version),
-            accepted.elapsed_ms(),
-            json_string(trace_id)
-        ),
+        body,
         outcome,
         degraded_reason.unwrap_or_default(),
     )
@@ -1028,60 +1032,75 @@ fn readyz(state: &ServeState) -> Reply {
     let queued = state.queued.load(Ordering::SeqCst);
     let sticky = state.sticky.load(Ordering::Acquire);
     let ready = model.network.is_some() && !sticky && queued < state.degrade_depth;
-    let body = format!(
-        "{{\"ready\":{ready},\"model_version\":{},\"sticky_degraded\":{sticky},\"queued\":{queued},\"degrade_depth\":{}}}\n",
-        json_string(&model.version),
-        state.degrade_depth
-    );
+    let body = json_body(&Json::obj([
+        ("ready", Json::from(ready)),
+        ("model_version", Json::from(model.version.as_str())),
+        ("sticky_degraded", Json::from(sticky)),
+        ("queued", Json::from(queued)),
+        ("degrade_depth", Json::from(state.degrade_depth)),
+    ]));
     plain(if ready { 200 } else { 503 }, JSON, body)
 }
 
 fn statusz(state: &ServeState) -> String {
     let model = state.store.active();
-    let trace_json = match &state.trace {
-        Some(ring) => format!(
-            "{{\"enabled\":true,\"retained\":{},\"capacity\":{}}}",
-            ring.retained_len(),
-            ring.capacity()
-        ),
-        None => "{\"enabled\":false,\"retained\":0,\"capacity\":0}".to_string(),
+    let c = &state.counters;
+    let (tracing, retained, capacity) = match &state.trace {
+        Some(ring) => (true, ring.retained_len(), ring.capacity()),
+        None => (false, 0, 0),
     };
-    format!(
-        "{{\"schema\":\"ppm-statusz v1\",\"model_version\":{},\"benchmark\":{},\"metric\":{},\
-         \"workers\":{},\"queue_capacity\":{},\"queued\":{},\"degrade_depth\":{},\
-         \"sticky_degraded\":{},\"fail_streak\":{},\"chaos\":{},\
-         \"requests\":{},\"ok\":{},\"shed\":{},\"degraded\":{},\"deadline_exceeded\":{},\
-         \"model_failures\":{},\"reloads\":{},\"reload_failures\":{},\
-         \"shed_by_reason\":{{\"queue_full\":{},\"deadline\":{}}},\
-         \"degraded_by_reason\":{{\"no_model\":{},\"degrade_depth\":{},\"fail_streak\":{},\"eval_failure\":{}}},\
-         \"trace\":{},\"slo\":{}}}\n",
-        json_string(&model.version),
-        json_string(&model.benchmark.to_string()),
-        json_string(&model.metric),
-        state.workers,
-        state.queue_capacity,
-        state.queued.load(Ordering::SeqCst),
-        state.degrade_depth,
-        state.sticky.load(Ordering::Acquire),
-        state.streak.load(Ordering::Relaxed),
-        state.fault.is_some(),
-        state.counters.requests.get(),
-        state.counters.ok.get(),
-        state.counters.shed.get(),
-        state.counters.degraded.get(),
-        state.counters.deadline_exceeded.get(),
-        state.counters.model_failures.get(),
-        state.counters.reloads.get(),
-        state.counters.reload_failures.get(),
-        state.counters.shed_queue_full.get(),
-        state.counters.shed_deadline.get(),
-        state.counters.degraded_no_model.get(),
-        state.counters.degraded_depth.get(),
-        state.counters.degraded_fail_streak.get(),
-        state.counters.degraded_eval_failure.get(),
-        trace_json,
-        state.slo.to_json(unix_now_sec()),
-    )
+    json_body(&Json::obj([
+        ("schema", Json::from("ppm-statusz v1")),
+        ("model_version", Json::from(model.version.as_str())),
+        ("benchmark", Json::from(model.benchmark.to_string())),
+        ("metric", Json::from(model.metric.as_str())),
+        ("workers", Json::from(state.workers)),
+        ("queue_capacity", Json::from(state.queue_capacity)),
+        ("queued", Json::from(state.queued.load(Ordering::SeqCst))),
+        ("degrade_depth", Json::from(state.degrade_depth)),
+        (
+            "sticky_degraded",
+            Json::from(state.sticky.load(Ordering::Acquire)),
+        ),
+        (
+            "fail_streak",
+            Json::from(u64::from(state.streak.load(Ordering::Relaxed))),
+        ),
+        ("chaos", Json::from(state.fault.is_some())),
+        ("requests", Json::from(c.requests.get())),
+        ("ok", Json::from(c.ok.get())),
+        ("shed", Json::from(c.shed.get())),
+        ("degraded", Json::from(c.degraded.get())),
+        ("deadline_exceeded", Json::from(c.deadline_exceeded.get())),
+        ("model_failures", Json::from(c.model_failures.get())),
+        ("reloads", Json::from(c.reloads.get())),
+        ("reload_failures", Json::from(c.reload_failures.get())),
+        (
+            "shed_by_reason",
+            Json::obj([
+                ("queue_full", Json::from(c.shed_queue_full.get())),
+                ("deadline", Json::from(c.shed_deadline.get())),
+            ]),
+        ),
+        (
+            "degraded_by_reason",
+            Json::obj([
+                ("no_model", Json::from(c.degraded_no_model.get())),
+                ("degrade_depth", Json::from(c.degraded_depth.get())),
+                ("fail_streak", Json::from(c.degraded_fail_streak.get())),
+                ("eval_failure", Json::from(c.degraded_eval_failure.get())),
+            ]),
+        ),
+        (
+            "trace",
+            Json::obj([
+                ("enabled", Json::from(tracing)),
+                ("retained", Json::from(retained)),
+                ("capacity", Json::from(capacity)),
+            ]),
+        ),
+        ("slo", state.slo.to_json(unix_now_sec())),
+    ]))
 }
 
 fn reloadz(state: &ServeState) -> Reply {
@@ -1093,11 +1112,10 @@ fn reloadz(state: &ServeState) -> Reply {
                 state.streak.store(0, Ordering::Relaxed);
                 state.sticky.store(false, Ordering::Release);
             }
-            let body = format!(
-                "{{\"version\":{},\"changed\":{}}}\n",
-                json_string(&outcome.version),
-                outcome.changed
-            );
+            let body = json_body(&Json::obj([
+                ("version", Json::from(outcome.version.as_str())),
+                ("changed", Json::from(outcome.changed)),
+            ]));
             plain(200, JSON, body)
         }
         Err(e) => {
@@ -1109,11 +1127,10 @@ fn reloadz(state: &ServeState) -> Reply {
             );
             // 409: the request conflicted with the validation gate; the
             // previous model keeps serving (rollback by not swapping).
-            let body = format!(
-                "{{\"error\":{},\"version\":{}}}\n",
-                json_string(&e.to_string()),
-                json_string(&state.store.active().version)
-            );
+            let body = json_body(&Json::obj([
+                ("error", Json::from(e.to_string())),
+                ("version", Json::from(state.store.active().version.as_str())),
+            ]));
             plain(409, JSON, body)
         }
     }
@@ -1124,7 +1141,6 @@ mod tests {
     use super::*;
     use ppm_live::http::IO_TIMEOUT;
     use ppm_live::{http_get, http_post};
-    use ppm_obs::Json;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ppm-serve-{tag}-{}", std::process::id()));

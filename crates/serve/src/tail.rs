@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use ppm_live::http_get;
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 use crate::ServeError;
 

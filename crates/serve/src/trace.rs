@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ppm_telemetry::json_string;
+use ppm_telemetry::Json;
 
 /// Number of independently locked shards in the ring. Power of two so
 /// `seq & (SHARDS-1)` distributes round-robin-accepted requests evenly.
@@ -150,37 +150,27 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Renders the record as one `ppm-tracez v1` JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"id\":");
-        s.push_str(&json_string(&self.id));
-        s.push_str(&format!(",\"seq\":{}", self.seq));
-        s.push_str(",\"route\":");
-        s.push_str(&json_string(&self.route));
-        s.push_str(&format!(",\"outcome\":\"{}\"", self.outcome.as_str()));
-        s.push_str(&format!(",\"status\":{}", self.status));
-        s.push_str(",\"detail\":");
-        s.push_str(&json_string(&self.detail));
-        match self.worker {
-            Some(w) => s.push_str(&format!(",\"worker\":{w}")),
-            None => s.push_str(",\"worker\":null"),
-        }
-        s.push_str(&format!(
-            ",\"total_us\":{},\"unix_ms\":{},\"spans\":[",
-            self.total_us, self.unix_ms
-        ));
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-                span.name, span.start_us, span.dur_us
-            ));
-        }
-        s.push_str("]}");
-        s
+    /// The record as one `ppm-tracez v1` JSON object.
+    pub fn to_json(&self) -> Json {
+        let spans = self.spans.iter().map(|span| {
+            Json::obj([
+                ("name", Json::from(span.name)),
+                ("start_us", Json::from(span.start_us)),
+                ("dur_us", Json::from(span.dur_us)),
+            ])
+        });
+        Json::obj([
+            ("id", Json::from(self.id.as_str())),
+            ("seq", Json::from(self.seq)),
+            ("route", Json::from(self.route.as_str())),
+            ("outcome", Json::from(self.outcome.as_str())),
+            ("status", Json::from(u64::from(self.status))),
+            ("detail", Json::from(self.detail.as_str())),
+            ("worker", self.worker.map_or(Json::Null, Json::from)),
+            ("total_us", Json::from(self.total_us)),
+            ("unix_ms", Json::from(self.unix_ms)),
+            ("spans", Json::Arr(spans.collect())),
+        ])
     }
 }
 
@@ -398,21 +388,20 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// Renders a full `ppm-tracez v1` document for `filter`.
+    /// Renders a full `ppm-tracez v1` document for `filter`. Records
+    /// are written one at a time into the output buffer, so a full
+    /// ring never becomes a single document tree.
     pub fn render_tracez(&self, filter: &TraceFilter) -> String {
         let records = self.snapshot(filter);
-        let mut s = String::with_capacity(64 + records.len() * 256);
-        s.push_str(&format!(
-            "{{\"schema\":\"{TRACEZ_SCHEMA}\",\"enabled\":true,\
-             \"capacity\":{},\"retained\":{},\"records\":[",
-            self.capacity(),
-            self.len()
-        ));
+        let mut s = tracez_head(true, self.capacity(), self.len());
+        s.reserve(records.len() * 256);
+        // Reopen the empty `records` array the head ends with.
+        s.truncate(s.len() - "]}".len());
         for (i, rec) in records.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&rec.to_json());
+            rec.to_json().write(&mut s);
         }
         s.push_str("]}");
         s
@@ -423,10 +412,19 @@ impl TraceRing {
 /// (`--no-trace`): consumers can distinguish "nothing retained" from
 /// "not recording".
 pub fn render_tracez_disabled() -> String {
-    format!(
-        "{{\"schema\":\"{TRACEZ_SCHEMA}\",\"enabled\":false,\
-         \"capacity\":0,\"retained\":0,\"records\":[]}}"
-    )
+    tracez_head(false, 0, 0)
+}
+
+/// A `ppm-tracez v1` document with an empty `records` array.
+fn tracez_head(enabled: bool, capacity: usize, retained: usize) -> String {
+    Json::obj([
+        ("schema", Json::from(TRACEZ_SCHEMA)),
+        ("enabled", Json::from(enabled)),
+        ("capacity", Json::from(capacity)),
+        ("retained", Json::from(retained)),
+        ("records", Json::Arr(Vec::new())),
+    ])
+    .dump()
 }
 
 struct SloSlot {
@@ -569,30 +567,32 @@ impl SloTracker {
         (avail, lat)
     }
 
-    /// Renders the `"slo"` object embedded in `ppm-statusz v1`.
-    pub fn to_json(&self, now_sec: u64) -> String {
+    /// The `"slo"` object embedded in `ppm-statusz v1`.
+    pub fn to_json(&self, now_sec: u64) -> Json {
         let (avail_budget, lat_budget) = self.budget_remaining(now_sec);
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"availability_objective\":{},\"latency_objective_ms\":{},\"windows\":[",
-            self.availability_objective,
-            self.latency_objective_us / 1000
-        ));
-        for (i, w) in self.windows(now_sec).iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"window_s\":{},\"total\":{},\"unavailable\":{},\"slow\":{},\
-                 \"availability_burn\":{:.4},\"latency_burn\":{:.4}}}",
-                w.window_s, w.total, w.unavailable, w.slow, w.availability_burn, w.latency_burn
-            ));
-        }
-        s.push_str(&format!(
-            "],\"availability_budget_remaining\":{avail_budget:.4},\
-             \"latency_budget_remaining\":{lat_budget:.4}}}"
-        ));
-        s
+        let windows = self.windows(now_sec).map(|w| {
+            Json::obj([
+                ("window_s", Json::from(w.window_s)),
+                ("total", Json::from(w.total)),
+                ("unavailable", Json::from(w.unavailable)),
+                ("slow", Json::from(w.slow)),
+                ("availability_burn", Json::Float(w.availability_burn)),
+                ("latency_burn", Json::Float(w.latency_burn)),
+            ])
+        });
+        Json::obj([
+            (
+                "availability_objective",
+                Json::Float(self.availability_objective),
+            ),
+            (
+                "latency_objective_ms",
+                Json::from(self.latency_objective_us / 1000),
+            ),
+            ("windows", Json::Arr(windows.to_vec())),
+            ("availability_budget_remaining", Json::Float(avail_budget)),
+            ("latency_budget_remaining", Json::Float(lat_budget)),
+        ])
     }
 
     /// Publishes the burn rates and budget gauges into the global
@@ -796,7 +796,7 @@ mod tests {
     fn record_json_escapes_details() {
         let mut r = rec(1, TraceOutcome::PanicContained, 10);
         r.detail = "panic: \"quoted\"\nline".to_string();
-        let json = r.to_json();
+        let json = r.to_json().dump();
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\\n"));
     }
@@ -859,7 +859,7 @@ mod tests {
             .iter()
             .all(|w| w.total == 0 && w.availability_burn == 0.0 && w.latency_burn == 0.0));
         assert_eq!(slo.budget_remaining(123), (1.0, 1.0));
-        let json = slo.to_json(123);
+        let json = slo.to_json(123).dump();
         assert!(json.contains("\"availability_objective\":0.999"));
         assert!(json.contains("\"window_s\":300"));
     }

@@ -10,6 +10,10 @@
 //! Output goes through pluggable [`Sink`]s: a human-readable stderr
 //! progress reporter and a JSON-lines exporter ship in-crate.
 //!
+//! This lowest layer also owns the workspace's one JSON codec, [`Json`]:
+//! event fields are `Json` values, and every crate above parses and
+//! writes its documents through it.
+//!
 //! Everything is hand-rolled on `std`; there are no dependencies.
 //!
 //! ## Usage
@@ -39,7 +43,7 @@ mod sink;
 mod span;
 
 pub use cputime::process_cpu_us;
-pub use json::{json_string, write_json_string, Value};
+pub use json::{Json, JsonError};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, MetricRecord, Registry};
 pub use ring::{EventRing, RingEvent};
 pub use sink::{BufferSink, JsonlSink, Level, Record, Sink, StderrSink, Verbosity};
@@ -265,14 +269,14 @@ pub(crate) fn dispatch(rec: &Record) {
 
 /// Emits a discrete [`Level::Info`] event with the given fields at the
 /// current span depth. No-op when telemetry is disabled.
-pub fn event(name: &str, fields: &[(&str, Value)]) {
+pub fn event(name: &str, fields: &[(&str, Json)]) {
     event_at(Level::Info, name, fields);
 }
 
 /// Emits a discrete event at an explicit severity. `Warn` and `Error`
 /// events stay visible to `Progress` sinks even when nested; prefer the
 /// [`event!`] macro at call sites for the key/value sugar.
-pub fn event_at(level: Level, name: &str, fields: &[(&str, Value)]) {
+pub fn event_at(level: Level, name: &str, fields: &[(&str, Json)]) {
     if !enabled() || SINK_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
@@ -294,12 +298,12 @@ pub fn event_at(level: Level, name: &str, fields: &[(&str, Value)]) {
 /// ppm_telemetry::event!(Level::Warn, "live.client_error", "cause" => "reset", "port" => 8080u64);
 /// ```
 ///
-/// Values go through [`Value::from`], so integers, floats, booleans,
+/// Values go through [`Json::from`], so integers, floats, booleans,
 /// `&str`, and `String` all work directly.
 #[macro_export]
 macro_rules! event {
     ($level:expr, $target:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        $crate::event_at($level, $target, &[$(($k, $crate::Value::from($v))),*])
+        $crate::event_at($level, $target, &[$(($k, $crate::Json::from($v))),*])
     };
 }
 
@@ -393,8 +397,8 @@ mod tests {
             .expect("event captured");
         assert_eq!(evt.1, 1);
         assert_eq!(evt.0[0].0, "n");
-        assert_eq!(evt.0[0].1, Value::U64(3));
-        assert_eq!(evt.0[1].1, Value::Str("a\"b".to_string()));
+        assert_eq!(evt.0[0].1, Json::Int(3));
+        assert_eq!(evt.0[1].1, Json::Str("a\"b".to_string()));
     }
 
     #[test]

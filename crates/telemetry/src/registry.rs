@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::write_json_string;
+use crate::json::Json;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -322,38 +322,38 @@ impl MetricRecord {
     /// Serializes the record as one JSONL `metric` line (no trailing
     /// newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":\"metric\",\"kind\":");
+        let kind = match self.kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        };
+        let mut entries = vec![
+            ("t", Json::from("metric")),
+            ("kind", Json::from(kind)),
+            ("name", Json::from(self.name.as_str())),
+        ];
         match self.kind {
-            MetricKind::Counter => s.push_str("\"counter\""),
-            MetricKind::Gauge => s.push_str("\"gauge\""),
-            MetricKind::Histogram => s.push_str("\"histogram\""),
-        }
-        s.push_str(",\"name\":");
-        write_json_string(&mut s, &self.name);
-        match self.kind {
-            MetricKind::Counter => {
-                s.push_str(&format!(",\"value\":{}", self.value.unwrap_or(0)));
-            }
-            MetricKind::Gauge => {
-                let v = self.gauge.unwrap_or(0.0);
-                if v.is_finite() {
-                    s.push_str(&format!(",\"value\":{v}"));
-                } else {
-                    s.push_str(",\"value\":null");
-                }
-            }
+            MetricKind::Counter => entries.push(("value", Json::from(self.value.unwrap_or(0)))),
+            MetricKind::Gauge => entries.push(("value", Json::Float(self.gauge.unwrap_or(0.0)))),
             MetricKind::Histogram => {
                 let (count, sum, min, max, p50, p95, p99) =
                     self.hist.unwrap_or((0, 0, 0, 0, 0, 0, 0));
-                s.push_str(&format!(
-                    ",\"count\":{count},\"sum\":{sum},\"min\":{min},\"max\":{max},\
-                     \"p50\":{p50},\"p95\":{p95},\"p99\":{p99}"
-                ));
+                entries.extend(
+                    [
+                        ("count", count),
+                        ("sum", sum),
+                        ("min", min),
+                        ("max", max),
+                        ("p50", p50),
+                        ("p95", p95),
+                        ("p99", p99),
+                    ]
+                    .map(|(k, v)| (k, Json::from(v))),
+                );
             }
         }
-        s.push('}');
-        s
+        let entries = entries.into_iter().map(|(k, v)| (k.to_string(), v));
+        Json::Obj(entries.collect()).dump()
     }
 }
 

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{write_json_string, Value};
+use crate::json::Json;
 use crate::sink::{Level, Record, Sink, Verbosity};
 use crate::span::monotonic_us;
 
@@ -27,29 +27,19 @@ pub struct RingEvent {
     /// Event name (dotted).
     pub name: String,
     /// Ordered field list.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl RingEvent {
-    /// Serializes the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!(
-            "{{\"seq\":{},\"at_us\":{},\"level\":\"{}\",\"name\":",
-            self.seq, self.at_us, self.level
-        ));
-        write_json_string(&mut s, &self.name);
-        s.push_str(",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write_json_string(&mut s, k);
-            s.push(':');
-            v.write_json(&mut s);
-        }
-        s.push_str("}}");
-        s
+    /// The event as one JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("seq", Json::from(self.seq)),
+            ("at_us", Json::from(self.at_us)),
+            ("level", Json::from(self.level.as_str())),
+            ("name", Json::from(self.name.as_str())),
+            ("fields", Json::Obj(self.fields.clone())),
+        ])
     }
 }
 
@@ -105,19 +95,16 @@ impl EventRing {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":{},\"dropped\":{},\"events\":[",
-            self.capacity, state.dropped
-        ));
-        for (i, e) in state.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&e.to_json());
-        }
-        s.push_str("]}");
-        s
+        Json::obj([
+            ("schema", Json::from("ppm-eventz v1")),
+            ("capacity", Json::from(self.capacity)),
+            ("dropped", Json::from(state.dropped)),
+            (
+                "events",
+                Json::Arr(state.events.iter().map(RingEvent::to_json).collect()),
+            ),
+        ])
+        .dump()
     }
 }
 
@@ -164,7 +151,7 @@ mod tests {
         Record::Event {
             name: name.to_string(),
             level,
-            fields: vec![("k".to_string(), Value::from(1u64))],
+            fields: vec![("k".to_string(), Json::from(1u64))],
             depth: 0,
         }
     }

@@ -10,7 +10,7 @@
 use std::io::Write as IoWrite;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{write_json_string, Value};
+use crate::json::Json;
 use crate::registry::MetricRecord;
 
 /// How much a sink should say.
@@ -67,7 +67,7 @@ pub enum Record {
         /// nesting depth.
         level: Level,
         /// Ordered field list.
-        fields: Vec<(String, Value)>,
+        fields: Vec<(String, Json)>,
         /// Nesting depth of the span stack at emission time.
         depth: usize,
     },
@@ -103,23 +103,14 @@ impl Record {
                 level,
                 fields,
                 depth,
-            } => {
-                let mut s = String::with_capacity(64);
-                s.push_str("{\"t\":\"event\",\"name\":");
-                write_json_string(&mut s, name);
-                s.push_str(&format!(",\"level\":\"{level}\",\"depth\":{depth}"));
-                s.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    write_json_string(&mut s, k);
-                    s.push(':');
-                    v.write_json(&mut s);
-                }
-                s.push_str("}}");
-                s
-            }
+            } => Json::obj([
+                ("t", Json::from("event")),
+                ("name", Json::from(name.as_str())),
+                ("level", Json::from(level.as_str())),
+                ("depth", Json::from(*depth)),
+                ("fields", Json::Obj(fields.clone())),
+            ])
+            .dump(),
             Record::Span {
                 name,
                 us,
@@ -128,25 +119,17 @@ impl Record {
                 cpu_us,
                 depth,
                 parent,
-            } => {
-                let mut s = String::with_capacity(96);
-                s.push_str("{\"t\":\"span\",\"name\":");
-                write_json_string(&mut s, name);
-                s.push_str(&format!(
-                    ",\"us\":{us},\"start_us\":{start_us},\"tid\":{tid}"
-                ));
-                match cpu_us {
-                    Some(c) => s.push_str(&format!(",\"cpu_us\":{c}")),
-                    None => s.push_str(",\"cpu_us\":null"),
-                }
-                s.push_str(&format!(",\"depth\":{depth},\"parent\":"));
-                match parent {
-                    Some(p) => write_json_string(&mut s, p),
-                    None => s.push_str("null"),
-                }
-                s.push('}');
-                s
-            }
+            } => Json::obj([
+                ("t", Json::from("span")),
+                ("name", Json::from(name.as_str())),
+                ("us", Json::from(*us)),
+                ("start_us", Json::from(*start_us)),
+                ("tid", Json::from(*tid)),
+                ("cpu_us", cpu_us.map_or(Json::Null, Json::from)),
+                ("depth", Json::from(*depth)),
+                ("parent", parent.as_deref().map_or(Json::Null, Json::from)),
+            ])
+            .dump(),
             Record::Metric(m) => m.to_json_line(),
         }
     }
@@ -167,9 +150,7 @@ impl Record {
                 };
                 let mut s = format!("{:indent$}{tag}{name}", "", indent = depth * 2);
                 for (k, v) in fields {
-                    let mut vs = String::new();
-                    v.write_json(&mut vs);
-                    s.push_str(&format!(" {k}={vs}"));
+                    s.push_str(&format!(" {k}={}", v.dump()));
                 }
                 Some(s)
             }
@@ -323,9 +304,9 @@ mod tests {
             name: "bench.loaded".to_string(),
             level: Level::Info,
             fields: vec![
-                ("name".to_string(), Value::from("gcc \"O2\"\n")),
-                ("points".to_string(), Value::from(64u64)),
-                ("aicc".to_string(), Value::from(-12.5)),
+                ("name".to_string(), Json::from("gcc \"O2\"\n")),
+                ("points".to_string(), Json::from(64u64)),
+                ("aicc".to_string(), Json::from(-12.5)),
             ],
             depth: 1,
         };

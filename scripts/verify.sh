@@ -65,36 +65,19 @@ target/release/ppm report --candidate "$smoke_dir/ledger.json" \
   --against results/baselines/smoke.json --max-stage-ratio 25
 target/release/ppm check-trace --file "$smoke_dir/trace.json"
 
-echo "== bench trajectory: export perf history from the smoke ledger =="
-# Each verify run refreshes the `ppm-bench v1` files under results/ so
-# perf history accrues PR over PR: the RBF training stage, the
-# simulation stage, and the whole smoke build's wall time.
-target/release/ppm bench-export --ledger "$smoke_dir/ledger.json" \
-  --stage stage.rbf_train --bench rbf_train --out results/BENCH_rbf_train.json
-target/release/ppm bench-export --ledger "$smoke_dir/ledger.json" \
-  --stage stage.simulation --bench sim --out results/BENCH_sim.json
-target/release/ppm bench-export --ledger "$smoke_dir/ledger.json" \
-  --stage total --bench build_total --out results/BENCH_build_total.json
-
-echo "== batched simulation: equivalence smoke + perf history =="
+echo "== batched simulation: equivalence smoke =="
 # `ppm simulate --batch` runs a 32-point design sample in one batched
 # trace pass, then cross-checks every lane against a reference-oracle
 # run of the same configuration and exits 3 on any divergence — so this one
-# invocation is the byte-identity gate. Its ledger carries both wall
-# times; exporting them refreshes the batched-vs-serial perf history
-# (the speedup is the quotient of the two records).
+# invocation is the byte-identity gate.
 target/release/ppm simulate --benchmark mcf --batch 32 --seed 7 --quiet \
-  --ledger-out "$smoke_dir/batch-ledger.json" > "$smoke_dir/batch.out"
+  --no-ledger > "$smoke_dir/batch.out"
 # Exactly one cross-checked row per lane: a lane number first, `yes`
 # last (the table header also contains "identical", so matching that
 # word alone would pass with no lane checked).
 yes_rows=$(grep -cE '^[0-9]+ .* yes$' "$smoke_dir/batch.out" || true)
 [ "$yes_rows" = 32 ] \
   || { echo "batched simulate cross-checked $yes_rows of 32 lanes"; exit 1; }
-target/release/ppm bench-export --ledger "$smoke_dir/batch-ledger.json" \
-  --stage stage.simulate_batch --bench sim_batch --out results/BENCH_sim_batch.json
-target/release/ppm bench-export --ledger "$smoke_dir/batch-ledger.json" \
-  --stage stage.simulate_serial --bench sim_serial --out results/BENCH_sim_serial.json
 gate_done smoke
 
 echo "== serving plane: publish + serve smoke + loadtest SLO gate =="
@@ -102,8 +85,8 @@ echo "== serving plane: publish + serve smoke + loadtest SLO gate =="
 # behaviours end to end against a real `ppm serve` process: one
 # full-fidelity prediction, a hot-reload rollback cycle (corrupt CURRENT
 # is refused with a 409, the restored pointer reloads with a 200), a
-# loadtest whose p99 gates this script (exit 5 on SLO breach) while
-# refreshing the serve perf history, and one degraded prediction from a
+# loadtest whose p99 gates this script (exit 5 on SLO breach) and
+# writes its `ppm-loadtest v1` report, and one degraded prediction from a
 # second server forced into overload with --degrade-depth 0.
 target/release/ppm publish --model "$smoke_dir/m.txt" \
   --registry "$smoke_dir/registry"
@@ -144,7 +127,9 @@ http_request POST /reloadz "$addr" | grep -q 'HTTP/1.1 200' \
   || { echo "serve smoke: restored reload failed"; exit 1; }
 
 target/release/ppm loadtest "$addr" --requests 200 --concurrency 4 \
-  --slo-p99-ms 500 --out results/BENCH_serve_latency.json
+  --slo-p99-ms 500 --out "$smoke_dir/loadtest.json"
+grep -q '"schema":"ppm-loadtest v1"' "$smoke_dir/loadtest.json" \
+  || { echo "loadtest --out: no ppm-loadtest v1 report"; exit 1; }
 
 echo "== request tracing: /tracez schema + SLO budget + chrome export =="
 # The loadtest above left tail-sampled trace records behind. /tracez
@@ -170,7 +155,7 @@ grep -q '"availability_budget_remaining"' "$smoke_dir/statusz.out" \
 echo "== tracing overhead: A/B loadtest (traced vs --no-trace) =="
 # Same registry, second server started with --no-trace; the A/B
 # loadtest drives both with identical traffic and reports the tracing
-# p99 overhead, refreshing the perf-history record. The acceptance
+# p99 overhead and writes the `ppm-loadtest-ab v1` report. The acceptance
 # budget is 2%; p99 deltas on a shared CI box are noisy, so the gate
 # takes the best of three runs before failing.
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
@@ -187,7 +172,7 @@ target/release/ppm loadtest "$baseline_addr" --requests 100 --concurrency 4 \
 overhead=""
 for attempt in 1 2 3; do
   target/release/ppm loadtest "$addr" --requests 300 --concurrency 4 \
-    --ab "$baseline_addr" --ab-out results/BENCH_serve_trace.json \
+    --ab "$baseline_addr" --ab-out "$smoke_dir/ab.json" \
     > "$smoke_dir/ab.out"
   cat "$smoke_dir/ab.out"
   overhead=$(sed -n 's/^tracing p99 overhead \([+-][0-9.]*\)%$/\1/p' "$smoke_dir/ab.out")
@@ -197,6 +182,8 @@ for attempt in 1 2 3; do
   overhead=""
 done
 [ -n "$overhead" ] || { echo "tracing p99 overhead stayed above 2% after 3 runs"; exit 1; }
+grep -q '"schema":"ppm-loadtest-ab v1"' "$smoke_dir/ab.json" \
+  || { echo "loadtest --ab-out: no ppm-loadtest-ab v1 report"; exit 1; }
 http_request POST /quitz "$baseline_addr" > /dev/null
 wait "$baseline_pid"
 

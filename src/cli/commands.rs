@@ -170,7 +170,6 @@ pub fn run_with_artifacts(
         "workload-info" => workload_info(parsed, out),
         "report" => flight::report(parsed, out),
         "check-trace" => flight::check_trace(parsed, out),
-        "bench-export" => flight::bench_export(parsed, out),
         "lint" => lint(parsed, out),
         "top" => top(parsed, out),
         "tail" => tail(parsed, out),
@@ -311,7 +310,7 @@ fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         trace_ring: parsed.num("--trace-ring", defaults.trace_ring)?,
         trace_sample: parsed.num("--trace-sample", defaults.trace_sample)?,
         trace_slow_keep: parsed.num("--trace-slow-keep", defaults.trace_slow_keep)?,
-        slo_availability: parsed.num("--slo-availability", defaults.slo_availability)?,
+        slo_availability: finite_num(parsed, "--slo-availability", defaults.slo_availability)?,
         slo_latency: std::time::Duration::from_millis(parsed.num(
             "--slo-latency-ms",
             u64::try_from(defaults.slo_latency.as_millis()).unwrap_or(100),
@@ -342,19 +341,24 @@ fn publish(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 
 /// `ppm loadtest <addr>`: drive a running service and report latency
 /// quantiles; `--slo-p99-ms` turns the p99 into a regression gate
-/// (exit code 5), `--out` writes a `ppm-bench v1` perf-history file.
+/// (exit code 5), `--out` writes the `ppm-loadtest v1` report (with
+/// `--ab`, `--ab-out` writes the `ppm-loadtest-ab v1` comparison).
 fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let addr = match parsed.positionals().first() {
         Some(a) => a.clone(),
         None => {
             return Err(CliError::Usage(
                 "usage: ppm loadtest <addr> [--requests <n>] [--concurrency <n>] \
-                 [--rate <req/s>] [--deadline-ms <n>] [--slo-p99-ms <ms>] [--out <bench.json>]"
+                 [--rate <req/s>] [--deadline-ms <n>] [--slo-p99-ms <ms>] [--out <report.json>]"
                     .to_string(),
             ))
         }
     };
     let deadline_ms: u64 = parsed.num("--deadline-ms", 0u64)?;
+    let slo = match parsed.get("--slo-p99-ms") {
+        Some(_) => Some(finite_num(parsed, "--slo-p99-ms", 0.0)?),
+        None => None,
+    };
     let defaults = ppm_serve::LoadtestConfig::default();
     let config = ppm_serve::LoadtestConfig {
         addr,
@@ -395,9 +399,8 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             report_trace_check(out, check)?;
         }
         if let Some(path) = parsed.get("--ab-out") {
-            ppm_obs::write_bench(Path::new(path), &ab.bench_record())
-                .map_err(|e| CliError::Persistence(format!("cannot write bench {path}: {e}")))?;
-            writeln!(out, "overhead bench record written to {path}").map_err(msg)?;
+            write_report(path, &ab.to_json())?;
+            writeln!(out, "A/B report written to {path}").map_err(msg)?;
         }
         return Ok(());
     }
@@ -436,14 +439,10 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         report_trace_check(out, check)?;
     }
     if let Some(path) = parsed.get("--out") {
-        ppm_obs::write_bench(Path::new(path), &report.bench_record())
-            .map_err(|e| CliError::Persistence(format!("cannot write bench {path}: {e}")))?;
-        writeln!(out, "bench record written to {path}").map_err(msg)?;
+        write_report(path, &report.to_json())?;
+        writeln!(out, "report written to {path}").map_err(msg)?;
     }
-    if let Some(slo) = parsed.get("--slo-p99-ms") {
-        let slo: f64 = slo
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--slo-p99-ms wants a number, got {slo:?}")))?;
+    if let Some(slo) = slo {
         // The SLO is a claim about successful answers. With zero of
         // them there is no p99 to compare — a service shedding
         // everything in microseconds must fail the gate, not pass it
@@ -464,6 +463,26 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// Reads a float flag that must be finite: `nan` and the infinities
+/// parse as `f64`, but NaN survives `clamp` and fails every comparison.
+fn finite_num(parsed: &Parsed, flag: &str, default: f64) -> Result<f64, CliError> {
+    let value: f64 = parsed.num(flag, default)?;
+    if value.is_finite() {
+        return Ok(value);
+    }
+    Err(CliError::Args(ArgError::BadValue {
+        flag: flag.to_string(),
+        value: parsed.get(flag).unwrap_or_default().to_string(),
+        expected: "finite number",
+    }))
+}
+
+/// Writes a loadtest report document to `path`.
+fn write_report(path: &str, doc: &ppm_telemetry::Json) -> Result<(), CliError> {
+    ppm_obs::write_atomic(Path::new(path), doc.dump().as_bytes())
+        .map_err(|e| CliError::Persistence(format!("cannot write report {path}: {e}")))
 }
 
 /// Prints the end-to-end accounting cross-check outcome: one line when
@@ -1348,6 +1367,43 @@ mod tests {
     fn serve_with_bad_chaos_seed_is_a_usage_error() {
         let err = run_cli(&["serve", "127.0.0.1:0", "--chaos", "banana"]).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
+    }
+
+    #[test]
+    fn non_finite_slo_flags_are_usage_errors() {
+        // Both commands would otherwise fail later with exit 8: the
+        // registry is empty and nothing listens on the port.
+        let dir = std::env::temp_dir().join("ppm_cli_slo_flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let port = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().port()
+        };
+        for bad in ["nan", "NaN", "inf", "-inf"] {
+            let err = run_cli(&[
+                "serve",
+                "127.0.0.1:0",
+                "--registry",
+                dir.to_str().unwrap(),
+                "--slo-availability",
+                bad,
+                "--quiet",
+            ])
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+            assert!(err.to_string().contains("--slo-availability"), "{err}");
+            let err = run_cli(&[
+                "loadtest",
+                &format!("127.0.0.1:{port}"),
+                "--requests",
+                "1",
+                "--slo-p99-ms",
+                bad,
+            ])
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+            assert!(err.to_string().contains("--slo-p99-ms"), "{err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use ppm_core::builder::ModelDiagnostics;
-use ppm_obs::{compare, load_ledger, validate_chrome_trace, Json, Ledger, Thresholds};
+use ppm_obs::{compare, load_ledger, validate_chrome_trace, Ledger, Thresholds};
+use ppm_telemetry::Json;
 
 use crate::cli::args::Parsed;
 use crate::cli::commands::CliError;
@@ -106,10 +107,10 @@ pub fn diagnostics_json(d: &ModelDiagnostics) -> Json {
     entries.push((
         "holdout".to_string(),
         match &d.holdout {
-            Some(h) => Json::Obj(vec![
-                ("mean_pct".to_string(), Json::Float(h.mean_pct)),
-                ("max_pct".to_string(), Json::Float(h.max_pct)),
-                ("std_pct".to_string(), Json::Float(h.std_pct)),
+            Some(h) => Json::obj([
+                ("mean_pct", Json::Float(h.mean_pct)),
+                ("max_pct", Json::Float(h.max_pct)),
+                ("std_pct", Json::Float(h.std_pct)),
             ]),
             None => Json::Null,
         },
@@ -120,11 +121,11 @@ pub fn diagnostics_json(d: &ModelDiagnostics) -> Json {
             d.regions
                 .iter()
                 .map(|r| {
-                    Json::Obj(vec![
-                        ("leaf".to_string(), Json::from(r.leaf)),
-                        ("count".to_string(), Json::from(r.count)),
-                        ("mean_abs_pct".to_string(), Json::Float(r.mean_abs_pct)),
-                        ("max_abs_pct".to_string(), Json::Float(r.max_abs_pct)),
+                    Json::obj([
+                        ("leaf", Json::from(r.leaf)),
+                        ("count", Json::from(r.count)),
+                        ("mean_abs_pct", Json::Float(r.mean_abs_pct)),
+                        ("max_abs_pct", Json::Float(r.max_abs_pct)),
                     ])
                 })
                 .collect(),
@@ -172,77 +173,6 @@ pub fn report(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError>
             names.join(", ")
         )));
     }
-    Ok(())
-}
-
-/// The `ppm bench-export` command: extracts one wall-time measurement
-/// from a run ledger and writes it as a `ppm-bench v1` file, the unit
-/// of the perf history under `results/`.
-///
-/// `--stage` selects either a recorded stage span (e.g.
-/// `stage.rbf_train`) or the literal `total` for the whole run's wall
-/// time; `--bench` names the measurement; `--out` is the destination.
-pub fn bench_export(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let ledger_path = parsed.require("--ledger")?;
-    let stage = parsed.require("--stage")?;
-    let bench = parsed.require("--bench")?;
-    let out_path = parsed.require("--out")?;
-    let doc = load_ledger(Path::new(ledger_path)).map_err(persistence)?;
-    let header = doc.get("header").cloned().unwrap_or(Json::Null);
-    let timings = header.get("timings").cloned().unwrap_or(Json::Null);
-    let bad_ledger = |what: &str| CliError::Persistence(format!("{ledger_path}: missing {what}"));
-    let wall_us = if stage == "total" {
-        timings
-            .get("total_wall_us")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| bad_ledger("header.timings.total_wall_us"))?
-    } else {
-        let stages = match timings.get("stages") {
-            Some(Json::Arr(items)) => items.as_slice(),
-            _ => return Err(bad_ledger("header.timings.stages")),
-        };
-        let find = |name: &str| {
-            stages
-                .iter()
-                .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-        };
-        find(stage)
-            .and_then(|s| s.get("wall_us"))
-            .and_then(Json::as_i64)
-            .ok_or_else(|| {
-                let known: Vec<&str> = stages
-                    .iter()
-                    .filter_map(|s| s.get("name").and_then(Json::as_str))
-                    .collect();
-                CliError::Usage(format!(
-                    "no stage {stage:?} in {ledger_path} (recorded: {}; or use `total`)",
-                    known.join(", ")
-                ))
-            })?
-    };
-    let record = ppm_obs::BenchRecord {
-        bench: bench.to_string(),
-        unit: "ms".to_string(),
-        wall_ms: wall_us.max(0) as f64 / 1000.0,
-        source_run: header
-            .get("run_id")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
-        created_unix_ms: header
-            .get("created_unix_ms")
-            .and_then(Json::as_i64)
-            .map(|v| v.max(0) as u64)
-            .unwrap_or(0),
-    };
-    ppm_obs::write_bench(Path::new(out_path), &record)
-        .map_err(|e| CliError::Persistence(format!("cannot write {out_path}: {e}")))?;
-    writeln!(
-        out,
-        "bench {bench}: {:.3} ms ({stage} of {}) -> {out_path}",
-        record.wall_ms, record.source_run
-    )
-    .map_err(|e| CliError::Message(e.to_string()))?;
     Ok(())
 }
 
@@ -324,85 +254,6 @@ mod tests {
         let mut out = String::new();
         check_trace(&p, &mut out).map_err(|e| panic!("{e}")).ok();
         assert!(out.contains("trace ok"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_export_extracts_stage_and_total_wall_times() {
-        let dir = std::env::temp_dir().join(format!("ppm-bench-export-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ledger = Ledger {
-            run_id: "build-7-abc".to_string(),
-            created_unix_ms: 42,
-            command: "build".to_string(),
-            args: Vec::new(),
-            env: Vec::new(),
-            metrics: Vec::new(),
-            diagnostics: None,
-            stages: vec![ppm_obs::StageTiming {
-                name: "stage.rbf_train".to_string(),
-                wall_us: 2816,
-                cpu_us: None,
-            }],
-            total_wall_us: 123_456,
-            total_cpu_us: None,
-        };
-        let ledger_path = dir.join("ledger.json");
-        ledger.write_atomic(&ledger_path).unwrap();
-        let ledger_arg = ledger_path.to_str().unwrap();
-
-        let bench_path = dir.join("BENCH_rbf_train.json");
-        let p = parse(&[
-            "bench-export",
-            "--ledger",
-            ledger_arg,
-            "--stage",
-            "stage.rbf_train",
-            "--bench",
-            "rbf_train",
-            "--out",
-            bench_path.to_str().unwrap(),
-        ]);
-        let mut out = String::new();
-        bench_export(&p, &mut out).unwrap();
-        assert!(out.contains("2.816 ms"), "{out}");
-        let rec = ppm_obs::load_bench(&bench_path).unwrap();
-        assert_eq!(rec.bench, "rbf_train");
-        assert_eq!(rec.wall_ms, 2.816);
-        assert_eq!(rec.source_run, "build-7-abc");
-
-        // `total` reads the whole-run wall time.
-        let total_path = dir.join("BENCH_total.json");
-        let p = parse(&[
-            "bench-export",
-            "--ledger",
-            ledger_arg,
-            "--stage",
-            "total",
-            "--bench",
-            "build_total",
-            "--out",
-            total_path.to_str().unwrap(),
-        ]);
-        bench_export(&p, &mut String::new()).unwrap();
-        let rec = ppm_obs::load_bench(&total_path).unwrap();
-        assert_eq!(rec.wall_ms, 123.456);
-
-        // An unknown stage is a usage error naming the recorded ones.
-        let p = parse(&[
-            "bench-export",
-            "--ledger",
-            ledger_arg,
-            "--stage",
-            "stage.nope",
-            "--bench",
-            "x",
-            "--out",
-            dir.join("n.json").to_str().unwrap(),
-        ]);
-        let err = bench_export(&p, &mut String::new()).unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("stage.rbf_train"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,9 +39,6 @@
 //! `/buildz` (JSON progress + ETA), and `/eventz` (recent events) over
 //! HTTP for the duration of the run; `ppm top <addr>` renders it as a
 //! terminal dashboard. Bind or endpoint failures exit with code 7.
-//! `ppm bench-export` extracts a stage (or total) wall time from a run
-//! ledger into a `ppm-bench v1` file for the perf history in
-//! `results/`.
 //!
 //! The serving plane (`crates/serve`): `ppm serve <addr>` answers
 //! `GET /predict` with deadline enforcement, load shedding, and
@@ -80,9 +77,6 @@ COMMANDS:
   report      --candidate <ledger> --against <ledger>
                                  regression sentry: diff two run ledgers
   check-trace --file <trace>     validate a --trace-out Chrome-trace file
-  bench-export --ledger <f> --stage <stage.name|total> --bench <name> --out <f>
-                                 extract one wall time from a run ledger
-                                 as a `ppm-bench v1` perf-history file
   lint        [--root <dir>] [--conf <file>] [--format human|json]
               [--rule <name>]    static analysis of the workspace: token
                                  rules and semantic rules (lock-order,
@@ -104,8 +98,8 @@ COMMANDS:
                                  install a model in the serving registry
                                  (content-hash versioned, updates CURRENT)
   loadtest    <addr> [--requests <n>] [--concurrency <n>] [--rate <r>]
-              [--slo-p99-ms <ms>] [--out <bench.json>]
-              [--ab <addr> [--ab-out <bench.json>]] [--no-trace-check]
+              [--slo-p99-ms <ms>] [--out <report.json>]
+              [--ab <addr> [--ab-out <report.json>]] [--no-trace-check]
                                  drive a running service, report latency
                                  quantiles, cross-check request accounting
                                  against the server, optionally gate on a

@@ -9,7 +9,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use ppm_obs::{validate_chrome_trace, verify_content_hash, Json};
+use ppm_obs::{validate_chrome_trace, verify_content_hash};
+use ppm_telemetry::Json;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ppm-flight-{tag}-{}", std::process::id()));
@@ -286,6 +287,7 @@ fn metrics_out_jsonl_matches_the_documented_schema() {
     let mut kinds = (0, 0, 0); // spans, events, metrics
     for line in text.lines() {
         let rec = Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
+        assert_eq!(rec.dump(), line, "JSONL line is not in canonical form");
         let t = rec.get("t").and_then(Json::as_str).unwrap();
         let name = rec.get("name").and_then(Json::as_str).unwrap();
         assert!(!name.is_empty());

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_live::{http_get, LiveServer, RegistrySource};
-use ppm_obs::Json;
-use ppm_telemetry::{EventRing, Level, Record, Sink, Value};
+use ppm_telemetry::{EventRing, Json, Level, Record, Sink};
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -55,7 +54,7 @@ fn event_ring_overflow_drops_oldest_and_reports_the_loss() {
         writer.record(&Record::Event {
             name: format!("t.flood.{k}"),
             level: Level::Info,
-            fields: vec![("k".into(), Value::from(k))],
+            fields: vec![("k".into(), Json::from(k))],
             depth: 0,
         });
     }

@@ -12,7 +12,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ppm_live::http_get;
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 

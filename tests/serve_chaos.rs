@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use ppm_live::http_get;
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 /// Generous socket budget: under chaos the service may shed or 503, but
 /// it must always *answer* well inside this window (server-side I/O

@@ -23,8 +23,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use ppm_live::{http_get, http_request_full};
-use ppm_obs::Json;
 use ppm_serve::{ServeConfig, ServeServer};
+use ppm_telemetry::Json;
 use ppm_workload::Benchmark;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);

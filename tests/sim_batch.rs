@@ -22,10 +22,10 @@ use std::time::Duration;
 use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
-use ppm_obs::Json;
 use ppm_rng::Rng;
 use ppm_sim::reference::Processor;
 use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig};
+use ppm_telemetry::Json;
 use ppm_workload::{Benchmark, TraceGenerator};
 
 const TRACE_LEN: usize = 12_000;

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use ppm::cli::{CliError, Parsed};
 use ppm_lint::rules::RULES;
 use ppm_lint::{lint_source, lint_workspace, Config};
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 /// A fixture with exactly one violation per rule, at a path where every
 /// rule is in scope. `crates/firstorder` is in the deterministic, the

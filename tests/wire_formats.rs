@@ -10,8 +10,12 @@
 //! site, and these assertions are exactly that contract. Bumping a
 //! version string without updating the registry, the parser, and this
 //! file fails `ppm lint` and these tests at the same time.
+//!
+//! Every emitted document is also checked to be in canonical form:
+//! parsing it and writing it back gives the same bytes, so one codec
+//! wrote it.
 
-use ppm_obs::Json;
+use ppm_telemetry::Json;
 
 /// Parses `text` as JSON and returns its top-level `"schema"` string.
 fn schema_of(text: &str) -> Option<String> {
@@ -19,21 +23,11 @@ fn schema_of(text: &str) -> Option<String> {
     doc.get("schema").and_then(Json::as_str).map(str::to_string)
 }
 
-#[test]
-fn bench_record_schema_is_pinned() {
-    let record = ppm_obs::BenchRecord {
-        bench: "wire_golden".to_string(),
-        unit: "ms".to_string(),
-        wall_ms: 12.5,
-        source_run: "test-run".to_string(),
-        created_unix_ms: 0,
-    };
-    let text = record.to_json().dump();
-    assert!(
-        schema_of(&text).as_deref() == Some("ppm-bench v1"),
-        "{text}"
-    );
-    assert!(ppm_obs::BENCH_SCHEMA == "ppm-bench v1");
+/// Asserts `text` equals `Json::parse(text)?.dump()`, ignoring one
+/// trailing newline.
+fn assert_canonical(text: &str) {
+    let doc = Json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    assert_eq!(doc.dump(), text.strip_suffix('\n').unwrap_or(text));
 }
 
 #[test]
@@ -43,6 +37,7 @@ fn buildz_document_schema_is_pinned() {
         schema_of(&text).as_deref() == Some("ppm-buildz v1"),
         "{text}"
     );
+    assert_canonical(&text);
 }
 
 #[test]
@@ -58,11 +53,25 @@ fn checkpoint_header_is_pinned() {
 
 #[test]
 fn eventz_document_schema_is_pinned() {
-    let text = ppm_telemetry::EventRing::new(4).render_json();
+    let ring = ppm_telemetry::EventRing::new(4);
+    ppm_telemetry::Sink::record(
+        &mut ring.clone(),
+        &ppm_telemetry::Record::Event {
+            name: "wire.golden".to_string(),
+            level: ppm_telemetry::Level::Warn,
+            fields: vec![
+                ("workers".to_string(), Json::from(4.0)),
+                ("note".to_string(), Json::from("a \"b\"\n")),
+            ],
+            depth: 0,
+        },
+    );
+    let text = ring.render_json();
     assert!(
         schema_of(&text).as_deref() == Some("ppm-eventz v1"),
         "{text}"
     );
+    assert_canonical(&text);
 }
 
 #[test]
@@ -74,11 +83,11 @@ fn ledger_schema_constant_is_pinned() {
 fn lint_report_schema_is_pinned() {
     let text = ppm_lint::Report::default().render_json();
     assert!(schema_of(&text).as_deref() == Some("ppm-lint v2"), "{text}");
+    assert_canonical(&text);
 }
 
-#[test]
-fn loadtest_report_schema_is_pinned() {
-    let report = ppm_serve::LoadtestReport {
+fn loadtest_report() -> ppm_serve::LoadtestReport {
+    ppm_serve::LoadtestReport {
         sent: 10,
         ok: 8,
         degraded: 1,
@@ -95,12 +104,40 @@ fn loadtest_report_schema_is_pinned() {
         wall_ms: 100.0,
         rps: 100.0,
         trace_check: None,
-    };
-    let text = report.to_json().dump();
+    }
+}
+
+#[test]
+fn loadtest_report_schema_is_pinned() {
+    let text = loadtest_report().to_json().dump();
     assert!(
         schema_of(&text).as_deref() == Some("ppm-loadtest v1"),
         "{text}"
     );
+    assert_canonical(&text);
+}
+
+#[test]
+fn loadtest_ab_report_schema_is_pinned() {
+    let report = ppm_serve::AbReport {
+        traced: loadtest_report(),
+        baseline: loadtest_report(),
+        overhead_pct: 0.0,
+    };
+    let text = report.to_json().dump();
+    assert!(
+        schema_of(&text).as_deref() == Some("ppm-loadtest-ab v1"),
+        "{text}"
+    );
+    assert_canonical(&text);
+}
+
+#[test]
+fn model_file_header_is_pinned() {
+    let basis = ppm_rbf::Rbf::new(vec![0.5, 0.5], vec![1.0, 1.0]);
+    let network = ppm_rbf::RbfNetwork::new(vec![basis], vec![2.0]);
+    let text = ppm_core::persist::to_string(&network, &[]);
+    assert!(text.lines().next() == Some("ppm-rbf-model v1"), "{text}");
 }
 
 /// A minimal but structurally complete `ppm-ledger v1` run document —
@@ -170,6 +207,7 @@ fn served_schema_and_keys(tag: &str, path: &str) -> (Option<String>, Vec<String>
     )
     .expect("server answers");
     assert_eq!(status, 200, "{body}");
+    assert_canonical(&body);
     let doc = Json::parse(&body).expect("body is JSON");
     let mut keys: Vec<String> = doc
         .as_obj()
@@ -240,15 +278,39 @@ fn statusz_body_schema_is_pinned() {
 #[test]
 fn tracez_document_schema_is_pinned() {
     let ring = ppm_serve::TraceRing::new(ppm_serve::TraceConfig::default());
+    for seq in 0..2 {
+        ring.offer(ppm_serve::TraceRecord {
+            id: format!("wire-{seq}"),
+            seq,
+            route: "/predict".to_string(),
+            outcome: ppm_serve::TraceOutcome::Shed,
+            status: 503,
+            detail: "request queue full".to_string(),
+            worker: None,
+            total_us: 40,
+            spans: vec![ppm_serve::SpanRec {
+                name: "accept",
+                start_us: 0,
+                dur_us: 40,
+            }],
+            unix_ms: 0,
+        });
+    }
     let text = ring.render_tracez(&ppm_serve::TraceFilter::default());
     assert!(
         schema_of(&text).as_deref() == Some("ppm-tracez v1"),
         "{text}"
     );
+    assert_canonical(&text);
+    let records = Json::parse(&text)
+        .ok()
+        .and_then(|doc| doc.get("records").and_then(Json::as_arr).map(<[Json]>::len));
+    assert_eq!(records, Some(2), "{text}");
     assert!(ppm_serve::TRACEZ_SCHEMA == "ppm-tracez v1");
     let disabled = ppm_serve::trace::render_tracez_disabled();
     assert!(
         schema_of(&disabled).as_deref() == Some("ppm-tracez v1"),
         "{disabled}"
     );
+    assert_canonical(&disabled);
 }
