@@ -247,8 +247,9 @@ pub const LANES_PER_GROUP: usize = 16;
 /// response, regardless of `threads`.
 ///
 /// The points still to evaluate are split into lane groups of at most
-/// [`LANES_PER_GROUP`] points (fewer when that would leave a worker
-/// idle), which run on `threads` workers. Each group is tried as one
+/// [`LANES_PER_GROUP`] points, balanced across the `threads` workers
+/// they run on: every worker gets the same number of groups, and group
+/// sizes differ by at most one point. Each group is tried as one
 /// [`Response::eval_many`] call under its own `catch_unwind`; a group
 /// that panics, declines, or returns the wrong number of values falls
 /// back to supervised per-point evaluation of its own points only.
@@ -331,9 +332,7 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
     ppm_telemetry::counter("build.points_resumed").add(resumed as u64);
 
     let quarantined: Mutex<Vec<Quarantine>> = Mutex::new(Vec::new());
-    // Cap the group so a small batch still gives every worker a group.
-    let group = lanes_per_group.min(todo.len().div_ceil(threads)).max(1);
-    let groups: Vec<&[usize]> = todo.chunks(group).collect();
+    let groups = lane_groups(&todo, threads, lanes_per_group);
     ppm_telemetry::counter("sim.batch_groups").add(groups.len() as u64);
     // Each group depends only on its own points and results land in
     // group-ordered slots, so the values are the same for any thread
@@ -354,6 +353,29 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
         .flatten()
         .collect();
     finish(values, todo, fresh, quarantined, resumed, policy)
+}
+
+/// Splits `todo` into the fewest lane groups that number a multiple of
+/// `threads` and hold at most `lanes_per_group` points each, capped at
+/// one point per group, with sizes that differ by at most one.
+fn lane_groups(todo: &[usize], threads: usize, lanes_per_group: usize) -> Vec<&[usize]> {
+    let per_thread = todo
+        .len()
+        .div_ceil(lanes_per_group.max(1))
+        .div_ceil(threads);
+    let count = (per_thread * threads).min(todo.len());
+    if count == 0 {
+        return Vec::new();
+    }
+    let (size, longer) = (todo.len() / count, todo.len() % count);
+    let mut rest = todo;
+    (0..count)
+        .map(|g| {
+            let (group, tail) = rest.split_at(size + usize::from(g < longer));
+            rest = tail;
+            group
+        })
+        .collect()
 }
 
 /// Evaluates one lane group. A response with a one-pass multi-point
@@ -708,7 +730,7 @@ mod tests {
         let pts = points(10);
         let out = grouped(&r, &pts, 1, 4);
         assert_eq!(out, grouped(&Batched::new(-1.0, false), &pts, 1, 4));
-        // Every group (4 + 4 + 2) was declined and re-run point by point.
+        // Every group (4 + 3 + 3) was declined and re-run point by point.
         assert_eq!(scoped.counter("sim.batch_declined").get(), 3);
         assert_eq!(r.evals(), 10);
     }
@@ -717,12 +739,13 @@ mod tests {
     fn a_panicking_group_retries_only_its_own_points() {
         let scoped = ppm_telemetry::Registry::scoped();
         let pts = points(12);
-        // Point 5 sits in the second group of four: indices 4..8.
+        // Three groups of at most four round up to four groups of three
+        // on two threads; point 5 sits in the second: indices 3..6.
         let r = Batched::new(pts[5][0], false);
         let out = grouped(&r, &pts, 2, 4);
-        assert_eq!(r.evals(), 4, "only the failed group goes point by point");
+        assert_eq!(r.evals(), 3, "only the failed group goes point by point");
         assert_eq!(scoped.counter("sim.batch_declined").get(), 1);
-        assert_eq!(scoped.counter("sim.batch_groups").get(), 3);
+        assert_eq!(scoped.counter("sim.batch_groups").get(), 4);
         assert_eq!(scoped.counter("build.points_done").get(), 12);
         assert_eq!(out, grouped(&Batched::new(-1.0, false), &pts, 1, 4));
     }
@@ -740,7 +763,9 @@ mod tests {
         })
         .unwrap();
         let mut seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 7, "one call per group of three");
+        // Seven groups of at most three round up to eight on two
+        // threads (3 + 3 + 3 + 3 + 2 + 2 + 2 + 2).
+        assert_eq!(seen.len(), 8, "one call per group");
         seen.sort();
         let mut indices: Vec<usize> = seen.concat();
         indices.sort_unstable();
@@ -756,6 +781,30 @@ mod tests {
         eval_batch_supervised(&clean(), &pts, 8, &SupervisorPolicy::strict(), &[]).unwrap();
         // ceil(6 / 8) = 1 lane per group: six groups, not one.
         assert_eq!(scoped.counter("sim.batch_groups").get(), 6);
+    }
+
+    #[test]
+    fn lane_groups_are_balanced_across_threads() {
+        let sizes = |points: usize, threads: usize| -> Vec<usize> {
+            let todo: Vec<usize> = (0..points).collect();
+            let groups = lane_groups(&todo, threads, LANES_PER_GROUP);
+            assert_eq!(groups.concat(), todo, "{points} points on {threads}");
+            groups.iter().map(|g| g.len()).collect()
+        };
+        // The sweep's 50 holdout points on 2 workers: 25 lanes each,
+        // not 32 and 18.
+        assert_eq!(sizes(50, 2), [13, 13, 12, 12]);
+        assert_eq!(sizes(20, 2), [10, 10]);
+        assert_eq!(sizes(6, 2), [3, 3]);
+        assert_eq!(sizes(3, 4), [1, 1, 1]);
+        assert_eq!(sizes(16, 1), [16]);
+        assert_eq!(sizes(17, 1), [9, 8]);
+        assert!(sizes(0, 2).is_empty());
+        // The paper's 200-point sample: 14 groups, not 12 of 16 and one
+        // of 8.
+        let paper = sizes(200, 2);
+        assert_eq!(paper.len(), 14);
+        assert!(paper.iter().all(|&n| n == 14 || n == 15), "{paper:?}");
     }
 
     #[test]

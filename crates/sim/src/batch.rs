@@ -52,12 +52,15 @@
 //!
 //! # Chunk-major scheduling and the window barrier
 //!
-//! The window holds up to two chunks of instructions. Each lane runs
-//! cycles until its fetch position passes the first chunk's end (a fetch
-//! group may overshoot by at most `width` instructions — which is why
-//! the *second* chunk is already materialized), then pauses. When every
-//! lane has passed the barrier, the front chunk is dropped and one more
-//! is pulled from the generator. Once the generator is exhausted, lanes
+//! The window holds up to three chunks of instructions: the previous
+//! chunk (fetch-queue entries fetched before the barrier dispatch from
+//! it after), the current one, and one lookahead chunk. Each lane runs
+//! cycles until its fetch position passes the current chunk's end (a
+//! fetch group may overshoot by at most `width` instructions — which is
+//! why the lookahead chunk is already materialized), then pauses. When
+//! every lane has passed the barrier, the oldest chunk is dropped, one
+//! more is pulled from the generator, and the shared store map forgets
+//! stores older than the window. Once the generator is exhausted, lanes
 //! run to completion unconstrained.
 //!
 //! Lanes additionally *skip* provable no-op cycles (nothing completing,
@@ -74,8 +77,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{BranchPredictor, ConfigError, Hierarchy, Instr, Op, SimConfig, SimStats, TraceSource};
 
-/// Instructions per shared chunk. Two chunks are resident at once, so
-/// the window's working set stays well under a megabyte while the
+/// Instructions per shared chunk. Three chunks are resident at once:
+/// 3 × 16,384 × (40 B `Instr` + 1 B flag + 8 B forwarding source) is
+/// about 2.4 MB per lane group, shared by all of its lanes, while the
 /// per-chunk bookkeeping amortizes to noise.
 const CHUNK: usize = 16_384;
 
@@ -672,7 +676,7 @@ struct Kernel {
     /// One branch predictor for all lanes; see the module docs for why
     /// its outcomes are lane-invariant.
     bpred: BranchPredictor,
-    /// The resident instruction window (up to two chunks).
+    /// The resident instruction window (up to three chunks).
     window: Vec<Instr>,
     /// Per-window-slot branch mispredict flags (false for non-branches).
     flags: Vec<bool>,
@@ -680,7 +684,8 @@ struct Kernel {
     /// the same word for loads, `u64::MAX` otherwise.
     fwd: Vec<u64>,
     /// Word address -> youngest store seq seen so far in the shared
-    /// pass; feeds `fwd`.
+    /// pass; feeds `fwd`. Holds only stores at or after `win_start`:
+    /// each slide drops the rest, which no lane can forward from.
     store_last: StoreMap,
     /// Absolute trace index of `window[0]`.
     win_start: usize,
@@ -822,6 +827,13 @@ impl Kernel {
                 self.flags.drain(..CHUNK);
                 self.fwd.drain(..CHUNK);
                 self.win_start += CHUNK;
+                // Every lane has fetched past `cur_start` and holds fewer
+                // than a chunk in flight (ROB + fetch queue), so no lane
+                // can again see a store older than `win_start` as
+                // uncommitted: such an entry can never forward.
+                let start = self.win_start as u64;
+                debug_assert!(self.lanes.scalars.iter().all(|s| s.head_seq >= start));
+                self.store_last.retain(|_, seq| *seq >= start);
             }
             self.refill(&mut trace);
         }
@@ -1432,6 +1444,48 @@ mod tests {
             .unwrap()
             .run(trace.iter().copied());
         for (l, config) in configs.iter().enumerate() {
+            assert_eq!(batched[l], serial(config, &trace), "lane {l}");
+        }
+    }
+
+    #[test]
+    fn store_map_holds_only_stores_the_window_can_forward() {
+        // Store-heavy: a hot pool of words re-stored in every chunk, plus
+        // one region per chunk that is stored there and loaded in the
+        // next, across the chunk boundary.
+        let mut rng = ppm_rng::Rng::seed_from_u64(7);
+        let region =
+            |chunk: u64, rng: &mut ppm_rng::Rng| 0x10_0000 + (chunk << 16) + rng.below(1024) * 8;
+        let trace: Vec<Instr> = (0..4 * CHUNK as u64 + 500)
+            .map(|i| {
+                let pc = loop_pc(i);
+                let chunk = i / CHUNK as u64;
+                let (s1, s2) = (rng.below(6) as u32, rng.below(3) as u32);
+                match rng.below(10) {
+                    0..=2 => Instr::store(pc, rng.below(512) * 8, s1, s2),
+                    3..=4 => Instr::store(pc, region(chunk, &mut rng), s1, s2),
+                    5..=6 => Instr::load(pc, rng.below(512) * 8, s1, s2),
+                    7 => Instr::load(pc, region(chunk.saturating_sub(1), &mut rng), s1, s2),
+                    _ => Instr::alu(Op::IntAlu, pc, s1, s2),
+                }
+            })
+            .collect();
+        let configs = vec![
+            SimConfig::builder().rob_size(24).build().unwrap(),
+            SimConfig::builder().rob_size(512).build().unwrap(),
+        ];
+        let mut kernel = Kernel::new(&configs);
+        kernel.run(trace.iter().copied());
+        let start = kernel.win_start as u64;
+        assert_eq!(start, 2 * CHUNK as u64, "the window slid twice");
+        assert!(!kernel.store_last.is_empty());
+        assert!(
+            kernel.store_last.values().all(|&seq| seq >= start),
+            "stores older than the window survived a slide"
+        );
+        let batched = kernel.finalize();
+        for (l, config) in configs.iter().enumerate() {
+            assert!(batched[l].forwarded_loads > 0, "lane {l}");
             assert_eq!(batched[l], serial(config, &trace), "lane {l}");
         }
     }

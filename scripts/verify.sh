@@ -43,6 +43,16 @@ echo "== paper-scale subset selection: bordered search == full refactor =="
 cargo test -q --release -p ppm-rbf -- --ignored
 gate_done selection
 
+echo "== cache replacement: recency order == stamp model =="
+# The batch engine, the reference oracle and the first-order profiler
+# all share one Cache, so the batch == reference gates cannot catch a
+# replacement bug. This ignored case is the only independent check of
+# the replacement logic: 10 M interleaved access/install/probe calls on
+# every Table 1 cache shape (plus 4-, 16-way and single-set ones) under
+# LRU, FIFO and random, against the stamp-based cache it replaced.
+cargo test -q --release -p ppm-sim -- --ignored
+gate_done cache
+
 echo "== flight recorder: smoke build + regression sentry + trace check =="
 # A fixed-seed smoke build must (a) reproduce the committed baseline
 # ledger — every deterministic counter and error statistic exactly, and

@@ -258,7 +258,9 @@ impl<R: Response> Response for KillSnapshot<R> {
 fn build_killed_mid_simulation_loses_at_most_one_group() {
     let _serial = lock();
     let group = LANES_PER_GROUP;
-    let points = 2 * group + 8;
+    // Three full groups: lane groups are balanced, so any other size
+    // would shrink them below `group`.
+    let points = 3 * group;
     let mut config = BuildConfig::quick(points);
     // One worker runs the groups in order, so the kill point is exact.
     config.threads = 1;

@@ -91,9 +91,9 @@ fn batch_handles_duplicate_and_extreme_configs() {
 }
 
 /// The supervised executor runs lane groups of at most
-/// `LANES_PER_GROUP` points, capped at `ceil(points / threads)`. Batch
-/// size and thread count pick groups of 1, 2 and 7 lanes and one group
-/// holding the whole batch. Every group, a one-point group included,
+/// `LANES_PER_GROUP` points, a multiple of `threads` of them, sized
+/// within one point of each other. Batch size and thread count pick
+/// groups of 1, 2 and 7 lanes and one group holding the whole batch. Every group, a one-point group included,
 /// is one batch-engine run, and every value must be bit-identical to
 /// the CPI of a reference-oracle run of its point.
 #[test]
@@ -187,7 +187,7 @@ fn jsonl_counter(jsonl: &Path, name: &str) -> i64 {
 /// No production simulation runs outside the batch engine: every
 /// `sim.runs` is a batch lane, for plain `ppm simulate` and for a
 /// `ppm build --holdout` whose holdout ends in a one-point lane group
-/// (five points on four workers: groups of 2, 2 and 1). Plain
+/// (five points on four workers: groups of 2, 1, 1 and 1). Plain
 /// `ppm simulate` prints, byte for byte, what the reference oracle's
 /// statistics format to.
 #[test]
