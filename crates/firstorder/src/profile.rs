@@ -8,6 +8,8 @@ use ppm_sim::{BranchPredictor, Cache, Instr, Op, SimConfig};
 const IL1_SIZES: [u32; 4] = [8, 16, 32, 64];
 const DL1_SIZES: [u32; 4] = [8, 16, 32, 64];
 const L2_SIZES: [u32; 6] = [256, 512, 1024, 2048, 4096, 8192];
+/// The dl1 size whose miss stream feeds the L2 family.
+const L2_FILTER_KB: u32 = 32;
 
 /// Window sizes at which dataflow ILP is measured; predictions
 /// interpolate between them.
@@ -43,6 +45,9 @@ pub struct ProgramStats {
     /// L2 size (KiB) → load misses per instruction escaping to DRAM
     /// (measured with the matching dl1 filter removed — the L2 sees the
     /// union of L1 misses; we approximate with the 32 KiB L1 filter).
+    /// The filter is the 32 KiB member of the dl1 family itself, not a
+    /// separate cache: the same geometry fed the same addresses misses
+    /// on exactly the same accesses.
     pub l2_mpi: BTreeMap<u32, f64>,
     /// Fraction of loads that are register-chained to an earlier load.
     pub chained_load_frac: f64,
@@ -67,8 +72,6 @@ impl ProgramStats {
             .iter()
             .map(|&kb| (kb, Cache::new(kb as u64 * 1024, f.dl1_assoc, line), 0u64))
             .collect();
-        // The L2 sees the 32 KiB-L1 miss stream (the mid-range filter).
-        let mut l2_filter = Cache::new(32 * 1024, f.dl1_assoc, line);
         let mut l2: Vec<(u32, Cache, u64)> = L2_SIZES
             .iter()
             .map(|&kb| (kb, Cache::new(kb as u64 * 1024, f.l2_assoc, line), 0u64))
@@ -115,12 +118,19 @@ impl ProgramStats {
                 last_load_ago = last_load_ago.saturating_add(1);
             }
             if instr.op.is_mem() {
-                for (_, cache, misses) in dl1.iter_mut() {
-                    if !cache.access(instr.mem_addr) && instr.op == Op::Load {
+                // The L2 sees the miss stream of the 32 KiB member, the
+                // mid-range dl1 filter.
+                let mut filter_missed = false;
+                for (kb, cache, misses) in dl1.iter_mut() {
+                    let hit = cache.access(instr.mem_addr);
+                    if !hit && instr.op == Op::Load {
                         *misses += 1;
                     }
+                    if *kb == L2_FILTER_KB {
+                        filter_missed = !hit;
+                    }
                 }
-                if !l2_filter.access(instr.mem_addr) {
+                if filter_missed {
                     for (_, cache, misses) in l2.iter_mut() {
                         if !cache.access(instr.mem_addr) && instr.op == Op::Load {
                             *misses += 1;
@@ -284,6 +294,30 @@ mod tests {
         assert!(s.load_frac > 0.1 && s.load_frac < 0.5);
         assert!(s.branch_frac > 0.08 && s.branch_frac < 0.35);
         assert!(s.mispredict_rate > 0.0 && s.mispredict_rate < 0.5);
+    }
+
+    /// FNV-1a over the `Debug` form, which spells every float in its
+    /// shortest round-trip form, so the digest moves with any bit.
+    fn digest(stats: &ProgramStats) -> u64 {
+        format!("{stats:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn stats_are_pinned_bit_for_bit() {
+        // Digests of the statistics as first collected with a separate
+        // 32 KiB L2 filter cache: taking the filter's miss from the dl1
+        // family's 32 KiB member must not move a bit.
+        assert_eq!(
+            (
+                digest(&stats(Benchmark::Mcf)),
+                digest(&stats(Benchmark::Crafty))
+            ),
+            (1_491_418_886_194_412_021, 10_949_529_039_279_673_282)
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! can fold them into their own counters without caring about the
 //! distinction between "peer vanished" and "peer sent garbage".
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -370,34 +371,39 @@ pub fn read_head_or_400(
 /// extra response headers (name, value) ahead of the body — used to
 /// echo the `X-Ppm-Trace` trace context.
 ///
+/// The head and the body go out in one buffer and one `write_all`, so a
+/// response costs one syscall and leaves as one TCP segment when it
+/// fits, and a client reading to EOF wakes once.
+///
 /// # Errors
 ///
 /// A human-readable description when the peer stops reading mid-write.
 pub fn write_response_with_headers(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra: &[(&str, &str)],
     body: &str,
 ) -> Result<(), String> {
-    let mut head = format!(
+    let mut response = String::with_capacity(128 + body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        response,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n",
         reason(status),
         body.len()
     );
     for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        response.push_str(name);
+        response.push_str(": ");
+        response.push_str(value);
+        response.push_str("\r\n");
     }
-    head.push_str("\r\n");
+    response.push_str("\r\n");
+    response.push_str(body);
     stream
-        .write_all(head.as_bytes())
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(body.as_bytes())
+        .write_all(response.as_bytes())
         .map_err(|e| e.to_string())?;
     stream.flush().map_err(|e| e.to_string())
 }
@@ -498,6 +504,43 @@ mod tests {
         assert_eq!(
             index_line("ppm test", &TABLE),
             "ppm test: GET /metrics, POST /quitz\n"
+        );
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_response_is_one_write_of_the_exact_bytes() {
+        let mut out = CountingWriter::default();
+        write_response_with_headers(
+            &mut out,
+            503,
+            JSON,
+            &[("X-Ppm-Trace", "t-7"), ("Retry-After", "1")],
+            "{\"shed\":true}",
+        )
+        .expect("write");
+        assert_eq!(out.writes.len(), 1, "one response, one write");
+        assert_eq!(
+            String::from_utf8(out.writes.remove(0)).expect("utf-8"),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 13\r\nConnection: close\r\nX-Ppm-Trace: t-7\r\n\
+             Retry-After: 1\r\n\r\n{\"shed\":true}"
         );
     }
 

@@ -9,6 +9,29 @@
 //! (xoshiro256++, public domain, Blackman & Vigna) rather than depending
 //! on a generator whose stream may change between library versions.
 //!
+//! # Stream stability
+//!
+//! For a given seed, every stream this crate produces is fixed: the raw
+//! [`Rng`] stream, and the draws of [`Rng::unit_f64`], [`Rng::below`],
+//! [`Rng::chance`] and every distribution built on them. A change that
+//! makes sampling faster must leave each draw's value and the number of
+//! raw draws it consumes unchanged, because traces, sampled designs and
+//! therefore every model file in the workspace are functions of these
+//! streams. The distributions are fast because they compute their
+//! constants once, never because a draw's value changed:
+//!
+//! * [`Geometric`] computes `ln(1 - p)` in `new`, not per draw;
+//! * [`WeightedIndex`] validates and sums its weights once, and its
+//!   draws equal those of [`Rng::weighted_index`], which delegates to
+//!   it;
+//! * [`CappedGeometric`] (a geometric draw capped at `max`, the register
+//!   dependence distance) decides most draws by comparing `u` with
+//!   precomputed thresholds `(1 - p)^d` and evaluates the inverse-CDF
+//!   formula only when `u` lies within a relative `1e-9` of one. Its
+//!   docs give the error argument for why that can never change a
+//!   draw, and its unit tests place `u` at every threshold, at its band
+//!   edges and up to 1000 ULP around it.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,7 +47,7 @@
 mod distributions;
 mod xoshiro;
 
-pub use distributions::Geometric;
+pub use distributions::{CappedGeometric, Geometric, WeightedIndex};
 pub use xoshiro::Rng;
 
 /// Derives a child seed from a parent seed and a stream identifier.

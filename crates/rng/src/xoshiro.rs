@@ -1,5 +1,7 @@
 //! The xoshiro256++ generator with SplitMix64 seeding.
 
+use crate::WeightedIndex;
+
 /// A small, fast, bit-stable pseudo-random number generator
 /// (xoshiro256++ 1.0).
 ///
@@ -146,28 +148,18 @@ impl Rng {
 
     /// Samples an index according to a slice of non-negative weights.
     ///
+    /// Validates and sums the weights on every call, then draws as
+    /// [`WeightedIndex::sample`] does: the two produce the same stream.
+    /// To draw repeatedly from the same weights, build a
+    /// [`WeightedIndex`] once instead.
+    ///
     /// # Panics
     ///
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// value, or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "no weights given");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w.is_finite() && w >= 0.0, "weight {w} is invalid");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weights sum to zero");
-        let mut x = self.unit_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
+        let total = WeightedIndex::total(weights);
+        WeightedIndex::locate(weights, self.unit_f64() * total)
     }
 }
 

@@ -56,7 +56,14 @@ pub struct ServingModel {
     /// The first-order analytical estimator for the same workload — the
     /// degraded-mode prediction path.
     pub fallback: FirstOrderModel,
+    /// The trace `fallback` was profiled from.
+    fallback_key: FallbackKey,
 }
+
+/// The trace an analytical fallback is profiled from: benchmark, seed
+/// and instruction count. Two models with the same key have the same
+/// fallback, bit for bit.
+type FallbackKey = (Benchmark, u64, usize);
 
 /// How a [`ModelStore::reload`] resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,8 +116,10 @@ pub fn publish(registry: &Path, model: &Path) -> Result<String, ServeError> {
 /// Loads and fully validates the version named by `CURRENT`:
 /// checksum-verified parse, content hash matching the file name, a
 /// finite probe prediction at the space midpoint, and a working
-/// analytical fallback derived from the model's own metadata.
-fn load_current(dir: &Path) -> Result<ServingModel, ServeError> {
+/// analytical fallback derived from the model's own metadata. The
+/// fallback is cloned from `active` when both profile the same trace,
+/// and built (one profile pass) otherwise.
+fn load_current(dir: &Path, active: Option<&ServingModel>) -> Result<ServingModel, ServeError> {
     let current = dir.join(CURRENT_FILE);
     let version = std::fs::read_to_string(&current)
         .map_err(|e| ServeError::Store(format!("cannot read {}: {e}", current.display())))?
@@ -159,25 +168,28 @@ fn load_current(dir: &Path) -> Result<ServingModel, ServeError> {
             path.display()
         )));
     }
-    let fallback = build_fallback(benchmark, seed, instructions)?;
+    let key = (benchmark, seed, instructions.max(1000));
+    let fallback = match active {
+        Some(active) if active.fallback_key == key => active.fallback.clone(),
+        _ => build_fallback(key)?,
+    };
     Ok(ServingModel {
         network: Some(saved.network),
         version,
         benchmark,
         metric,
         fallback,
+        fallback_key: key,
     })
 }
 
 /// Builds the analytical fallback: one cheap trace pass, validated with
 /// a finite probe at the default configuration.
 fn build_fallback(
-    benchmark: Benchmark,
-    seed: u64,
-    instructions: usize,
+    (benchmark, seed, instructions): FallbackKey,
 ) -> Result<FirstOrderModel, ServeError> {
     let stats = ProgramStats::collect(
-        TraceGenerator::new(benchmark, seed).take(instructions.max(1000)),
+        TraceGenerator::new(benchmark, seed).take(instructions),
         &SimConfig::default(),
     );
     let fallback = FirstOrderModel::new(stats);
@@ -203,7 +215,7 @@ impl ModelStore {
     /// [`ServeError::Store`] when no model loads and no fallback
     /// benchmark was provided.
     pub fn open(dir: &Path, fallback_benchmark: Option<Benchmark>) -> Result<Self, ServeError> {
-        let model = match load_current(dir) {
+        let model = match load_current(dir, None) {
             Ok(model) => model,
             Err(e) => match fallback_benchmark {
                 Some(benchmark) => {
@@ -212,12 +224,14 @@ impl ModelStore {
                         "serve.store.analytical_only",
                         "detail" => e.to_string(),
                     );
+                    let key = (benchmark, 1, 100_000);
                     ServingModel {
                         network: None,
                         version: "analytical".to_string(),
                         benchmark,
                         metric: "cpi".to_string(),
-                        fallback: build_fallback(benchmark, 1, 100_000)?,
+                        fallback: build_fallback(key)?,
+                        fallback_key: key,
                     }
                 }
                 None => return Err(e),
@@ -247,14 +261,16 @@ impl ModelStore {
     /// Re-reads `CURRENT` and swaps in the named model — but only after
     /// it passes the full validation gauntlet. On any failure the
     /// previous model keeps serving (versioned rollback by not
-    /// swapping), and the error says why.
+    /// swapping), and the error says why. A candidate whose benchmark,
+    /// seed and instruction count equal the active model's takes the
+    /// active analytical fallback instead of profiling the trace again.
     ///
     /// # Errors
     ///
     /// [`ServeError::Store`] describing the failed validation step; the
     /// active model is unchanged in that case.
     pub fn reload(&self) -> Result<ReloadOutcome, ServeError> {
-        let candidate = load_current(&self.dir)?;
+        let candidate = load_current(&self.dir, Some(&self.active()))?;
         let mut active = self
             .active
             .write()

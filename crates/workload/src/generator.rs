@@ -1,6 +1,6 @@
 //! Expansion of a [`Profile`] into a dynamic instruction stream.
 
-use ppm_rng::{derive_seed, Geometric, Rng};
+use ppm_rng::{derive_seed, CappedGeometric, Geometric, Rng, WeightedIndex};
 use ppm_sim::{Instr, Op};
 
 use crate::{Benchmark, Profile};
@@ -39,7 +39,6 @@ struct Block {
 struct RegionStream {
     base: u64,
     size: u64,
-    weight: f64,
     sequential: f64,
     ptr: u64,
 }
@@ -71,9 +70,12 @@ struct RegionStream {
 pub struct TraceGenerator {
     blocks: Vec<Block>,
     regions: Vec<RegionStream>,
-    region_weights: Vec<f64>,
-    op_weights: [f64; 6],
-    dep_dist: Geometric,
+    /// Picks a region per memory access, by region weight.
+    region_pick: WeightedIndex,
+    /// Picks a body instruction's class, by the profile mix.
+    op_pick: WeightedIndex,
+    /// Register dependence distances, capped at [`MAX_DEP_DIST`].
+    dep_dist: CappedGeometric,
     two_src_frac: f64,
     walk: Rng,
     current_block: usize,
@@ -128,12 +130,11 @@ impl TraceGenerator {
                 // never alias in caches by accident.
                 base: (i as u64 + 1) << 28,
                 size: r.size,
-                weight: r.weight,
                 sequential: r.sequential,
                 ptr: 0,
             })
             .collect();
-        let region_weights = regions.iter().map(|r| r.weight).collect();
+        let region_weights: Vec<f64> = profile.regions.iter().map(|r| r.weight).collect();
         let m = &profile.mix;
         let op_weights = [
             m.load,
@@ -147,9 +148,9 @@ impl TraceGenerator {
         TraceGenerator {
             blocks,
             regions,
-            region_weights,
-            op_weights,
-            dep_dist: Geometric::new(profile.dep_p),
+            region_pick: WeightedIndex::new(&region_weights),
+            op_pick: WeightedIndex::new(&op_weights),
+            dep_dist: CappedGeometric::new(profile.dep_p, MAX_DEP_DIST),
             two_src_frac: profile.two_src_frac,
             walk,
             current_block: 0,
@@ -166,15 +167,20 @@ impl TraceGenerator {
     }
 
     fn dep(&mut self) -> u32 {
-        self.dep_dist.sample(&mut self.walk).min(MAX_DEP_DIST) as u32
+        self.dep_dist.sample(&mut self.walk) as u32
     }
 
     fn mem_address(&mut self) -> u64 {
-        let idx = self.walk.weighted_index(&self.region_weights);
+        let idx = self.region_pick.sample(&mut self.walk);
         let r = &mut self.regions[idx];
         if self.walk.chance(r.sequential) {
             let addr = r.base + r.ptr;
-            r.ptr = (r.ptr + 8) % r.size;
+            // `(ptr + 8) % size` without a division: `ptr < size` and
+            // `size >= 64`, so one subtraction wraps it.
+            r.ptr += 8;
+            if r.ptr >= r.size {
+                r.ptr -= r.size;
+            }
             addr
         } else {
             r.base + self.walk.below(r.size / 8) * 8
@@ -190,7 +196,7 @@ impl Iterator for TraceGenerator {
         let pc = block.pc + 4 * self.body_index as u64;
         if self.body_index < block.body_len {
             // Body instruction: class drawn from the mix per visit.
-            let op = OP_CLASSES[self.walk.weighted_index(&self.op_weights)];
+            let op = OP_CLASSES[self.op_pick.sample(&mut self.walk)];
             self.body_index += 1;
             let s1 = self.dep();
             let s2 = if self.walk.chance(self.two_src_frac) {

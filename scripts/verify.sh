@@ -53,6 +53,19 @@ echo "== cache replacement: recency order == stamp model =="
 cargo test -q --release -p ppm-sim -- --ignored
 gate_done cache
 
+echo "== trace generation: generator == per-draw oracle =="
+# Every engine, the profiler and every model replay the generator's
+# trace, so the batch == reference and digest gates all consume one
+# stream and cannot see it move. This ignored case is the only
+# independent check that traces, and hence every CPI and model file,
+# did not move: 108 M instructions of all 8 benchmarks (3 seeds), of
+# dep_p = 0.01, 0.99 and 1 profiles and of a profile with odd region
+# sizes, compared one by one against the generator's per-draw code (two
+# logarithms per dependence distance, a weight sum per pick) kept
+# verbatim in the test.
+cargo test -q --release -p ppm-workload --test trace_oracle -- --ignored
+gate_done generator
+
 echo "== flight recorder: smoke build + regression sentry + trace check =="
 # A fixed-seed smoke build must (a) reproduce the committed baseline
 # ledger — every deterministic counter and error statistic exactly, and
