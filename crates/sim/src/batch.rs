@@ -44,11 +44,19 @@
 //! # Structure-of-arrays lanes
 //!
 //! Lane state lives in [`Lanes`]: one `Vec` per scalar (cycle counter,
-//! queue occupancies, fetch gates) and one `Vec` per container (ROB,
-//! fetch queue, heaps), indexed by lane. The hot kernel borrows a
-//! [`LaneView`] of one lane — a struct of disjoint `&mut` into the
-//! arrays — so the cycle loop runs on direct references while the
-//! storage stays columnar.
+//! queue occupancies, fetch gates) and one `Vec` per container kind,
+//! indexed by lane. The hot kernel borrows a [`LaneView`] of one lane —
+//! a struct of disjoint `&mut` into the arrays — so the cycle loop runs
+//! on direct references while the storage stays columnar.
+//!
+//! Every per-lane queue is a fixed array sized at construction and
+//! addressed by sequence number, so the cycle loop allocates nothing:
+//! the ROB ring ([`Rob`]) with intrusive waiter lists, the ready bitset
+//! ([`ReadySet`]), the completion calendar wheel ([`CompletionSet`],
+//! whose overflow heap only takes completions 512 or more cycles out)
+//! and the fetch queue, which is implicit — it always holds the seqs
+//! between the ROB's tail and the fetch position, so only their
+//! rename-ready cycles are stored ([`FetchQueue`]).
 //!
 //! # Chunk-major scheduling and the window barrier
 //!
@@ -71,7 +79,7 @@
 //! oracle ([`crate::reference`]) while high-CPI idle spans cost O(1).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -274,63 +282,72 @@ impl Hasher for WordHasher {
 
 type StoreMap = HashMap<u64, u64, BuildHasherDefault<WordHasher>>;
 
-/// Number of fixed-latency completion classes (single-cycle, integer
-/// multiply, FP add, FP multiply, L1-latency loads).
-const FIXED_DELAYS: usize = 5;
+/// Buckets in the completion wheel: one per cycle of the next `WHEEL`
+/// cycles. Completions further out go to the overflow heap.
+const WHEEL: usize = 512;
 
-/// Pending execution completions, split by latency class.
+/// End of an intrusive list (completion bucket or waiter list).
+const NIL: u32 = u32::MAX;
+
+/// Pending execution completions: a calendar wheel of intrusive lists
+/// over ROB slots, plus a small heap for far-out completions.
 ///
-/// Completions with a *fixed* latency K are pushed as `now + K` with
-/// `now` nondecreasing, so each class's queue is already sorted — a
-/// `VecDeque` replaces heap discipline for the overwhelming majority of
-/// instructions. Only variable-latency completions (cache-missing
-/// loads) go through a real heap.
+/// Bucket `c % WHEEL` holds the slots completing at cycle `c`, linked
+/// through a per-slot `next` array (an instruction issues once, so one
+/// link per ROB slot suffices). The wheel is exact — every bucket holds
+/// a single cycle — because every pending completion is `>= now` at
+/// each cycle start: issue pushes `done_cycle >= now + 1` (every latency
+/// is at least one cycle, which [`SimConfig::validate`] enforces), and a
+/// skip never jumps past [`Self::min_cycle`]. So a completion pushed
+/// less than `WHEEL` cycles out lies in `[now, now + WHEEL)` until it
+/// drains, and draining cycle `now` is bucket `now % WHEEL` plus the
+/// heap's due entries. Completions `WHEEL` or more cycles out (deep
+/// DRAM queues) take the heap.
 ///
-/// Same-cycle entries may interleave across queues, so [`Self::pop_due`]
-/// does not define an order *within* a cycle. That is safe: processing
-/// order within one `process_completions` call is outcome-independent —
-/// marking Done, decrementing `pending_deps`, and pushing to the
-/// (seq-ordered) ready heap all commute, and the fetch-restart update
-/// depends only on the current cycle, not the pop order.
+/// Drains define no order *within* a cycle. That is safe: processing
+/// order within one `drain_completions` call is outcome-independent —
+/// marking Done, decrementing `pending_deps`, and setting ready bits
+/// all commute, and the fetch-restart update depends only on the
+/// current cycle, not the order.
 struct CompletionSet {
-    /// One sorted `(done_cycle, seq)` queue per fixed latency class.
-    lines: [VecDeque<(u64, u64)>; FIXED_DELAYS],
-    /// The latency each line holds, used to route pushes by delay.
-    delays: [u64; FIXED_DELAYS],
-    /// Variable-latency completions.
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Bit `i` set iff `lines[i]` is non-empty; bit `FIXED_DELAYS` for
-    /// the heap. Drains visit only live structures.
-    live: u8,
+    /// First ROB slot of each bucket's list, [`NIL`] when empty.
+    heads: Vec<u32>,
+    /// Per-ROB-slot link to the next slot in the same bucket.
+    next: Vec<u32>,
+    /// Bit `b` set iff bucket `b` is non-empty.
+    occupied: [u64; WHEEL / 64],
+    /// `(done_cycle, seq)` of completions `WHEEL` or more cycles out.
+    far: BinaryHeap<Reverse<(u64, u64)>>,
     /// Exact earliest pending cycle (`u64::MAX` when empty), so the
     /// per-step due-check is O(1). Pushes maintain it directly;
-    /// [`Self::drain_due`] recomputes it.
+    /// [`Self::settle`] recomputes it after a drain.
     min: u64,
 }
 
 impl CompletionSet {
-    fn new(delays: [u64; FIXED_DELAYS]) -> Self {
+    fn new(rob_slots: usize) -> Self {
         CompletionSet {
-            lines: Default::default(),
-            delays,
-            heap: BinaryHeap::new(),
-            live: 0,
+            heads: vec![NIL; WHEEL],
+            next: vec![NIL; rob_slots],
+            occupied: [0; WHEEL / 64],
+            far: BinaryHeap::new(),
             min: u64::MAX,
         }
     }
 
-    fn push(&mut self, now: u64, done_cycle: u64, seq: u64) {
+    /// Schedules ROB slot `slot` (holding `seq`) to complete at
+    /// `done_cycle > now`.
+    fn push(&mut self, now: u64, done_cycle: u64, seq: u64, slot: usize) {
+        debug_assert!(done_cycle > now);
         self.min = self.min.min(done_cycle);
-        let delay = done_cycle - now;
-        for (i, (line, &d)) in self.lines.iter_mut().zip(&self.delays).enumerate() {
-            if delay == d {
-                line.push_back((done_cycle, seq));
-                self.live |= 1 << i;
-                return;
-            }
+        if done_cycle - now >= WHEEL as u64 {
+            self.far.push(Reverse((done_cycle, seq)));
+            return;
         }
-        self.heap.push(Reverse((done_cycle, seq)));
-        self.live |= 1 << FIXED_DELAYS;
+        let b = done_cycle as usize & (WHEEL - 1);
+        self.next[slot] = self.heads[b];
+        self.heads[b] = slot as u32;
+        self.occupied[b >> 6] |= 1 << (b & 63);
     }
 
     /// The earliest pending completion cycle (`u64::MAX` when empty).
@@ -338,81 +355,105 @@ impl CompletionSet {
         self.min
     }
 
-    /// Drains every completion with `done_cycle <= now` into `out` (no
-    /// intra-cycle order; see the type docs for why that is sound) and
-    /// recomputes the cached minimum, in one pass over the live
-    /// structures.
-    fn drain_due(&mut self, now: u64, out: &mut Vec<u64>) {
-        let mut min = u64::MAX;
-        let mut pending = self.live;
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            if i < FIXED_DELAYS {
-                let line = &mut self.lines[i];
-                while let Some(&(cycle, seq)) = line.front() {
-                    if cycle > now {
-                        min = min.min(cycle);
-                        break;
-                    }
-                    out.push(seq);
-                    line.pop_front();
-                }
-                if line.is_empty() {
-                    self.live &= !(1 << i);
-                }
-            } else {
-                while let Some(&Reverse((cycle, seq))) = self.heap.peek() {
-                    if cycle > now {
-                        min = min.min(cycle);
-                        break;
-                    }
-                    out.push(seq);
-                    self.heap.pop();
-                }
-                if self.heap.is_empty() {
-                    self.live &= !(1 << FIXED_DELAYS);
-                }
+    /// Detaches the list of slots completing at `now`; walk it through
+    /// `next`.
+    fn take_bucket(&mut self, now: u64) -> u32 {
+        let b = now as usize & (WHEEL - 1);
+        self.occupied[b >> 6] &= !(1 << (b & 63));
+        std::mem::replace(&mut self.heads[b], NIL)
+    }
+
+    /// Pops one overflow completion due at `now`, returning its seq.
+    fn pop_far(&mut self, now: u64) -> Option<u64> {
+        match self.far.peek() {
+            Some(&Reverse((cycle, seq))) if cycle <= now => {
+                self.far.pop();
+                Some(seq)
             }
+            _ => None,
         }
-        self.min = min;
+    }
+
+    /// Recomputes the cached minimum once everything due at `now` has
+    /// drained: the first occupied bucket from `now + 1` on, scanning
+    /// the bitmap circularly, against the heap's top.
+    fn settle(&mut self, now: u64) {
+        let from = now + 1;
+        let far = self.far.peek().map_or(u64::MAX, |r| r.0 .0);
+        self.min = self
+            .buckets_to_occupied(from as usize & (WHEEL - 1))
+            .map_or(far, |d| far.min(from + d));
+    }
+
+    /// Circular distance from bucket `p` to the first occupied bucket
+    /// at or after it.
+    fn buckets_to_occupied(&self, p: usize) -> Option<u64> {
+        let words = self.occupied.len();
+        let w0 = p >> 6;
+        let first = self.occupied[w0] >> (p & 63);
+        if first != 0 {
+            return Some(u64::from(first.trailing_zeros()));
+        }
+        // The last iteration revisits word `w0`, whose bits at and
+        // after `p` are known clear: only the wrapped-around ones count.
+        (1..=words).find_map(|k| {
+            let w = (w0 + k) % words;
+            let word = self.occupied[w];
+            (word != 0).then(|| {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                ((b + WHEEL - p) % WHEEL) as u64
+            })
+        })
     }
 }
 
 /// One in-flight instruction's hot scheduling state — 32 bytes, two per
-/// cache line. Unlike the serial engine's ROB entry this does not carry
-/// the [`Instr`]: the shared window keeps every in-flight instruction
-/// resident, so the stages re-read it by absolute index instead.
+/// cache line. Unlike the serial engine's ROB entry this carries only
+/// the instruction's op: the shared window keeps every in-flight
+/// instruction resident, so issue and commit re-read it by absolute
+/// index for a load's or store's address.
 #[derive(Clone, Copy)]
 struct Slot {
     seq: u64,
     done_cycle: u64,
     /// Forwarding-source store seq for loads, `u64::MAX` for none.
     fwd_src: u64,
+    /// First waiter edge (see [`Rob`]) of the dependents to wake when
+    /// this entry completes, [`NIL`] for none.
+    wait_head: u32,
     state: EntryState,
     pending_deps: u8,
+    op: Op,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 
 const VACANT: Slot = Slot {
     seq: u64::MAX,
     done_cycle: 0,
     fwd_src: u64::MAX,
+    wait_head: NIL,
     state: EntryState::Done,
     pending_deps: 0,
+    op: Op::IntAlu,
 };
 
 /// The reorder buffer as a power-of-two ring addressed directly by
 /// sequence number: the slot for `seq` is `slots[seq & mask]`, unique
 /// because at most `rob_size <= capacity` instructions are in flight.
 ///
-/// Slots are permanent — commit advances the head without moving them —
-/// and the waiter lists live in a parallel array (they are cold next to
-/// the scheduling fields), each vector staying resident for the next
-/// instruction that lands on its slot, so steady-state dispatch
-/// allocates nothing.
+/// Slots are permanent — commit advances the head without moving them.
+/// The waiter lists are intrusive: each slot owns edge nodes
+/// `4·slot + k` for its operands (`k` = 0 for src1, 1 for src2, 2 for
+/// the forwarding store), and dispatch links each edge whose producer
+/// is still executing into that producer's `wait_head` list through
+/// `edge_next`. A consumer whose two sources name one producer links
+/// twice, matching its `pending_deps`. An edge is walked when its
+/// producer completes, before the consumer can issue or retire, so a
+/// slot's nodes are free again by the time the slot is reused.
 struct Rob {
     slots: Vec<Slot>,
-    waiters: Vec<Vec<u64>>,
+    edge_next: Vec<u32>,
     mask: u64,
     len: usize,
 }
@@ -422,14 +463,10 @@ impl Rob {
         let cap = rob_size.next_power_of_two();
         Rob {
             slots: vec![VACANT; cap],
-            waiters: (0..cap).map(|_| Vec::new()).collect(),
+            edge_next: vec![NIL; 4 * cap],
             mask: cap as u64 - 1,
             len: 0,
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn len(&self) -> usize {
@@ -440,19 +477,25 @@ impl Rob {
         seq >= head_seq && seq < head_seq + self.len as u64
     }
 
-    /// The slot for `seq`, without checking liveness — callers must
-    /// know `seq` is in flight.
-    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
-        &mut self.slots[(seq & self.mask) as usize]
+    fn slot_of(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     fn get(&self, head_seq: u64, seq: u64) -> Option<&Slot> {
         self.contains(head_seq, seq)
-            .then(|| &self.slots[(seq & self.mask) as usize])
+            .then(|| &self.slots[self.slot_of(seq)])
     }
 
     fn front(&self, head_seq: u64) -> Option<&Slot> {
         self.get(head_seq, head_seq)
+    }
+
+    /// Links waiter edge `edge` into the list of the producer in
+    /// `producer`'s slot.
+    fn link(&mut self, producer: usize, edge: usize) {
+        let p = &mut self.slots[producer];
+        self.edge_next[edge] = p.wait_head;
+        p.wait_head = edge as u32;
     }
 }
 
@@ -497,15 +540,37 @@ impl ReadySet {
     }
 }
 
-/// A fetched instruction waiting to dispatch. Unlike the serial
-/// engine's fetch-queue entry this does not carry the [`Instr`] itself:
-/// the kernel keeps the previous chunk resident in the shared window
-/// precisely so in-flight front-end entries can re-read their
-/// instruction (and forwarding source) by absolute index at dispatch.
-#[derive(Clone, Copy)]
-struct Fetched {
-    seq: u64,
-    rename_ready: u64,
+/// The front-end queue between fetch and dispatch, held implicitly.
+///
+/// Fetch appends `pos` and dispatch takes the oldest, which always
+/// enters the ROB at `head_seq + rob.len`; commit moves both ends of
+/// the ROB together. So the queue always holds exactly the seqs
+/// `head_seq + rob.len .. pos`, and only each entry's rename-ready
+/// cycle is stored, in a power-of-two ring indexed by seq. The
+/// instruction itself (and its forwarding source) is re-read from the
+/// shared window at dispatch: the kernel keeps the previous chunk
+/// resident for exactly that.
+struct FetchQueue {
+    rename_ready: Vec<u64>,
+    mask: u64,
+}
+
+impl FetchQueue {
+    fn new(capacity: usize) -> Self {
+        let cap = capacity.next_power_of_two();
+        FetchQueue {
+            rename_ready: vec![0; cap],
+            mask: cap as u64 - 1,
+        }
+    }
+
+    fn rename_ready(&self, seq: u64) -> u64 {
+        self.rename_ready[(seq & self.mask) as usize]
+    }
+
+    fn set_rename_ready(&mut self, seq: u64, cycle: u64) {
+        self.rename_ready[(seq & self.mask) as usize] = cycle;
+    }
 }
 
 /// One lane's hot scalar state, copied into registers/stack for the
@@ -542,7 +607,7 @@ struct Lanes {
     dl1_lat: Vec<u64>,
     // Containers.
     rob: Vec<Rob>,
-    fetch_queue: Vec<VecDeque<Fetched>>,
+    fetch_queue: Vec<FetchQueue>,
     ready: Vec<ReadySet>,
     completions: Vec<CompletionSet>,
     hierarchy: Vec<Hierarchy>,
@@ -551,8 +616,6 @@ struct Lanes {
     /// into the named [`SimStats`] fields at finalize so commit charges
     /// one unconditional array increment instead of a seven-way branch.
     op_counts: Vec<[u64; 7]>,
-    /// Reusable scratch for the seqs completing this cycle.
-    due: Vec<Vec<u64>>,
 }
 
 /// One lane's working state for the hot kernel: scalars *by value*
@@ -567,18 +630,32 @@ struct LaneView<'a> {
     fq_capacity: usize,
     dl1_lat: u64,
     rob: &'a mut Rob,
-    fetch_queue: &'a mut VecDeque<Fetched>,
+    fetch_queue: &'a mut FetchQueue,
     ready: &'a mut ReadySet,
     completions: &'a mut CompletionSet,
     hierarchy: &'a mut Hierarchy,
     stats: &'a mut SimStats,
     op_counts: &'a mut [u64; 7],
-    due: &'a mut Vec<u64>,
+}
+
+impl LaneView<'_> {
+    /// The oldest fetch-queue entry's seq (the next to dispatch).
+    fn fq_front(&self) -> u64 {
+        self.s.head_seq + self.rob.len as u64
+    }
+
+    fn fq_len(&self) -> usize {
+        self.s.pos - self.fq_front() as usize
+    }
 }
 
 impl Lanes {
     fn new(configs: &[SimConfig]) -> Self {
         let n = configs.len();
+        let fq_capacity: Vec<usize> = configs
+            .iter()
+            .map(|c| (c.front_depth() as usize + 4) * c.fixed.width as usize)
+            .collect();
         Lanes {
             scalars: vec![
                 LaneScalars {
@@ -599,36 +676,24 @@ impl Lanes {
             iq_size: configs.iter().map(|c| c.iq_size() as usize).collect(),
             lsq_size: configs.iter().map(|c| c.lsq_size() as usize).collect(),
             front_depth: configs.iter().map(|c| c.front_depth() as u64).collect(),
-            fq_capacity: configs
-                .iter()
-                .map(|c| (c.front_depth() as usize + 4) * c.fixed.width as usize)
-                .collect(),
+            fetch_queue: fq_capacity.iter().map(|&c| FetchQueue::new(c)).collect(),
+            fq_capacity,
             dl1_lat: configs.iter().map(|c| c.dl1_lat as u64).collect(),
             rob: configs
                 .iter()
                 .map(|c| Rob::new(c.rob_size as usize))
                 .collect(),
-            fetch_queue: (0..n).map(|_| VecDeque::new()).collect(),
             ready: configs
                 .iter()
                 .map(|c| ReadySet::new((c.rob_size as usize).next_power_of_two()))
                 .collect(),
             completions: configs
                 .iter()
-                .map(|c| {
-                    CompletionSet::new([
-                        1,
-                        c.fixed.int_mul_lat as u64,
-                        c.fixed.fp_alu_lat as u64,
-                        c.fixed.fp_mul_lat as u64,
-                        c.dl1_lat as u64,
-                    ])
-                })
+                .map(|c| CompletionSet::new((c.rob_size as usize).next_power_of_two()))
                 .collect(),
             hierarchy: configs.iter().map(Hierarchy::new).collect(),
             stats: vec![SimStats::default(); n],
             op_counts: vec![[0; 7]; n],
-            due: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -648,7 +713,6 @@ impl Lanes {
             hierarchy: &mut self.hierarchy[l],
             stats: &mut self.stats[l],
             op_counts: &mut self.op_counts[l],
-            due: &mut self.due[l],
         }
     }
 
@@ -797,10 +861,10 @@ impl Kernel {
                         continue;
                     }
                     let mut lane = self.lanes.view(l);
-                    while !(lane.s.pos == total
-                        && lane.rob.is_empty()
-                        && lane.fetch_queue.is_empty())
-                    {
+                    // The ROB and the fetch queue both sit between
+                    // `head_seq` and `pos <= total`, so a lane that has
+                    // retired the whole trace has drained them too.
+                    while lane.s.head_seq < total as u64 {
                         step(&mut lane, &self.shared, &window);
                     }
                     let s = lane.s;
@@ -933,14 +997,16 @@ fn try_skip(lane: &mut LaneView<'_>, window: &Window<'_>) -> bool {
     // skipped cycle; a pre-rename front wakes the lane when it matures.
     let mut stall = None;
     let mut wake = u64::MAX;
-    if let Some(front) = lane.fetch_queue.front() {
-        if front.rename_ready > now0 {
-            wake = front.rename_ready;
+    if lane.fq_len() > 0 {
+        let front = lane.fq_front();
+        let rename_ready = lane.fetch_queue.rename_ready(front);
+        if rename_ready > now0 {
+            wake = rename_ready;
         } else if lane.rob.len() >= lane.rob_size {
             stall = Some(Stall::Rob);
         } else if lane.s.iq_count >= lane.iq_size {
             stall = Some(Stall::Iq);
-        } else if window.instrs[front.seq as usize - window.start].op.is_mem()
+        } else if window.instrs[front as usize - window.start].op.is_mem()
             && lane.s.lsq_count >= lane.lsq_size
         {
             stall = Some(Stall::Lsq);
@@ -951,8 +1017,8 @@ fn try_skip(lane: &mut LaneView<'_>, window: &Window<'_>) -> bool {
     // Fetch: blocked on a mispredicted branch, gated until
     // `fetch_available`, out of queue space, or out of trace — anything
     // else would fetch (or at least probe the I-cache) this cycle.
-    let can_fetch_later = lane.s.pos - window.start < window.instrs.len()
-        && lane.fetch_queue.len() < lane.fq_capacity;
+    let can_fetch_later =
+        lane.s.pos - window.start < window.instrs.len() && lane.fq_len() < lane.fq_capacity;
     if lane.s.fetch_blocked_on.is_none() {
         if now0 < lane.s.fetch_available {
             if can_fetch_later {
@@ -1017,8 +1083,9 @@ fn process_completions(lane: &mut LaneView<'_>) {
     drain_completions(lane, now);
 }
 
-/// Drains every completion due at `now`, marking slots Done, restarting
-/// fetch after resolved mispredicts, and waking registered dependents.
+/// Drains every completion due at `now` — bucket `now % WHEEL` of the
+/// wheel, walked in place, then the overflow heap's due entries — and
+/// recomputes the earliest pending cycle.
 ///
 /// Returns whether any drained completion was *impure* — it readied a
 /// dependent or completed the ROB head — i.e. whether the serial engine
@@ -1027,45 +1094,52 @@ fn process_completions(lane: &mut LaneView<'_>) {
 /// next cycle.)
 #[inline(always)]
 fn drain_completions(lane: &mut LaneView<'_>, now: u64) -> bool {
-    let mut due = std::mem::take(lane.due);
-    lane.completions.drain_due(now, &mut due);
-    let mask = lane.rob.mask;
     let mut impure = false;
-    for &seq in &due {
-        let idx = (seq & mask) as usize;
-        {
-            // A completing seq is always still in flight: nothing
-            // squashes in a trace-driven model, and commit never
-            // retires an entry that has not completed.
-            let e = &mut lane.rob.slots[idx];
-            debug_assert!(e.seq == seq && e.state == EntryState::Issued);
-            e.state = EntryState::Done;
-        }
-        impure |= seq == lane.s.head_seq;
-        // A resolved mispredicted branch restarts fetch.
-        if lane.s.fetch_blocked_on == Some(seq) {
-            lane.s.fetch_blocked_on = None;
-            lane.s.fetch_available = (lane.s.fetch_available).max(now + 1);
-            lane.s.last_fetch_line = u64::MAX; // redirect: new line
-        }
-        // `slots` and `waiters` are distinct fields, so the wake loop
-        // reads one while mutating the other without moving either.
-        let Rob { slots, waiters, .. } = &mut *lane.rob;
-        for &w in &waiters[idx] {
-            // A dependent can neither issue nor retire before its
-            // producer completes, so it is still in flight too.
-            let dep = &mut slots[(w & mask) as usize];
-            debug_assert_eq!(dep.seq, w);
-            dep.pending_deps -= 1;
-            if dep.pending_deps == 0 && dep.state == EntryState::Waiting {
-                lane.ready.insert(w);
-                impure = true;
-            }
-        }
-        waiters[idx].clear();
+    let mut slot = lane.completions.take_bucket(now);
+    while slot != NIL {
+        let next = lane.completions.next[slot as usize];
+        impure |= complete(lane, slot as usize, now);
+        slot = next;
     }
-    due.clear();
-    *lane.due = due;
+    while let Some(seq) = lane.completions.pop_far(now) {
+        impure |= complete(lane, lane.rob.slot_of(seq), now);
+    }
+    lane.completions.settle(now);
+    impure
+}
+
+/// Marks the entry in ROB slot `idx` done at `now`, restarts fetch
+/// after a resolved mispredict, and wakes the entry's waiters; returns
+/// whether the completion was impure (see [`drain_completions`]).
+#[inline(always)]
+fn complete(lane: &mut LaneView<'_>, idx: usize, now: u64) -> bool {
+    // A completing seq is always still in flight: nothing squashes in
+    // a trace-driven model, and commit never retires an entry that has
+    // not completed.
+    let e = &mut lane.rob.slots[idx];
+    debug_assert!(e.state == EntryState::Issued && e.done_cycle == now);
+    e.state = EntryState::Done;
+    let seq = e.seq;
+    let mut edge = std::mem::replace(&mut e.wait_head, NIL);
+    let mut impure = seq == lane.s.head_seq;
+    // A resolved mispredicted branch restarts fetch.
+    if lane.s.fetch_blocked_on == Some(seq) {
+        lane.s.fetch_blocked_on = None;
+        lane.s.fetch_available = (lane.s.fetch_available).max(now + 1);
+        lane.s.last_fetch_line = u64::MAX; // redirect: new line
+    }
+    while edge != NIL {
+        // A dependent can neither issue nor retire before its producer
+        // completes, so it is still in flight too.
+        let dep = &mut lane.rob.slots[edge as usize >> 2];
+        debug_assert!(dep.pending_deps > 0 && dep.state == EntryState::Waiting);
+        dep.pending_deps -= 1;
+        if dep.pending_deps == 0 && dep.state == EntryState::Waiting {
+            lane.ready.insert(dep.seq);
+            impure = true;
+        }
+        edge = lane.rob.edge_next[edge as usize];
+    }
     impure
 }
 
@@ -1081,11 +1155,7 @@ fn commit(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         if head.state != EntryState::Done || head.done_cycle > now {
             break;
         }
-        // In-flight seqs always sit inside the resident window (the
-        // previous chunk is kept for exactly this reason).
-        debug_assert!(head_seq as usize >= window.start);
-        let instr = &window.instrs[head_seq as usize - window.start];
-        let op = instr.op;
+        let op = head.op;
         // Retire: advance the head; the slot stays resident. The
         // per-class tally is a branchless array bump, folded into the
         // named counters at finalize.
@@ -1097,8 +1167,12 @@ fn commit(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
             if op == Op::Store {
                 // The store writes its line at commit; this updates
                 // cache state and charges bank/bus occupancy, but
-                // does not stall commit (write buffering).
-                let _ = lane.hierarchy.data_access(now, instr.mem_addr);
+                // does not stall commit (write buffering). In-flight
+                // seqs always sit inside the resident window (the
+                // previous chunk is kept for exactly this reason).
+                debug_assert!(head_seq as usize >= window.start);
+                let addr = window.instrs[head_seq as usize - window.start].mem_addr;
+                let _ = lane.hierarchy.data_access(now, addr);
             }
         }
     }
@@ -1138,15 +1212,13 @@ fn issue(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
             let seq = seq0 + u64::from(word.trailing_zeros());
             word &= word - 1; // clear lowest candidate bit (local copy)
             let idx = (seq & mask) as usize;
-            let fwd_src = {
+            let (op, fwd_src) = {
                 let e = &lane.rob.slots[idx];
                 debug_assert!(
                     e.seq == seq && e.state == EntryState::Waiting && e.pending_deps == 0
                 );
-                e.fwd_src
+                (e.op, e.fwd_src)
             };
-            let instr = &window.instrs[seq as usize - window.start];
-            let (op, addr) = (instr.op, instr.mem_addr);
             let class = class_of(op);
             if quotas[class] == 0 {
                 continue; // deferred: the ready bit stays set
@@ -1173,6 +1245,7 @@ fn issue(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
                         lane.stats.forwarded_loads += 1;
                         now + lane.dl1_lat
                     } else {
+                        let addr = window.instrs[seq as usize - window.start].mem_addr;
                         lane.hierarchy.data_access(now, addr).complete
                     }
                 }
@@ -1181,7 +1254,7 @@ fn issue(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
             e.state = EntryState::Issued;
             e.done_cycle = done_cycle;
             lane.s.iq_count -= 1;
-            lane.completions.push(now, done_cycle, seq);
+            lane.completions.push(now, done_cycle, seq, idx);
             if issued == shared.width {
                 break 'scan;
             }
@@ -1195,10 +1268,8 @@ fn issue(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
 fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
     let now = lane.s.now;
     for _ in 0..shared.width {
-        let Some(front) = lane.fetch_queue.front() else {
-            break;
-        };
-        if front.rename_ready > now {
+        let seq = lane.fq_front();
+        if seq as usize == lane.s.pos || lane.fetch_queue.rename_ready(seq) > now {
             break;
         }
         if lane.rob.len() >= lane.rob_size {
@@ -1211,26 +1282,25 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         }
         // The window keeps the previous chunk resident, so every queued
         // seq is still addressable here (fq_capacity << CHUNK).
-        let idx = front.seq as usize - window.start;
-        let instr = &window.instrs[idx];
-        let fwd = window.fwd[idx];
+        let w = seq as usize - window.start;
+        let instr = &window.instrs[w];
+        let fwd = window.fwd[w];
         let is_mem = instr.op.is_mem();
         if is_mem && lane.s.lsq_count >= lane.lsq_size {
             lane.stats.lsq_full_cycles += 1;
             break;
         }
-        // lint:allow(panic-path): front() was checked non-empty above.
-        let f = lane.fetch_queue.pop_front().expect("checked front");
         let head_seq = lane.s.head_seq;
-        debug_assert_eq!(f.seq, head_seq + lane.rob.len() as u64);
+        let idx = lane.rob.slot_of(seq);
 
-        // Register dependences via producer distance.
+        // Register dependences via producer distance: waiter edge
+        // `4·idx + k` for source `k`.
         let mut pending_deps: u8 = 0;
-        for dist in [instr.src1_dist, instr.src2_dist] {
+        for (k, dist) in [instr.src1_dist, instr.src2_dist].into_iter().enumerate() {
             if dist == 0 {
                 continue;
             }
-            let Some(producer) = f.seq.checked_sub(u64::from(dist)) else {
+            let Some(producer) = seq.checked_sub(u64::from(dist)) else {
                 continue;
             };
             if lane
@@ -1238,7 +1308,7 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
                 .get(head_seq, producer)
                 .is_some_and(|p| p.state != EntryState::Done)
             {
-                lane.rob.waiters[(producer & lane.rob.mask) as usize].push(f.seq);
+                lane.rob.link(lane.rob.slot_of(producer), 4 * idx + k);
                 pending_deps += 1;
             }
         }
@@ -1251,10 +1321,10 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         if instr.op == Op::Load && fwd >= head_seq && fwd != u64::MAX {
             fwd_src = fwd;
             // Older than the load and uncommitted, so in the ROB.
-            let p = lane.rob.slot_mut(fwd);
-            debug_assert_eq!(p.seq, fwd);
-            if p.state != EntryState::Done {
-                lane.rob.waiters[(fwd & lane.rob.mask) as usize].push(f.seq);
+            let p = lane.rob.slot_of(fwd);
+            debug_assert_eq!(lane.rob.slots[p].seq, fwd);
+            if lane.rob.slots[p].state != EntryState::Done {
+                lane.rob.link(p, 4 * idx + 2);
                 pending_deps += 1;
             }
         }
@@ -1263,18 +1333,19 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
             lane.s.lsq_count += 1;
         }
         lane.s.iq_count += 1;
-        let idx = (f.seq & lane.rob.mask) as usize;
-        debug_assert!(lane.rob.waiters[idx].is_empty());
+        debug_assert_eq!(lane.rob.slots[idx].wait_head, NIL);
         lane.rob.slots[idx] = Slot {
-            seq: f.seq,
+            seq,
             done_cycle: 0,
             fwd_src,
+            wait_head: NIL,
             state: EntryState::Waiting,
             pending_deps,
+            op: instr.op,
         };
         lane.rob.len += 1;
         if pending_deps == 0 {
-            lane.ready.insert(f.seq);
+            lane.ready.insert(seq);
         }
     }
 }
@@ -1287,7 +1358,7 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
     }
     let now = lane.s.now;
     for _ in 0..shared.width {
-        if lane.fetch_queue.len() >= lane.fq_capacity {
+        if lane.fq_len() >= lane.fq_capacity {
             break;
         }
         let idx = lane.s.pos - window.start;
@@ -1310,10 +1381,8 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         // The shared pass computed this branch's outcome (and this
         // load's forwarding source) already.
         let mispredicted = window.flags[idx];
-        lane.fetch_queue.push_back(Fetched {
-            seq,
-            rename_ready: now + lane.front_depth,
-        });
+        lane.fetch_queue
+            .set_rename_ready(seq, now + lane.front_depth);
         if mispredicted {
             // Stop fetching until the branch resolves.
             lane.s.fetch_blocked_on = Some(seq);
@@ -1502,6 +1571,183 @@ mod tests {
         let batched = BatchProcessor::new(configs.clone())
             .unwrap()
             .run(trace.iter().copied());
+        for (l, config) in configs.iter().enumerate() {
+            assert_eq!(batched[l], serial(config, &trace), "lane {l}");
+        }
+    }
+
+    /// Asserts every lane of one batch equals its oracle run.
+    fn assert_lanes_match(configs: &[SimConfig], trace: &[Instr]) -> Vec<SimStats> {
+        let batched = BatchProcessor::new(configs.to_vec())
+            .unwrap()
+            .run(trace.iter().copied());
+        for (l, config) in configs.iter().enumerate() {
+            assert_eq!(batched[l], serial(config, trace), "lane {l}: {config:?}");
+        }
+        batched
+    }
+
+    #[test]
+    fn completion_wheel_drains_exactly_what_is_due() {
+        // A model of the wheel's contract: pushes at delays across the
+        // bucket count (511, 512, 513 and far beyond) and jumps of
+        // `now` up to the earliest pending cycle, as the skip logic
+        // makes them. Each drain must yield exactly the slots due at
+        // that cycle, and `min_cycle` must stay exact throughout.
+        let mut rng = ppm_rng::Rng::seed_from_u64(0x3a1);
+        let mut wheel = CompletionSet::new(1024);
+        let mut model: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+        let mut free: Vec<usize> = (0..1024).collect();
+        let mut now = 0u64;
+        let mut far_pushes = 0;
+        while now < 20_000 {
+            let want_min = model.keys().next().copied().unwrap_or(u64::MAX);
+            assert_eq!(wheel.min_cycle(), want_min, "cycle {now}");
+            if want_min == now {
+                let mut got = Vec::new();
+                let mut slot = wheel.take_bucket(now);
+                while slot != NIL {
+                    got.push(slot as usize);
+                    slot = wheel.next[slot as usize];
+                }
+                while let Some(seq) = wheel.pop_far(now) {
+                    got.push(seq as usize);
+                }
+                wheel.settle(now);
+                got.sort_unstable();
+                let mut want = model.remove(&now).unwrap();
+                want.sort_unstable();
+                assert_eq!(got, want, "cycle {now}");
+                free.extend(got);
+            }
+            for _ in 0..rng.below(5) {
+                let Some(slot) = free.pop() else { break };
+                let delay = match rng.below(8) {
+                    0 => 1,
+                    1 => WHEEL as u64 - 1,
+                    2 => WHEEL as u64,
+                    3 => WHEEL as u64 + 1,
+                    4 => 600 + rng.below(3_000),
+                    _ => 1 + rng.below(40),
+                };
+                far_pushes += usize::from(delay >= WHEEL as u64);
+                wheel.push(now, now + delay, slot as u64, slot);
+                model.entry(now + delay).or_default().push(slot);
+            }
+            now = (now + 1 + rng.below(60)).min(wheel.min_cycle());
+        }
+        assert!(far_pushes > 1_000, "{far_pushes}");
+    }
+
+    /// A fixed machine with DRAM latency `mem_lat` and `mshrs` MSHRs.
+    fn far_machine(mem_lat: u32, mshrs: u32) -> crate::FixedMachine {
+        crate::FixedMachine {
+            mem_lat,
+            mshrs,
+            ..crate::FixedMachine::default()
+        }
+    }
+
+    #[test]
+    fn far_dram_completions_match_the_oracle() {
+        // DRAM round trips of 512 cycles or more, queued behind few
+        // MSHRs: those completions take the overflow heap, and wheel
+        // entries cross the wrap point many times over.
+        let trace = mixed_trace(6_000);
+        for (mem_lat, mshrs) in [(500, 4), (520, 4), (700, 2), (2_000, 4)] {
+            let configs: Vec<SimConfig> = [8u32, 76, 512]
+                .iter()
+                .map(|&rob| {
+                    SimConfig::builder()
+                        .rob_size(rob)
+                        .fixed(far_machine(mem_lat, mshrs))
+                        .build()
+                        .unwrap()
+                })
+                .collect();
+            let batched = assert_lanes_match(&configs, &trace);
+            assert!(batched[0].dram_accesses > 100, "mem_lat {mem_lat}");
+            assert!(batched[0].mshr_wait_cycles > 0, "mem_lat {mem_lat}");
+        }
+    }
+
+    /// Blocks of eight: a load that misses to a random word, then seven
+    /// consumers of it — more than four dependents on one producer —
+    /// several of which name it as both sources.
+    fn fan_out_trace(len: u64) -> Vec<Instr> {
+        let mut rng = ppm_rng::Rng::seed_from_u64(0xfa);
+        (0..len)
+            .map(|i| {
+                let pc = loop_pc(i);
+                match i % 8 {
+                    0 => Instr::load(pc, rng.below(1 << 24) & !7, 8, 0),
+                    k @ (1 | 3 | 6) => Instr::alu(Op::IntAlu, pc, k as u32, k as u32),
+                    k @ (2 | 5) => Instr::alu(Op::FpMul, pc, k as u32, 1),
+                    k => Instr::alu(Op::IntMul, pc, k as u32, 0),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn waiter_lists_wake_every_dependent() {
+        let trace = fan_out_trace(12_000);
+        let configs: Vec<SimConfig> = [8u32, 24, 128, 512]
+            .iter()
+            .map(|&rob| SimConfig::builder().rob_size(rob).build().unwrap())
+            .collect();
+        assert_lanes_match(&configs, &trace);
+    }
+
+    #[test]
+    fn full_fetch_queue_crosses_the_chunk_barrier() {
+        // A pointer chase: every load depends on the previous one and
+        // misses, so a small ROB stays full and fetch fills the deepest
+        // front end's queue (40 stages: 36 front-end, 160 entries)
+        // long before the barrier.
+        let mut rng = ppm_rng::Rng::seed_from_u64(0xf0);
+        let trace: Vec<Instr> = (0..CHUNK as u64 + 3_000)
+            .map(|i| {
+                let pc = loop_pc(i);
+                if i % 4 == 0 {
+                    Instr::load(pc, rng.below(1 << 24) & !7, 4, 0)
+                } else {
+                    Instr::alu(Op::IntAlu, pc, 1, 0)
+                }
+            })
+            .collect();
+        let configs: Vec<SimConfig> = [8u32, 512]
+            .iter()
+            .map(|&rob| {
+                SimConfig::builder()
+                    .pipe_depth(40)
+                    .rob_size(rob)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let mut kernel = Kernel::new(&configs);
+        let mut source = trace.iter().copied();
+        kernel.refill(&mut source);
+        {
+            // Lane 0's turn of the first chunk, exactly as `run` takes it.
+            let window = Window {
+                instrs: &kernel.window,
+                flags: &kernel.flags,
+                fwd: &kernel.fwd,
+                start: kernel.win_start,
+            };
+            let mut lane = kernel.lanes.view(0);
+            while lane.s.pos < CHUNK {
+                step(&mut lane, &kernel.shared, &window);
+            }
+            assert_eq!(lane.fq_capacity, 160);
+            assert_eq!(lane.fq_len(), lane.fq_capacity, "queue full at the barrier");
+            let s = lane.s;
+            kernel.lanes.store(0, s);
+        }
+        kernel.run(source);
+        let batched = kernel.finalize();
         for (l, config) in configs.iter().enumerate() {
             assert_eq!(batched[l], serial(config, &trace), "lane {l}");
         }

@@ -140,6 +140,7 @@ impl Cache {
     }
 
     /// Accesses `addr`, allocating on miss. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_bits;
@@ -180,6 +181,7 @@ impl Cache {
     }
 
     /// Checks for presence without updating recency or statistics.
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_bits;
         let set = (line as usize) & (self.sets - 1);

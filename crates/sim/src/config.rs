@@ -315,8 +315,54 @@ impl SimConfig {
             "gshare_history",
             "at least 1 bit for history-based predictors",
         )?;
+        let f = &self.fixed;
+        for (units, param) in [
+            (f.int_alus, "int_alus"),
+            (f.int_muls, "int_muls"),
+            (f.fp_alus, "fp_alus"),
+            (f.fp_muls, "fp_muls"),
+            (f.mem_ports, "mem_ports"),
+        ] {
+            // An op class with no unit never issues, so a run never ends.
+            check(units >= 1, param, "at least 1 unit")?;
+        }
+        for (cycles, param) in [
+            (f.il1_lat, "il1_lat"),
+            (f.int_mul_lat, "int_mul_lat"),
+            (f.fp_alu_lat, "fp_alu_lat"),
+            (f.fp_mul_lat, "fp_mul_lat"),
+            (f.mem_lat, "mem_lat"),
+            (f.bank_busy, "bank_busy"),
+            (f.bus_per_line, "bus_per_line"),
+        ] {
+            // Every result arrives at least one cycle after its issue;
+            // the batch engine's completion wheel relies on it.
+            check(cycles >= 1, param, "at least 1 cycle")?;
+        }
+        for (size_kb, assoc, param) in [
+            (self.il1_size_kb, f.il1_assoc, "il1_assoc"),
+            (self.dl1_size_kb, f.dl1_assoc, "dl1_assoc"),
+            (self.l2_size_kb, f.l2_assoc, "l2_assoc"),
+        ] {
+            check(
+                has_power_of_two_sets(u64::from(size_kb) * 1024, f.line_size, assoc),
+                param,
+                "size / line_size / assoc sets, a power of two >= 1",
+            )?;
+        }
         Ok(())
     }
+}
+
+/// Whether a cache of `size_bytes` with `line_size`-byte lines and
+/// `assoc` ways has a whole, nonzero power-of-two number of sets — the
+/// shape [`Cache`](crate::Cache) indexes by mask. A 48 KiB 3-way cache
+/// (256 sets of 64-byte lines) qualifies; a 32 KiB 3-way one does not.
+fn has_power_of_two_sets(size_bytes: u64, line_size: u32, assoc: u32) -> bool {
+    let set_bytes = u64::from(line_size) * u64::from(assoc);
+    set_bytes != 0
+        && size_bytes.is_multiple_of(set_bytes)
+        && (size_bytes / set_bytes).is_power_of_two()
 }
 
 /// Builder for [`SimConfig`] (terminal method: [`SimConfigBuilder::build`]).
@@ -494,6 +540,93 @@ mod tests {
             ..FixedMachine::default()
         };
         assert!(SimConfig::builder().fixed(oversized).build().is_err());
+    }
+
+    /// `validate` names `param`, and the batch engine refuses the machine
+    /// up front instead of panicking or spinning on it.
+    fn assert_rejected(fixed: FixedMachine, param: &str) {
+        let config = SimConfig {
+            fixed,
+            ..SimConfig::default()
+        };
+        match config.validate() {
+            Err(ConfigError::OutOfRange { param: named, .. }) => assert_eq!(named, param),
+            Ok(()) => panic!("{param}: accepted"),
+        }
+        assert!(
+            matches!(
+                crate::BatchProcessor::new(vec![config]),
+                Err(crate::BatchError::InvalidConfig { index: 0, .. })
+            ),
+            "{param}"
+        );
+    }
+
+    type Edit = fn(&mut FixedMachine);
+
+    #[test]
+    fn zero_functional_unit_counts_are_rejected() {
+        let cases: [(&str, Edit); 5] = [
+            ("int_alus", |f| f.int_alus = 0),
+            ("int_muls", |f| f.int_muls = 0),
+            ("fp_alus", |f| f.fp_alus = 0),
+            ("fp_muls", |f| f.fp_muls = 0),
+            ("mem_ports", |f| f.mem_ports = 0),
+        ];
+        for (param, edit) in cases {
+            let mut fixed = FixedMachine::default();
+            edit(&mut fixed);
+            assert_rejected(fixed, param);
+        }
+    }
+
+    #[test]
+    fn zero_latencies_are_rejected() {
+        let cases: [(&str, Edit); 7] = [
+            ("il1_lat", |f| f.il1_lat = 0),
+            ("int_mul_lat", |f| f.int_mul_lat = 0),
+            ("fp_alu_lat", |f| f.fp_alu_lat = 0),
+            ("fp_mul_lat", |f| f.fp_mul_lat = 0),
+            ("mem_lat", |f| f.mem_lat = 0),
+            ("bank_busy", |f| f.bank_busy = 0),
+            ("bus_per_line", |f| f.bus_per_line = 0),
+        ];
+        for (param, edit) in cases {
+            let mut fixed = FixedMachine::default();
+            edit(&mut fixed);
+            assert_rejected(fixed, param);
+        }
+    }
+
+    #[test]
+    fn cache_shapes_need_a_power_of_two_set_count() {
+        // Default caches: 32 KiB L1s and a 1 MiB L2 with 64-byte lines.
+        let cases: [(&str, Edit); 5] = [
+            ("il1_assoc", |f| f.il1_assoc = 0),
+            ("dl1_assoc", |f| f.dl1_assoc = 3),    // 170.7 sets
+            ("dl1_assoc", |f| f.dl1_assoc = 1024), // half a set
+            ("l2_assoc", |f| f.l2_assoc = 3),
+            ("il1_assoc", |f| f.line_size = 1 << 15), // one line, 2 ways
+        ];
+        for (param, edit) in cases {
+            let mut fixed = FixedMachine::default();
+            edit(&mut fixed);
+            assert_rejected(fixed, param);
+        }
+        // The set count decides, not the associativity.
+        assert!(has_power_of_two_sets(48 * 1024, 64, 3));
+        assert!(!has_power_of_two_sets(32 * 1024, 64, 3));
+        let fully_associative = FixedMachine {
+            dl1_assoc: 512,
+            ..FixedMachine::default()
+        };
+        let config = SimConfig::builder()
+            .fixed(fully_associative)
+            .build()
+            .unwrap();
+        let trace = (0..2_000).map(|i| crate::Instr::load(0x1000 + (i % 64) * 4, i * 72, 1, 0));
+        let stats = crate::BatchProcessor::new(vec![config]).unwrap().run(trace);
+        assert_eq!(stats[0].instructions, 2_000);
     }
 
     #[test]

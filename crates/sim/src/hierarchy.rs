@@ -109,6 +109,7 @@ impl Hierarchy {
     /// prefetch enabled every such access (hit or miss) triggers a
     /// prefetch of the following line, so sequential sweeps stay ahead
     /// of demand.
+    #[inline]
     pub fn inst_access(&mut self, now: u64, addr: u64) -> AccessOutcome {
         if self.next_line_prefetch {
             self.prefetch_next_line(now, addr);
@@ -136,6 +137,7 @@ impl Hierarchy {
     }
 
     /// Data-side access (load, or store-line allocation) at `addr`.
+    #[inline]
     pub fn data_access(&mut self, now: u64, addr: u64) -> AccessOutcome {
         if self.dl1.access(addr) {
             return AccessOutcome {

@@ -66,6 +66,17 @@ echo "== trace generation: generator == per-draw oracle =="
 cargo test -q --release -p ppm-workload --test trace_oracle -- --ignored
 gate_done generator
 
+echo "== batch kernel: batch == oracle at paper scale =="
+# The tier-1 batch == reference cases run 12k instructions. This ignored
+# case is the only check at paper scale that the batch kernel's queues
+# (completion wheel, intrusive waiter lists, implicit fetch queue) did
+# not move a statistic: all 8 benchmarks x 12 random Table 1 points x
+# 300k instructions, plus far-latency fixed machines whose DRAM
+# completions land 512 or more cycles out, compared lane by lane against
+# reference-oracle SimStats.
+cargo test -q --release --test sim_batch -- --ignored
+gate_done kernel
+
 echo "== flight recorder: smoke build + regression sentry + trace check =="
 # A fixed-seed smoke build must (a) reproduce the committed baseline
 # ledger — every deterministic counter and error statistic exactly, and

@@ -17,6 +17,7 @@
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use ppm_core::response::{Metric, SimulatorResponse};
@@ -24,7 +25,7 @@ use ppm_core::space::DesignSpace;
 use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
 use ppm_rng::Rng;
 use ppm_sim::reference::Processor;
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig};
+use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, FixedMachine, Instr, SimConfig};
 use ppm_telemetry::Json;
 use ppm_workload::{Benchmark, TraceGenerator};
 
@@ -88,6 +89,66 @@ fn batch_handles_duplicate_and_extreme_configs() {
         .run(TraceGenerator::new(Benchmark::Twolf, 3).take(TRACE_LEN));
     assert_eq!(batched, serial);
     assert_eq!(batched[2], batched[3], "identical lanes, identical stats");
+}
+
+/// The paper-scale differential: every benchmark at the paper's 300k
+/// instructions on 12 random Table 1 design points, plus far-latency
+/// fixed machines (DRAM latency 500 to 2000 cycles behind 4 MSHRs, so
+/// completions land 512 or more cycles out) on mcf and crafty, batch
+/// against oracle `SimStats` lane by lane. The cases above run 12k
+/// instructions; this is the only check at paper scale that the batch
+/// kernel's queues did not move a statistic. Release only, on two
+/// threads: `cargo test --release --test sim_batch -- --ignored`.
+#[test]
+#[ignore = "paper scale: run in release by scripts/verify.sh"]
+fn batch_matches_the_oracle_at_paper_scale() {
+    let space = DesignSpace::paper_table1();
+    let mut rng = Rng::seed_from_u64(0x9a9e5);
+    let mut cases: Vec<(Benchmark, usize, Vec<SimConfig>)> = Vec::new();
+    for bench in Benchmark::all() {
+        let configs = (0..12)
+            .map(|_| space.to_config(&random_unit(&mut rng, space.dim())))
+            .collect();
+        cases.push((bench, 300_000, configs));
+    }
+    for bench in [Benchmark::Mcf, Benchmark::Crafty] {
+        for mem_lat in [500, 520, 700, 2_000] {
+            let fixed = FixedMachine {
+                mem_lat,
+                mshrs: 4,
+                ..FixedMachine::default()
+            };
+            let configs = (0..6)
+                .map(|_| SimConfig {
+                    fixed: fixed.clone(),
+                    ..space.to_config(&random_unit(&mut rng, space.dim()))
+                })
+                .collect();
+            cases.push((bench, 60_000, configs));
+        }
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while let Some((bench, len, configs)) =
+                    cases.get(next.fetch_add(1, Ordering::SeqCst))
+                {
+                    let trace: Vec<Instr> = TraceGenerator::new(*bench, 1).take(*len).collect();
+                    let batched = BatchProcessor::new(configs.clone())
+                        .unwrap()
+                        .run(trace.iter().copied());
+                    for (lane, (got, config)) in batched.iter().zip(configs).enumerate() {
+                        let want = Processor::new(config.clone()).run(trace.iter().copied());
+                        assert_eq!(
+                            *got, want,
+                            "{bench} x {len}: lane {lane} diverged from the oracle ({config:?})"
+                        );
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// The supervised executor runs lane groups of at most
