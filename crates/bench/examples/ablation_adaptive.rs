@@ -18,7 +18,7 @@ fn main() {
 
     let builder = RbfModelBuilder::new(space.clone(), scale.build_config(budget));
     let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
+    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
 
     let mut report = Report::new(
         "ablation_adaptive",

@@ -20,14 +20,22 @@ fn main() {
     // One shared sample so only the criterion varies.
     let base_builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
     let (design, disc) = base_builder.select_sample().expect("valid sweep config");
-    let responses = eval_batch(&response, &design, 1).expect("clean batch");
+    let responses =
+        eval_batch(&response, &design, base_builder.config().threads).expect("clean batch");
     let test = base_builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
+    let actual = eval_batch(&response, &test, base_builder.config().threads).expect("clean batch");
 
     let mut report = Report::new(
         "ablation_criterion",
         &format!("Ablation: selection criterion ({bench}, n={n})"),
-        &["criterion", "mean_err_pct", "max_err_pct", "centers", "p_min", "alpha"],
+        &[
+            "criterion",
+            "mean_err_pct",
+            "max_err_pct",
+            "centers",
+            "p_min",
+            "alpha",
+        ],
     );
 
     for criterion in [Criterion::Aicc, Criterion::Bic, Criterion::Gcv] {

@@ -19,9 +19,9 @@ fn main() {
 
     let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
     let (design, _) = builder.select_sample().expect("valid sweep config");
-    let responses = eval_batch(&response, &design, 1).expect("clean batch");
+    let responses = eval_batch(&response, &design, builder.config().threads).expect("clean batch");
     let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
+    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
 
     let p_mins: &[usize] = &[1, 2, 4];
     let alphas: &[f64] = if scale.full {

@@ -26,54 +26,50 @@ fn main() {
 
     let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
     let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
+    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
 
     let mut report = Report::new(
         "ablation_sampling",
         &format!("Ablation: sampling strategy ({bench}, n={n}, averaged over 3 seeds)"),
-        &["strategy", "mean_discrepancy", "mean_err_pct", "max_err_pct"],
+        &[
+            "strategy",
+            "mean_discrepancy",
+            "mean_err_pct",
+            "max_err_pct",
+        ],
     );
 
     let seeds = [11u64, 22, 33];
-    let strategies: [(&str, Box<dyn Fn(u64) -> Vec<Vec<f64>>>); 4] = [
-        (
-            "best-of-N LHS (paper)",
-            Box::new(|seed| {
-                let mut rng = Rng::seed_from_u64(seed);
-                LatinHypercube::new(space.params(), n)
-                    .best_of(scale.lhs_candidates, &mut rng)
-                    .expect("non-zero candidates")
-            }),
-        ),
-        (
-            "single LHS",
-            Box::new(|seed| {
-                let mut rng = Rng::seed_from_u64(seed);
-                LatinHypercube::new(space.params(), n).generate(&mut rng)
-            }),
-        ),
-        (
-            "uniform random",
-            Box::new(|seed| {
-                let mut rng = Rng::seed_from_u64(seed);
-                random_design(space.params(), n, &mut rng)
-            }),
-        ),
-        (
-            "halton sequence",
-            Box::new(|seed| halton_design(space.params(), n, 20 + seed)),
-        ),
+    let strategies = [
+        "best-of-N LHS (paper)",
+        "single LHS",
+        "uniform random",
+        "halton sequence",
     ];
+    let make = |strategy: &str, seed: u64| {
+        let mut rng = Rng::seed_from_u64(seed);
+        let lhs = LatinHypercube::new(space.params(), n);
+        match strategy {
+            "best-of-N LHS (paper)" => lhs
+                .best_of(scale.lhs_candidates, &mut rng)
+                .expect("non-zero candidates"),
+            "single LHS" => lhs.generate(&mut rng),
+            "uniform random" => random_design(space.params(), n, &mut rng),
+            "halton sequence" => halton_design(space.params(), n, 20 + seed),
+            other => unreachable!("no design for strategy {other}"),
+        }
+    };
 
     let mut means = Vec::new();
-    for (name, make) in &strategies {
+    for name in strategies {
         let mut err_sum = 0.0;
         let mut max_sum = 0.0;
         let mut disc_sum = 0.0;
         for &seed in &seeds {
-            let design = make(seed);
+            let design = make(name, seed);
             disc_sum += l2_star(&design);
-            let responses = eval_batch(&response, &design, 1).expect("clean batch");
+            let responses =
+                eval_batch(&response, &design, builder.config().threads).expect("clean batch");
             let built = builder
                 .fit(design, responses, f64::NAN)
                 .expect("finite CPI responses");

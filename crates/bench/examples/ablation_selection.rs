@@ -8,7 +8,9 @@ use ppm_core::metrics::ErrorStats;
 use ppm_core::response::eval_batch;
 use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_rbf::{select_all_leaves, select_centers, select_centers_forward, SelectionConfig, SelectionResult};
+use ppm_rbf::{
+    select_all_leaves, select_centers, select_centers_forward, SelectionConfig, SelectionResult,
+};
 use ppm_regtree::{Dataset, RegressionTree};
 use ppm_workload::Benchmark;
 
@@ -22,15 +24,16 @@ fn main() {
 
     let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
     let (design, _) = builder.select_sample().expect("valid sweep config");
-    let responses = eval_batch(&response, &design, 1).expect("clean batch");
+    let responses = eval_batch(&response, &design, builder.config().threads).expect("clean batch");
     let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
+    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
 
     let data = Dataset::new(design, responses).expect("finite CPI responses");
     let tree = RegressionTree::fit(&data, 1);
     let config = SelectionConfig::with_alpha(7.0);
 
-    let strategies: [(&str, fn(&RegressionTree, &Dataset, &SelectionConfig) -> SelectionResult); 3] = [
+    type Select = fn(&RegressionTree, &Dataset, &SelectionConfig) -> SelectionResult;
+    let strategies: [(&str, Select); 3] = [
         ("tree-ordered (Orr, paper)", select_centers),
         ("greedy forward", select_centers_forward),
         ("all leaves (no selection)", select_all_leaves),
@@ -39,7 +42,13 @@ fn main() {
     let mut report = Report::new(
         "ablation_selection",
         &format!("Ablation: center-selection strategy ({bench}, n={n}, alpha=7, p_min=1)"),
-        &["strategy", "centers", "train_sse", "mean_err_pct", "max_err_pct"],
+        &[
+            "strategy",
+            "centers",
+            "train_sse",
+            "mean_err_pct",
+            "max_err_pct",
+        ],
     );
 
     for (name, select) in strategies {

@@ -36,8 +36,17 @@ fn main() {
 
     let mut report = Report::new(
         "ablation_substrate",
-        &format!("Ablation: fixed-machine variants ({bench}, n={})", scale.final_sample),
-        &["machine", "mid_cpi", "mean_err_pct", "max_err_pct", "centers"],
+        &format!(
+            "Ablation: fixed-machine variants ({bench}, n={})",
+            scale.final_sample
+        ),
+        &[
+            "machine",
+            "mid_cpi",
+            "mean_err_pct",
+            "max_err_pct",
+            "centers",
+        ],
     );
 
     for name in [
@@ -55,15 +64,17 @@ fn main() {
                 ..space_for_response.to_config(unit)
             };
             let trace = TraceGenerator::new(bench, 1).take(trace_len);
-            BatchProcessor::new(vec![config]).expect("valid configuration").run(trace)[0].cpi()
+            BatchProcessor::new(vec![config])
+                .expect("valid configuration")
+                .run(trace)[0]
+                .cpi()
         })
         .expect("non-zero dimension");
 
-        let builder =
-            RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
+        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let built = builder.build(&response).expect("finite CPI responses");
         let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, 1).expect("clean batch");
+        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
         let stats = built.evaluate(&test, &actual);
         let mid = ppm_core::response::Response::eval(&response, &[0.5; 9]);
         report.row(vec![

@@ -26,19 +26,25 @@ fn main() {
         &["input_set", "rank", "parameter", "value", "sse_reduction"],
     );
 
-    for (name, input) in [("lgred", InputSet::MinneLgred), ("reference", InputSet::Reference)] {
+    for (name, input) in [
+        ("lgred", InputSet::MinneLgred),
+        ("reference", InputSet::Reference),
+    ] {
         let space_for_response = space.clone();
         let trace_len = scale.trace_len;
         let response = FnResponse::new(9, move |unit: &[f64]| {
             let config = space_for_response.to_config(unit);
             let trace = TraceGenerator::with_input(bench, input, 1).take(trace_len);
-            BatchProcessor::new(vec![config]).expect("valid configuration").run(trace)[0].cpi()
+            BatchProcessor::new(vec![config])
+                .expect("valid configuration")
+                .run(trace)[0]
+                .cpi()
         })
         .expect("non-zero dimension");
-        let builder =
-            RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
+        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let (design, _) = builder.select_sample().expect("valid sweep config");
-        let responses = eval_batch(&response, &design, 1).expect("clean batch");
+        let responses =
+            eval_batch(&response, &design, builder.config().threads).expect("clean batch");
         let splits = significant_splits(&space, &design, &responses, 1, 6).expect("valid");
         for (rank, s) in splits.iter().enumerate() {
             report.row(vec![

@@ -19,7 +19,13 @@ fn main() {
             "Extension: RBF models of energy metrics (sample {})",
             scale.final_sample
         ),
-        &["benchmark", "metric", "mean_err_pct", "max_err_pct", "centers"],
+        &[
+            "benchmark",
+            "metric",
+            "mean_err_pct",
+            "max_err_pct",
+            "centers",
+        ],
     );
 
     for bench in [Benchmark::Mcf, Benchmark::Vortex, Benchmark::Equake] {
@@ -29,7 +35,8 @@ fn main() {
                 RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
             let built = builder.build(&response).expect("finite responses");
             let test = builder.test_points(&test_space, scale.test_points);
-            let actual = eval_batch(&response, &test, 1).expect("clean batch");
+            let actual =
+                eval_batch(&response, &test, builder.config().threads).expect("clean batch");
             let stats = built.evaluate(&test, &actual);
             report.row(vec![
                 bench.to_string(),

@@ -55,6 +55,10 @@ fn main() {
     );
     println!(
         "interaction present: {}",
-        if slope_small > slope_big { "yes" } else { "NO (unexpected)" }
+        if slope_small > slope_big {
+            "yes"
+        } else {
+            "NO (unexpected)"
+        }
     );
 }

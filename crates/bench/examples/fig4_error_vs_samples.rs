@@ -28,7 +28,7 @@ fn main() {
         // One fixed test set per benchmark, shared across sample sizes.
         let probe = RbfModelBuilder::new(space.clone(), scale.build_config(30));
         let test = probe.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, 1).expect("clean batch");
+        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
 
         let mut means = Vec::new();
         for &n in &scale.sample_sizes {

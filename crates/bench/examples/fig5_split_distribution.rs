@@ -34,7 +34,13 @@ fn main() {
     let mut report = Report::new(
         "fig5_split_distribution",
         "Figure 5: distribution of tree-split values per parameter (mcf)",
-        &["parameter", "splits", "min_value", "median_value", "max_value"],
+        &[
+            "parameter",
+            "splits",
+            "min_value",
+            "median_value",
+            "max_value",
+        ],
     );
     for (idx, name) in PARAM_NAMES.iter().enumerate() {
         let n = counts.get(&idx).copied().unwrap_or(0);

@@ -30,7 +30,13 @@ fn main() {
     let mut report = Report::new(
         "fig6_trend_prediction",
         "Figure 6: simulated vs model-predicted vortex CPI over (il1, L2 lat)",
-        &["il1_size_kb", "L2_lat", "simulated_cpi", "predicted_cpi", "err_pct"],
+        &[
+            "il1_size_kb",
+            "L2_lat",
+            "simulated_cpi",
+            "predicted_cpi",
+            "err_pct",
+        ],
     );
     let mut worst: f64 = 0.0;
     let mut mean = 0.0;

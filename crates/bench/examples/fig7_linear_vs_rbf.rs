@@ -40,25 +40,24 @@ fn main() {
         let response = scale.response(bench);
         let probe = RbfModelBuilder::new(space.clone(), scale.build_config(30));
         let test = probe.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, 1).expect("clean batch");
+        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
 
         for &n in &scale.sample_sizes {
             let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
             let built = builder.build(&response).expect("finite CPI responses");
             let rbf_stats = built.evaluate(&test, &actual);
 
-            let (lin_mean, lin_terms) =
-                match fit_linear_baseline(&built.design, &built.responses) {
-                    Ok(lin) => {
-                        let pred: Vec<f64> = test.iter().map(|p| lin.predict(p)).collect();
-                        let stats = ErrorStats::from_predictions(&pred, &actual);
-                        (stats.mean_pct, lin.num_terms())
-                    }
-                    Err(e) => {
-                        println!("{bench} n={n}: linear model failed: {e}");
-                        (f64::NAN, 0)
-                    }
-                };
+            let (lin_mean, lin_terms) = match fit_linear_baseline(&built.design, &built.responses) {
+                Ok(lin) => {
+                    let pred: Vec<f64> = test.iter().map(|p| lin.predict(p)).collect();
+                    let stats = ErrorStats::from_predictions(&pred, &actual);
+                    (stats.mean_pct, lin.num_terms())
+                }
+                Err(e) => {
+                    println!("{bench} n={n}: linear model failed: {e}");
+                    (f64::NAN, 0)
+                }
+            };
 
             comparisons += 1;
             let wins = rbf_stats.mean_pct < lin_mean;

@@ -38,10 +38,9 @@ fn main() {
 
     for bench in [Benchmark::Mcf, Benchmark::Crafty, Benchmark::Equake] {
         let response = scale.response(bench);
-        let builder =
-            RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
+        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, 1).expect("clean batch");
+        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
 
         // First-order: one profiling pass, then analytic evaluation.
         let fo = FirstOrderModel::new(ProgramStats::collect(

@@ -23,20 +23,25 @@ fn main() {
     let mut report = Report::new(
         "related_pb_screening",
         "Related work: Plackett-Burman (foldover, 24 runs) main effects",
-        &["benchmark", "rank", "parameter", "effect_cpi", "tree_rank_of_param"],
+        &[
+            "benchmark",
+            "rank",
+            "parameter",
+            "effect_cpi",
+            "tree_rank_of_param",
+        ],
     );
 
     for bench in [Benchmark::Mcf, Benchmark::Vortex] {
         let response = scale.response(bench);
-        let effects = pb_screening(&space, &response, 12, 1).expect("supported PB design");
+        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
+        let threads = builder.config().threads;
+        let effects = pb_screening(&space, &response, 12, threads).expect("supported PB design");
 
         // Tree ranking from a proper LHS sample for comparison.
-        let builder =
-            RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let (design, _) = builder.select_sample().expect("valid sweep config");
-        let responses = eval_batch(&response, &design, 1).expect("clean batch");
-        let splits =
-            significant_splits(&space, &design, &responses, 1, usize::MAX).expect("valid");
+        let responses = eval_batch(&response, &design, threads).expect("clean batch");
+        let splits = significant_splits(&space, &design, &responses, 1, usize::MAX).expect("valid");
         let tree_rank = |param: &str| -> String {
             splits
                 .iter()
@@ -57,16 +62,9 @@ fn main() {
         let agree = effects
             .iter()
             .take(3)
-            .filter(|e| {
-                splits
-                    .iter()
-                    .take(8)
-                    .any(|s| s.param == e.param)
-            })
+            .filter(|e| splits.iter().take(8).any(|s| s.param == e.param))
             .count();
-        println!(
-            "{bench}: {agree}/3 of PB's top factors appear in the tree's top-8 splits"
-        );
+        println!("{bench}: {agree}/3 of PB's top factors appear in the tree's top-8 splits");
     }
     report.emit();
     println!(

@@ -53,7 +53,7 @@ fn main() {
         let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let built = builder.build(&response).expect("finite CPI responses");
         let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, 1).expect("clean batch");
+        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
         let stats = built.evaluate(&test, &actual);
         report.row(vec![
             bench.to_string(),

@@ -58,15 +58,23 @@ fn main() {
             fmt(built.model.alpha, 0),
             centers.to_string(),
             fmt(frac, 2),
-            paper_row.map(|r| r.1.to_string()).unwrap_or_else(|| "-".into()),
+            paper_row
+                .map(|r| r.1.to_string())
+                .unwrap_or_else(|| "-".into()),
             paper_row.map(|r| fmt(r.2, 0)).unwrap_or_else(|| "-".into()),
-            paper_row.map(|r| r.3.to_string()).unwrap_or_else(|| "-".into()),
+            paper_row
+                .map(|r| r.3.to_string())
+                .unwrap_or_else(|| "-".into()),
         ]);
     }
     report.emit();
     println!(
         "centers much less than half the sample: {}",
-        if all_below_half { "yes (as in the paper)" } else { "NO" }
+        if all_below_half {
+            "yes (as in the paper)"
+        } else {
+            "NO"
+        }
     );
     println!(
         "centers grow with sample size: {}",

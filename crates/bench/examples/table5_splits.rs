@@ -20,13 +20,19 @@ fn main() {
     let mut report = Report::new(
         "table5_splits",
         "Table 5: most significant regression-tree splits (rank 1..8)",
-        &["benchmark", "rank", "parameter", "value", "depth", "sse_reduction"],
+        &[
+            "benchmark",
+            "rank",
+            "parameter",
+            "value",
+            "depth",
+            "sse_reduction",
+        ],
     );
 
     for bench in [Benchmark::Mcf, Benchmark::Vortex] {
         let response = scale.response(bench);
-        let builder =
-            RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
+        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
         let built = builder.build(&response).expect("finite CPI responses");
         let splits = significant_splits(&space, &built.design, &built.responses, 1, 8)
             .expect("valid sample");

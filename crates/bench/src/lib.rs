@@ -1,19 +1,18 @@
 //! Shared infrastructure for the paper-reproduction harnesses.
 //!
-//! Each bench target of this crate regenerates one table or figure of
-//! the paper (see DESIGN.md for the index). Run one with
+//! Each example of this crate regenerates one table or figure of the
+//! paper (see DESIGN.md for the index). Run one with
 //!
 //! ```text
-//! cargo bench -p ppm-experiments --bench table3_error_diagnostics
+//! cargo run --release -p ppm-experiments --example table3_error_diagnostics
 //! ```
 //!
 //! By default the harnesses run at a *reduced scale* (shorter traces,
-//! smaller samples) so the whole suite completes in minutes on one
-//! core; set `PPM_FULL=1` for paper-scale runs. Every harness prints a
-//! markdown table to stdout and writes the same data as CSV under
-//! `results/`.
-
-#![warn(missing_docs)]
+//! smaller samples) so the whole suite completes in minutes; set
+//! `PPM_FULL=1` for paper-scale runs. Simulation uses `PPM_THREADS`
+//! workers (default: the available parallelism); results do not depend
+//! on it. Every harness prints a markdown table to stdout and writes the
+//! same data as CSV under `results/`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -44,6 +43,7 @@ pub struct Scale {
 impl Scale {
     /// Reads the scale from the environment.
     pub fn from_env() -> Self {
+        // PPM_FULL is the harnesses' documented scale switch. lint:allow(env-read)
         let full = std::env::var("PPM_FULL").map(|v| v == "1").unwrap_or(false);
         if full {
             Scale {
@@ -82,7 +82,7 @@ impl Scale {
             lhs_candidates: self.lhs_candidates,
             trainer: self.trainer(),
             seed: 1,
-            threads: ppm_core::response::default_threads(),
+            ..BuildConfig::default()
         }
     }
 
@@ -143,23 +143,22 @@ impl Report {
         out
     }
 
-    /// Prints the markdown table and writes the CSV mirror.
+    /// Writes the CSV mirror to `results/<name>.csv`, then prints the
+    /// markdown table and where the CSV went (or why it could not be
+    /// written) to stdout.
     pub fn emit(&self) {
-        println!("{}", self.to_markdown());
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
-            let mut csv = String::new();
-            let _ = writeln!(csv, "{}", self.columns.join(","));
-            for r in &self.rows {
-                let _ = writeln!(csv, "{}", r.join(","));
-            }
-            let path = dir.join(format!("{}.csv", self.name));
-            if let Err(e) = fs::write(&path, csv) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("(written to {})", path.display());
-            }
+        let mut csv = String::new();
+        for r in std::iter::once(&self.columns).chain(&self.rows) {
+            let _ = writeln!(csv, "{}", r.join(","));
         }
+        let dir = results_dir();
+        let path = dir.join(format!("{}.csv", self.name));
+        let saved = match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, csv)) {
+            Ok(()) => format!("(written to {})", path.display()),
+            Err(e) => format!("warning: could not write {}: {e}", path.display()),
+        };
+        // Printing the report is what the harnesses are for. lint:allow(print-in-lib)
+        println!("{}\n{saved}", self.to_markdown());
     }
 }
 

@@ -26,9 +26,8 @@
 //! one [`Report`] in human or JSON form ([`report`]). The CLI exposes it
 //! as `ppm lint`.
 //!
-//! Scope: the root binary's `src/` tree, every `crates/<name>/src` tree
-//! except `crates/bench` (excluded from the workspace build), and
-//! `tests/` (wire formats are pinned by golden tests there), plus
+//! Scope: the root binary's `src/` tree, every `crates/<name>/src` tree,
+//! and `tests/` (wire formats are pinned by golden tests there), plus
 //! `README.md` for the exit-code table. Test code — `#[cfg(test)]`
 //! modules, `#[test]` functions, and all of `tests/` — is exempt from
 //! every rule; the semantic rules read it only as wire-format coverage.
@@ -175,9 +174,9 @@ fn line_at<S: AsRef<str>>(lines: &[S], line: u32) -> &str {
 
 /// Enumerates in-scope `.rs` files under `root`, as sorted
 /// workspace-relative `/`-separated paths: the root binary's `src/`
-/// tree, `crates/<name>/src` for every crate except `bench`, and the
-/// root `tests/` tree. Per-crate `tests/`, `examples/`, and `benches/`
-/// trees are out of scope.
+/// tree, `crates/<name>/src` for every crate, and the root `tests/`
+/// tree. Per-crate `tests/`, `examples/`, and `benches/` trees are out
+/// of scope.
 ///
 /// # Errors
 ///
@@ -192,9 +191,6 @@ pub fn workspace_files(root: &Path) -> Result<Vec<String>, LintError> {
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for name in sorted_entries(&crates_dir)? {
-            if name == "bench" {
-                continue;
-            }
             let rel = format!("crates/{name}/src");
             if root.join(&rel).is_dir() {
                 collect_rs(root, &rel, &mut rels)?;
@@ -261,11 +257,7 @@ mod tests {
         write(&root, "src/cli/mod.rs", "pub mod x;");
         write(&root, "crates/core/src/lib.rs", "pub fn f() {}");
         write(&root, "crates/core/src/deep/inner.rs", "pub fn g() {}");
-        write(
-            &root,
-            "crates/bench/src/lib.rs",
-            "fn skipped() { x.unwrap() }",
-        );
+        write(&root, "crates/bench/src/lib.rs", "pub fn h() {}");
         write(&root, "crates/core/tests/it.rs", "fn t() { x.unwrap() }");
         write(&root, "crates/core/src/notes.txt", "not rust");
         write(&root, "tests/it.rs", "fn t() {}");
@@ -273,6 +265,7 @@ mod tests {
         assert_eq!(
             files,
             vec![
+                "crates/bench/src/lib.rs",
                 "crates/core/src/deep/inner.rs",
                 "crates/core/src/lib.rs",
                 "src/cli/mod.rs",

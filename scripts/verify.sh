@@ -3,7 +3,9 @@
 #
 # Runs the tier-1 gate (release build + tests) plus formatting and lint
 # checks. Requires no network access: the workspace has no external
-# dependencies (crates/bench is excluded and carries its own manifest).
+# dependencies. One `cargo test -q` covers every workspace package (the
+# root manifest's default-members) and compiles the paper harnesses,
+# which are examples of crates/bench.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,15 +26,6 @@ gate_done build
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
-
-echo "== fault-injection suite =="
-cargo test -q --test fault_injection
-
-echo "== determinism suite (serial == parallel) =="
-cargo test -q --test determinism
-
-echo "== workspace tests =="
-cargo test -q --workspace
 gate_done test
 
 echo "== paper-scale subset selection: bordered search == full refactor =="

@@ -1,8 +1,9 @@
 //! Integration tests pinning the paper's qualitative claims at reduced
-//! scale — the same shapes the bench harnesses report at full scale.
+//! scale: the same shapes the `ppm-experiments` harnesses report in
+//! EXPERIMENTS.md.
 
 use ppm::model::builder::{BuildConfig, RbfModelBuilder};
-use ppm::model::response::{eval_batch, FnResponse, Response};
+use ppm::model::response::{eval_batch, Response};
 use ppm::model::space::DesignSpace;
 use ppm::model::study::significant_splits;
 use ppm::rng::Rng;
@@ -34,30 +35,28 @@ fn discrepancy_curve_decreases_and_tapers() {
     assert!(early > late, "no knee in the curve: {scores:?}");
 }
 
-/// Figure 4's shape: model error falls as the sample grows (analytic
-/// response for speed; the simulator-backed version is the bench
-/// harness).
+/// Figure 4's shape: model error falls as the sample grows, for the
+/// simulator-backed mcf and twolf responses the Fig. 4 harness fits
+/// (shorter traces and a quick training grid).
 #[test]
 fn error_decreases_with_sample_size() {
     let space = DesignSpace::paper_table1();
-    let response = FnResponse::new(9, |x| {
-        1.0 + x[0] + 0.8 * (2.5 * x[4]).sin() + x[5] * x[5] + 0.4 * x[5] * x[6]
-    })
-    .expect("non-zero dimension");
     let probe = RbfModelBuilder::new(space.clone(), BuildConfig::quick(20));
     let test = probe.test_points(&DesignSpace::paper_table2(), 40);
-    let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
-
-    let mut errors = Vec::new();
-    for n in [20usize, 60, 140] {
-        let builder = RbfModelBuilder::new(space.clone(), BuildConfig::quick(n));
-        let built = builder.build(&response).expect("finite responses");
-        errors.push(built.evaluate(&test, &actual).mean_pct);
+    for bench in [Benchmark::Mcf, Benchmark::Twolf] {
+        let response = ppm::model::SimulatorResponse::new(bench, 20_000);
+        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
+        let mut errors = Vec::new();
+        for n in [20usize, 60, 140] {
+            let builder = RbfModelBuilder::new(space.clone(), BuildConfig::quick(n));
+            let built = builder.build(&response).expect("finite CPI responses");
+            errors.push(built.evaluate(&test, &actual).mean_pct);
+        }
+        assert!(
+            errors[2] < errors[0],
+            "{bench}: error did not fall with sample size: {errors:?}"
+        );
     }
-    assert!(
-        errors[2] < errors[0],
-        "error did not fall with sample size: {errors:?}"
-    );
 }
 
 /// Table 4's shape: the number of selected centers stays well below the
