@@ -83,12 +83,11 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::{BranchPredictor, ConfigError, Hierarchy, Instr, Op, SimConfig, SimStats, TraceSource};
+use crate::{BranchPredictor, ConfigError, Hierarchy, Op, SimConfig, SimStats, TraceSource};
 
 /// Instructions per shared chunk. Three chunks are resident at once:
-/// 3 × 16,384 × (40 B `Instr` + 1 B flag + 8 B forwarding source) is
-/// about 2.4 MB per lane group, shared by all of its lanes, while the
-/// per-chunk bookkeeping amortizes to noise.
+/// 3 × 16,384 × 32 B [`WinSlot`]s is 1.5 MiB per lane group, shared by
+/// all of its lanes, while the per-chunk bookkeeping amortizes to noise.
 const CHUNK: usize = 16_384;
 
 /// Execution state of a ROB entry, shared with the reference oracle so
@@ -240,6 +239,7 @@ impl BatchProcessor {
         ppm_telemetry::counter("sim.batch_runs").inc();
         ppm_telemetry::counter("sim.batch_lanes").add(self.configs.len() as u64);
         let mut kernel = Kernel::new(&self.configs);
+        ppm_telemetry::histogram("sim.batch_group_bytes").record(kernel.resident_bytes() as u64);
         kernel.run(trace);
         kernel.finalize()
     }
@@ -281,6 +281,11 @@ impl Hasher for WordHasher {
 }
 
 type StoreMap = HashMap<u64, u64, BuildHasherDefault<WordHasher>>;
+
+/// Heap bytes behind `v`, from its allocated length.
+fn heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
 
 /// Buckets in the completion wheel: one per cycle of the next `WHEEL`
 /// cycles. Completions further out go to the overflow heap.
@@ -348,6 +353,11 @@ impl CompletionSet {
         self.next[slot] = self.heads[b];
         self.heads[b] = slot as u32;
         self.occupied[b >> 6] |= 1 << (b & 63);
+    }
+
+    /// Heap bytes of the wheel's bucket heads and slot links.
+    fn bytes(&self) -> usize {
+        heap_bytes(&self.heads) + heap_bytes(&self.next)
     }
 
     /// The earliest pending completion cycle (`u64::MAX` when empty).
@@ -471,6 +481,11 @@ impl Rob {
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    /// Heap bytes of the slots and waiter edges.
+    fn bytes(&self) -> usize {
+        heap_bytes(&self.slots) + heap_bytes(&self.edge_next)
     }
 
     fn contains(&self, head_seq: u64, seq: u64) -> bool {
@@ -740,16 +755,13 @@ struct Kernel {
     /// One branch predictor for all lanes; see the module docs for why
     /// its outcomes are lane-invariant.
     bpred: BranchPredictor,
-    /// The resident instruction window (up to three chunks).
-    window: Vec<Instr>,
-    /// Per-window-slot branch mispredict flags (false for non-branches).
-    flags: Vec<bool>,
-    /// Per-window-slot forwarding source: the youngest older store to
-    /// the same word for loads, `u64::MAX` otherwise.
-    fwd: Vec<u64>,
+    /// The resident instruction window (up to three chunks), with each
+    /// branch's shared outcome and each load's forwarding source.
+    window: Vec<WinSlot>,
     /// Word address -> youngest store seq seen so far in the shared
-    /// pass; feeds `fwd`. Holds only stores at or after `win_start`:
-    /// each slide drops the rest, which no lane can forward from.
+    /// pass; feeds [`WinSlot::fwd_dist`]. Holds only stores at or after
+    /// `win_start`: each slide drops the rest, which no lane can forward
+    /// from.
     store_last: StoreMap,
     /// Absolute trace index of `window[0]`.
     win_start: usize,
@@ -763,13 +775,33 @@ struct Kernel {
     exhausted: bool,
 }
 
-/// The shared window's parallel columns, borrowed together for the
-/// per-lane kernel functions.
+/// One shared-window instruction: the fields of [`Instr`](crate::Instr)
+/// the lanes read, plus the shared pass's results — 32 bytes, two per
+/// cache line. A branch's `target` and `kind` feed only the shared
+/// predictor at refill, so they stay out.
+#[derive(Clone, Copy)]
+struct WinSlot {
+    pc: u64,
+    mem_addr: u64,
+    src1_dist: u32,
+    src2_dist: u32,
+    /// For a load, the distance back to the youngest older store to the
+    /// same word (0 for none, as for every other op). The store map
+    /// only holds stores at or after `win_start`, and a slot lies
+    /// within three chunks of it, so the distance is below `3 * CHUNK`.
+    fwd_dist: u32,
+    op: Op,
+    taken: bool,
+    /// The shared predictor mispredicted this branch.
+    mispredicted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<WinSlot>() == 32);
+
+/// The shared window, borrowed for the per-lane kernel functions.
 struct Window<'w> {
-    instrs: &'w [Instr],
-    flags: &'w [bool],
-    fwd: &'w [u64],
-    /// Absolute trace index of `instrs[0]`.
+    slots: &'w [WinSlot],
+    /// Absolute trace index of `slots[0]`.
     start: usize,
 }
 
@@ -799,8 +831,6 @@ impl Kernel {
                 fixed.btb_entries,
             ),
             window: Vec::with_capacity(3 * CHUNK),
-            flags: Vec::with_capacity(3 * CHUNK),
-            fwd: Vec::with_capacity(3 * CHUNK),
             store_last: StoreMap::default(),
             win_start: 0,
             cur_start: 0,
@@ -819,26 +849,37 @@ impl Kernel {
                 self.exhausted = true;
                 break;
             };
-            let flag = instr.op == Op::Branch
+            let mispredicted = instr.op == Op::Branch
                 && self
                     .bpred
                     .predict_kind(instr.kind, instr.pc, instr.taken, instr.target);
-            let fwd = match instr.op {
+            let seq = (self.win_start + self.window.len()) as u64;
+            let fwd_dist = match instr.op {
                 Op::Load => self
                     .store_last
                     .get(&(instr.mem_addr >> 3))
-                    .copied()
-                    .unwrap_or(u64::MAX),
+                    .map_or(0, |&store| {
+                        // The map holds no store older than `win_start`.
+                        let dist = seq - store;
+                        assert!(dist < 3 * CHUNK as u64, "forwarding source left the window");
+                        dist as u32
+                    }),
                 Op::Store => {
-                    let seq = (self.win_start + self.window.len()) as u64;
                     self.store_last.insert(instr.mem_addr >> 3, seq);
-                    u64::MAX
+                    0
                 }
-                _ => u64::MAX,
+                _ => 0,
             };
-            self.window.push(instr);
-            self.flags.push(flag);
-            self.fwd.push(fwd);
+            self.window.push(WinSlot {
+                pc: instr.pc,
+                mem_addr: instr.mem_addr,
+                src1_dist: instr.src1_dist,
+                src2_dist: instr.src2_dist,
+                fwd_dist,
+                op: instr.op,
+                taken: instr.taken,
+                mispredicted,
+            });
         }
     }
 
@@ -848,9 +889,7 @@ impl Kernel {
         let lane_count = self.lanes.scalars.len();
         loop {
             let window = Window {
-                instrs: &self.window,
-                flags: &self.flags,
-                fwd: &self.fwd,
+                slots: &self.window,
                 start: self.win_start,
             };
             if self.exhausted {
@@ -888,8 +927,6 @@ impl Kernel {
             self.cur_start = limit;
             if self.cur_start - self.win_start >= 2 * CHUNK {
                 self.window.drain(..CHUNK);
-                self.flags.drain(..CHUNK);
-                self.fwd.drain(..CHUNK);
                 self.win_start += CHUNK;
                 // Every lane has fetched past `cur_start` and holds fewer
                 // than a chunk in flight (ROB + fetch queue), so no lane
@@ -901,6 +938,25 @@ impl Kernel {
             }
             self.refill(&mut trace);
         }
+    }
+
+    /// Bytes the group keeps resident, from allocated lengths: the
+    /// shared window plus every lane's cache tags, ROB, completion
+    /// wheel, ready bitset and fetch ring. The store map and the
+    /// wheel's overflow heap, which start empty and stay small, are
+    /// left out.
+    fn resident_bytes(&self) -> usize {
+        let lanes = &self.lanes;
+        let per_lane: usize = (0..lanes.scalars.len())
+            .map(|l| {
+                lanes.hierarchy[l].tag_bytes()
+                    + lanes.rob[l].bytes()
+                    + lanes.completions[l].bytes()
+                    + heap_bytes(&lanes.ready[l].words)
+                    + heap_bytes(&lanes.fetch_queue[l].rename_ready)
+            })
+            .sum();
+        heap_bytes(&self.window) + per_lane
     }
 
     fn finalize(mut self) -> Vec<SimStats> {
@@ -1006,7 +1062,7 @@ fn try_skip(lane: &mut LaneView<'_>, window: &Window<'_>) -> bool {
             stall = Some(Stall::Rob);
         } else if lane.s.iq_count >= lane.iq_size {
             stall = Some(Stall::Iq);
-        } else if window.instrs[front as usize - window.start].op.is_mem()
+        } else if window.slots[front as usize - window.start].op.is_mem()
             && lane.s.lsq_count >= lane.lsq_size
         {
             stall = Some(Stall::Lsq);
@@ -1018,7 +1074,7 @@ fn try_skip(lane: &mut LaneView<'_>, window: &Window<'_>) -> bool {
     // `fetch_available`, out of queue space, or out of trace — anything
     // else would fetch (or at least probe the I-cache) this cycle.
     let can_fetch_later =
-        lane.s.pos - window.start < window.instrs.len() && lane.fq_len() < lane.fq_capacity;
+        lane.s.pos - window.start < window.slots.len() && lane.fq_len() < lane.fq_capacity;
     if lane.s.fetch_blocked_on.is_none() {
         if now0 < lane.s.fetch_available {
             if can_fetch_later {
@@ -1171,7 +1227,7 @@ fn commit(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
                 // seqs always sit inside the resident window (the
                 // previous chunk is kept for exactly this reason).
                 debug_assert!(head_seq as usize >= window.start);
-                let addr = window.instrs[head_seq as usize - window.start].mem_addr;
+                let addr = window.slots[head_seq as usize - window.start].mem_addr;
                 let _ = lane.hierarchy.data_access(now, addr);
             }
         }
@@ -1245,7 +1301,7 @@ fn issue(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
                         lane.stats.forwarded_loads += 1;
                         now + lane.dl1_lat
                     } else {
-                        let addr = window.instrs[seq as usize - window.start].mem_addr;
+                        let addr = window.slots[seq as usize - window.start].mem_addr;
                         lane.hierarchy.data_access(now, addr).complete
                     }
                 }
@@ -1282,9 +1338,7 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         }
         // The window keeps the previous chunk resident, so every queued
         // seq is still addressable here (fq_capacity << CHUNK).
-        let w = seq as usize - window.start;
-        let instr = &window.instrs[w];
-        let fwd = window.fwd[w];
+        let instr = &window.slots[seq as usize - window.start];
         let is_mem = instr.op.is_mem();
         if is_mem && lane.s.lsq_count >= lane.lsq_size {
             lane.stats.lsq_full_cycles += 1;
@@ -1318,7 +1372,8 @@ fn dispatch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         // from it — iff that store is still in flight, which is exactly
         // when the serial engine's store map would still hold it.
         let mut fwd_src = u64::MAX;
-        if instr.op == Op::Load && fwd >= head_seq && fwd != u64::MAX {
+        let fwd = seq - u64::from(instr.fwd_dist);
+        if instr.fwd_dist != 0 && fwd >= head_seq {
             fwd_src = fwd;
             // Older than the load and uncommitted, so in the ROB.
             let p = lane.rob.slot_of(fwd);
@@ -1362,7 +1417,7 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
             break;
         }
         let idx = lane.s.pos - window.start;
-        let Some(instr) = window.instrs.get(idx) else {
+        let Some(instr) = window.slots.get(idx) else {
             break;
         };
         // Instruction cache: one lookup per new line.
@@ -1380,10 +1435,9 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
         lane.s.pos += 1;
         // The shared pass computed this branch's outcome (and this
         // load's forwarding source) already.
-        let mispredicted = window.flags[idx];
         lane.fetch_queue
             .set_rename_ready(seq, now + lane.front_depth);
-        if mispredicted {
+        if instr.mispredicted {
             // Stop fetching until the branch resolves.
             lane.s.fetch_blocked_on = Some(seq);
             break;
@@ -1401,6 +1455,7 @@ fn fetch(lane: &mut LaneView<'_>, shared: &Shared, window: &Window<'_>) {
 mod tests {
     use super::*;
     use crate::reference::Processor;
+    use crate::Instr;
 
     fn loop_pc(i: u64) -> u64 {
         0x1000 + (i % 256) * 4
@@ -1557,6 +1612,37 @@ mod tests {
             assert!(batched[l].forwarded_loads > 0, "lane {l}");
             assert_eq!(batched[l], serial(config, &trace), "lane {l}");
         }
+    }
+
+    #[test]
+    fn resident_bytes_count_the_window_and_every_lane() {
+        // Default machine: 32 KB 2-way L1s and a 1 MB 8-way L2 with
+        // 64 B lines, width 4, front end 14 - 4 = 10 stages deep.
+        let configs = vec![
+            SimConfig::builder().rob_size(24).build().unwrap(),
+            SimConfig::builder().rob_size(128).build().unwrap(),
+        ];
+        let window = 3 * CHUNK * 32;
+        // 512 + 512 + 16,384 lines, one 4-byte tag each.
+        let tags = (512 + 512 + 16_384) * 4;
+        // ROB ring of 32 or 128 slots: 32 B per slot, four 4-byte
+        // waiter edges per slot, and the wheel's 4-byte link per slot.
+        let rob = |cap: usize| cap * 32 + 4 * cap * 4 + cap * 4;
+        // 512 wheel bucket heads of 4 B; a fetch ring of (10 + 4) × 4 =
+        // 56 entries rounds up to 64 rename-ready cycles of 8 B.
+        let fixed = 512 * 4 + 64 * 8;
+        let ready = 8 + 16; // one or two bitset words
+        let want = window + 2 * (tags + fixed) + rob(32) + rob(128) + ready;
+        assert_eq!(want, 1_725_592);
+        assert_eq!(Kernel::new(&configs).resident_bytes(), want);
+
+        let scoped = ppm_telemetry::Registry::scoped();
+        BatchProcessor::new(configs)
+            .unwrap()
+            .run(mixed_trace(100).into_iter());
+        let h = scoped.histogram("sim.batch_group_bytes");
+        assert_eq!(h.count(), 1, "one record per lane group");
+        assert_eq!(h.sum(), want as u64);
     }
 
     #[test]
@@ -1732,9 +1818,7 @@ mod tests {
         {
             // Lane 0's turn of the first chunk, exactly as `run` takes it.
             let window = Window {
-                instrs: &kernel.window,
-                flags: &kernel.flags,
-                fwd: &kernel.fwd,
+                slots: &kernel.window,
                 start: kernel.win_start,
             };
             let mut lane = kernel.lanes.view(0);

@@ -40,13 +40,24 @@ impl CacheStats {
 /// timing effect of dirty evictions is folded into the DRAM bank busy
 /// time).
 ///
-/// Each line costs one tag word and nothing else. Under LRU and FIFO a
-/// set's ways are kept in recency order — most recently used (LRU) or
-/// filled (FIFO) first, invalid ways last — so the victim is always the
-/// last way: a miss shifts the set down by one and fills way 0, and an
-/// LRU hit moves its way to the front. Random replacement keeps ways at
-/// fixed positions, fills the first invalid way, and otherwise evicts
-/// the way a deterministic LCG picks.
+/// Each line costs one 32-bit tag and nothing else: the line number
+/// shifted right past the set index, with `u32::MAX` marking an empty
+/// way. Under LRU and FIFO a set's ways are kept in recency order —
+/// most recently used (LRU) or filled (FIFO) first, invalid ways last —
+/// so the victim is always the last way: a miss shifts the set down by
+/// one and fills way 0, and an LRU hit moves its way to the front.
+/// Random replacement keeps ways at fixed positions, fills the first
+/// invalid way, and otherwise evicts the way a deterministic LCG picks.
+///
+/// # Address bound
+///
+/// A tag must fit below `u32::MAX`, so a cache maps addresses below
+/// [`Cache::addr_limit`]: `(2^32 - 1) · sets · line_size`. The smallest
+/// Table 1 shape, an 8 KB 2-way L1 with 64 B lines (64 sets), maps
+/// addresses up to about 2^44; the synthetic workloads' addresses stay
+/// below 2^33. [`Cache::access`], [`Cache::install`] and
+/// [`Cache::probe`] panic with "outside the cache's 32-bit tag range"
+/// on an address at or above the bound rather than alias it.
 ///
 /// # Examples
 ///
@@ -63,9 +74,11 @@ pub struct Cache {
     sets: usize,
     assoc: usize,
     line_bits: u32,
+    /// Bits of the line number that select the set.
+    set_bits: u32,
     /// `tags[set * assoc + way]`, in the order the type docs describe;
-    /// `u64::MAX` = invalid.
-    tags: Vec<u64>,
+    /// [`INVALID`] marks an empty way.
+    tags: Vec<u32>,
     policy: ReplacementPolicy,
     /// Deterministic LCG state for the random policy.
     lcg: u64,
@@ -112,11 +125,42 @@ impl Cache {
             sets,
             assoc: assoc as usize,
             line_bits: line_size.trailing_zeros(),
-            tags: vec![u64::MAX; sets * assoc as usize],
+            set_bits: sets.trailing_zeros(),
+            tags: vec![INVALID; sets * assoc as usize],
             policy,
             lcg: 0x2545_f491_4f6c_dd1d,
             stats: CacheStats::default(),
         }
+    }
+
+    /// The first address whose tag does not fit (see the type docs),
+    /// saturating at `u64::MAX` for a cache whose sets and lines span
+    /// more than 32 address bits, where every address fits.
+    pub fn addr_limit(&self) -> u64 {
+        let limit = u128::from(INVALID) << (self.line_bits + self.set_bits);
+        u64::try_from(limit).unwrap_or(u64::MAX)
+    }
+
+    /// Bytes of tag storage, from its allocated length.
+    pub fn tag_bytes(&self) -> usize {
+        self.tags.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Splits `addr` into its set index and tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or above [`Cache::addr_limit`].
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u32) {
+        let line = addr >> self.line_bits;
+        let tag = line >> self.set_bits;
+        assert!(
+            tag < u64::from(INVALID),
+            "address {addr:#x} is outside the cache's 32-bit tag range (limit {:#x})",
+            self.addr_limit()
+        );
+        ((line as usize) & (self.sets - 1), tag as u32)
     }
 
     /// The replacement policy.
@@ -140,40 +184,49 @@ impl Cache {
     }
 
     /// Accesses `addr`, allocating on miss. Returns `true` on hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or above [`Cache::addr_limit`].
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
         self.stats.accesses += 1;
-        let line = addr >> self.line_bits;
-        let set = (line as usize) & (self.sets - 1);
         let ways = &mut self.tags[set * self.assoc..][..self.assoc];
-        if let Some(way) = ways.iter().position(|&t| t == line) {
+        if let Some(way) = ways.iter().position(|&t| t == tag) {
             if self.policy == ReplacementPolicy::Lru {
-                ways[..=way].rotate_right(1);
+                // `copy_within` beats `rotate_right` on 4-byte ways.
+                ways.copy_within(..way, 1);
+                ways[0] = tag;
             }
             return true;
         }
         self.stats.misses += 1;
         if self.policy == ReplacementPolicy::Random {
             // Invalid ways are always filled first.
-            let victim = ways.iter().position(|&t| t == u64::MAX).unwrap_or_else(|| {
+            let victim = ways.iter().position(|&t| t == INVALID).unwrap_or_else(|| {
                 self.lcg = self
                     .lcg
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 ((self.lcg >> 33) % self.assoc as u64) as usize
             });
-            ways[victim] = line;
+            ways[victim] = tag;
         } else {
             // The last way is an invalid one if any is left, else the
             // least recently used (LRU) or oldest filled (FIFO) line.
-            ways.rotate_right(1);
-            ways[0] = line;
+            ways.copy_within(..self.assoc - 1, 1);
+            ways[0] = tag;
         }
         false
     }
 
     /// Installs a line without touching the statistics (used for
     /// prefetches, whose fills are not demand accesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or above [`Cache::addr_limit`].
     pub fn install(&mut self, addr: u64) {
         let before = self.stats;
         self.access(addr);
@@ -181,13 +234,19 @@ impl Cache {
     }
 
     /// Checks for presence without updating recency or statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or above [`Cache::addr_limit`].
     #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.line_bits;
-        let set = (line as usize) & (self.sets - 1);
-        self.tags[set * self.assoc..][..self.assoc].contains(&line)
+        let (set, tag) = self.locate(addr);
+        self.tags[set * self.assoc..][..self.assoc].contains(&tag)
     }
 }
+
+/// The empty-way marker, one above the largest tag a cache stores.
+const INVALID: u32 = u32::MAX;
 
 #[cfg(test)]
 mod tests {
@@ -479,16 +538,45 @@ mod tests {
         Reuse,
     }
 
+    /// Moves `addr`'s tag to `reverse_bits(tag) ^ mask`, keeping its
+    /// set and its offset within the line. The map is a bijection on
+    /// 32-bit tags, so a stream keeps its hits and misses, while the
+    /// stream's tag bits land in the top of the tag and `mask` spreads
+    /// the tags over the whole range below the cache's address bound: a
+    /// narrowing that lost high bits would alias distinct lines. `mask`
+    /// has bit 0 clear and narrow tags stay below 2^31, so no tag
+    /// becomes the invalid marker.
+    fn widen(addr: u64, sets: u64, line: u64, mask: u32) -> u64 {
+        let set_span = sets * line;
+        let (tag, low) = (addr / set_span, addr % set_span);
+        let tag = u32::try_from(tag).expect("a narrow tag");
+        assert!(tag < 1 << 31 && mask & 1 == 0);
+        u64::from(tag.reverse_bits() ^ mask) * set_span + low
+    }
+
     /// Drives the stamp model and [`Cache`] with the same `ops`
     /// interleaved `access`/`install`/`probe` calls and asserts equal
-    /// results at every step and equal statistics throughout.
-    fn differential(size: u64, assoc: u32, policy: ReplacementPolicy, stream: Stream, ops: usize) {
+    /// results at every step and equal statistics throughout. A `wide`
+    /// case [`widen`]s every address, so the 32-bit tags are checked
+    /// against the stamp model's full line numbers across the whole
+    /// address range the shape allows.
+    fn differential(
+        size: u64,
+        assoc: u32,
+        policy: ReplacementPolicy,
+        stream: Stream,
+        wide: bool,
+        ops: usize,
+    ) {
         let line = 64u64;
         let mut old = StampCache::with_policy(size, assoc, line as u32, policy);
         let mut new = Cache::with_policy(size, assoc, line as u32, policy);
         let sets = new.sets() as u64;
         let ways = u64::from(assoc);
-        let mut rng = Rng::seed_from_u64(size ^ (ways << 40) ^ ((stream as u64) << 50));
+        let mut rng = Rng::seed_from_u64(
+            size ^ (ways << 40) ^ ((stream as u64) << 50) ^ (u64::from(wide) << 60),
+        );
+        let mask = (rng.next_u64() as u32) & !1;
         let hot_sets = sets.min(8);
         let (mut stride, mut span, mut base, mut walk) = (1, 1, 0, 0);
         for step in 0..ops {
@@ -515,8 +603,14 @@ mod tests {
                     (tag * sets + set) * line + rng.below(line)
                 }
             };
-            let ctx =
-                || format!("{size} B {assoc}-way {policy:?} {stream:?}, op {step}, addr {addr:#x}");
+            let addr = if wide {
+                widen(addr, sets, line, mask)
+            } else {
+                addr
+            };
+            let ctx = || {
+                format!("{size} B {assoc}-way {policy:?} {stream:?} wide={wide}, op {step}, addr {addr:#x}")
+            };
             match rng.below(20) {
                 0..=2 => {
                     new.install(addr);
@@ -537,7 +631,9 @@ mod tests {
                 ReplacementPolicy::Random,
             ] {
                 for stream in [Stream::Random, Stream::Strided, Stream::Reuse] {
-                    differential(size, assoc, policy, stream, ops_per_case);
+                    for wide in [false, true] {
+                        differential(size, assoc, policy, stream, wide, ops_per_case);
+                    }
                 }
             }
         }
@@ -548,13 +644,107 @@ mod tests {
         differential_all(1_500);
     }
 
-    /// The same differential at release scale: 144 cases of 72k
-    /// operations, 10.4 M in all (`cargo test --release -p ppm-sim --
+    /// The same differential at release scale: 288 cases of 72k
+    /// operations, 20.7 M in all (`cargo test --release -p ppm-sim --
     /// --ignored`).
     #[test]
     #[ignore = "release-scale; run with --release -- --ignored"]
     fn recency_order_matches_the_stamp_model_at_scale() {
         differential_all(72_000);
+    }
+
+    #[test]
+    fn address_limit_follows_the_geometry() {
+        // 8 KB 2-way, 64 B lines: 64 sets, so 12 bits below the tag.
+        assert_eq!(
+            Cache::new(8 << 10, 2, 64).addr_limit(),
+            u64::from(u32::MAX) << 12
+        );
+        // One set: the tag is the whole line number.
+        assert_eq!(Cache::new(64, 1, 64).addr_limit(), u64::from(u32::MAX) << 6);
+        assert_eq!(
+            Cache::new(8 << 20, 8, 64).addr_limit(),
+            u64::from(u32::MAX) << 20
+        );
+        // Eight sets of 1 GiB lines: 33 bits below the tag, so every
+        // address fits.
+        assert_eq!(Cache::new(1 << 33, 1, 1 << 30).addr_limit(), u64::MAX);
+    }
+
+    #[test]
+    fn every_entry_point_rejects_addresses_at_or_above_the_limit() {
+        for (size, assoc) in SHAPES {
+            let mut c = Cache::new(size, assoc, 64);
+            let limit = c.addr_limit();
+            for addr in [limit, limit + 63, limit + 64, u64::MAX] {
+                for call in 0..3 {
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match call {
+                            0 => c.access(addr),
+                            1 => {
+                                c.install(addr);
+                                false
+                            }
+                            _ => c.probe(addr),
+                        }));
+                    let payload = result.expect_err("an address past the limit must panic");
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .unwrap_or_default();
+                    assert!(
+                        msg.contains("outside the cache's 32-bit tag range"),
+                        "{size} B {assoc}-way, call {call}, addr {addr:#x}: {msg}"
+                    );
+                }
+            }
+            assert_eq!(
+                c.stats(),
+                CacheStats::default(),
+                "a rejected access counted"
+            );
+        }
+    }
+
+    #[test]
+    fn addresses_just_below_the_limit_match_the_stamp_model() {
+        // The highest tags, their sets' lowest tags, and a tag 2^31
+        // below the top: any narrowing that dropped high bits would
+        // alias some of them, which the stamp model (full line numbers)
+        // would expose.
+        for (size, assoc) in SHAPES {
+            for policy in [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ] {
+                let mut old = StampCache::with_policy(size, assoc, 64, policy);
+                let mut new = Cache::with_policy(size, assoc, 64, policy);
+                let limit = new.addr_limit();
+                let set_span = new.sets() as u64 * 64;
+                let ways = u64::from(assoc);
+                let mut rng = Rng::seed_from_u64(size ^ (u64::from(assoc) << 40));
+                for step in 0..4_000 {
+                    let back = match rng.below(3) {
+                        0 => 1 + rng.below(2 * ways),
+                        1 => (limit / set_span) - rng.below(2 * ways),
+                        _ => (1 << 31) + rng.below(2 * ways),
+                    };
+                    let addr = limit - back * set_span + rng.below(set_span.min(256));
+                    assert!(addr < limit);
+                    let hit = new.access(addr);
+                    assert_eq!(
+                        hit,
+                        old.access(addr),
+                        "{size} B {assoc}-way {policy:?}, op {step}, addr {addr:#x}"
+                    );
+                }
+                assert_eq!(new.stats(), old.stats);
+                assert!(new.stats().misses < new.stats().accesses);
+            }
+        }
+        // The last byte below a single-set cache's limit is a cold miss.
+        assert!(!Cache::new(64, 1, 64).access((u64::from(u32::MAX - 1) << 6) | 63));
     }
 
     /// A bigger cache never has more misses on the same trace

@@ -181,6 +181,11 @@ impl Hierarchy {
     pub fn memory(&self) -> &MemorySystem {
         &self.mem
     }
+
+    /// Bytes of tag storage across the three caches.
+    pub fn tag_bytes(&self) -> usize {
+        self.il1.tag_bytes() + self.dl1.tag_bytes() + self.l2.tag_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use ppm_rng::{derive_seed, CappedGeometric, Geometric, Rng, WeightedIndex};
 use ppm_sim::{Instr, Op};
 
+use crate::profile::REGION_SPAN;
 use crate::{Benchmark, Profile};
 
 /// Register dependences further back than this are always ready in any
@@ -127,8 +128,9 @@ impl TraceGenerator {
             .enumerate()
             .map(|(i, r)| RegionStream {
                 // Regions live in widely separated address ranges so they
-                // never alias in caches by accident.
-                base: (i as u64 + 1) << 28,
+                // never alias in caches by accident (`Profile::validate`
+                // bounds each size by the span).
+                base: (i as u64 + 1) * REGION_SPAN,
                 size: r.size,
                 sequential: r.sequential,
                 ptr: 0,
@@ -430,6 +432,28 @@ mod tests {
                 "offset {offset} beyond region {region}"
             );
         }
+    }
+
+    #[test]
+    fn the_most_regions_of_the_largest_size_stay_below_2_pow_33() {
+        use crate::profile::MAX_REGIONS;
+        let region = crate::MemRegion {
+            size: REGION_SPAN,
+            weight: 1.0,
+            sequential: 0.0,
+        };
+        let profile = Profile {
+            regions: vec![region; MAX_REGIONS],
+            ..Benchmark::Mcf.profile()
+        };
+        let top = TraceGenerator::from_profile(&profile, 3)
+            .take(50_000)
+            .filter(|i| i.op.is_mem())
+            .map(|i| i.mem_addr)
+            .max()
+            .expect("memory operations");
+        assert!(top >= (MAX_REGIONS as u64) * REGION_SPAN, "{top:#x}");
+        assert!(top < 1 << 33, "{top:#x}");
     }
 
     #[test]

@@ -45,6 +45,19 @@ impl InstrMix {
     }
 }
 
+/// Address span of each data region: the generator places region `i`
+/// at `(i + 1) · REGION_SPAN`, so regions no larger than the span never
+/// alias one another.
+pub(crate) const REGION_SPAN: u64 = 1 << 28;
+
+/// Most data regions a profile may have. Region bases end at
+/// `MAX_REGIONS · REGION_SPAN`, so every generated data address stays
+/// below `(MAX_REGIONS + 1) · REGION_SPAN` = 2^33, far inside the
+/// address bound of every cache shape the simulator accepts with
+/// 64-byte or larger lines (`ppm_sim::Cache::addr_limit`, at least
+/// about 2^38).
+pub(crate) const MAX_REGIONS: usize = 31;
+
 /// One data working-set region.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemRegion {
@@ -101,7 +114,8 @@ impl Profile {
     ///
     /// # Panics
     ///
-    /// Panics if any component is out of range.
+    /// Panics if any component is out of range, including a data region
+    /// larger than its 256 MiB address span or more than 31 regions.
     pub fn validate(&self) {
         self.mix.validate();
         assert!(self.dep_p > 0.0 && self.dep_p <= 1.0, "dep_p out of range");
@@ -133,8 +147,18 @@ impl Profile {
             "functions need >= 3 blocks on average"
         );
         assert!(!self.regions.is_empty(), "need at least one data region");
+        assert!(
+            self.regions.len() <= MAX_REGIONS,
+            "{} data regions: at most {MAX_REGIONS} keep addresses below 2^33",
+            self.regions.len()
+        );
         for r in &self.regions {
             assert!(r.size >= 64, "region smaller than a cache line");
+            assert!(
+                r.size <= REGION_SPAN,
+                "region of {} bytes exceeds its 256 MiB span and would overlap the next region",
+                r.size
+            );
             assert!(r.weight > 0.0, "region weight must be positive");
             assert!((0.0..=1.0).contains(&r.sequential));
         }
@@ -225,6 +249,41 @@ mod tests {
                 assert!(mcf >= total(b), "{b:?} outweighs mcf");
             }
         }
+    }
+
+    fn with_regions(regions: Vec<MemRegion>) -> Profile {
+        Profile {
+            regions,
+            ..Benchmark::Mcf.profile()
+        }
+    }
+
+    fn region(size: u64) -> MemRegion {
+        MemRegion {
+            size,
+            weight: 1.0,
+            sequential: 0.5,
+        }
+    }
+
+    #[test]
+    fn regions_up_to_the_span_and_count_limits_validate() {
+        with_regions(vec![region(REGION_SPAN); MAX_REGIONS]).validate();
+        for b in Benchmark::all() {
+            b.profile_with(InputSet::Reference).validate();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "would overlap the next region")]
+    fn region_larger_than_its_span_panics() {
+        with_regions(vec![region(4096), region(REGION_SPAN + 8), region(4096)]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "32 data regions: at most 31 keep addresses below 2^33")]
+    fn too_many_regions_panic() {
+        with_regions(vec![region(4096); MAX_REGIONS + 1]).validate();
     }
 
     #[test]

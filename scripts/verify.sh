@@ -40,9 +40,13 @@ echo "== cache replacement: recency order == stamp model =="
 # The batch engine, the reference oracle and the first-order profiler
 # all share one Cache, so the batch == reference gates cannot catch a
 # replacement bug. This ignored case is the only independent check of
-# the replacement logic: 10 M interleaved access/install/probe calls on
-# every Table 1 cache shape (plus 4-, 16-way and single-set ones) under
-# LRU, FIFO and random, against the stamp-based cache it replaced.
+# the replacement logic: 20.7 M interleaved access/install/probe calls
+# on every Table 1 cache shape (plus 4-, 16-way and single-set ones)
+# under LRU, FIFO and random, against the stamp-based cache it
+# replaced. Half the cases spread their tags over the whole range below
+# each shape's address bound, so the cache's 32-bit tags are checked
+# against the stamp model's full line numbers where the high bits
+# matter.
 cargo test -q --release -p ppm-sim -- --ignored
 gate_done cache
 

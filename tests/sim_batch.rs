@@ -201,6 +201,86 @@ fn supervised_lane_groups_match_serial_runs_at_every_group_size() {
     }
 }
 
+/// A response over a hand-built trace whose one coordinate picks the
+/// DL1 size, each point a lane of one [`BatchProcessor`] run.
+struct HandTraceResponse {
+    trace: Vec<Instr>,
+}
+
+impl HandTraceResponse {
+    fn config(unit: &[f64]) -> SimConfig {
+        let kb = [8, 16, 32, 64][((unit[0] * 4.0) as usize).min(3)];
+        SimConfig::builder().dl1_size_kb(kb).build().unwrap()
+    }
+
+    fn run(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        let configs = points.iter().map(|p| Self::config(p)).collect();
+        BatchProcessor::new(configs)
+            .unwrap()
+            .run(self.trace.iter().copied())
+            .iter()
+            .map(|s| s.cpi())
+            .collect()
+    }
+}
+
+impl ppm_core::response::Response for HandTraceResponse {
+    fn dim(&self) -> usize {
+        1
+    }
+
+    fn eval(&self, unit: &[f64]) -> f64 {
+        self.run(&[unit.to_vec()])[0]
+    }
+
+    fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
+        Some(self.run(points))
+    }
+}
+
+/// An address at the 8 KB DL1's tag bound is still inside the bigger
+/// DL1s' and the L2's. Under supervision the lane group that holds
+/// the 8 KB point panics as a whole; on the per-point fallback only
+/// that point panics and is quarantined, and the other points' values
+/// equal the reference oracle's, so no lane aliased the address.
+#[test]
+fn an_address_past_a_cache_tag_bound_quarantines_its_point() {
+    let limit = ppm_sim::Cache::new(8 << 10, 2, 64).addr_limit();
+    assert!(limit < ppm_sim::Cache::new(16 << 10, 2, 64).addr_limit());
+    let mut rng = Rng::seed_from_u64(0x7a9);
+    let trace: Vec<Instr> = (0..4_000u64)
+        .map(|i| {
+            let pc = 0x1000 + (i % 64) * 4;
+            match (i % 5, i) {
+                (_, 3_000) => Instr::load(pc, limit, 1, 0),
+                // The last words below the bound, and their low aliases.
+                (0, _) => Instr::load(pc, limit - 8 * (1 + rng.below(64)), 1, 0),
+                (1, _) => Instr::store(pc, rng.below(512) * 8, 2, 0),
+                (2, _) => Instr::load(pc, (limit & ((1 << 20) - 1)) + rng.below(64) * 8, 0, 0),
+                _ => Instr::alu(ppm_sim::Op::IntAlu, pc, 1, 2),
+            }
+        })
+        .collect();
+    let response = HandTraceResponse { trace };
+    let points = vec![vec![0.0], vec![0.3], vec![0.9]];
+    let policy = SupervisorPolicy::strict().with_max_quarantined_frac(0.5);
+    let out = eval_batch_supervised(&response, &points, 1, &policy, &[]).expect("one of three");
+    assert_eq!(out.values[0], None);
+    assert_eq!(out.quarantined.len(), 1);
+    let q = &out.quarantined[0];
+    assert_eq!(q.index, 0);
+    assert!(
+        matches!(&q.fault, ppm_core::supervise::Fault::Panic(msg)
+            if msg.contains("outside the cache's 32-bit tag range")),
+        "{:?}",
+        q.fault
+    );
+    for (p, v) in points.iter().zip(&out.values).skip(1) {
+        let want = Processor::new(HandTraceResponse::config(p)).run(response.trace.iter().copied());
+        assert_eq!(v.map(f64::to_bits), Some(want.cpi().to_bits()), "{p:?}");
+    }
+}
+
 #[test]
 fn simulate_batch_cli_reports_identical_lanes() {
     let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
