@@ -6,7 +6,7 @@
 //! the instruction cache is small (curvature / interaction), with sharp
 //! changes at low cache sizes.
 
-use ppm_core::response::Response;
+use ppm_core::response::{default_threads, eval_batch};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::interaction_grid;
 use ppm_experiments::{fmt, Report, Scale};
@@ -17,15 +17,12 @@ fn main() {
     let space = DesignSpace::paper_table1();
     let response = scale.response(Benchmark::Vortex);
 
-    // Sweep il1_size (param 6, 4 levels) x L2_lat (param 5, 16 levels).
-    let (il1_vals, l2lat_vals, grid) = interaction_grid(
-        &space,
-        |x| response.eval(x),
-        6,
-        5,
-        &[0.5; 9],
-        scale.final_sample,
-    );
+    // Sweep il1_size (param 6, 4 levels) x L2_lat (param 5, 16 levels),
+    // simulated as one batch.
+    let (il1_vals, l2lat_vals, points) =
+        interaction_grid(&space, 6, 5, &[0.5; 9], scale.final_sample);
+    let cpi = eval_batch(&response, &points, default_threads()).expect("clean batch");
+    let grid: Vec<&[f64]> = cpi.chunks(l2lat_vals.len()).collect();
 
     let mut columns = vec!["il1_size_kb".to_string()];
     columns.extend(l2lat_vals.iter().map(|v| format!("L2_lat={v:.0}")));

@@ -7,7 +7,7 @@
 //! (with the largest deviations at small caches and high latencies).
 
 use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::Response;
+use ppm_core::response::eval_batch;
 use ppm_core::space::DesignSpace;
 use ppm_core::study::interaction_grid;
 use ppm_experiments::{fmt, Report, Scale};
@@ -20,12 +20,14 @@ fn main() {
     let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
     let built = builder.build(&response).expect("finite CPI responses");
 
-    // Use a coarse L2-latency axis so simulation stays cheap: every
-    // third level.
-    let base = [0.5; 9];
-    let (il1_vals, l2_vals, sim_grid) =
-        interaction_grid(&space, |x| response.eval(x), 6, 5, &base, 16);
-    let (_, _, model_grid) = interaction_grid(&space, |x| built.predict(x), 6, 5, &base, 16);
+    // Simulate the whole il1 x L2-latency grid as one batch; the report
+    // keeps every third L2-latency level at paper scale, every fifth
+    // otherwise.
+    let (il1_vals, l2_vals, points) = interaction_grid(&space, 6, 5, &[0.5; 9], 16);
+    let simulated = eval_batch(&response, &points, builder.config().threads).expect("clean batch");
+    let predicted: Vec<f64> = points.iter().map(|x| built.predict(x)).collect();
+    let sim_grid: Vec<&[f64]> = simulated.chunks(l2_vals.len()).collect();
+    let model_grid: Vec<&[f64]> = predicted.chunks(l2_vals.len()).collect();
 
     let mut report = Report::new(
         "fig6_trend_prediction",

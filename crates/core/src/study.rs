@@ -96,13 +96,15 @@ pub fn fit_linear_baseline(
     LinearTrainer::default().fit(&data)
 }
 
-/// A two-parameter sweep of a prediction function over the level grids
-/// of the chosen parameters, all other coordinates held at `base`.
+/// The points of a two-parameter sweep over the level grids of the
+/// chosen parameters, all other coordinates held at `base`: the shape of
+/// the paper's Figures 1 and 6. Callers simulate the points as one batch
+/// ([`eval_batch`]) or score a model on them.
 ///
-/// Returns `(a_values, b_values, grid)` where `grid[i][j]` is the
-/// prediction with parameter `a` at its `i`-th level and `b` at its
-/// `j`-th level, and the value vectors are in engineering units. This is
-/// the shape of the paper's Figures 1 and 6.
+/// Returns `(a_values, b_values, points)`: the levels in engineering
+/// units, and the unit-cube points in row-major order, so that
+/// `points[i * b_values.len() + j]` has `a` at its `i`-th level and `b`
+/// at its `j`-th.
 ///
 /// # Panics
 ///
@@ -110,7 +112,6 @@ pub fn fit_linear_baseline(
 /// `base.len()` differs from the space dimension.
 pub fn interaction_grid(
     space: &DesignSpace,
-    predict: impl Fn(&[f64]) -> f64,
     param_a: usize,
     param_b: usize,
     base: &[f64],
@@ -126,20 +127,18 @@ pub fn interaction_grid(
     let pb = &space.params().params()[param_b];
     let a_units = pa.unit_grid(sample_size_for_levels);
     let b_units = pb.unit_grid(sample_size_for_levels);
-    let a_values: Vec<f64> = a_units.iter().map(|&t| pa.to_actual(t)).collect();
-    let b_values: Vec<f64> = b_units.iter().map(|&t| pb.to_actual(t)).collect();
-    let mut grid = Vec::with_capacity(a_units.len());
+    let mut points = Vec::with_capacity(a_units.len() * b_units.len());
     for &ua in &a_units {
-        let mut row = Vec::with_capacity(b_units.len());
         for &ub in &b_units {
             let mut x = base.to_vec();
             x[param_a] = ua;
             x[param_b] = ub;
-            row.push(predict(&x));
+            points.push(x);
         }
-        grid.push(row);
     }
-    (a_values, b_values, grid)
+    let a_values = a_units.iter().map(|&t| pa.to_actual(t)).collect();
+    let b_values = b_units.iter().map(|&t| pb.to_actual(t)).collect();
+    (a_values, b_values, points)
 }
 
 /// One row of the paper's Table 5: a significant regression-tree split.
@@ -272,7 +271,7 @@ pub fn search_optimum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::response::{FnResponse, Response};
+    use crate::response::FnResponse;
     use ppm_rng::Rng;
 
     #[test]
@@ -341,19 +340,22 @@ mod tests {
     #[test]
     fn interaction_grid_shape_and_values() {
         let space = DesignSpace::paper_table1();
-        // Predict = il1 unit coordinate (param 6) + 2 * L2 latency coord.
-        let (a_vals, b_vals, grid) =
-            interaction_grid(&space, |x| x[6] + 2.0 * x[5], 6, 5, &[0.5; 9], 200);
+        let (a_vals, b_vals, points) = interaction_grid(&space, 6, 5, &[0.5; 9], 200);
         assert_eq!(a_vals.len(), 4); // il1 has 4 levels
         assert_eq!(b_vals.len(), 16); // L2 lat has 16 levels
-        assert_eq!(grid.len(), 4);
-        assert_eq!(grid[0].len(), 16);
+        assert_eq!(points.len(), 64);
         // il1 axis engineering values are 8..64 KB.
         assert!((a_vals[0] - 8.0).abs() < 1e-9);
         assert!((a_vals[3] - 64.0).abs() < 1e-9);
-        // Grid increases along both axes of the (unit) predictor.
+        // Score = il1 unit coordinate (param 6) + 2 * L2 latency coord.
+        let scores: Vec<f64> = points.iter().map(|x| x[6] + 2.0 * x[5]).collect();
+        let grid: Vec<&[f64]> = scores.chunks(b_vals.len()).collect();
+        assert_eq!(grid.len(), 4);
+        // Rows increase along both axes of the (unit) predictor.
         assert!(grid[3][0] > grid[0][0]);
         assert!(grid[0][15] > grid[0][0]);
+        // Every other coordinate stays at the base point.
+        assert!(points.iter().all(|x| x[0] == 0.5 && x[8] == 0.5));
     }
 
     #[test]
@@ -399,10 +401,12 @@ mod tests {
 
     #[test]
     fn fn_response_consistency_with_grid() {
-        // interaction_grid with a Response-backed closure.
+        // The grid's points simulated as one batch.
         let space = DesignSpace::paper_table1();
         let r = FnResponse::new(9, |x: &[f64]| x[4] + x[6]).unwrap();
-        let (_, _, grid) = interaction_grid(&space, |x| r.eval(x), 4, 6, &[0.0; 9], 100);
+        let (_, b_vals, points) = interaction_grid(&space, 4, 6, &[0.0; 9], 100);
+        let values = eval_batch(&r, &points, 2).unwrap();
+        let grid: Vec<&[f64]> = values.chunks(b_vals.len()).collect();
         assert_eq!(grid.len(), 6);
         assert!((grid[5][3] - 2.0).abs() < 1e-9);
     }

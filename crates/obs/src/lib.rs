@@ -14,9 +14,10 @@
 //! * [`trace`] — a [`trace::FlightRecorder`] sink captures the span
 //!   tree (with monotonic timestamps, thread ordinals, and CPU time)
 //!   and exports Chrome-trace/Perfetto JSON for `--trace-out`.
-//! * [`report`] — the regression sentry: diff two ledgers' stage
-//!   times, error statistics, and counters against thresholds, for
-//!   `ppm report` and the CI gate in `scripts/verify.sh`.
+//! * [`report`] — the regression sentry: diff two ledgers'
+//!   deterministic bodies (error statistics within a fixed budget,
+//!   counters exactly), for `ppm report` and the CI gate in
+//!   `scripts/verify.sh`.
 //!
 //! Every document here is parsed and written by `ppm-telemetry`'s
 //! [`Json`] codec, the workspace's only one. Like the rest of the
@@ -30,7 +31,7 @@ pub use ledger::{
     deterministic_metrics, fnv1a64_hex, load_ledger, verify_content_hash, Ledger, LedgerError,
     LEDGER_SCHEMA,
 };
-pub use report::{compare, Finding, FindingCategory, Report, ReportError, Thresholds};
+pub use report::{compare, Finding, FindingCategory, Report, ReportError};
 pub use trace::{validate_chrome_trace, FlightRecorder, StageTiming, TraceError, TraceSummary};
 
 // Re-exported for the benchmark harness, which imports `ppm_obs::Json`

@@ -779,48 +779,6 @@ fn evaluate_real(
     Ok(value)
 }
 
-/// Builds a simulator configuration from query parameters, defaulting
-/// every knob the request does not name.
-fn config_from_pairs(pairs: &[(&str, &str)]) -> Result<SimConfig, String> {
-    let default = SimConfig::default();
-    let mut builder = SimConfig::builder()
-        .pipe_depth(default.pipe_depth)
-        .rob_size(default.rob_size)
-        .iq_frac(default.iq_frac)
-        .lsq_frac(default.lsq_frac)
-        .l2_size_kb(default.l2_size_kb)
-        .l2_lat(default.l2_lat)
-        .il1_size_kb(default.il1_size_kb)
-        .dl1_size_kb(default.dl1_size_kb)
-        .dl1_lat(default.dl1_lat);
-    fn int(key: &str, value: &str) -> Result<u32, String> {
-        value
-            .parse::<u32>()
-            .map_err(|_| format!("{key} wants an integer, got {value:?}"))
-    }
-    fn frac(key: &str, value: &str) -> Result<f64, String> {
-        value
-            .parse::<f64>()
-            .map_err(|_| format!("{key} wants a number, got {value:?}"))
-    }
-    for (key, value) in pairs {
-        builder = match *key {
-            "deadline_ms" => builder,
-            "depth" => builder.pipe_depth(int(key, value)?),
-            "rob" => builder.rob_size(int(key, value)?),
-            "iq" => builder.iq_frac(frac(key, value)?),
-            "lsq" => builder.lsq_frac(frac(key, value)?),
-            "l2-kb" => builder.l2_size_kb(int(key, value)?),
-            "l2-lat" => builder.l2_lat(int(key, value)?),
-            "il1-kb" => builder.il1_size_kb(int(key, value)?),
-            "dl1-kb" => builder.dl1_size_kb(int(key, value)?),
-            "dl1-lat" => builder.dl1_lat(int(key, value)?),
-            other => return Err(format!("unknown parameter {other:?}")),
-        };
-    }
-    builder.build().map_err(|e| e.to_string())
-}
-
 /// A JSON body: the compact document and a trailing newline.
 fn json_body(doc: &Json) -> String {
     let mut body = doc.dump();
@@ -930,9 +888,15 @@ fn predict(
     if deadline.expired() {
         return deadline_exceeded(state, accepted, "while queued", budget_ms, trace_id);
     }
-    let config = match config_from_pairs(pairs) {
+    // Every other query key names a knob; unnamed knobs keep their
+    // defaults.
+    let knobs = pairs
+        .iter()
+        .copied()
+        .filter(|(key, _)| *key != "deadline_ms");
+    let config = match SimConfig::from_knobs(knobs) {
         Ok(config) => config,
-        Err(detail) => return error_reply(400, detail),
+        Err(e) => return error_reply(400, e.to_string()),
     };
     let model = state.store.active();
     // The analytical answer is a closed-form formula — cheap enough to

@@ -31,6 +31,33 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
+/// The nine Table 1 knobs by the names `ppm` takes as `--<knob>` flags
+/// and `/predict` as query keys, in [`SimConfig`] field order.
+pub const KNOBS: [&str; 9] = [
+    "depth", "rob", "iq", "lsq", "l2-kb", "l2-lat", "il1-kb", "dl1-kb", "dl1-lat",
+];
+
+/// Errors raised by [`SimConfig::from_knobs`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum KnobError {
+    /// A name outside [`KNOBS`] or a value that does not parse.
+    Parse(String),
+    /// The knobs parsed but the configuration is invalid.
+    Config(ConfigError),
+}
+
+impl fmt::Display for KnobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KnobError::Parse(m) => f.write_str(m),
+            KnobError::Config(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl Error for KnobError {}
+
 /// The parts of the machine held fixed across the paper's design space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedMachine {
@@ -193,6 +220,39 @@ impl SimConfig {
         SimConfigBuilder {
             config: SimConfig::default(),
         }
+    }
+
+    /// Builds a configuration from `(knob, value)` text pairs, keeping
+    /// the default for every knob not named; a later pair for the same
+    /// knob wins.
+    ///
+    /// # Errors
+    ///
+    /// [`KnobError`] for a name outside [`KNOBS`], a value that does not
+    /// parse, or an invalid resulting configuration.
+    pub fn from_knobs<'a>(
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<SimConfig, KnobError> {
+        let mut b = SimConfig::builder();
+        for (knob, value) in pairs {
+            let bad =
+                |expected| KnobError::Parse(format!("{knob} wants {expected}, got {value:?}"));
+            let int = || value.parse::<u32>().map_err(|_| bad("an integer"));
+            let frac = || value.parse::<f64>().map_err(|_| bad("a number"));
+            b = match knob {
+                "depth" => b.pipe_depth(int()?),
+                "rob" => b.rob_size(int()?),
+                "iq" => b.iq_frac(frac()?),
+                "lsq" => b.lsq_frac(frac()?),
+                "l2-kb" => b.l2_size_kb(int()?),
+                "l2-lat" => b.l2_lat(int()?),
+                "il1-kb" => b.il1_size_kb(int()?),
+                "dl1-kb" => b.dl1_size_kb(int()?),
+                "dl1-lat" => b.dl1_lat(int()?),
+                other => return Err(KnobError::Parse(format!("unknown parameter {other:?}"))),
+            };
+        }
+        b.build().map_err(KnobError::Config)
     }
 
     /// The issue queue size in entries: `round(iq_frac × rob_size)`,
@@ -450,6 +510,41 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert!(SimConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn every_knob_sets_its_field() {
+        let values = ["20", "100", "0.25", "0.75", "4096", "7", "8", "64", "3"];
+        let config = SimConfig::from_knobs(KNOBS.into_iter().zip(values)).unwrap();
+        let expected = SimConfig {
+            pipe_depth: 20,
+            rob_size: 100,
+            iq_frac: 0.25,
+            lsq_frac: 0.75,
+            l2_size_kb: 4096,
+            l2_lat: 7,
+            il1_size_kb: 8,
+            dl1_size_kb: 64,
+            dl1_lat: 3,
+            fixed: FixedMachine::default(),
+        };
+        assert_eq!(config, expected);
+        assert_eq!(SimConfig::from_knobs([]), Ok(SimConfig::default()));
+        // A later pair for the same knob wins.
+        let config = SimConfig::from_knobs([("rob", "32"), ("rob", "64")]).unwrap();
+        assert_eq!(config.rob_size, 64);
+    }
+
+    #[test]
+    fn knob_errors_name_the_problem() {
+        let err = SimConfig::from_knobs([("robb", "32")]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown parameter \"robb\"");
+        let err = SimConfig::from_knobs([("rob", "lots")]).unwrap_err();
+        assert_eq!(err.to_string(), "rob wants an integer, got \"lots\"");
+        let err = SimConfig::from_knobs([("iq", "half")]).unwrap_err();
+        assert_eq!(err.to_string(), "iq wants a number, got \"half\"");
+        let err = SimConfig::from_knobs([("depth", "3")]).unwrap_err();
+        assert!(matches!(err, KnobError::Config(_)), "{err:?}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod trace;
 pub use batch::{BatchError, BatchProcessor};
 pub use bpred::{BranchPredictor, Btb, Gshare, PredictorKind};
 pub use cache::{Cache, CacheStats, ReplacementPolicy};
-pub use config::{ConfigError, FixedMachine, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, FixedMachine, KnobError, SimConfig, SimConfigBuilder, KNOBS};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyParams};
 pub use hierarchy::{AccessOutcome, Hierarchy};
 pub use memory::MemorySystem;

@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Model-predicted CPI over the il1 x L2-latency grid, everything
     // else mid-range.
     let base = [0.5; 9];
-    let (il1_vals, lat_vals, grid) =
-        interaction_grid(&space, |x| built.predict(x), 6, 5, &base, 16);
+    let (il1_vals, lat_vals, points) = interaction_grid(&space, 6, 5, &base, 16);
+    let predicted: Vec<f64> = points.iter().map(|x| built.predict(x)).collect();
+    let grid: Vec<&[f64]> = predicted.chunks(lat_vals.len()).collect();
 
     println!("\npredicted CPI (rows: il1 size, cols: L2 latency):");
     print!("{:>10}", "il1\\lat");

@@ -76,8 +76,9 @@ gate_done kernel
 
 echo "== flight recorder: smoke build + regression sentry + trace check =="
 # A fixed-seed smoke build must (a) reproduce the committed baseline
-# ledger — every deterministic counter and error statistic exactly, and
-# stage wall times within a generous cross-machine budget — and
+# ledger's deterministic body — every counter exactly, and each held-out
+# error statistic within 1.10x the baseline plus 0.1 percentage point;
+# stage times are recorded in the ledger header but not compared — and
 # (b) emit a structurally valid Chrome-trace file. `ppm report` exits 5
 # on regression, which fails this gate via `set -e`. The build also
 # carries `--live 127.0.0.1:0`; with `--quiet` nothing learns the port or
@@ -93,7 +94,7 @@ PPM_THREADS=2 target/release/ppm build --benchmark ammp --sample 20 --instructio
   --out "$smoke_dir/m.txt" --ledger-out "$smoke_dir/ledger.json" \
   --trace-out "$smoke_dir/trace.json"
 target/release/ppm report --candidate "$smoke_dir/ledger.json" \
-  --against results/baselines/smoke.json --max-stage-ratio 25
+  --against results/baselines/smoke.json
 target/release/ppm check-trace --file "$smoke_dir/trace.json"
 
 echo "== batched simulation: equivalence smoke =="

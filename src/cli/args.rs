@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use ppm_sim::KNOBS;
+
 /// Errors from command-line parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
@@ -26,6 +28,15 @@ pub enum ArgError {
     Unexpected(String),
     /// A required flag is absent.
     Required(&'static str),
+    /// The command word names no command.
+    UnknownCommand(String),
+    /// A flag the command does not read.
+    UnknownFlag {
+        /// The command word.
+        command: String,
+        /// The offending flag.
+        flag: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -41,6 +52,12 @@ impl fmt::Display for ArgError {
             } => write!(f, "flag {flag}: {value:?} is not a valid {expected}"),
             ArgError::Unexpected(arg) => write!(f, "unexpected argument {arg:?}"),
             ArgError::Required(flag) => write!(f, "missing required flag {flag}"),
+            ArgError::UnknownCommand(command) => {
+                write!(f, "unknown command {command:?} (try `ppm help`)")
+            }
+            ArgError::UnknownFlag { command, flag } => {
+                write!(f, "`ppm {command}` does not take {flag} (try `ppm help`)")
+            }
         }
     }
 }
@@ -59,25 +76,73 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const SWITCHES: [&str; 8] = [
-    "--energy",
-    "--trace",
-    "--quiet",
-    "--resume",
-    "--no-ledger",
-    "--once",
-    "--no-trace",
-    "--no-trace-check",
+const SWITCHES: &str = "--energy --trace --quiet --resume --no-ledger --once --no-trace \
+                        --no-trace-check";
+
+/// Flags every command takes: telemetry, the live plane (which refuses
+/// commands outside its own list with a clearer message) and the flight
+/// recorder.
+const GLOBAL_FLAGS: &str = "--quiet --trace --metrics-out --live --trace-out --ledger-out \
+                            --ledger-dir --no-ledger";
+
+/// Every command and the flags it reads beyond [`GLOBAL_FLAGS`].
+/// `<addr>` lets bare arguments follow the command word (`ppm serve
+/// 127.0.0.1:8080`); every other command rejects them. `[config]`
+/// adds `--<knob>` for each of the nine Table 1 [`KNOBS`].
+const COMMANDS: [(&str, &str); 16] = [
+    ("help", ""),
+    ("benchmarks", ""),
+    (
+        "simulate",
+        "[config] --benchmark --instructions --seed --energy --batch",
+    ),
+    (
+        "build",
+        "--benchmark --out --sample --instructions --seed --holdout --metric --train-threads \
+         --lhs-candidates --checkpoint --resume",
+    ),
+    ("predict", "[config] --model"),
+    ("screen", "--benchmark --instructions"),
+    ("firstorder", "[config] --benchmark --instructions --seed"),
+    ("workload-info", "--benchmark --instructions --seed"),
+    ("report", "--candidate --against --json-out"),
+    ("check-trace", "--file"),
+    ("lint", "--root --conf --format --rule"),
+    ("top", "<addr> --once --interval-ms"),
+    (
+        "tail",
+        "<addr> --once --interval-ms --limit --outcome --min-ms",
+    ),
+    (
+        "serve",
+        "<addr> --registry --benchmark --workers --queue --deadline-ms --max-deadline-ms \
+         --degrade-depth --fail-streak --probe-every --chaos --no-trace --trace-ring \
+         --trace-sample --trace-slow-keep --slo-availability --slo-latency-ms",
+    ),
+    ("publish", "--model --registry"),
+    (
+        "loadtest",
+        "<addr> --requests --concurrency --rate --deadline-ms --slo-p99-ms --out --ab --ab-out \
+         --no-trace-check",
+    ),
 ];
 
-/// Commands that accept bare positional arguments after the command
-/// word (`ppm top 127.0.0.1:9090`, `ppm serve 127.0.0.1:8080`).
-/// Everything else treats a stray positional as an error, preserving
-/// the strict historical surface.
-const POSITIONAL_COMMANDS: [&str; 4] = ["top", "serve", "loadtest", "tail"];
+/// Whether `word` is one of the space-separated words of `list`.
+fn listed(list: &str, word: &str) -> bool {
+    list.split_whitespace().any(|w| w == word)
+}
+
+/// Whether a command with this flag list reads `flag`.
+fn accepts(flags: &str, flag: &str) -> bool {
+    listed(GLOBAL_FLAGS, flag)
+        || listed(flags, flag)
+        || (listed(flags, "[config]")
+            && flag.strip_prefix("--").is_some_and(|k| KNOBS.contains(&k)))
+}
 
 impl Parsed {
-    /// Parses raw arguments (excluding the program name).
+    /// Parses raw arguments (excluding the program name), rejecting
+    /// any flag the command does not read before it does any work.
     ///
     /// # Errors
     ///
@@ -85,21 +150,26 @@ impl Parsed {
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut iter = args.into_iter();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
-        if command.starts_with('-') {
-            return Err(ArgError::Unexpected(command));
-        }
+        let flags = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|(_, flags)| *flags)
+            .ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
         let mut values = BTreeMap::new();
         let mut switches = Vec::new();
         let mut positionals = Vec::new();
         while let Some(arg) = iter.next() {
             if !arg.starts_with("--") {
-                if POSITIONAL_COMMANDS.contains(&command.as_str()) {
+                if listed(flags, "<addr>") {
                     positionals.push(arg);
                     continue;
                 }
                 return Err(ArgError::Unexpected(arg));
             }
-            if SWITCHES.contains(&arg.as_str()) {
+            if !accepts(flags, &arg) {
+                return Err(ArgError::UnknownFlag { command, flag: arg });
+            }
+            if listed(SWITCHES, &arg) {
                 switches.push(arg);
                 continue;
             }
@@ -175,14 +245,6 @@ impl Parsed {
         pairs.sort();
         pairs
     }
-
-    /// All flag names that were provided (for validation).
-    pub fn provided_flags(&self) -> impl Iterator<Item = &str> {
-        self.values
-            .keys()
-            .map(String::as_str)
-            .chain(self.switches.iter().map(String::as_str))
-    }
 }
 
 #[cfg(test)]
@@ -218,16 +280,16 @@ mod tests {
             Err(ArgError::MissingValue(_))
         ));
         assert!(matches!(
-            parse(&["build", "--rob", "1", "--rob", "2"]),
+            parse(&["simulate", "--rob", "1", "--rob", "2"]),
             Err(ArgError::Duplicate(_))
         ));
         assert!(matches!(
             parse(&["build", "stray"]),
             Err(ArgError::Unexpected(_))
         ));
-        let p = parse(&["build", "--rob", "lots"]).unwrap();
+        let p = parse(&["build", "--sample", "lots"]).unwrap();
         assert!(matches!(
-            p.num("--rob", 0u32),
+            p.num("--sample", 0u32),
             Err(ArgError::BadValue { .. })
         ));
         assert!(matches!(
@@ -273,5 +335,84 @@ mod tests {
         };
         assert!(e.to_string().contains("--rob"));
         assert!(ArgError::MissingCommand.to_string().contains("help"));
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected_by_name() {
+        let err = parse(&["simulate", "--benchmark", "mcf", "--robb", "32"]).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::UnknownFlag {
+                command: "simulate".into(),
+                flag: "--robb".into()
+            }
+        );
+        assert!(err.to_string().contains("--robb"), "{err}");
+        // Knobs belong to the commands that build a configuration.
+        assert!(parse(&["predict", "--model", "m", "--dl1-lat", "3"]).is_ok());
+        assert!(matches!(
+            parse(&["build", "--rob", "64"]),
+            Err(ArgError::UnknownFlag { .. })
+        ));
+        // A flag is checked before its value is read.
+        assert!(matches!(
+            parse(&["report", "--max-stage-ratoi"]),
+            Err(ArgError::UnknownFlag { .. })
+        ));
+        for flag in [
+            "--max-stage-ratio",
+            "--min-stage-us",
+            "--max-error-ratio",
+            "--error-slack-pp",
+            "--counter-tol",
+        ] {
+            let args = ["report", "--candidate", "a", "--against", "b", flag, "1"];
+            assert!(
+                matches!(parse(&args), Err(ArgError::UnknownFlag { .. })),
+                "{flag}"
+            );
+        }
+        assert_eq!(
+            parse(&["frobnicate"]),
+            Err(ArgError::UnknownCommand("frobnicate".into()))
+        );
+    }
+
+    #[test]
+    fn every_command_takes_the_global_flags() {
+        for (command, _) in COMMANDS {
+            let mut args = vec![command];
+            for flag in GLOBAL_FLAGS.split_whitespace() {
+                args.push(flag);
+                if !listed(SWITCHES, flag) {
+                    args.push("x");
+                }
+            }
+            assert!(parse(&args).is_ok(), "{command}");
+        }
+    }
+
+    #[test]
+    fn help_documents_exactly_the_accepted_flags() {
+        let usage = crate::cli::USAGE;
+        let listed_flags = COMMANDS
+            .iter()
+            .flat_map(|(_, flags)| flags.split_whitespace());
+        for flag in GLOBAL_FLAGS.split_whitespace().chain(listed_flags) {
+            if flag.starts_with("--") {
+                assert!(usage.contains(flag), "help does not mention {flag}");
+            }
+        }
+        for knob in KNOBS {
+            assert!(usage.contains(&format!("--{knob} ")), "help lacks --{knob}");
+        }
+        for word in usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if let Some(name) = word.strip_prefix("--") {
+                let known = KNOBS.contains(&name)
+                    || listed(GLOBAL_FLAGS, word)
+                    || COMMANDS.iter().any(|(_, flags)| listed(flags, word));
+                assert!(known, "help documents {word}, which no command takes");
+            }
+        }
     }
 }

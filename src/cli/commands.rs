@@ -12,7 +12,7 @@ use ppm_core::response::{eval_batch, Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::pb_screening;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig};
+use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, KnobError, SimConfig, KNOBS};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 use crate::cli::args::{ArgError, Parsed};
@@ -157,7 +157,7 @@ pub fn run_with_artifacts(
     artifacts: &mut RunArtifacts,
 ) -> Result<(), CliError> {
     match parsed.command.as_str() {
-        "help" | "--help" | "-h" => {
+        "help" => {
             out.write_str(crate::cli::USAGE).map_err(msg)?;
             Ok(())
         }
@@ -176,9 +176,7 @@ pub fn run_with_artifacts(
         "serve" => serve(parsed, out),
         "publish" => publish(parsed, out),
         "loadtest" => loadtest(parsed, out),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?} (try `ppm help`)"
-        ))),
+        other => Err(ArgError::UnknownCommand(other.to_string()).into()),
     }
 }
 
@@ -558,21 +556,17 @@ fn benchmark_arg(parsed: &Parsed) -> Result<Benchmark, CliError> {
     Benchmark::from_str(name).map_err(msg)
 }
 
-/// Builds a simulator configuration from the config flags.
+/// Builds a simulator configuration from the `--<knob>` flags: a value
+/// that does not parse is a usage error (exit code 2), an out-of-range
+/// configuration a plain error.
 fn config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
-    let default = SimConfig::default();
-    SimConfig::builder()
-        .pipe_depth(parsed.num("--depth", default.pipe_depth)?)
-        .rob_size(parsed.num("--rob", default.rob_size)?)
-        .iq_frac(parsed.num("--iq", default.iq_frac)?)
-        .lsq_frac(parsed.num("--lsq", default.lsq_frac)?)
-        .l2_size_kb(parsed.num("--l2-kb", default.l2_size_kb)?)
-        .l2_lat(parsed.num("--l2-lat", default.l2_lat)?)
-        .il1_size_kb(parsed.num("--il1-kb", default.il1_size_kb)?)
-        .dl1_size_kb(parsed.num("--dl1-kb", default.dl1_size_kb)?)
-        .dl1_lat(parsed.num("--dl1-lat", default.dl1_lat)?)
-        .build()
-        .map_err(msg)
+    let given = KNOBS
+        .iter()
+        .filter_map(|&knob| parsed.get(&format!("--{knob}")).map(|value| (knob, value)));
+    SimConfig::from_knobs(given).map_err(|e| match e {
+        KnobError::Config(e) => msg(e),
+        e => CliError::Usage(format!("--{e}")),
+    })
 }
 
 fn benchmarks(out: &mut dyn fmt::Write) -> Result<(), CliError> {
@@ -643,6 +637,15 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// diffable by the regression sentry.
 fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
+    let knob_given = KNOBS
+        .iter()
+        .any(|k| parsed.get(&format!("--{k}")).is_some());
+    if knob_given || parsed.switch("--energy") {
+        return Err(CliError::Usage(
+            "--batch draws its own configurations: it takes no configuration flags or --energy"
+                .to_string(),
+        ));
+    }
     let lanes: usize = parsed.num("--batch", 0usize)?;
     if lanes == 0 {
         return Err(CliError::Usage(
@@ -1145,6 +1148,19 @@ mod tests {
     fn invalid_config_is_reported() {
         let err = run_cli(&["simulate", "--benchmark", "mcf", "--depth", "3"]).unwrap_err();
         assert!(err.to_string().contains("pipe_depth"));
+        let err = run_cli(&["simulate", "--benchmark", "mcf", "--rob", "many"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--rob"), "{err}");
+    }
+
+    #[test]
+    fn batch_simulation_refuses_flags_it_would_ignore() {
+        for extra in [&["--rob", "32"][..], &["--energy"]] {
+            let mut args = vec!["simulate", "--benchmark", "mcf", "--batch", "2"];
+            args.extend(extra);
+            let err = run_cli(&args).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+        }
     }
 
     #[test]

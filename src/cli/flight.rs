@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use ppm_core::builder::ModelDiagnostics;
-use ppm_obs::{compare, load_ledger, validate_chrome_trace, Ledger, Thresholds};
+use ppm_obs::{compare, load_ledger, validate_chrome_trace, Ledger};
 use ppm_telemetry::Json;
 
 use crate::cli::args::Parsed;
@@ -141,23 +141,14 @@ pub fn diagnostics_json(d: &ModelDiagnostics) -> Json {
     Json::Obj(entries)
 }
 
-/// The `ppm report` command: compares a candidate ledger against a
-/// baseline and fails (exit code 5) on regression.
+/// The `ppm report` command: compares a candidate ledger's deterministic
+/// body against a baseline's and fails (exit code 5) on regression.
 pub fn report(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let candidate_path = parsed.require("--candidate")?;
     let baseline_path = parsed.require("--against")?;
     let candidate = load_ledger(Path::new(candidate_path)).map_err(persistence)?;
     let baseline = load_ledger(Path::new(baseline_path)).map_err(persistence)?;
-    let defaults = Thresholds::default();
-    let thresholds = Thresholds {
-        max_stage_ratio: parsed.num("--max-stage-ratio", defaults.max_stage_ratio)?,
-        min_stage_us: parsed.num("--min-stage-us", defaults.min_stage_us)?,
-        max_error_ratio: parsed.num("--max-error-ratio", defaults.max_error_ratio)?,
-        error_slack_pp: parsed.num("--error-slack-pp", defaults.error_slack_pp)?,
-        counter_tol: parsed.num("--counter-tol", defaults.counter_tol)?,
-    };
-    let report =
-        compare(&baseline, &candidate, &thresholds).map_err(|e| CliError::Usage(e.to_string()))?;
+    let report = compare(&baseline, &candidate).map_err(|e| CliError::Usage(e.to_string()))?;
     out.write_str(&report.human_table())
         .map_err(|e| CliError::Message(e.to_string()))?;
     if let Some(json_path) = parsed.get("--json-out") {

@@ -25,8 +25,12 @@
 //! `ppm-ledger v1` run manifest lands in `results/runs/` (`--ledger-out`
 //! / `--ledger-dir` / `--no-ledger` to steer it), `--trace-out <file>`
 //! exports the span tree as Chrome-trace/Perfetto JSON, and
-//! `ppm report` diffs two ledgers as a regression sentry (exit code 5
-//! on regression). See [`flight`].
+//! `ppm report` diffs two ledgers' deterministic bodies as a regression
+//! sentry (exit code 5 on regression). See [`flight`].
+//!
+//! Each command takes only the flags it reads, plus the observability
+//! and flight-recorder flags; any other flag is a usage error (exit
+//! code 2) before the command does any work.
 //!
 //! `ppm lint` runs the workspace's static analysis (`crates/lint`): the
 //! token rules plus the cross-crate semantic rules (lock-order,
@@ -122,6 +126,8 @@ OTHER FLAGS:
   --train-threads <n>  worker threads for sampling + training in `build`
                       (default: PPM_THREADS or machine parallelism; the
                       built model is identical for any value)
+  --holdout <n>       held-out test points scored after `build` (default 12;
+                      0 disables; statistics recorded in the run ledger)
   --energy            also report the energy estimate (simulate)
   --batch <n>         simulate an n-point Latin-hypercube sample of the
                       Table 1 space in one batched trace pass (simulate)
@@ -170,16 +176,12 @@ OBSERVABILITY FLAGS (any command):
   --ledger-out <f>    run-ledger path (default results/runs/<run-id>.json)
   --ledger-dir <d>    run-ledger directory (default results/runs)
   --no-ledger         skip the run ledger entirely
-  --holdout <n>       held-out test points scored after `build` (default 12;
-                      0 disables; statistics recorded in the run ledger)
 
 REGRESSION SENTRY (`report`) FLAGS:
   --candidate <f>     the run ledger under test
   --against <f>       the baseline run ledger
   --json-out <f>      also write the findings as JSON
-  --max-stage-ratio <r>   stage wall-time budget (default 2.0)
-  --min-stage-us <n>      ignore stages faster than this (default 1000)
-  --max-error-ratio <r>   model-error growth budget (default 1.10)
-  --error-slack-pp <p>    absolute error slack, percentage points (0.1)
-  --counter-tol <r>       allowed counter drift (default 0: exact)
+  Only the ledgers' deterministic bodies are compared: every counter must
+  match exactly, and a held-out error statistic regresses above 1.10x its
+  baseline plus 0.1 percentage point. Stage times are recorded, not gated.
 ";

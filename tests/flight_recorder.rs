@@ -165,10 +165,9 @@ fn sentry_passes_self_compare_and_fails_doctored_ledger() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("verdict: OK"), "{stdout}");
 
-    // Doctoring the candidate — a 10x slower training stage and a
-    // drifted counter — must trip the sentry with exit code 5.
+    // Stage times are recorded, not compared: a candidate whose
+    // training stage took 10x as long, with an identical body, is clean.
     let doc = load(&base);
-    let mut text = doc.dump();
     let stages = doc
         .get("header")
         .and_then(|h| h.get("timings"))
@@ -181,12 +180,40 @@ fn sentry_passes_self_compare_and_fails_doctored_ledger() {
         .and_then(|s| s.get("wall_us"))
         .and_then(Json::as_i64)
         .unwrap();
-    text = text.replace(
+    let text = doc.dump().replace(
         &format!("\"wall_us\":{rbf_wall}"),
         &format!("\"wall_us\":{}", rbf_wall * 10),
     );
+    let slow = dir.join("slow.json");
+    std::fs::write(&slow, &text).unwrap();
+    let out = ppm(&[
+        "report",
+        "--candidate",
+        slow.to_str().unwrap(),
+        "--against",
+        base_str,
+    ]);
+    assert_code(&out, 0);
+
+    // One drifted deterministic counter must trip the sentry with exit
+    // code 5, naming the counter.
+    let points = doc
+        .get("body")
+        .and_then(|b| b.get("metrics"))
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|m| m.get("name").and_then(Json::as_str) == Some("sim.batch_points"))
+        .and_then(|m| m.get("value"))
+        .and_then(Json::as_i64)
+        .unwrap();
+    let drifted = text.replace(
+        &format!("\"name\":\"sim.batch_points\",\"value\":{points}"),
+        &format!("\"name\":\"sim.batch_points\",\"value\":{}", points + 1),
+    );
+    assert_ne!(drifted, text, "counter not found in the ledger text");
     let doctored = dir.join("doctored.json");
-    std::fs::write(&doctored, &text).unwrap();
+    std::fs::write(&doctored, &drifted).unwrap();
     let out = ppm(&[
         "report",
         "--candidate",
@@ -199,6 +226,8 @@ fn sentry_passes_self_compare_and_fails_doctored_ledger() {
     assert_code(&out, 5);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("REGRESSED"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("sim.batch_points"), "{stderr}");
     let report = load(&dir.join("report.json"));
     assert_eq!(report.get("regressed"), Some(&Json::Bool(true)));
 
@@ -383,5 +412,52 @@ fn ledger_defaults_land_in_the_ledger_dir_and_no_ledger_disables() {
     assert_code(&out, 0);
     assert!(!runs.exists());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flags_a_command_does_not_read_exit_2_before_any_work() {
+    let dir = scratch("unknown-flags");
+    let ledger = dir.join("ledger.json");
+    let ledger_str = ledger.to_str().unwrap();
+    // A misspelled knob used to run with the default ROB and exit 0.
+    let out = ppm(&[
+        "simulate",
+        "--benchmark",
+        "mcf",
+        "--instructions",
+        "2000",
+        "--robb",
+        "32",
+        "--ledger-out",
+        ledger_str,
+    ]);
+    assert_code(&out, 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--robb"));
+    assert!(out.stdout.is_empty());
+    assert!(!ledger.exists(), "a rejected command still wrote a ledger");
+    // The sentry's thresholds are fixed; its old knobs are now unknown.
+    for flag in [
+        "--max-stage-ratio",
+        "--min-stage-us",
+        "--max-error-ratio",
+        "--error-slack-pp",
+        "--counter-tol",
+    ] {
+        let out = ppm(&[
+            "report",
+            "--candidate",
+            "a.json",
+            "--against",
+            "b.json",
+            flag,
+            "2",
+        ]);
+        assert_code(&out, 2);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "{flag}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -179,8 +179,7 @@ fn ledger_fixture() -> Json {
 #[test]
 fn regression_report_schema_is_pinned() {
     let doc = ledger_fixture();
-    let report = ppm_obs::compare(&doc, &doc, &ppm_obs::Thresholds::default())
-        .expect("self-compare succeeds");
+    let report = ppm_obs::compare(&doc, &doc).expect("self-compare succeeds");
     let text = report.to_json().dump();
     assert!(
         schema_of(&text).as_deref() == Some("ppm-report v1"),
