@@ -136,8 +136,8 @@ pub struct BuildConfig {
     /// sweep and the RBF grid search). The built model is byte-identical
     /// for any value ≥ 1.
     pub train_threads: usize,
-    /// Fault-tolerance policy for the simulation batches: retry budget,
-    /// backoff, and the quarantine threshold for graceful degradation.
+    /// Fault-tolerance policy for the simulation batches: retry budget
+    /// and the quarantine threshold for graceful degradation.
     pub supervisor: SupervisorPolicy,
 }
 

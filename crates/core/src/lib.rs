@@ -52,7 +52,6 @@
 pub mod adaptive;
 pub mod builder;
 pub mod checkpoint;
-pub mod crossval;
 pub mod fault;
 mod hash;
 pub mod metrics;

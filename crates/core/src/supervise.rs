@@ -5,10 +5,10 @@
 //! resource of the whole pipeline (paper §1 step 3). A single panicking
 //! design point or a non-finite CPI must not destroy the batch: the
 //! supervisor isolates every evaluation with `catch_unwind`, retries
-//! panics up to a configurable budget with deterministic exponential
-//! backoff, and quarantines points that keep failing or that return a
-//! non-finite value. The caller receives a typed [`BatchOutcome`]
-//! describing exactly which points survived and why the rest did not.
+//! panics immediately up to a configurable budget, and quarantines
+//! points that keep failing or that return a non-finite value. The
+//! caller receives a typed [`BatchOutcome`] describing exactly which
+//! points survived and why the rest did not.
 //!
 //! Telemetry: every retry emits a `robust.retry` event (counter
 //! `robust.retries`), every quarantine a `robust.quarantine` event
@@ -21,7 +21,6 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use crate::builder::BuildError;
 use crate::response::Response;
@@ -65,9 +64,6 @@ pub struct SupervisorPolicy {
     /// retried: a deterministic response that returned NaN once will
     /// return it again, so non-finite values quarantine immediately.
     pub max_retries: u32,
-    /// Base backoff before retry `k` (sleeps `backoff * 2^(k-1)`;
-    /// deterministic, no jitter).
-    pub backoff: Duration,
     /// Largest tolerated fraction of quarantined points in a batch.
     /// Above this the batch fails with
     /// [`BuildError::ExcessiveFaults`]; at or below it the survivors
@@ -79,7 +75,6 @@ impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
             max_retries: 2,
-            backoff: Duration::from_millis(0),
             max_quarantined_frac: 0.1,
         }
     }
@@ -92,7 +87,6 @@ impl SupervisorPolicy {
     pub fn strict() -> Self {
         SupervisorPolicy {
             max_retries: 0,
-            backoff: Duration::from_millis(0),
             max_quarantined_frac: 0.0,
         }
     }
@@ -187,8 +181,8 @@ impl BatchOutcome {
     }
 }
 
-/// One supervised evaluation: catch panics, retry with deterministic
-/// backoff, classify the result.
+/// One supervised evaluation: catch panics, retry, classify the
+/// result.
 fn supervised_eval<R: Response>(
     response: &R,
     index: usize,
@@ -216,10 +210,6 @@ fn supervised_eval<R: Response>(
             "attempt" => u64::from(attempt),
             "fault" => fault.to_string(),
         );
-        let backoff = policy.backoff.saturating_mul(1u32 << (attempt - 1).min(16));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
     }
 }
 

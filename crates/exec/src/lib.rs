@@ -2,8 +2,8 @@
 //!
 //! Simulation batches went parallel first (`ppm-core`'s supervised
 //! executor); this crate gives the *training* side — the `(p_min, α)`
-//! grid search, the latin-hypercube candidate sweep, and k-fold
-//! cross-validation — the same treatment with one hard guarantee:
+//! grid search and the latin-hypercube candidate sweep — the same
+//! treatment with one hard guarantee:
 //!
 //! > **Parallel output is byte-identical to serial output, regardless
 //! > of thread count.**

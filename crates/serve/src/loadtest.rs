@@ -22,6 +22,9 @@ use crate::ServeError;
 /// always valid) design points instead of one cache-hot configuration.
 const ROB_SIZES: [u32; 8] = [32, 48, 64, 96, 128, 160, 192, 256];
 
+/// Base of the client trace-ID prefix (`{prefix}-{start}-{k}`).
+const TRACE_PREFIX: &str = "lt";
+
 /// Everything `ppm loadtest` needs. The CLI maps flags onto this
 /// one-to-one.
 #[derive(Debug, Clone)]
@@ -45,8 +48,6 @@ pub struct LoadtestConfig {
     /// Skipped gracefully when the server has tracing disabled or its
     /// control routes are unreachable.
     pub trace_check: bool,
-    /// Base of the client trace-ID prefix (`{prefix}-{start}-{k}`).
-    pub trace_prefix: String,
 }
 
 impl Default for LoadtestConfig {
@@ -59,7 +60,6 @@ impl Default for LoadtestConfig {
             deadline_ms: None,
             timeout: Duration::from_secs(5),
             trace_check: true,
-            trace_prefix: "lt".to_string(),
         }
     }
 }
@@ -240,8 +240,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
     };
     let prefix = match &before {
         Some(Ok(b)) => Some(format!(
-            "{}-{}",
-            config.trace_prefix,
+            "{TRACE_PREFIX}-{}",
             b.get("requests").copied().unwrap_or(0)
         )),
         _ => None,

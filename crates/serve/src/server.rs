@@ -26,10 +26,10 @@
 //!
 //! Degradation triggers on any of: no model loaded (analytical-only
 //! startup), queue depth at or past `degrade_depth` (pressure), or a
-//! *sticky* failure state entered after `fail_streak` consecutive model
+//! *sticky* failure state entered after three consecutive model
 //! evaluation failures (panic or non-finite prediction). Sticky
-//! degradation probes the real model every `probe_every`-th prediction
-//! and clears itself on the first success — recovery is automatic, no
+//! degradation probes the real model every 16th prediction and clears
+//! itself on the first success — recovery is automatic, no
 //! operator action required.
 
 use std::net::{SocketAddr, TcpStream};
@@ -89,6 +89,19 @@ const ROUTES: [RouteEntry<Route>; 9] = [
 /// outcome and detail the trace layer records.
 type Reply = (u16, &'static str, String, TraceOutcome, String);
 
+/// Upper cap on client-requested deadlines (`?deadline_ms=`).
+const MAX_DEADLINE: Duration = Duration::from_secs(5);
+/// Consecutive model failures before degradation turns sticky.
+const FAIL_STREAK: u32 = 3;
+/// While sticky, every n-th prediction probes the real model.
+const PROBE_EVERY: u64 = 16;
+/// Availability objective of the SLO tracker, also the compliance
+/// fraction of its latency objective.
+const SLO_AVAILABILITY: f64 = 0.999;
+/// Latency objective: answered requests slower than this spend latency
+/// error budget.
+const SLO_LATENCY_US: u64 = 100_000;
+
 /// Everything `ppm serve` needs to start. Field defaults are tuned for
 /// an interactive service on a developer machine; the CLI maps flags
 /// onto them one-to-one.
@@ -107,16 +120,10 @@ pub struct ServeConfig {
     pub queue_per_worker: usize,
     /// Deadline applied when the request does not name one.
     pub default_deadline: Duration,
-    /// Upper cap on client-requested deadlines (`?deadline_ms=`).
-    pub max_deadline: Duration,
     /// Queue depth at which predictions degrade to the analytical
     /// estimator. Zero means *every* prediction is degraded — useful
     /// for drills and smoke tests.
     pub degrade_depth: usize,
-    /// Consecutive model failures before degradation turns sticky.
-    pub fail_streak: u32,
-    /// While sticky, every n-th prediction probes the real model.
-    pub probe_every: u64,
     /// The model registry directory (see [`crate::store`]).
     pub registry: PathBuf,
     /// Serve analytically when the registry has no loadable model.
@@ -130,14 +137,6 @@ pub struct ServeConfig {
     pub trace_ring: usize,
     /// Tail-sampling lottery for plain-OK traffic: keep 1 in this many.
     pub trace_sample: u64,
-    /// Always keep the slowest N requests by total latency.
-    pub trace_slow_keep: usize,
-    /// Availability objective for the SLO tracker (`--slo-availability`),
-    /// also the compliance fraction for the latency objective.
-    pub slo_availability: f64,
-    /// Latency objective (`--slo-latency-ms`): answered requests slower
-    /// than this spend latency error budget.
-    pub slo_latency: Duration,
 }
 
 impl Default for ServeConfig {
@@ -147,19 +146,13 @@ impl Default for ServeConfig {
             workers: 4,
             queue_per_worker: 8,
             default_deadline: Duration::from_millis(250),
-            max_deadline: Duration::from_secs(5),
             degrade_depth: 16,
-            fail_streak: 3,
-            probe_every: 16,
             registry: PathBuf::from("registry"),
             fallback_benchmark: None,
             chaos: None,
             trace: true,
             trace_ring: 4096,
             trace_sample: 64,
-            trace_slow_keep: 32,
-            slo_availability: 0.999,
-            slo_latency: Duration::from_millis(100),
         }
     }
 }
@@ -230,10 +223,7 @@ struct ServeState {
     errors: ClientErrors,
     space: DesignSpace,
     default_deadline: Duration,
-    max_deadline: Duration,
     degrade_depth: usize,
-    fail_streak: u32,
-    probe_every: u64,
     workers: usize,
     queue_capacity: usize,
     fault: Option<FaultPlan>,
@@ -250,7 +240,7 @@ struct ServeState {
     // increment must order with the sticky swap it may trigger; plain
     // resets stay Relaxed.
     streak: AtomicU32,
-    /// Sticky degradation: set after `fail_streak` failures, cleared by
+    /// Sticky degradation: set after `FAIL_STREAK` failures, cleared by
     /// a successful probe.
     // atomic-policy(sticky): AcqRel, Acquire, Release — the swap that
     // flips degradation acquires the failure state that justified it
@@ -298,10 +288,7 @@ impl ServeServer {
             errors: errors.clone(),
             space: DesignSpace::paper_table1(),
             default_deadline: config.default_deadline,
-            max_deadline: config.max_deadline,
             degrade_depth: config.degrade_depth,
-            fail_streak: config.fail_streak.max(1),
-            probe_every: config.probe_every.max(1),
             workers: config.workers,
             queue_capacity: config.workers * config.queue_per_worker,
             fault: config.chaos.map(crate::chaos::fault_plan),
@@ -315,13 +302,10 @@ impl ServeServer {
                 TraceRing::new(TraceConfig {
                     capacity: config.trace_ring,
                     sample_one_in: config.trace_sample,
-                    slow_keep: config.trace_slow_keep,
+                    ..TraceConfig::default()
                 })
             }),
-            slo: SloTracker::new(
-                config.slo_availability.clamp(0.0, 1.0 - 1e-9),
-                u64::try_from(config.slo_latency.as_micros()).unwrap_or(u64::MAX),
-            ),
+            slo: SloTracker::new(SLO_AVAILABILITY, SLO_LATENCY_US),
         });
         // `queue_per_worker == 0` means shed-all: no pool at all, the
         // accept callback refuses everything. Going through ServicePool
@@ -817,9 +801,8 @@ impl DegradeCause {
                 state.degrade_depth
             ),
             DegradeCause::FailStreak => format!(
-                "model failing (streak {}); probing every {} requests",
+                "model failing (streak {}); probing every {PROBE_EVERY} requests",
                 state.streak.load(Ordering::Relaxed),
-                state.probe_every
             ),
             DegradeCause::Eval(failure) => failure.to_string(),
         }
@@ -873,7 +856,7 @@ fn predict(
         if *key == "deadline_ms" {
             match value.parse::<u64>() {
                 Ok(ms) if ms > 0 => {
-                    budget = Duration::from_millis(ms).min(state.max_deadline);
+                    budget = Duration::from_millis(ms).min(MAX_DEADLINE);
                 }
                 _ => {
                     return bad_request(&format!(
@@ -917,7 +900,7 @@ fn predict(
         && !state
             .probe_tick
             .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(state.probe_every)
+            .is_multiple_of(PROBE_EVERY)
     {
         cause = Some(DegradeCause::FailStreak);
     }
@@ -939,7 +922,7 @@ fn predict(
             Err(failure) => {
                 state.counters.model_failures.inc();
                 let streak = state.streak.fetch_add(1, Ordering::SeqCst) + 1;
-                if streak >= state.fail_streak && !state.sticky.swap(true, Ordering::AcqRel) {
+                if streak >= FAIL_STREAK && !state.sticky.swap(true, Ordering::AcqRel) {
                     ppm_telemetry::event!(
                         Level::Warn,
                         "serve.degraded_sticky",

@@ -88,7 +88,15 @@ echo "== flight recorder: smoke build + regression sentry + trace check =="
 # pinned because the number of simulation lane groups (and so the
 # sim.batch_* and exec.tasks counters) follows the worker count.
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
+# Every `ppm serve` started below is recorded here and killed on exit:
+# after a failing gate a live server would keep the script's stdout
+# open, and `verify.sh | tee log` would never return.
+server_pids=""
+cleanup() {
+  for pid in $server_pids; do kill "$pid" 2>/dev/null || true; done
+  rm -rf "$smoke_dir"
+}
+trap cleanup EXIT
 PPM_THREADS=2 target/release/ppm build --benchmark ammp --sample 20 --instructions 10000 \
   --seed 7 --train-threads 2 --holdout 6 --quiet --live 127.0.0.1:0 \
   --out "$smoke_dir/m.txt" --ledger-out "$smoke_dir/ledger.json" \
@@ -144,6 +152,7 @@ serve_addr() { # logfile
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
   2> "$smoke_dir/serve.log" &
 serve_pid=$!
+server_pids="$server_pids $serve_pid"
 addr=$(serve_addr "$smoke_dir/serve.log")
 [ -n "$addr" ] || { echo "serve never announced an address"; exit 1; }
 
@@ -193,6 +202,7 @@ echo "== tracing overhead: A/B loadtest (traced vs --no-trace) =="
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
   --no-trace 2> "$smoke_dir/serve-notrace.log" &
 baseline_pid=$!
+server_pids="$server_pids $baseline_pid"
 baseline_addr=$(serve_addr "$smoke_dir/serve-notrace.log")
 [ -n "$baseline_addr" ] || { echo "baseline serve never announced an address"; exit 1; }
 # Warm the fresh baseline before measuring: a cold process's first
@@ -228,6 +238,7 @@ wait "$serve_pid"
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
   --queue 0 2> "$smoke_dir/serve-shed.log" &
 serve_pid=$!
+server_pids="$server_pids $serve_pid"
 addr=$(serve_addr "$smoke_dir/serve-shed.log")
 [ -n "$addr" ] || { echo "shed-all serve never announced an address"; exit 1; }
 if target/release/ppm loadtest "$addr" --requests 40 --concurrency 2 \
@@ -247,6 +258,7 @@ wait "$serve_pid" || true
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
   --degrade-depth 0 2> "$smoke_dir/serve-degraded.log" &
 serve_pid=$!
+server_pids="$server_pids $serve_pid"
 addr=$(serve_addr "$smoke_dir/serve-degraded.log")
 [ -n "$addr" ] || { echo "degraded serve never announced an address"; exit 1; }
 http_request GET '/predict?rob=128' "$addr" | grep -q '"degraded":true' \

@@ -76,35 +76,41 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const SWITCHES: &str = "--energy --trace --quiet --resume --no-ledger --once --no-trace \
-                        --no-trace-check";
+const SWITCHES: &str = "--energy --trace --quiet --no-ledger --once --no-trace --no-trace-check";
 
-/// Flags every command takes: telemetry, the live plane (which refuses
-/// commands outside its own list with a clearer message) and the flight
-/// recorder.
-const GLOBAL_FLAGS: &str = "--quiet --trace --metrics-out --live --trace-out --ledger-out \
-                            --ledger-dir --no-ledger";
+/// Flags every command takes: telemetry and the span-tree export.
+const GLOBAL_FLAGS: &str = "--quiet --trace --metrics-out --trace-out";
+
+/// The run-ledger flags a `[ledger]` command takes.
+const LEDGER_FLAGS: &str = "--ledger-out --ledger-dir --no-ledger";
 
 /// Every command and the flags it reads beyond [`GLOBAL_FLAGS`].
 /// `<addr>` lets bare arguments follow the command word (`ppm serve
 /// 127.0.0.1:8080`); every other command rejects them. `[config]`
-/// adds `--<knob>` for each of the nine Table 1 [`KNOBS`].
+/// adds `--<knob>` for each of the nine Table 1 [`KNOBS`]; `[ledger]`
+/// marks the commands that write a run ledger and adds [`LEDGER_FLAGS`].
 const COMMANDS: [(&str, &str); 16] = [
     ("help", ""),
     ("benchmarks", ""),
     (
         "simulate",
-        "[config] --benchmark --instructions --seed --energy --batch",
+        "[config] [ledger] --live --benchmark --instructions --seed --energy --batch",
     ),
     (
         "build",
-        "--benchmark --out --sample --instructions --seed --holdout --metric --train-threads \
-         --lhs-candidates --checkpoint --resume",
+        "[ledger] --live --benchmark --out --sample --instructions --seed --holdout --metric \
+         --train-threads --lhs-candidates --checkpoint",
     ),
     ("predict", "[config] --model"),
-    ("screen", "--benchmark --instructions"),
-    ("firstorder", "[config] --benchmark --instructions --seed"),
-    ("workload-info", "--benchmark --instructions --seed"),
+    ("screen", "[ledger] --live --benchmark --instructions"),
+    (
+        "firstorder",
+        "[config] [ledger] --benchmark --instructions --seed",
+    ),
+    (
+        "workload-info",
+        "[ledger] --benchmark --instructions --seed",
+    ),
     ("report", "--candidate --against --json-out"),
     ("check-trace", "--file"),
     ("lint", "--root --conf --format --rule"),
@@ -115,9 +121,8 @@ const COMMANDS: [(&str, &str); 16] = [
     ),
     (
         "serve",
-        "<addr> --registry --benchmark --workers --queue --deadline-ms --max-deadline-ms \
-         --degrade-depth --fail-streak --probe-every --chaos --no-trace --trace-ring \
-         --trace-sample --trace-slow-keep --slo-availability --slo-latency-ms",
+        "<addr> --registry --benchmark --workers --queue --deadline-ms --degrade-depth --chaos \
+         --no-trace --trace-ring --trace-sample",
     ),
     ("publish", "--model --registry"),
     (
@@ -136,8 +141,23 @@ fn listed(list: &str, word: &str) -> bool {
 fn accepts(flags: &str, flag: &str) -> bool {
     listed(GLOBAL_FLAGS, flag)
         || listed(flags, flag)
+        || (listed(flags, "[ledger]") && listed(LEDGER_FLAGS, flag))
         || (listed(flags, "[config]")
             && flag.strip_prefix("--").is_some_and(|k| KNOBS.contains(&k)))
+}
+
+/// The flag list of `command`, if it names one.
+fn flags_of(command: &str) -> Option<&'static str> {
+    COMMANDS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map(|(_, flags)| *flags)
+}
+
+/// Whether `command` takes `flag`, by the same table the parser
+/// checks.
+pub fn takes(command: &str, flag: &str) -> bool {
+    flags_of(command).is_some_and(|flags| accepts(flags, flag))
 }
 
 impl Parsed {
@@ -150,11 +170,7 @@ impl Parsed {
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut iter = args.into_iter();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
-        let flags = COMMANDS
-            .iter()
-            .find(|(name, _)| *name == command)
-            .map(|(_, flags)| *flags)
-            .ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
+        let flags = flags_of(&command).ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
         let mut values = BTreeMap::new();
         let mut switches = Vec::new();
         let mut positionals = Vec::new();
@@ -372,23 +388,70 @@ mod tests {
                 "{flag}"
             );
         }
+        // Serve tuning values no caller set are constants now, and
+        // `--checkpoint` resumes from an existing journal on its own.
+        for (command, flag) in [
+            ("serve", "--max-deadline-ms"),
+            ("serve", "--fail-streak"),
+            ("serve", "--probe-every"),
+            ("serve", "--trace-slow-keep"),
+            ("serve", "--slo-availability"),
+            ("serve", "--slo-latency-ms"),
+            ("build", "--resume"),
+        ] {
+            let err = parse(&[command, flag, "1"]).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::UnknownFlag {
+                    command: command.into(),
+                    flag: flag.into()
+                }
+            );
+            assert!(err.to_string().contains(flag), "{err}");
+        }
         assert_eq!(
             parse(&["frobnicate"]),
             Err(ArgError::UnknownCommand("frobnicate".into()))
         );
     }
 
+    /// `flag` alone, with a value unless it is a switch.
+    fn with_value(flag: &str) -> Vec<&str> {
+        if listed(SWITCHES, flag) {
+            vec![flag]
+        } else {
+            vec![flag, "x"]
+        }
+    }
+
     #[test]
     fn every_command_takes_the_global_flags() {
+        assert_eq!(GLOBAL_FLAGS, "--quiet --trace --metrics-out --trace-out");
+        let live = ["build", "simulate", "screen"];
+        let ledgered = ["build", "simulate", "screen", "firstorder", "workload-info"];
         for (command, _) in COMMANDS {
             let mut args = vec![command];
             for flag in GLOBAL_FLAGS.split_whitespace() {
-                args.push(flag);
-                if !listed(SWITCHES, flag) {
-                    args.push("x");
-                }
+                args.extend(with_value(flag));
             }
             assert!(parse(&args).is_ok(), "{command}");
+            // Only the long-running commands serve the live plane, and
+            // only the ledgered ones take the ledger flags.
+            let mut live_args = vec![command];
+            live_args.extend(with_value("--live"));
+            assert_eq!(
+                parse(&live_args).is_ok(),
+                live.contains(&command),
+                "{command}"
+            );
+            assert_eq!(takes(command, "--live"), live.contains(&command));
+            for flag in LEDGER_FLAGS.split_whitespace() {
+                let mut ledger_args = vec![command];
+                ledger_args.extend(with_value(flag));
+                let accepted = parse(&ledger_args).is_ok();
+                assert_eq!(accepted, ledgered.contains(&command), "{command} {flag}");
+                assert_eq!(takes(command, flag), accepted);
+            }
         }
     }
 
@@ -398,7 +461,10 @@ mod tests {
         let listed_flags = COMMANDS
             .iter()
             .flat_map(|(_, flags)| flags.split_whitespace());
-        for flag in GLOBAL_FLAGS.split_whitespace().chain(listed_flags) {
+        let all_flags = GLOBAL_FLAGS
+            .split_whitespace()
+            .chain(LEDGER_FLAGS.split_whitespace());
+        for flag in all_flags.chain(listed_flags) {
             if flag.starts_with("--") {
                 assert!(usage.contains(flag), "help does not mention {flag}");
             }
@@ -410,6 +476,7 @@ mod tests {
             if let Some(name) = word.strip_prefix("--") {
                 let known = KNOBS.contains(&name)
                     || listed(GLOBAL_FLAGS, word)
+                    || listed(LEDGER_FLAGS, word)
                     || COMMANDS.iter().any(|(_, flags)| listed(flags, word));
                 assert!(known, "help documents {word}, which no command takes");
             }

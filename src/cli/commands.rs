@@ -180,32 +180,21 @@ pub fn run_with_artifacts(
     }
 }
 
-/// Commands that accept `--live <addr>`: the long-running ones whose
-/// progress is worth watching from outside the process.
-pub const LIVE_COMMANDS: [&str; 3] = ["build", "simulate", "screen"];
-
-/// Starts the live observability plane when `--live <addr>` was given:
-/// binds the endpoint, installs the `/eventz` ring as a telemetry sink,
-/// and announces the bound address on stderr (unless `--quiet`).
-/// Returns the server handle — the caller keeps it alive for the run;
-/// dropping it stops the accept loop.
+/// Starts the live observability plane when `--live <addr>` was given
+/// (the flag table admits it only on the long-running commands whose
+/// progress is worth watching from outside the process): binds the
+/// endpoint, installs the `/eventz` ring as a telemetry sink, and
+/// announces the bound address on stderr (unless `--quiet`). Returns
+/// the server handle — the caller keeps it alive for the run; dropping
+/// it stops the accept loop.
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] when `--live` is given on a command outside
-/// [`LIVE_COMMANDS`]; [`CliError::Live`] (exit code 7) when the address
-/// cannot be bound.
+/// [`CliError::Live`] (exit code 7) when the address cannot be bound.
 pub fn start_live(parsed: &Parsed) -> Result<Option<ppm_live::LiveServer>, CliError> {
     let Some(addr) = parsed.get("--live") else {
         return Ok(None);
     };
-    if !LIVE_COMMANDS.contains(&parsed.command.as_str()) {
-        return Err(CliError::Usage(format!(
-            "--live is only supported on {} (got {:?})",
-            LIVE_COMMANDS.join("/"),
-            parsed.command
-        )));
-    }
     let ring = ppm_telemetry::EventRing::new(256);
     let server = ppm_live::LiveServer::start(addr, ppm_live::RegistrySource::Global, ring.clone())?;
     ppm_telemetry::add_sink(Box::new(ring));
@@ -269,7 +258,7 @@ fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             return Err(CliError::Usage(
                 "usage: ppm serve <addr> [--registry <dir>] [--benchmark <b>] \
                  [--workers <n>] [--queue <n>] [--deadline-ms <n>] [--degrade-depth <n>] \
-                 [--chaos <seed>]"
+                 [--chaos <seed>] [--no-trace] [--trace-ring <n>] [--trace-sample <n>]"
                     .to_string(),
             ))
         }
@@ -294,25 +283,13 @@ fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             "--deadline-ms",
             u64::try_from(defaults.default_deadline.as_millis()).unwrap_or(250),
         )?),
-        max_deadline: std::time::Duration::from_millis(parsed.num(
-            "--max-deadline-ms",
-            u64::try_from(defaults.max_deadline.as_millis()).unwrap_or(5000),
-        )?),
         degrade_depth: parsed.num("--degrade-depth", defaults.degrade_depth)?,
-        fail_streak: parsed.num("--fail-streak", defaults.fail_streak)?,
-        probe_every: parsed.num("--probe-every", defaults.probe_every)?,
         registry: std::path::PathBuf::from(parsed.get("--registry").unwrap_or("registry")),
         fallback_benchmark,
         chaos,
         trace: !parsed.switch("--no-trace"),
         trace_ring: parsed.num("--trace-ring", defaults.trace_ring)?,
         trace_sample: parsed.num("--trace-sample", defaults.trace_sample)?,
-        trace_slow_keep: parsed.num("--trace-slow-keep", defaults.trace_slow_keep)?,
-        slo_availability: finite_num(parsed, "--slo-availability", defaults.slo_availability)?,
-        slo_latency: std::time::Duration::from_millis(parsed.num(
-            "--slo-latency-ms",
-            u64::try_from(defaults.slo_latency.as_millis()).unwrap_or(100),
-        )?),
     };
     let server = ppm_serve::ServeServer::start(config)?;
     if !parsed.switch("--quiet") {
@@ -357,7 +334,6 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         Some(_) => Some(finite_num(parsed, "--slo-p99-ms", 0.0)?),
         None => None,
     };
-    let defaults = ppm_serve::LoadtestConfig::default();
     let config = ppm_serve::LoadtestConfig {
         addr,
         requests: parsed.num("--requests", 200usize)?,
@@ -366,7 +342,6 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
         timeout: std::time::Duration::from_secs(5),
         trace_check: !parsed.switch("--no-trace-check"),
-        trace_prefix: defaults.trace_prefix,
     };
     // A/B overhead mode: the positional address is the traced server,
     // --ab names the identical server started with --no-trace.
@@ -464,7 +439,7 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 }
 
 /// Reads a float flag that must be finite: `nan` and the infinities
-/// parse as `f64`, but NaN survives `clamp` and fails every comparison.
+/// parse as `f64`, but NaN fails every comparison.
 fn finite_num(parsed: &Parsed, flag: &str, default: f64) -> Result<f64, CliError> {
     let value: f64 = parsed.num(flag, default)?;
     if value.is_finite() {
@@ -733,14 +708,19 @@ fn metric_arg(parsed: &Parsed) -> Result<(Metric, &'static str), CliError> {
     }
 }
 
+/// The simulation worker-thread count: a valid `PPM_THREADS`, else the
+/// machine default. A bad `PPM_THREADS` is a usage error (exit code 2),
+/// not a guess.
+fn sim_threads() -> Result<usize, CliError> {
+    ppm_exec::threads_from_env().map_err(|e| CliError::Usage(e.to_string()))?;
+    Ok(ppm_exec::default_threads())
+}
+
 /// The training-side worker-thread count: `--train-threads` when given,
-/// else a valid `PPM_THREADS`, else the machine default. Bad values in
-/// either place are usage errors (exit code 2), not guesses.
+/// else [`sim_threads`]. Bad values in either place are usage errors
+/// (exit code 2), not guesses.
 fn train_threads_arg(parsed: &Parsed) -> Result<usize, CliError> {
-    if let Err(e) = ppm_exec::threads_from_env() {
-        return Err(CliError::Usage(e.to_string()));
-    }
-    let threads: usize = parsed.num("--train-threads", ppm_exec::default_threads())?;
+    let threads: usize = parsed.num("--train-threads", sim_threads()?)?;
     if threads == 0 {
         return Err(CliError::Usage(
             "--train-threads must be at least 1".to_string(),
@@ -792,8 +772,9 @@ fn build(
         ("instructions".to_string(), instructions.to_string()),
         ("seed".to_string(), seed.to_string()),
     ];
+    // An existing journal is resumed: its points are not re-simulated.
     let built = if let Some(cp_path) = parsed.get("--checkpoint") {
-        let mut cp = if parsed.switch("--resume") && Path::new(cp_path).exists() {
+        let mut cp = if Path::new(cp_path).exists() {
             let cp = Checkpoint::load(cp_path)?;
             cp.verify_meta(&run_meta)?;
             cp
@@ -802,9 +783,6 @@ fn build(
         };
         builder.build_checkpointed(&response, &mut cp)?
     } else {
-        if parsed.switch("--resume") {
-            return Err(msg("--resume requires --checkpoint <path>"));
-        }
         builder.build(&response)?
     };
     if !built.quarantined.is_empty() {
@@ -876,6 +854,7 @@ fn predict(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
     let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let threads = sim_threads()?;
     let space = DesignSpace::paper_table1();
     let response = SimulatorResponse::new(bench, instructions);
     ppm_telemetry::event(
@@ -885,7 +864,7 @@ fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             ("simulations", 24u64.into()),
         ],
     );
-    let effects = pb_screening(&space, &response, 12, 1)?;
+    let effects = pb_screening(&space, &response, 12, threads)?;
     writeln!(out, "{:<12} {:>12}", "parameter", "effect (CPI)").map_err(msg)?;
     for e in effects {
         writeln!(out, "{:<12} {:>12.4}", e.param, e.effect).map_err(msg)?;
@@ -1188,16 +1167,15 @@ mod tests {
         let first = std::fs::read_to_string(&model_path).unwrap();
         assert!(cp_path.exists(), "checkpoint journal not written");
 
-        // Resuming reuses the journal and reproduces the model exactly.
-        let mut resumed = base.to_vec();
-        resumed.push("--resume");
-        run_cli(&resumed).unwrap();
+        // Rerunning on the existing journal resumes from it and
+        // reproduces the model exactly.
+        run_cli(&base).unwrap();
         let second = std::fs::read_to_string(&model_path).unwrap();
         assert_eq!(first, second, "resumed model differs");
 
         // Resuming under different run parameters is a persistence
         // error (exit code 4), not a silent mix of results.
-        let mut mismatched = resumed.clone();
+        let mut mismatched = base.to_vec();
         mismatched[2] = "mcf";
         let err = run_cli(&mismatched).unwrap_err();
         assert_eq!(err.exit_code(), 4, "{err}");
@@ -1205,21 +1183,6 @@ mod tests {
 
         std::fs::remove_file(&model_path).ok();
         std::fs::remove_file(&cp_path).ok();
-    }
-
-    #[test]
-    fn resume_without_checkpoint_is_an_error() {
-        let err = run_cli(&[
-            "build",
-            "--benchmark",
-            "mcf",
-            "--out",
-            "/dev/null",
-            "--resume",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("--checkpoint"), "{err}");
-        assert_eq!(err.exit_code(), 1);
     }
 
     #[test]
@@ -1347,13 +1310,13 @@ mod tests {
 
     #[test]
     fn live_flag_is_gated_to_long_running_commands() {
-        let parsed = Parsed::parse(
+        let err: CliError = Parsed::parse(
             ["predict", "--live", "127.0.0.1:0"]
                 .iter()
                 .map(|s| s.to_string()),
         )
-        .unwrap();
-        let err = start_live(&parsed).unwrap_err();
+        .unwrap_err()
+        .into();
         assert_eq!(err.exit_code(), 2, "{err}");
         // Without the flag nothing starts, whatever the command.
         let parsed = Parsed::parse(["predict"].iter().map(|s| s.to_string())).unwrap();
@@ -1387,27 +1350,13 @@ mod tests {
 
     #[test]
     fn non_finite_slo_flags_are_usage_errors() {
-        // Both commands would otherwise fail later with exit 8: the
-        // registry is empty and nothing listens on the port.
-        let dir = std::env::temp_dir().join("ppm_cli_slo_flags");
-        std::fs::create_dir_all(&dir).unwrap();
+        // The loadtest would otherwise fail later with exit 8: nothing
+        // listens on the port.
         let port = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().port()
         };
         for bad in ["nan", "NaN", "inf", "-inf"] {
-            let err = run_cli(&[
-                "serve",
-                "127.0.0.1:0",
-                "--registry",
-                dir.to_str().unwrap(),
-                "--slo-availability",
-                bad,
-                "--quiet",
-            ])
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
-            assert!(err.to_string().contains("--slo-availability"), "{err}");
             let err = run_cli(&[
                 "loadtest",
                 &format!("127.0.0.1:{port}"),

@@ -15,14 +15,8 @@ use ppm_core::builder::ModelDiagnostics;
 use ppm_obs::{compare, load_ledger, validate_chrome_trace, Ledger};
 use ppm_telemetry::Json;
 
-use crate::cli::args::Parsed;
+use crate::cli::args::{self, Parsed};
 use crate::cli::commands::CliError;
-
-/// Commands whose runs are worth a ledger entry. `predict` and
-/// `benchmarks` are sub-millisecond lookups; `report`/`check-trace`
-/// are the sentry itself.
-pub const LEDGERED_COMMANDS: [&str; 5] =
-    ["build", "simulate", "screen", "firstorder", "workload-info"];
 
 /// Side results a command hands to the ledger writer, beyond its
 /// stdout text.
@@ -32,9 +26,12 @@ pub struct RunArtifacts {
     pub diagnostics: Option<Json>,
 }
 
-/// Whether this invocation should write a run ledger.
+/// Whether this invocation should write a run ledger: its command is
+/// one the flag table marks `[ledger]`, and `--no-ledger` is absent.
+/// `predict` and `benchmarks` are sub-millisecond lookups;
+/// `report`/`check-trace` are the sentry itself.
 pub fn wants_ledger(parsed: &Parsed) -> bool {
-    LEDGERED_COMMANDS.contains(&parsed.command.as_str()) && !parsed.switch("--no-ledger")
+    args::takes(&parsed.command, "--no-ledger") && !parsed.switch("--no-ledger")
 }
 
 /// Whether this invocation needs the recorder sink installed at all.

@@ -5,7 +5,7 @@
 //! ppm simulate  --benchmark mcf [config]  run one detailed simulation
 //! ppm build     --benchmark mcf --out m.txt [--sample 90] [--metric cpi]
 //!               [--train-threads N] [--lhs-candidates N]
-//!               [--checkpoint j.txt [--resume]]
+//!               [--checkpoint j.txt]       (an existing journal resumes)
 //! ppm predict   --model m.txt [config]    evaluate a saved model
 //! ppm screen    --benchmark mcf           Plackett-Burman screening
 //! ppm firstorder --benchmark mcf [config] analytical CPI estimate
@@ -18,19 +18,21 @@
 //!
 //! Observability flags, accepted by every command: `--quiet` (no
 //! stderr progress), `--trace` (nested span tracing on stderr; the
-//! `PPM_TRACE` environment variable does the same), and
-//! `--metrics-out <file>` (JSON-lines telemetry export).
+//! `PPM_TRACE` environment variable does the same), `--metrics-out
+//! <file>` (JSON-lines telemetry export), and `--trace-out <file>`
+//! (the span tree as Chrome-trace/Perfetto JSON).
 //!
-//! The flight recorder rides along on every substantive command: a
-//! `ppm-ledger v1` run manifest lands in `results/runs/` (`--ledger-out`
-//! / `--ledger-dir` / `--no-ledger` to steer it), `--trace-out <file>`
-//! exports the span tree as Chrome-trace/Perfetto JSON, and
+//! The flight recorder rides along on `build`, `simulate`, `screen`,
+//! `firstorder` and `workload-info`: a `ppm-ledger v1` run manifest
+//! lands in `results/runs/` (`--ledger-out` / `--ledger-dir` /
+//! `--no-ledger` to steer it, taken by those five commands only), and
 //! `ppm report` diffs two ledgers' deterministic bodies as a regression
 //! sentry (exit code 5 on regression). See [`flight`].
 //!
 //! Each command takes only the flags it reads, plus the observability
-//! and flight-recorder flags; any other flag is a usage error (exit
-//! code 2) before the command does any work.
+//! flags; the one flag table in `args.rs` says which. Any other flag is
+//! a usage error (exit code 2) before the command does any work, so no
+//! sink, file or socket exists yet.
 //!
 //! `ppm lint` runs the workspace's static analysis (`crates/lint`): the
 //! token rules plus the cross-crate semantic rules (lock-order,
@@ -56,7 +58,7 @@ mod commands;
 pub mod flight;
 
 pub use args::{ArgError, Parsed};
-pub use commands::{run, run_with_artifacts, start_live, CliError, LIVE_COMMANDS};
+pub use commands::{run, run_with_artifacts, start_live, CliError};
 pub use flight::RunArtifacts;
 
 /// Usage text printed by `ppm help`.
@@ -133,8 +135,10 @@ OTHER FLAGS:
                       Table 1 space in one batched trace pass (simulate)
 
 FAULT-TOLERANCE FLAGS (`build`):
-  --checkpoint <f>    journal completed simulations to <f> (crash-safe)
-  --resume            reuse results already in the checkpoint file
+  --checkpoint <f>    journal completed simulations to <f> (crash-safe); an
+                      existing <f> is resumed, so its points are not
+                      simulated again (exit code 4 if it is corrupt or
+                      belongs to a different run)
 
 EXIT CODES:
   0 success    2 usage error    3 simulation fault    4 persistence failure
@@ -152,27 +156,29 @@ SERVING FLAGS (`serve`):
   --queue <n>         queue slots per worker; full queues shed (default 8;
                       0 = shed-all drill mode: every request refused)
   --deadline-ms <n>   default request deadline (default 250)
-  --max-deadline-ms <n>  cap on client ?deadline_ms= requests (default 5000)
   --degrade-depth <n> queue depth that degrades predictions to the
                       analytical estimator (default 16; 0 = always degraded)
-  --fail-streak <n>   consecutive model failures before sticky degradation
-  --probe-every <n>   probe cadence while sticky-degraded (default 16)
   --chaos <seed>      inject worker faults and misbehaving clients
   --no-trace          disable per-request tracing and /tracez
   --trace-ring <n>    retained trace records across shards (default 4096)
   --trace-sample <n>  keep 1-in-n plain-OK requests (default 64)
-  --trace-slow-keep <n>  always keep the slowest n requests (default 32)
-  --slo-availability <f>  availability objective (default 0.999)
-  --slo-latency-ms <n>    latency objective for the SLO tracker (default 100)
+  Fixed: client ?deadline_ms= is capped at 5000 ms; 3 consecutive model
+  failures make degradation sticky, probing the model every 16th request;
+  the slowest 32 requests are always traced; the SLO tracker's objectives
+  are 99.9% availability and 100 ms latency.
 
 OBSERVABILITY FLAGS (any command):
   --quiet             suppress progress output on stderr
   --trace             nested span tracing on stderr (or set PPM_TRACE=1)
   --metrics-out <f>   write spans, events, and metrics to <f> as JSON lines
-  --live <addr>       serve /metrics /buildz /eventz over HTTP for the run
-                      (build/simulate/screen; use 127.0.0.1:0 for an
-                      ephemeral port, announced on stderr)
   --trace-out <f>     write the span tree as Chrome-trace/Perfetto JSON
+
+LIVE PLANE FLAG (`build`, `simulate`, `screen`):
+  --live <addr>       serve /metrics /buildz /eventz over HTTP for the run
+                      (use 127.0.0.1:0 for an ephemeral port, announced on
+                      stderr)
+
+RUN-LEDGER FLAGS (`build`, `simulate`, `screen`, `firstorder`, `workload-info`):
   --ledger-out <f>    run-ledger path (default results/runs/<run-id>.json)
   --ledger-dir <d>    run-ledger directory (default results/runs)
   --no-ledger         skip the run ledger entirely

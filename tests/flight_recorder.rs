@@ -461,3 +461,98 @@ fn flags_a_command_does_not_read_exit_2_before_any_work() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn live_and_ledger_flags_outside_their_commands_exit_2_creating_nothing() {
+    let dir = scratch("flag-scope");
+    // `benchmarks` writes no ledger, so it does not take the flag.
+    let ledger = dir.join("x.json");
+    let out = ppm(&["benchmarks", "--ledger-out", ledger.to_str().unwrap()]);
+    assert_code(&out, 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--ledger-out"));
+    assert!(!ledger.exists());
+    // `predict` serves no live plane; the refusal comes before the
+    // metrics sink creates its file.
+    let metrics = dir.join("x.jsonl");
+    let out = ppm(&[
+        "predict",
+        "--model",
+        "m.txt",
+        "--live",
+        "127.0.0.1:0",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_code(&out, 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--live"));
+    assert!(!metrics.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value of counter `name` in a ledger body, if it was recorded.
+fn counter(ledger: &Json, name: &str) -> Option<i64> {
+    ledger
+        .get("body")
+        .and_then(|b| b.get("metrics"))
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|m| m.get("name").and_then(Json::as_str) == Some(name))
+        .and_then(|m| m.get("value"))
+        .and_then(Json::as_i64)
+}
+
+#[test]
+fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
+    let dir = scratch("checkpoint");
+    let build = |tag: &str| {
+        ppm_in(
+            &dir,
+            &[
+                "build",
+                "--benchmark",
+                "ammp",
+                "--sample",
+                "20",
+                "--instructions",
+                "5000",
+                "--holdout",
+                "0",
+                "--quiet",
+                "--checkpoint",
+                "j.txt",
+                "--out",
+                &format!("{tag}.model"),
+                "--ledger-out",
+                &format!("{tag}.json"),
+            ],
+        )
+    };
+    assert_code(&build("first"), 0);
+    assert_eq!(
+        counter(&load(&dir.join("first.json")), "sim.batch_points"),
+        Some(20)
+    );
+    // The second run finds the journal and simulates no training point.
+    assert_code(&build("second"), 0);
+    let second = load(&dir.join("second.json"));
+    assert_eq!(counter(&second, "robust.resumed"), Some(20));
+    assert!(matches!(
+        counter(&second, "sim.batch_points"),
+        None | Some(0)
+    ));
+    assert_eq!(
+        std::fs::read(dir.join("first.model")).unwrap(),
+        std::fs::read(dir.join("second.model")).unwrap()
+    );
+    // One flipped byte fails the journal's checksum: exit 4, not a
+    // silent fresh start over the damaged file.
+    let journal = dir.join("j.txt");
+    let mut bytes = std::fs::read(&journal).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 1;
+    std::fs::write(&journal, bytes).unwrap();
+    assert_code(&build("third"), 4);
+    assert!(!dir.join("third.model").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -506,7 +506,6 @@ fn slo_gate_fails_loud_against_a_fully_shedding_service() {
             "2",
             "--slo-p99-ms",
             "1000",
-            "--no-ledger",
             "--quiet",
         ])
         .output()
