@@ -57,8 +57,10 @@ fn main() {
         let elapsed = t0.elapsed().as_secs_f64();
         let predicted: Vec<f64> = test.iter().map(|p| result.network.predict(p)).collect();
         let stats = ErrorStats::from_predictions(&predicted, &actual);
+        // Wall time varies run to run, so it goes to stdout, not the CSV.
+        println!("{name}: selected in {elapsed:.2}s");
         report.row(vec![
-            format!("{name} ({elapsed:.2}s)"),
+            name.to_string(),
             result.network.num_centers().to_string(),
             fmt(result.sse, 4),
             fmt(stats.mean_pct, 2),

@@ -154,20 +154,6 @@ impl DesignSpace {
         }
     }
 
-    /// Builds a design space from an arbitrary parameter space.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the space has exactly the nine Table 1 parameters
-    /// (matched by name and order).
-    pub fn from_params(params: ParamSpace) -> Self {
-        assert_eq!(params.dim(), 9, "the processor space has 9 dimensions");
-        for (p, name) in params.params().iter().zip(PARAM_NAMES) {
-            assert_eq!(p.name(), name, "unexpected parameter order");
-        }
-        DesignSpace { params }
-    }
-
     /// The underlying parameter space.
     pub fn params(&self) -> &ParamSpace {
         &self.params
@@ -329,12 +315,5 @@ mod tests {
         for (v, e) in values.iter().zip(expected) {
             assert!((v - e).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "9 dimensions")]
-    fn from_params_requires_nine() {
-        use ppm_sampling::space::ParamDef;
-        DesignSpace::from_params(ParamSpace::new(vec![ParamDef::continuous("a", 0.0, 1.0)]));
     }
 }

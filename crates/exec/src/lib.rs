@@ -23,6 +23,11 @@
 //! index (`ppm_rng::derive_seed`) instead of sharing a sequential
 //! stream, which is what makes per-index purity possible.
 //!
+//! [`pipeline`] is the one non-indexed primitive: it splits a serial
+//! `for` loop over an iterator across two threads, draining the
+//! iterator on a helper while the caller consumes the items in order,
+//! so the consumer's result is the serial loop's by construction.
+//!
 //! Telemetry: every [`Executor::map`] call adds to `exec.tasks`,
 //! records the worker count in `exec.workers`, counts dynamic-queue
 //! `exec.steals` (chunks claimed beyond a worker's fair share) and
@@ -40,9 +45,11 @@
 //! # Ok::<(), ppm_exec::ExecError>(())
 //! ```
 
+mod pipeline;
 mod pool;
 mod service;
 
+pub use pipeline::pipeline;
 pub use pool::{ExecError, Executor};
 pub use service::{ServicePool, SubmitError};
 

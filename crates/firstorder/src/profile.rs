@@ -58,10 +58,25 @@ impl ProgramStats {
     /// the line size and the predictor geometry; all candidate sizes of
     /// the design space are measured simultaneously.
     ///
+    /// The trace is drained on a helper thread while this thread
+    /// profiles it ([`ppm_exec::pipeline`] at
+    /// [`ppm_exec::default_threads`]); the statistics see the same
+    /// instructions in the same order either way, so they are
+    /// bit-identical at any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if the trace is empty.
-    pub fn collect(trace: impl Iterator<Item = Instr>, reference: &SimConfig) -> Self {
+    pub fn collect(trace: impl Iterator<Item = Instr> + Send, reference: &SimConfig) -> Self {
+        Self::collect_on(trace, reference, ppm_exec::default_threads())
+    }
+
+    /// [`ProgramStats::collect`] on `threads` threads (inline at 1).
+    fn collect_on(
+        trace: impl Iterator<Item = Instr> + Send,
+        reference: &SimConfig,
+        threads: usize,
+    ) -> Self {
         let f = &reference.fixed;
         let line = f.line_size;
         let mut il1: Vec<(u32, Cache, u64)> = IL1_SIZES
@@ -93,7 +108,7 @@ impl ProgramStats {
         let mut last_fetch_line = u64::MAX;
         let mut last_load_ago = u64::MAX;
 
-        for instr in trace {
+        ppm_exec::pipeline(trace, threads, |instr| {
             // Instruction side: one probe per new line.
             let iline = instr.pc >> line.trailing_zeros();
             if iline != last_fetch_line {
@@ -166,7 +181,7 @@ impl ProgramStats {
                 }
             }
             n += 1;
-        }
+        });
         assert!(n > 0, "cannot profile an empty trace");
 
         let ilp_curve = WINDOW_SIZES
@@ -318,6 +333,121 @@ mod tests {
             ),
             (1_491_418_886_194_412_021, 10_949_529_039_279_673_282)
         );
+    }
+
+    /// Every statistic as `(field, f64 bits)`, in declaration order.
+    fn field_bits(s: &ProgramStats) -> Vec<(String, u64)> {
+        let mut out = vec![
+            ("instructions".to_string(), s.instructions),
+            ("load_frac".to_string(), s.load_frac.to_bits()),
+            ("branch_frac".to_string(), s.branch_frac.to_bits()),
+            ("mispredict_rate".to_string(), s.mispredict_rate.to_bits()),
+        ];
+        out.extend(
+            s.ilp_curve
+                .iter()
+                .map(|(w, v)| (format!("ilp_curve[{w}]"), v.to_bits())),
+        );
+        for (name, table) in [
+            ("il1_mpi", &s.il1_mpi),
+            ("dl1_mpi", &s.dl1_mpi),
+            ("l2_mpi", &s.l2_mpi),
+        ] {
+            out.extend(
+                table
+                    .iter()
+                    .map(|(kb, v)| (format!("{name}[{kb}]"), v.to_bits())),
+            );
+        }
+        out.push((
+            "chained_load_frac".to_string(),
+            s.chained_load_frac.to_bits(),
+        ));
+        out
+    }
+
+    /// The bits of every field for seed 1 and 20k instructions, as the
+    /// serial profile pass produced them before it was pipelined.
+    const GOLDEN: [(Benchmark, [u64; 24]); 2] = [
+        (
+            Benchmark::Mcf,
+            [
+                20_000,
+                0x3fd1013a92a30553,
+                0x3fc629c779a6b50b,
+                0x3fb6d7b6135e40e8,
+                0x402d278e8dcebd94,
+                0x403a747c9d1f2748,
+                0x4046492492492492,
+                0x4050ec0a69df0613,
+                0x4056cb65b2d96cb7,
+                0x3f619ce075f6fd22,
+                0x3f619ce075f6fd22,
+                0x3f619ce075f6fd22,
+                0x3f619ce075f6fd22,
+                0x3fbe7d566cf41f21,
+                0x3fbccccccccccccd,
+                0x3fb9c0ebedfa43fe,
+                0x3fb73b645a1cac08,
+                0x3fb3a5e353f7ced9,
+                0x3fb3a5e353f7ced9,
+                0x3fb3a5e353f7ced9,
+                0x3fb3a5e353f7ced9,
+                0x3fb3a5e353f7ced9,
+                0x3fb3a5e353f7ced9,
+                0x3fef5c977607213e,
+            ],
+        ),
+        (
+            Benchmark::Crafty,
+            [
+                20_000,
+                0x3fcc189374bc6a7f,
+                0x3fc758e219652bd4,
+                0x3fc1047dc11f7048,
+                0x40277963c18099d7,
+                0x4031e39b3fa81252,
+                0x40383ba68636adfb,
+                0x403d738a31d738a4,
+                0x404079a9d260511c,
+                0x3f9d3c36113404ea,
+                0x3f92b020c49ba5e3,
+                0x3f8c91d14e3bcd36,
+                0x3f8a027525460aa6,
+                0x3fa710cb295e9e1b,
+                0x3fa318fc504816f0,
+                0x3f9eab367a0f9097,
+                0x3f9afb7e90ff9724,
+                0x3f9a0f9096bb98c8,
+                0x3f9a0f9096bb98c8,
+                0x3f9a0f9096bb98c8,
+                0x3f9a0f9096bb98c8,
+                0x3f9a0f9096bb98c8,
+                0x3f9a0f9096bb98c8,
+                0x3fd64a68bb89f8c5,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn every_field_keeps_its_bits_inline_and_pipelined() {
+        for (bench, pinned) in GOLDEN {
+            for threads in [1, 2] {
+                let stats = ProgramStats::collect_on(
+                    TraceGenerator::new(bench, 1).take(20_000),
+                    &SimConfig::default(),
+                    threads,
+                );
+                let fields = field_bits(&stats);
+                assert_eq!(fields.len(), pinned.len());
+                for ((field, bits), want) in fields.into_iter().zip(pinned) {
+                    assert_eq!(
+                        bits, want,
+                        "{bench} {field} at {threads} thread(s): {bits:#018x}, pinned {want:#018x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

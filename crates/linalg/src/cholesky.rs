@@ -199,11 +199,6 @@ impl Cholesky {
         }
         x
     }
-
-    /// The log-determinant of `A`, computed as `2 Σ log Lᵢᵢ`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n).map(|i| self.diag(i).ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -228,12 +223,6 @@ mod tests {
     fn indefinite_matrix_returns_none() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert!(Cholesky::new(&a).is_none());
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let chol = Cholesky::new(&Matrix::identity(4)).unwrap();
-        assert!(chol.log_det().abs() < 1e-12);
     }
 
     /// Random SPD matrices built as BᵀB + εI should factor and solve.

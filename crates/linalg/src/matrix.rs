@@ -60,16 +60,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Builds a matrix by evaluating `f(i, j)` at every entry.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Matrix::zeros(rows, cols);
@@ -207,15 +197,6 @@ impl Matrix {
         out
     }
 
-    /// Builds a new matrix from a subset of this matrix's columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_cols(&self, indices: &[usize]) -> Matrix {
-        Matrix::from_fn(self.rows, indices.len(), |i, j| self[(i, indices[j])])
-    }
-
     /// Maximum absolute entry (zero for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -297,13 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_picks_columns() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let s = a.select_cols(&[2, 0]);
-        assert_eq!(s, Matrix::from_rows(&[&[3.0, 1.0], &[6.0, 4.0]]));
-    }
-
-    #[test]
     fn t_matvec_matches_transpose_matvec() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let y = [1.0, -1.0, 2.0];
@@ -325,8 +299,7 @@ mod tests {
     fn random_matrix(rng: &mut Rng, max_dim: usize) -> Matrix {
         let r = 1 + rng.below(max_dim as u64) as usize;
         let c = 1 + rng.below(max_dim as u64) as usize;
-        let data: Vec<f64> = (0..r * c).map(|_| 200.0 * rng.unit_f64() - 100.0).collect();
-        Matrix::from_vec(r, c, data)
+        Matrix::from_fn(r, c, |_, _| 200.0 * rng.unit_f64() - 100.0)
     }
 
     #[test]

@@ -118,29 +118,6 @@ impl Qr {
         self.packed[(i, j)]
     }
 
-    /// An estimate of the reciprocal condition of `R`'s diagonal:
-    /// `min |Rᵢᵢ| / max |Rᵢᵢ|`.
-    pub fn diag_rcond(&self) -> f64 {
-        let n = self.packed.cols().min(self.packed.rows());
-        if n == 0 {
-            return 0.0;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0_f64;
-        for i in 0..n {
-            let d = self.r(i, i).abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        // hi is a max of absolute values; only exact zero (an all-zero
-        // R) must avoid the division. lint:allow(float-eq)
-        if hi == 0.0 {
-            0.0
-        } else {
-            lo / hi
-        }
-    }
-
     /// Solves the least-squares problem `min ||A x - b||²`.
     ///
     /// Returns `None` if `R` is (numerically) rank deficient.
@@ -224,10 +201,5 @@ mod tests {
             (crate::norm2(&b) - crate::norm2(&y)).abs() < 1e-9,
             "orthogonal transform changed the norm"
         );
-    }
-
-    #[test]
-    fn diag_rcond_identity_is_one() {
-        assert!((Qr::new(&Matrix::identity(5)).diag_rcond() - 1.0).abs() < 1e-12);
     }
 }

@@ -78,11 +78,6 @@ impl RbfNetwork {
             .sum()
     }
 
-    /// Evaluates the network at many points.
-    pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Builds the design matrix `H` with `H[i][j] = hⱼ(xᵢ)` for a set of
     /// basis functions — the hidden-layer activations at each data point.
     pub fn design_matrix(bases: &[Rbf], points: &[Vec<f64>]) -> Matrix {
@@ -126,17 +121,6 @@ mod tests {
         assert!((h[(0, 0)] - 1.0).abs() < 1e-12);
         assert!((h[(1, 1)] - 1.0).abs() < 1e-12);
         assert!((h[(0, 1)] - (-1.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predict_many_matches_predict() {
-        let net = RbfNetwork::new(vec![Rbf::new(vec![0.5, 0.5], vec![0.5, 0.5])], vec![1.5]);
-        let pts = vec![vec![0.1, 0.2], vec![0.9, 0.8]];
-        let many = net.predict_many(&pts);
-        assert_eq!(many.len(), 2);
-        for (x, &v) in pts.iter().zip(&many) {
-            assert_eq!(net.predict(x), v);
-        }
     }
 
     #[test]

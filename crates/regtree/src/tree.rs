@@ -269,11 +269,6 @@ impl RegressionTree {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 
-    /// Maximum node depth.
-    pub fn max_depth(&self) -> usize {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
     /// Total SSE reduction attributed to each input parameter — a
     /// variance-based importance measure (the quantity behind the
     /// paper's Table 5 ranking, aggregated per parameter).

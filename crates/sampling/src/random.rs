@@ -41,18 +41,6 @@ pub fn random_design(space: &ParamSpace, size: usize, rng: &mut Rng) -> Design {
         .collect()
 }
 
-/// Generates `size` unsnapped uniform random points (truly continuous).
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn random_design_continuous(dim: usize, size: usize, rng: &mut Rng) -> Design {
-    assert!(size > 0, "empty design requested");
-    (0..size)
-        .map(|_| (0..dim).map(|_| rng.unit_f64()).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,19 +60,29 @@ mod tests {
         }
     }
 
+    fn continuous_space(dim: usize) -> ParamSpace {
+        ParamSpace::new(
+            (0..dim)
+                .map(|d| ParamDef::continuous(format!("x{d}"), 0.0, 1.0))
+                .collect(),
+        )
+    }
+
     #[test]
     fn continuous_design_fills_cube() {
         let mut rng = Rng::seed_from_u64(4);
-        let pts = random_design_continuous(3, 200, &mut rng);
+        let pts = random_design(&continuous_space(3), 200, &mut rng);
         assert_eq!(pts.len(), 200);
+        assert!(pts.iter().flatten().all(|v| (0.0..=1.0).contains(v)));
         let mean: f64 = pts.iter().map(|p| p[0]).sum::<f64>() / 200.0;
         assert!((mean - 0.5).abs() < 0.1);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = random_design_continuous(2, 10, &mut Rng::seed_from_u64(3));
-        let b = random_design_continuous(2, 10, &mut Rng::seed_from_u64(3));
+        let space = continuous_space(2);
+        let a = random_design(&space, 10, &mut Rng::seed_from_u64(3));
+        let b = random_design(&space, 10, &mut Rng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 }

@@ -263,11 +263,6 @@ impl ParamSpace {
         &self.params
     }
 
-    /// Looks up a parameter index by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.params.iter().position(|p| p.name() == name)
-    }
-
     /// Converts a unit point to actual values.
     ///
     /// # Panics

@@ -22,9 +22,15 @@
 //! A candidate that fails any step leaves the previous model serving —
 //! rollback is the absence of a swap, so there is no window in which
 //! requests can observe a broken model.
+//!
+//! Every model carries an analytical fallback profiled from the trace
+//! its metadata names. The store keeps the fallbacks it has built, by
+//! trace, so reloading to any of the last [`FALLBACKS_KEPT`] traces it
+//! has seen profiles nothing; each profile pass it does pay bumps the
+//! `serve.fallback_profiles` counter.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use ppm_core::persist;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
@@ -56,14 +62,39 @@ pub struct ServingModel {
     /// The first-order analytical estimator for the same workload — the
     /// degraded-mode prediction path.
     pub fallback: FirstOrderModel,
-    /// The trace `fallback` was profiled from.
-    fallback_key: FallbackKey,
 }
 
 /// The trace an analytical fallback is profiled from: benchmark, seed
 /// and instruction count. Two models with the same key have the same
 /// fallback, bit for bit.
 type FallbackKey = (Benchmark, u64, usize);
+
+/// How many traces' fallbacks a store keeps; the least recently used
+/// is dropped beyond that.
+const FALLBACKS_KEPT: usize = 8;
+
+/// The analytical fallbacks a store has built, most recently used
+/// first, at most [`FALLBACKS_KEPT`].
+#[derive(Debug, Default)]
+struct Fallbacks(Mutex<Vec<(FallbackKey, FirstOrderModel)>>);
+
+impl Fallbacks {
+    /// The fallback for `key`: kept from an earlier model when the
+    /// store has profiled that trace before, built (one profile pass)
+    /// otherwise. Concurrent reloads of a new trace wait for one pass
+    /// instead of each paying for their own.
+    fn get(&self, key: FallbackKey) -> Result<FirstOrderModel, ServeError> {
+        let mut kept = self.0.lock().unwrap_or_else(|poison| poison.into_inner());
+        match kept.iter().position(|(k, _)| *k == key) {
+            Some(i) => kept[..=i].rotate_right(1),
+            None => {
+                kept.insert(0, (key, build_fallback(key)?));
+                kept.truncate(FALLBACKS_KEPT);
+            }
+        }
+        Ok(kept[0].1.clone())
+    }
+}
 
 /// How a [`ModelStore::reload`] resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +110,7 @@ pub struct ReloadOutcome {
 pub struct ModelStore {
     dir: PathBuf,
     active: RwLock<Arc<ServingModel>>,
+    fallbacks: Fallbacks,
 }
 
 /// Copies `model` into the registry under its content hash and points
@@ -116,10 +148,9 @@ pub fn publish(registry: &Path, model: &Path) -> Result<String, ServeError> {
 /// Loads and fully validates the version named by `CURRENT`:
 /// checksum-verified parse, content hash matching the file name, a
 /// finite probe prediction at the space midpoint, and a working
-/// analytical fallback derived from the model's own metadata. The
-/// fallback is cloned from `active` when both profile the same trace,
-/// and built (one profile pass) otherwise.
-fn load_current(dir: &Path, active: Option<&ServingModel>) -> Result<ServingModel, ServeError> {
+/// analytical fallback derived from the model's own metadata, taken
+/// from `fallbacks`.
+fn load_current(dir: &Path, fallbacks: &Fallbacks) -> Result<ServingModel, ServeError> {
     let current = dir.join(CURRENT_FILE);
     let version = std::fs::read_to_string(&current)
         .map_err(|e| ServeError::Store(format!("cannot read {}: {e}", current.display())))?
@@ -168,18 +199,13 @@ fn load_current(dir: &Path, active: Option<&ServingModel>) -> Result<ServingMode
             path.display()
         )));
     }
-    let key = (benchmark, seed, instructions.max(1000));
-    let fallback = match active {
-        Some(active) if active.fallback_key == key => active.fallback.clone(),
-        _ => build_fallback(key)?,
-    };
+    let fallback = fallbacks.get((benchmark, seed, instructions.max(1000)))?;
     Ok(ServingModel {
         network: Some(saved.network),
         version,
         benchmark,
         metric,
         fallback,
-        fallback_key: key,
     })
 }
 
@@ -188,6 +214,7 @@ fn load_current(dir: &Path, active: Option<&ServingModel>) -> Result<ServingMode
 fn build_fallback(
     (benchmark, seed, instructions): FallbackKey,
 ) -> Result<FirstOrderModel, ServeError> {
+    ppm_telemetry::counter("serve.fallback_profiles").inc();
     let stats = ProgramStats::collect(
         TraceGenerator::new(benchmark, seed).take(instructions),
         &SimConfig::default(),
@@ -215,7 +242,8 @@ impl ModelStore {
     /// [`ServeError::Store`] when no model loads and no fallback
     /// benchmark was provided.
     pub fn open(dir: &Path, fallback_benchmark: Option<Benchmark>) -> Result<Self, ServeError> {
-        let model = match load_current(dir, None) {
+        let fallbacks = Fallbacks::default();
+        let model = match load_current(dir, &fallbacks) {
             Ok(model) => model,
             Err(e) => match fallback_benchmark {
                 Some(benchmark) => {
@@ -224,14 +252,12 @@ impl ModelStore {
                         "serve.store.analytical_only",
                         "detail" => e.to_string(),
                     );
-                    let key = (benchmark, 1, 100_000);
                     ServingModel {
                         network: None,
                         version: "analytical".to_string(),
                         benchmark,
                         metric: "cpi".to_string(),
-                        fallback: build_fallback(key)?,
-                        fallback_key: key,
+                        fallback: fallbacks.get((benchmark, 1, 100_000))?,
                     }
                 }
                 None => return Err(e),
@@ -240,6 +266,7 @@ impl ModelStore {
         Ok(ModelStore {
             dir: dir.to_path_buf(),
             active: RwLock::new(Arc::new(model)),
+            fallbacks,
         })
     }
 
@@ -262,15 +289,16 @@ impl ModelStore {
     /// it passes the full validation gauntlet. On any failure the
     /// previous model keeps serving (versioned rollback by not
     /// swapping), and the error says why. A candidate whose benchmark,
-    /// seed and instruction count equal the active model's takes the
-    /// active analytical fallback instead of profiling the trace again.
+    /// seed and instruction count match a model this store has loaded
+    /// before takes that model's analytical fallback instead of
+    /// profiling the trace again.
     ///
     /// # Errors
     ///
     /// [`ServeError::Store`] describing the failed validation step; the
     /// active model is unchanged in that case.
     pub fn reload(&self) -> Result<ReloadOutcome, ServeError> {
-        let candidate = load_current(&self.dir, Some(&self.active()))?;
+        let candidate = load_current(&self.dir, &self.fallbacks)?;
         let mut active = self
             .active
             .write()
@@ -405,6 +433,34 @@ mod tests {
         assert!(active.network.is_none());
         let cpi = active.fallback.try_predict(&SimConfig::default()).unwrap();
         assert!(cpi.is_finite() && cpi > 0.0);
+    }
+
+    #[test]
+    fn fallbacks_keep_the_most_recently_used_traces() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let profiles = || scoped.counter("serve.fallback_profiles").get();
+        let fallbacks = Fallbacks::default();
+        let key = |seed: u64| (Benchmark::Ammp, seed, 1000);
+        let first = fallbacks.get(key(0)).unwrap();
+        for seed in 1..FALLBACKS_KEPT as u64 {
+            fallbacks.get(key(seed)).unwrap();
+        }
+        assert_eq!(profiles(), FALLBACKS_KEPT as u64);
+        // Every kept trace is served as profiled, without a pass; the
+        // lookup makes seed 0 the most recently used.
+        let kept = fallbacks.get(key(0)).unwrap();
+        assert_eq!(
+            format!("{:?}", kept.stats()),
+            format!("{:?}", first.stats())
+        );
+        assert_eq!(profiles(), FALLBACKS_KEPT as u64);
+        // One trace too many evicts the least recently used, seed 1.
+        fallbacks.get(key(FALLBACKS_KEPT as u64)).unwrap();
+        fallbacks.get(key(0)).unwrap();
+        fallbacks.get(key(2)).unwrap();
+        assert_eq!(profiles(), FALLBACKS_KEPT as u64 + 1);
+        fallbacks.get(key(1)).unwrap();
+        assert_eq!(profiles(), FALLBACKS_KEPT as u64 + 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `/reloadz` reuses the active model's analytical fallback when the
-//! candidate profiles the same trace.
+//! `/reloadz` reuses the analytical fallback of any trace the store
+//! has profiled before.
 //!
 //! This is its own test binary because it reads the process-global
 //! `workload.generators` counter: no other test may build a trace
@@ -56,9 +56,14 @@ fn reload_reuses_the_fallback_of_the_same_trace_and_rebuilds_for_a_new_seed() {
     let new_seed = write_model(&dir, "new-seed.txt", 4, "first");
     let generators = ppm_telemetry::counter("workload.generators");
 
+    let profiles = ppm_telemetry::counter("serve.fallback_profiles");
+    let (generators_before, profiles_before) = (generators.get(), profiles.get());
+
     let v1 = publish(&registry, &first).unwrap();
     let store = ModelStore::open(&registry, None).unwrap();
     let opened = generators.get();
+    assert_eq!(opened, generators_before + 1, "open profiles one trace");
+    let trace_a = format!("{:?}", store.active().fallback.stats());
 
     // Reloading the active model profiles nothing.
     let outcome = store.reload().unwrap();
@@ -81,7 +86,7 @@ fn reload_reuses_the_fallback_of_the_same_trace_and_rebuilds_for_a_new_seed() {
         "same-trace reload built a generator"
     );
 
-    // A different seed is a different trace: its fallback is rebuilt.
+    // A different seed is a different trace: its fallback is built.
     let v3 = publish(&registry, &new_seed).unwrap();
     assert!(store.reload().unwrap().changed);
     assert_eq!(store.active().version, v3);
@@ -89,6 +94,34 @@ fn reload_reuses_the_fallback_of_the_same_trace_and_rebuilds_for_a_new_seed() {
         generators.get(),
         opened + 1,
         "new-seed reload reused a fallback"
+    );
+
+    let trace_b = format!("{:?}", store.active().fallback.stats());
+    assert_ne!(trace_a, trace_b);
+
+    // A -> B -> A -> B: alternating between the two traces profiles
+    // neither again, and each swapped-in fallback is its own trace's.
+    for (model, version, trace) in [
+        (&first, &v1, &trace_a),
+        (&new_seed, &v3, &trace_b),
+        (&same_trace, &v2, &trace_a),
+        (&new_seed, &v3, &trace_b),
+    ] {
+        assert_eq!(&publish(&registry, model).unwrap(), version);
+        assert!(store.reload().unwrap().changed);
+        let active = store.active();
+        assert_eq!(&active.version, version);
+        assert_eq!(&format!("{:?}", active.fallback.stats()), trace);
+    }
+    assert_eq!(
+        generators.get(),
+        generators_before + 2,
+        "one profile per distinct trace"
+    );
+    assert_eq!(
+        profiles.get(),
+        profiles_before + 2,
+        "serve.fallback_profiles counts the profile passes"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

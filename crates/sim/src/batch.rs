@@ -1623,8 +1623,9 @@ mod tests {
             SimConfig::builder().rob_size(128).build().unwrap(),
         ];
         let window = 3 * CHUNK * 32;
-        // 512 + 512 + 16,384 lines, one 4-byte tag each.
-        let tags = (512 + 512 + 16_384) * 4;
+        // 512 + 512 + 16,384 lines, one 4-byte tag each, and one filled
+        // bit per set: 256 + 256 + 2,048 sets in 8-byte words.
+        let tags = (512 + 512 + 16_384) * 4 + (256 + 256 + 2_048) / 64 * 8;
         // ROB ring of 32 or 128 slots: 32 B per slot, four 4-byte
         // waiter edges per slot, and the wheel's 4-byte link per slot.
         let rob = |cap: usize| cap * 32 + 4 * cap * 4 + cap * 4;
@@ -1633,7 +1634,7 @@ mod tests {
         let fixed = 512 * 4 + 64 * 8;
         let ready = 8 + 16; // one or two bitset words
         let want = window + 2 * (tags + fixed) + rob(32) + rob(128) + ready;
-        assert_eq!(want, 1_725_592);
+        assert_eq!(want, 1_726_232);
         assert_eq!(Kernel::new(&configs).resident_bytes(), want);
 
         let scoped = ppm_telemetry::Registry::scoped();

@@ -40,9 +40,17 @@ impl CacheStats {
 /// timing effect of dirty evictions is folded into the DRAM bank busy
 /// time).
 ///
-/// Each line costs one 32-bit tag and nothing else: the line number
-/// shifted right past the set index, with `u32::MAX` marking an empty
-/// way. Under LRU and FIFO a set's ways are kept in recency order —
+/// Each line costs one 32-bit tag, and each set one bit. The tag is the
+/// line number shifted right past the set index, stored complemented
+/// (`!tag`), so an empty way is 0 and a new cache's tag array is all
+/// zeros. A large array is then mapped from the operating system's zero
+/// pages rather than written at construction, and a page of tags costs
+/// resident memory only once a set on it is filled. The set's bit
+/// records that first fill; until then an access misses without reading
+/// the set, so a page is first touched by a write: one page fault, not
+/// a read of the zero page followed by a second fault for the write.
+///
+/// Under LRU and FIFO a set's ways are kept in recency order —
 /// most recently used (LRU) or filled (FIFO) first, invalid ways last —
 /// so the victim is always the last way: a miss shifts the set down by
 /// one and fills way 0, and an LRU hit moves its way to the front.
@@ -51,7 +59,8 @@ impl CacheStats {
 ///
 /// # Address bound
 ///
-/// A tag must fit below `u32::MAX`, so a cache maps addresses below
+/// A tag must fit below `u32::MAX` (its complement must not be the
+/// empty way's 0), so a cache maps addresses below
 /// [`Cache::addr_limit`]: `(2^32 - 1) · sets · line_size`. The smallest
 /// Table 1 shape, an 8 KB 2-way L1 with 64 B lines (64 sets), maps
 /// addresses up to about 2^44; the synthetic workloads' addresses stay
@@ -76,9 +85,12 @@ pub struct Cache {
     line_bits: u32,
     /// Bits of the line number that select the set.
     set_bits: u32,
-    /// `tags[set * assoc + way]`, in the order the type docs describe;
-    /// [`INVALID`] marks an empty way.
+    /// `tags[set * assoc + way]`, each stored as `!tag`, in the order
+    /// the type docs describe; [`EMPTY`] marks an empty way.
     tags: Vec<u32>,
+    /// One bit per set, raised by its first fill; a set whose bit is
+    /// clear holds only empty ways.
+    filled: Vec<u64>,
     policy: ReplacementPolicy,
     /// Deterministic LCG state for the random policy.
     lcg: u64,
@@ -126,7 +138,8 @@ impl Cache {
             assoc: assoc as usize,
             line_bits: line_size.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
-            tags: vec![INVALID; sets * assoc as usize],
+            tags: vec![EMPTY; sets * assoc as usize],
+            filled: vec![0; sets.div_ceil(64)],
             policy,
             lcg: 0x2545_f491_4f6c_dd1d,
             stats: CacheStats::default(),
@@ -137,16 +150,19 @@ impl Cache {
     /// saturating at `u64::MAX` for a cache whose sets and lines span
     /// more than 32 address bits, where every address fits.
     pub fn addr_limit(&self) -> u64 {
-        let limit = u128::from(INVALID) << (self.line_bits + self.set_bits);
+        let limit = u128::from(u32::MAX) << (self.line_bits + self.set_bits);
         u64::try_from(limit).unwrap_or(u64::MAX)
     }
 
-    /// Bytes of tag storage, from its allocated length.
+    /// Bytes of tag state (the tags and the filled-set bits), from
+    /// allocated lengths.
     pub fn tag_bytes(&self) -> usize {
         self.tags.capacity() * std::mem::size_of::<u32>()
+            + self.filled.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Splits `addr` into its set index and tag.
+    /// Splits `addr` into its set index and its stored (complemented)
+    /// tag, which is never [`EMPTY`].
     ///
     /// # Panics
     ///
@@ -156,11 +172,11 @@ impl Cache {
         let line = addr >> self.line_bits;
         let tag = line >> self.set_bits;
         assert!(
-            tag < u64::from(INVALID),
+            tag < u64::from(u32::MAX),
             "address {addr:#x} is outside the cache's 32-bit tag range (limit {:#x})",
             self.addr_limit()
         );
-        ((line as usize) & (self.sets - 1), tag as u32)
+        ((line as usize) & (self.sets - 1), !(tag as u32))
     }
 
     /// The replacement policy.
@@ -192,6 +208,14 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
         self.stats.accesses += 1;
+        let (word, bit) = (set / 64, 1u64 << (set % 64));
+        if self.filled[word] & bit == 0 {
+            // Every policy fills an empty set's first way.
+            self.filled[word] |= bit;
+            self.stats.misses += 1;
+            self.tags[set * self.assoc] = tag;
+            return false;
+        }
         let ways = &mut self.tags[set * self.assoc..][..self.assoc];
         if let Some(way) = ways.iter().position(|&t| t == tag) {
             if self.policy == ReplacementPolicy::Lru {
@@ -204,7 +228,7 @@ impl Cache {
         self.stats.misses += 1;
         if self.policy == ReplacementPolicy::Random {
             // Invalid ways are always filled first.
-            let victim = ways.iter().position(|&t| t == INVALID).unwrap_or_else(|| {
+            let victim = ways.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
                 self.lcg = self
                     .lcg
                     .wrapping_mul(6364136223846793005)
@@ -241,12 +265,13 @@ impl Cache {
     #[inline]
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
-        self.tags[set * self.assoc..][..self.assoc].contains(&tag)
+        self.filled[set / 64] & (1 << (set % 64)) != 0
+            && self.tags[set * self.assoc..][..self.assoc].contains(&tag)
     }
 }
 
-/// The empty-way marker, one above the largest tag a cache stores.
-const INVALID: u32 = u32::MAX;
+/// The empty way: the complement of `u32::MAX`, which no tag reaches.
+const EMPTY: u32 = 0;
 
 #[cfg(test)]
 mod tests {
@@ -651,6 +676,27 @@ mod tests {
     #[ignore = "release-scale; run with --release -- --ignored"]
     fn recency_order_matches_the_stamp_model_at_scale() {
         differential_all(72_000);
+    }
+
+    #[test]
+    fn empty_ways_are_zero_and_no_tag_is_stored_as_zero() {
+        let mut c = Cache::new(8 << 10, 2, 64);
+        assert!(c.tags.iter().all(|&t| t == EMPTY));
+        // The lowest tag (stored as u32::MAX) and the highest (stored
+        // as 1) are absent from a new cache and present once filled.
+        let top = c.addr_limit() - 64;
+        for addr in [0, top] {
+            assert!(!c.probe(addr), "{addr:#x} found in an empty cache");
+            assert!(!c.access(addr));
+            assert!(c.probe(addr), "{addr:#x} lost after its fill");
+        }
+        assert_eq!(c.tags.iter().filter(|&&t| t != EMPTY).count(), 2);
+        // Exactly the two filled sets, the first and the last, are
+        // marked.
+        let marked: u32 = c.filled.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(marked, 2);
+        assert_eq!(c.filled[0] & 1, 1);
+        assert_eq!(c.filled[(c.sets() - 1) / 64] >> ((c.sets() - 1) % 64), 1);
     }
 
     #[test]

@@ -138,15 +138,6 @@ impl SimStats {
             self.mispredicts as f64 / self.branches as f64
         }
     }
-
-    /// Average ROB occupancy per cycle.
-    pub fn avg_rob_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.rob_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +159,6 @@ mod tests {
     fn rates_handle_zero_denominators() {
         let s = SimStats::default();
         assert_eq!(s.mispredict_rate(), 0.0);
-        assert_eq!(s.avg_rob_occupancy(), 0.0);
     }
 
     #[test]

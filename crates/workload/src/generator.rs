@@ -163,11 +163,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Number of static basic blocks in the synthetic CFG.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     fn dep(&mut self) -> u32 {
         self.dep_dist.sample(&mut self.walk) as u32
     }

@@ -198,7 +198,9 @@ echo "== tracing overhead: A/B loadtest (traced vs --no-trace) =="
 # loadtest drives both with identical traffic and reports the tracing
 # p99 overhead and writes the `ppm-loadtest-ab v1` report. The acceptance
 # budget is 2%; p99 deltas on a shared CI box are noisy, so the gate
-# takes the best of three runs before failing.
+# allows three attempts before failing. Tracing cannot make serving
+# faster, so a reading below -2% is a failed measurement, not a pass:
+# an attempt counts only when it lands within +-2%.
 target/release/ppm serve 127.0.0.1:0 --registry "$smoke_dir/registry" \
   --no-trace 2> "$smoke_dir/serve-notrace.log" &
 baseline_pid=$!
@@ -212,6 +214,7 @@ baseline_addr=$(serve_addr "$smoke_dir/serve-notrace.log")
 target/release/ppm loadtest "$baseline_addr" --requests 100 --concurrency 4 \
   --no-trace-check > /dev/null
 overhead=""
+readings=""
 for attempt in 1 2 3; do
   target/release/ppm loadtest "$addr" --requests 300 --concurrency 4 \
     --ab "$baseline_addr" --ab-out "$smoke_dir/ab.json" \
@@ -219,11 +222,15 @@ for attempt in 1 2 3; do
   cat "$smoke_dir/ab.out"
   overhead=$(sed -n 's/^tracing p99 overhead \([+-][0-9.]*\)%$/\1/p' "$smoke_dir/ab.out")
   [ -n "$overhead" ] || { echo "A/B loadtest reported no overhead"; exit 1; }
-  awk -v o="$overhead" 'BEGIN { exit (o <= 2.0 ? 0 : 1) }' && break
-  echo "tracing overhead ${overhead}% > 2% (attempt $attempt); retrying"
+  awk -v o="$overhead" 'BEGIN { exit (o >= -2.0 && o <= 2.0 ? 0 : 1) }' && break
+  echo "tracing overhead ${overhead}% outside +-2% (attempt $attempt); retrying"
+  readings="$readings ${overhead}%"
   overhead=""
 done
-[ -n "$overhead" ] || { echo "tracing p99 overhead stayed above 2% after 3 runs"; exit 1; }
+[ -n "$overhead" ] || {
+  echo "tracing p99 overhead stayed outside +-2% after 3 runs:$readings"
+  exit 1
+}
 grep -q '"schema":"ppm-loadtest-ab v1"' "$smoke_dir/ab.json" \
   || { echo "loadtest --ab-out: no ppm-loadtest-ab v1 report"; exit 1; }
 http_request POST /quitz "$baseline_addr" > /dev/null
