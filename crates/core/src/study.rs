@@ -312,14 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn pb_screening_is_identical_at_any_thread_count() {
-        let space = DesignSpace::paper_table1();
-        let response = FnResponse::new(9, |x| 1.0 + x[0] * x[3] + (2.0 * x[5]).exp()).unwrap();
-        let serial = pb_screening(&space, &response, 12, 1).unwrap();
-        assert_eq!(serial, pb_screening(&space, &response, 12, 3).unwrap());
-    }
-
-    #[test]
     fn unsupported_pb_runs_are_a_typed_error() {
         let space = DesignSpace::paper_table1();
         let response = FnResponse::new(9, |x| x[0]).unwrap();

@@ -440,17 +440,4 @@ mod tests {
             TrainError::NoThreads
         );
     }
-
-    #[test]
-    fn fit_is_identical_across_thread_counts() {
-        let data = dataset(50);
-        let reference = RbfTrainer::quick().with_threads(1).fit(&data).unwrap();
-        for threads in [2, 8] {
-            let fitted = RbfTrainer::quick()
-                .with_threads(threads)
-                .fit(&data)
-                .unwrap();
-            assert_eq!(reference, fitted, "threads={threads}");
-        }
-    }
 }

@@ -275,25 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn best_of_identical_across_thread_counts() {
-        let space = space2();
-        let lhs = LatinHypercube::new(&space, 20);
-        let reference = lhs
-            .clone()
-            .with_threads(1)
-            .best_of_with_score(33, &mut Rng::seed_from_u64(11))
-            .unwrap();
-        for threads in [2, 8] {
-            let got = lhs
-                .clone()
-                .with_threads(threads)
-                .best_of_with_score(33, &mut Rng::seed_from_u64(11))
-                .unwrap();
-            assert_eq!(reference, got, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn best_of_zero_candidates_is_a_typed_error() {
         let space = space2();
         let mut rng = Rng::seed_from_u64(3);

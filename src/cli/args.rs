@@ -154,6 +154,11 @@ fn flags_of(command: &str) -> Option<&'static str> {
         .map(|(_, flags)| *flags)
 }
 
+/// Every command word, in the order `ppm help` lists them.
+pub fn command_names() -> impl Iterator<Item = &'static str> {
+    COMMANDS.iter().map(|(name, _)| *name)
+}
+
 /// Whether `command` takes `flag`, by the same table the parser
 /// checks.
 pub fn takes(command: &str, flag: &str) -> bool {

@@ -57,7 +57,7 @@ mod args;
 mod commands;
 pub mod flight;
 
-pub use args::{ArgError, Parsed};
+pub use args::{command_names, ArgError, Parsed};
 pub use commands::{run, run_with_artifacts, start_live, CliError};
 pub use flight::RunArtifacts;
 

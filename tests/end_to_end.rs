@@ -49,16 +49,6 @@ fn rbf_beats_the_linear_baseline_on_the_same_sample() {
 }
 
 #[test]
-fn whole_pipeline_is_deterministic() {
-    let (_, _, a) = quick_build(Benchmark::Twolf);
-    let (_, _, b) = quick_build(Benchmark::Twolf);
-    assert_eq!(a.design, b.design);
-    assert_eq!(a.responses, b.responses);
-    let x = [0.3; 9];
-    assert_eq!(a.predict(&x), b.predict(&x));
-}
-
-#[test]
 fn model_tracks_a_first_order_trend_of_the_simulator() {
     // The model must know that mcf gets slower when the L2 latency
     // grows (unit coordinate 5 moving to 0).

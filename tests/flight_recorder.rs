@@ -505,13 +505,13 @@ fn counter(ledger: &Json, name: &str) -> Option<i64> {
 #[test]
 fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
     let dir = scratch("checkpoint");
-    let build = |tag: &str| {
+    let build_on = |benchmark: &str, tag: &str| {
         ppm_in(
             &dir,
             &[
                 "build",
                 "--benchmark",
-                "ammp",
+                benchmark,
                 "--sample",
                 "20",
                 "--instructions",
@@ -528,6 +528,7 @@ fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
             ],
         )
     };
+    let build = |tag: &str| build_on("ammp", tag);
     assert_code(&build("first"), 0);
     assert_eq!(
         counter(&load(&dir.join("first.json")), "sim.batch_points"),
@@ -545,6 +546,11 @@ fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
         std::fs::read(dir.join("first.model")).unwrap(),
         std::fs::read(dir.join("second.model")).unwrap()
     );
+    // A journal of another run is a persistence error too, not a silent
+    // mix of results.
+    let mismatched = build_on("mcf", "mismatched");
+    assert_code(&mismatched, 4);
+    assert!(String::from_utf8_lossy(&mismatched.stderr).contains("different run"));
     // One flipped byte fails the journal's checksum: exit 4, not a
     // silent fresh start over the damaged file.
     let journal = dir.join("j.txt");
