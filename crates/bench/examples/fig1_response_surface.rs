@@ -6,7 +6,8 @@
 //! the instruction cache is small (curvature / interaction), with sharp
 //! changes at low cache sizes.
 
-use ppm_core::response::{default_threads, eval_batch};
+use ppm_core::builder::BuildConfig;
+use ppm_core::response::eval_batch;
 use ppm_core::space::DesignSpace;
 use ppm_core::study::interaction_grid;
 use ppm_experiments::{fmt, Report, Scale};
@@ -21,7 +22,7 @@ fn main() {
     // simulated as one batch.
     let (il1_vals, l2lat_vals, points) =
         interaction_grid(&space, 6, 5, &[0.5; 9], scale.final_sample);
-    let cpi = eval_batch(&response, &points, default_threads()).expect("clean batch");
+    let cpi = eval_batch(&response, &points, BuildConfig::default().threads).expect("clean batch");
     let grid: Vec<&[f64]> = cpi.chunks(l2lat_vals.len()).collect();
 
     let mut columns = vec!["il1_size_kb".to_string()];

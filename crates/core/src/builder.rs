@@ -10,11 +10,12 @@ use ppm_rng::{derive_seed, Rng};
 use ppm_sampling::lhs::{LatinHypercube, SampleError};
 use ppm_sampling::random::random_design;
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::Checkpoint;
 use crate::metrics::ErrorStats;
 use crate::response::Response;
 use crate::space::DesignSpace;
 use crate::supervise::{eval_batch_grouped, Quarantine, SupervisorPolicy, LANES_PER_GROUP};
+use crate::FileError;
 
 /// Errors from model building.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +45,7 @@ pub enum BuildError {
         detail: String,
     },
     /// The checkpoint journal could not be read or written; the message
-    /// carries the rendered [`CheckpointError`].
+    /// carries the rendered [`FileError`].
     Checkpoint(String),
     /// RBF training failed (empty parameter grid, zero threads).
     Train(TrainError),
@@ -108,8 +109,8 @@ impl From<DatasetError> for BuildError {
     }
 }
 
-impl From<CheckpointError> for BuildError {
-    fn from(e: CheckpointError) -> Self {
+impl From<FileError> for BuildError {
+    fn from(e: FileError) -> Self {
         BuildError::Checkpoint(e.to_string())
     }
 }
@@ -148,7 +149,7 @@ impl Default for BuildConfig {
             lhs_candidates: 200,
             trainer: RbfTrainer::default(),
             seed: 1,
-            threads: crate::response::default_threads(),
+            threads: ppm_exec::default_threads(),
             train_threads: ppm_exec::default_threads(),
             supervisor: SupervisorPolicy::default(),
         }

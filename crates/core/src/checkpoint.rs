@@ -15,87 +15,34 @@
 //! checksum <fnv64 of everything above>
 //! ```
 //!
-//! Values are recorded with 17 significant digits, so a resumed run
-//! reproduces bit-identical responses (and therefore bit-identical
-//! models) without re-simulating journaled points. Both the per-line and
-//! whole-file FNV-1a checksums are verified on load; corrupted or
-//! truncated journals are rejected with a typed [`CheckpointError`].
+//! The header, `meta` and `checksum` lines are the envelope this file
+//! shares with the model file; this module reads and writes only the
+//! `point` lines. Points are listed sorted by their coordinates' text,
+//! whatever order they finished in, so the same run writes the same
+//! journal at any thread count. Values are recorded with 17 significant
+//! digits, so a resumed run reproduces bit-identical responses (and
+//! therefore bit-identical models) without re-simulating journaled
+//! points. Both the per-line and whole-file FNV-1a checksums are
+//! verified on load; corrupted or truncated journals are rejected with
+//! a typed [`FileError`].
 
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
-use std::fs;
-use std::io::Write as _;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::hash::fnv1a64;
+use ppm_telemetry::fnv1a64;
 
-/// Errors from reading or writing checkpoint journals.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The journal is not valid (message describes the problem).
-    Format(String),
-    /// The journal's metadata does not match the requesting run.
-    Mismatch {
-        /// Metadata key that disagrees.
-        key: String,
-        /// Value recorded in the journal.
-        found: String,
-        /// Value the current run expects.
-        expected: String,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
-            CheckpointError::Format(msg) => write!(f, "invalid checkpoint: {msg}"),
-            CheckpointError::Mismatch {
-                key,
-                found,
-                expected,
-            } => write!(
-                f,
-                "checkpoint belongs to a different run: {key} is {found:?}, expected {expected:?}"
-            ),
-        }
-    }
-}
-
-impl Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
+use crate::envelope::{check_meta, floats, tagged, CHECKPOINT};
+use crate::FileError;
 
 /// A crash-safe journal of completed simulation results.
 #[derive(Debug)]
 pub struct Checkpoint {
     path: PathBuf,
     meta: Vec<(String, String)>,
-    entries: Vec<(Vec<f64>, f64)>,
-    index: BTreeMap<String, f64>,
-}
-
-fn point_key(point: &[f64]) -> String {
-    point
-        .iter()
-        .map(|x| format!("{x:.17e}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+    /// Values keyed by the coordinates' text, which is also the file
+    /// order.
+    points: BTreeMap<String, f64>,
 }
 
 impl Checkpoint {
@@ -107,112 +54,61 @@ impl Checkpoint {
     /// Panics if a metadata key contains whitespace or a value contains
     /// a newline (mirrors [`crate::persist::to_string`]).
     pub fn create(path: impl Into<PathBuf>, meta: &[(String, String)]) -> Self {
-        for (k, v) in meta {
-            assert!(
-                !k.contains(char::is_whitespace),
-                "metadata key {k:?} contains whitespace"
-            );
-            assert!(!v.contains('\n'), "metadata value contains a newline");
-        }
+        check_meta(meta);
         Checkpoint {
             path: path.into(),
             meta: meta.to_vec(),
-            entries: Vec::new(),
-            index: BTreeMap::new(),
+            points: BTreeMap::new(),
         }
     }
 
-    /// Loads and verifies an existing journal.
+    /// Loads and verifies an existing journal, in any point order.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on filesystem failure,
-    /// [`CheckpointError::Format`] on any corruption: bad header, a
+    /// [`FileError::Io`] on filesystem failure,
+    /// [`FileError::Format`] on any corruption: bad header, a
     /// point line whose per-line checksum disagrees, a missing or wrong
     /// whole-file checksum (truncation), or trailing garbage.
-    pub fn load(path: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
+    pub fn load(path: impl Into<PathBuf>) -> Result<Self, FileError> {
         let path = path.into();
-        let text = fs::read_to_string(&path)?;
-        let bad = |msg: String| CheckpointError::Format(msg);
-
-        // The whole-file checksum must be the final non-empty line; it
-        // covers every byte before its own first character.
-        let trimmed = text.trim_end();
-        let (sum_start, sum_line) = match trimmed.rfind('\n') {
-            Some(i) => (i + 1, &trimmed[i + 1..]),
-            None => (0, trimmed),
-        };
-        let recorded = sum_line
-            .strip_prefix("checksum ")
-            .ok_or_else(|| bad("missing checksum line (truncated journal?)".to_string()))?
-            .trim()
-            .to_string();
-        let actual = format!("{:016x}", fnv1a64(&text.as_bytes()[..sum_start]));
-        if recorded != actual {
-            return Err(bad(format!(
-                "file checksum mismatch: recorded {recorded}, computed {actual} (corrupted journal)"
-            )));
-        }
-
-        let mut lines = text[..sum_start].lines().filter(|l| !l.trim().is_empty());
-        match lines.next() {
-            Some("ppm-checkpoint v1") => {}
-            Some(other) => return Err(bad(format!("unknown header {other:?}"))),
-            None => return Err(bad("empty journal".to_string())),
-        }
-        let mut ckpt = Checkpoint {
-            path,
-            meta: Vec::new(),
-            entries: Vec::new(),
-            index: BTreeMap::new(),
-        };
+        let text = CHECKPOINT.read(&path)?;
+        let (meta, lines) = CHECKPOINT.open(&text)?;
+        let bad = |msg: &str| CHECKPOINT.bad(msg);
+        let mut points = BTreeMap::new();
         for line in lines {
-            let mut parts = line.splitn(2, ' ');
-            let tag = parts.next().unwrap_or("");
-            let rest = parts.next().unwrap_or("").trim();
-            match tag {
-                "meta" => {
-                    let mut kv = rest.splitn(2, ' ');
-                    let k = kv.next().unwrap_or("").to_string();
-                    let v = kv.next().unwrap_or("").to_string();
-                    if k.is_empty() {
-                        return Err(bad("meta line without a key".to_string()));
-                    }
-                    ckpt.meta.push((k, v));
-                }
-                "point" => {
-                    let (payload, line_sum) = rest
-                        .rsplit_once('|')
-                        .ok_or_else(|| bad("point line without checksum".to_string()))?;
-                    let payload = payload.trim_end();
-                    let expected = format!("{:016x}", fnv1a64(payload.as_bytes()));
-                    if line_sum.trim() != expected {
-                        return Err(bad(format!("point line checksum mismatch on {payload:?}")));
-                    }
-                    let (coords, value) = payload
-                        .split_once('|')
-                        .ok_or_else(|| bad("point line without value".to_string()))?;
-                    let point: Vec<f64> = coords
-                        .split_whitespace()
-                        .map(|t| {
-                            t.parse::<f64>()
-                                .map_err(|_| bad(format!("bad coordinate {t:?}")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let value: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad value {:?}", value.trim())))?;
-                    if point.is_empty() {
-                        return Err(bad("point line without coordinates".to_string()));
-                    }
-                    ckpt.index.insert(point_key(&point), value);
-                    ckpt.entries.push((point, value));
-                }
-                other => return Err(bad(format!("unknown line tag {other:?}"))),
+            let (tag, rest) = tagged(line);
+            if tag != "point" {
+                return Err(bad(&format!("unknown line tag {tag:?}")));
             }
+            let (payload, line_sum) = rest
+                .rsplit_once('|')
+                .ok_or_else(|| bad("point line without checksum"))?;
+            let payload = payload.trim_end();
+            let expected = format!("{:016x}", fnv1a64(payload.as_bytes()));
+            if line_sum.trim() != expected {
+                return Err(bad(&format!("point line checksum mismatch on {payload:?}")));
+            }
+            let (coords, value) = payload
+                .split_once('|')
+                .ok_or_else(|| bad("point line without value"))?;
+            let point: Vec<f64> = coords
+                .split_whitespace()
+                .map(|t| {
+                    t.parse::<f64>()
+                        .map_err(|_| bad(&format!("bad coordinate {t:?}")))
+                })
+                .collect::<Result<_, _>>()?;
+            let value: f64 = value
+                .trim()
+                .parse()
+                .map_err(|_| bad(&format!("bad value {:?}", value.trim())))?;
+            if point.is_empty() {
+                return Err(bad("point line without coordinates"));
+            }
+            points.insert(floats(&point), value);
         }
-        Ok(ckpt)
+        Ok(Checkpoint { path, meta, points })
     }
 
     /// The journal's filesystem path.
@@ -238,12 +134,12 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Mismatch`] on the first disagreement.
-    pub fn verify_meta(&self, expected: &[(String, String)]) -> Result<(), CheckpointError> {
+    /// [`FileError::Mismatch`] on the first disagreement.
+    pub fn verify_meta(&self, expected: &[(String, String)]) -> Result<(), FileError> {
         for (k, want) in expected {
             if let Some(found) = self.meta_value(k) {
                 if found != want {
-                    return Err(CheckpointError::Mismatch {
+                    return Err(FileError::Mismatch {
                         key: k.clone(),
                         found: found.to_string(),
                         expected: want.clone(),
@@ -256,52 +152,39 @@ impl Checkpoint {
 
     /// Number of journaled results.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.points.len()
     }
 
     /// True when nothing has been journaled.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.points.is_empty()
     }
 
     /// The journaled value for a point, if present (bit-exact match on
     /// the coordinates).
     pub fn lookup(&self, point: &[f64]) -> Option<f64> {
-        self.index.get(&point_key(point)).copied()
+        self.points.get(&floats(point)).copied()
     }
 
     /// Journals one completed result in memory (call
     /// [`Checkpoint::flush`] to persist). Re-recording a point
     /// overwrites its value.
     pub fn record(&mut self, point: &[f64], value: f64) {
-        let key = point_key(point);
-        if self.index.insert(key, value).is_some() {
-            if let Some(e) = self.entries.iter_mut().find(|(p, _)| p.as_slice() == point) {
-                e.1 = value;
-            }
-        } else {
-            self.entries.push((point.to_vec(), value));
-        }
+        self.points.insert(floats(point), value);
     }
 
-    /// Serializes the journal (header, meta, points, file checksum).
+    /// Serializes the journal (header, meta, points sorted by key, file
+    /// checksum).
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "ppm-checkpoint v1");
-        for (k, v) in &self.meta {
-            let _ = writeln!(out, "meta {k} {v}");
-        }
-        for (point, value) in &self.entries {
-            // The per-line checksum covers the payload after the tag,
-            // matching what `load` sees after splitting it off.
-            let payload = format!("{} | {value:.17e}", point_key(point));
-            let sum = fnv1a64(payload.as_bytes());
-            let _ = writeln!(out, "point {payload} | {sum:016x}");
-        }
-        let sum = fnv1a64(out.as_bytes());
-        let _ = writeln!(out, "checksum {sum:016x}");
-        out
+        CHECKPOINT.seal(&self.meta, |out| {
+            for (key, value) in &self.points {
+                // The per-line checksum covers the payload after the
+                // tag, matching what `load` sees after splitting it off.
+                let payload = format!("{key} | {value:.17e}");
+                let sum = fnv1a64(payload.as_bytes());
+                let _ = writeln!(out, "point {payload} | {sum:016x}");
+            }
+        })
     }
 
     /// Atomically persists the journal: writes a sibling temporary
@@ -309,28 +192,16 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn flush(&self) -> Result<(), CheckpointError> {
-        let file_name = self
-            .path
-            .file_name()
-            .ok_or_else(|| CheckpointError::Format("checkpoint path has no file name".into()))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = self.path.with_file_name(tmp_name);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(self.to_text().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        Ok(())
+    /// [`FileError::Io`] on filesystem failure.
+    pub fn flush(&self) -> Result<(), FileError> {
+        CHECKPOINT.write(&self.path, &self.to_text())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ppm_checkpoint_tests");
@@ -351,16 +222,43 @@ mod tests {
         c
     }
 
+    /// [`sample`]'s journal with its points in the order they were
+    /// recorded, as builds on more than one thread once wrote them
+    /// (lane groups finish in any order).
+    const RECORDING_ORDER: &str = "ppm-checkpoint v1
+meta benchmark mcf
+meta seed 1
+point 2.50000000000000000e-1 5.00000000000000000e-1 | 1.75000000000000000e0 | 4c824a380f9c1571
+point 1.00000000000000006e-1 9.00000000000000022e-1 | 3.14159265358979312e0 | fcb0677f3ec93273
+checksum 064457219dc15d56
+";
+
     #[test]
     fn round_trip_is_bit_exact() {
         let c = sample("round_trip.ckpt");
-        c.flush().unwrap();
-        let loaded = Checkpoint::load(c.path()).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.lookup(&[0.25, 0.5]), Some(1.75));
-        assert_eq!(loaded.lookup(&[0.1, 0.9]), Some(std::f64::consts::PI));
-        assert_eq!(loaded.lookup(&[0.25, 0.51]), None);
-        assert_eq!(loaded.meta_value("benchmark"), Some("mcf"));
+        // A journal written by this code, and one in recording order.
+        for text in [c.to_text().as_str(), RECORDING_ORDER] {
+            fs::write(c.path(), text).unwrap();
+            let loaded = Checkpoint::load(c.path()).unwrap();
+            assert_eq!(loaded.len(), 2);
+            assert_eq!(loaded.lookup(&[0.25, 0.5]), Some(1.75));
+            assert_eq!(loaded.lookup(&[0.1, 0.9]), Some(std::f64::consts::PI));
+            assert_eq!(loaded.lookup(&[0.25, 0.51]), None);
+            assert_eq!(loaded.meta_value("benchmark"), Some("mcf"));
+            // The next flush lists the points sorted.
+            loaded.flush().unwrap();
+            let points: Vec<String> = fs::read_to_string(c.path())
+                .unwrap()
+                .lines()
+                .filter(|l| l.starts_with("point "))
+                .map(str::to_string)
+                .collect();
+            let mut sorted = points.clone();
+            sorted.sort();
+            assert_eq!(points.len(), 2);
+            assert_eq!(points, sorted);
+            assert_eq!(fs::read_to_string(c.path()).unwrap(), c.to_text());
+        }
         fs::remove_file(c.path()).ok();
     }
 
@@ -414,7 +312,7 @@ mod tests {
         let err = c
             .verify_meta(&[("benchmark".to_string(), "ammp".to_string())])
             .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
+        assert!(matches!(err, FileError::Mismatch { .. }));
         // Matching and absent keys pass.
         c.verify_meta(&[
             ("benchmark".to_string(), "mcf".to_string()),

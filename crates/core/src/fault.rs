@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::hash::hash_point;
 use crate::response::Response;
 
 /// What to inject at a faulty point.
@@ -232,10 +231,29 @@ impl<R: Response> Response for FaultyResponse<R> {
     }
 }
 
+/// FNV-1a over the seed and the bit patterns of a unit point: the
+/// stable per-point identity that keys fault decisions.
+fn hash_point(seed: u64, point: &[f64]) -> u64 {
+    let mut bytes = Vec::with_capacity(8 + point.len() * 8);
+    bytes.extend_from_slice(&seed.to_le_bytes());
+    for &x in point {
+        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    ppm_telemetry::fnv1a64(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::response::FnResponse;
+
+    #[test]
+    fn point_hash_is_stable_and_seed_sensitive() {
+        let p = [0.25, 0.5, 0.75];
+        assert_eq!(hash_point(7, &p), hash_point(7, &p));
+        assert_ne!(hash_point(7, &p), hash_point(8, &p));
+        assert_ne!(hash_point(7, &p), hash_point(7, &[0.25, 0.5, 0.7500001]));
+    }
 
     fn inner() -> FnResponse<impl Fn(&[f64]) -> f64 + Sync> {
         FnResponse::new(2, |x| 1.0 + x[0] + x[1]).unwrap()

@@ -48,12 +48,22 @@
 //! results can be journaled to a crash-safe [`checkpoint::Checkpoint`]
 //! and resumed without re-simulation. [`fault::FaultyResponse`] injects
 //! deterministic faults for testing these paths.
+//!
+//! # Files
+//!
+//! The two files the procedure keeps — the simulated sample in the
+//! `ppm-checkpoint v1` journal ([`checkpoint`]) and the fitted network
+//! in the `ppm-rbf-model v1` model file ([`persist`]) — share one
+//! checksummed envelope (header, `meta` lines, trailing FNV-1a
+//! `checksum` line), one error type, [`FileError`], and one crash-safe
+//! writer, `ppm_telemetry::write_atomic`. Each module adds only its own
+//! body lines.
 
 pub mod adaptive;
 pub mod builder;
 pub mod checkpoint;
+mod envelope;
 pub mod fault;
-mod hash;
 pub mod metrics;
 pub mod persist;
 pub mod response;
@@ -63,7 +73,8 @@ pub mod supervise;
 
 pub use adaptive::{build_adaptive, AdaptiveConfig};
 pub use builder::{BuildConfig, BuildError, BuiltModel, RbfModelBuilder};
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::Checkpoint;
+pub use envelope::FileError;
 pub use fault::{FaultPlan, FaultyResponse, InjectedFault};
 pub use metrics::ErrorStats;
 pub use response::{FnResponse, Metric, Response, SimulatorResponse};

@@ -14,54 +14,20 @@
 //! checksum <fnv1a64 of everything above, 16 hex digits>
 //! ```
 //!
-//! The trailing checksum makes truncation and corruption detectable,
-//! and [`save`] writes through a sibling temp file renamed into place,
-//! so a crash mid-write can never leave a half-written model at the
-//! target path.
+//! The header, `meta` and `checksum` lines are the envelope this file
+//! shares with the checkpoint journal; this module reads and writes only
+//! the `dim` / `centers` / `rbf` body. The trailing checksum makes
+//! truncation and corruption detectable, and [`save`] writes through a
+//! sibling temp file renamed into place, so a crash mid-write can never
+//! leave a half-written model at the target path.
 
-use std::error::Error;
-use std::fmt;
-use std::fs;
-use std::io::Write as _;
+use std::fmt::Write as _;
 use std::path::Path;
 
 use ppm_rbf::{Rbf, RbfNetwork};
 
-use crate::hash::fnv1a64;
-
-/// Errors from reading or writing model files.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file is not a valid model (message describes the problem).
-    Format(String),
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "i/o error: {e}"),
-            PersistError::Format(msg) => write!(f, "invalid model file: {msg}"),
-        }
-    }
-}
-
-impl Error for PersistError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
+use crate::envelope::{floats, tagged, MODEL};
+use crate::FileError;
 
 /// A model together with free-form metadata (benchmark name, metric,
 /// sample size, ...).
@@ -90,36 +56,18 @@ impl SavedModel {
 /// Panics if a metadata key contains whitespace or a value contains a
 /// newline.
 pub fn to_string(network: &RbfNetwork, meta: &[(String, String)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "ppm-rbf-model v1");
-    for (k, v) in meta {
-        assert!(
-            !k.contains(char::is_whitespace),
-            "metadata key {k:?} contains whitespace"
-        );
-        assert!(!v.contains('\n'), "metadata value contains a newline");
-        let _ = writeln!(out, "meta {k} {v}");
-    }
-    let _ = writeln!(out, "dim {}", network.dim());
-    let _ = writeln!(out, "centers {}", network.num_centers());
-    let fmt_vec = |v: &[f64]| {
-        v.iter()
-            .map(|x| format!("{x:.17e}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    for (basis, &w) in network.bases().iter().zip(network.weights()) {
-        let _ = writeln!(
-            out,
-            "rbf {} | {} | {w:.17e}",
-            fmt_vec(basis.center()),
-            fmt_vec(basis.radius())
-        );
-    }
-    let sum = fnv1a64(out.as_bytes());
-    let _ = writeln!(out, "checksum {sum:016x}");
-    out
+    MODEL.seal(meta, |out| {
+        let _ = writeln!(out, "dim {}", network.dim());
+        let _ = writeln!(out, "centers {}", network.num_centers());
+        for (basis, &w) in network.bases().iter().zip(network.weights()) {
+            let _ = writeln!(
+                out,
+                "rbf {} | {} | {w:.17e}",
+                floats(basis.center()),
+                floats(basis.radius())
+            );
+        }
+    })
 }
 
 /// Writes a model file crash-safely: the content goes to a sibling
@@ -128,75 +76,26 @@ pub fn to_string(network: &RbfNetwork, meta: &[(String, String)]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Io`] on filesystem failure.
-pub fn save(
-    network: &RbfNetwork,
-    meta: &[(String, String)],
-    path: &Path,
-) -> Result<(), PersistError> {
-    let mut tmp = path.to_path_buf();
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("model");
-    tmp.set_file_name(format!("{name}.tmp"));
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(to_string(network, meta).as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
+/// Returns [`FileError::Io`] on filesystem failure.
+pub fn save(network: &RbfNetwork, meta: &[(String, String)], path: &Path) -> Result<(), FileError> {
+    MODEL.write(path, &to_string(network, meta))
 }
 
 /// Parses a model from a string.
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Format`] describing the first problem found.
-pub fn from_str(text: &str) -> Result<SavedModel, PersistError> {
-    let bad = |msg: &str| PersistError::Format(msg.to_string());
-    match text.lines().find(|l| !l.trim().is_empty()) {
-        Some("ppm-rbf-model v1") => {}
-        Some(other) => return Err(bad(&format!("unknown header {other:?}"))),
-        None => return Err(bad("empty file")),
-    }
-    // The last line must be the checksum over everything before it.
-    let trimmed = text.trim_end();
-    let (body, sum_line) = match trimmed.rfind('\n') {
-        Some(idx) => (&trimmed[..idx + 1], &trimmed[idx + 1..]),
-        None => ("", trimmed),
-    };
-    let sum_hex = sum_line
-        .strip_prefix("checksum ")
-        .ok_or_else(|| bad("missing checksum line (file truncated?)"))?;
-    let expected = u64::from_str_radix(sum_hex.trim(), 16)
-        .map_err(|_| bad(&format!("bad checksum {sum_hex:?}")))?;
-    let actual = fnv1a64(body.as_bytes());
-    if actual != expected {
-        return Err(bad(&format!(
-            "checksum mismatch (stored {expected:016x}, computed {actual:016x}): \
-             file truncated or corrupted"
-        )));
-    }
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    lines.next(); // the header, validated above
-    let mut meta = Vec::new();
+/// Returns [`FileError::Format`] describing the first problem found.
+pub fn from_str(text: &str) -> Result<SavedModel, FileError> {
+    let (meta, lines) = MODEL.open(text)?;
+    let bad = |msg: &str| MODEL.bad(msg);
     let mut dim: Option<usize> = None;
     let mut centers: Option<usize> = None;
     let mut bases = Vec::new();
     let mut weights = Vec::new();
     for line in lines {
-        let mut parts = line.splitn(2, ' ');
-        let tag = parts.next().unwrap_or("");
-        let rest = parts.next().unwrap_or("").trim();
+        let (tag, rest) = tagged(line);
         match tag {
-            "meta" => {
-                let mut kv = rest.splitn(2, ' ');
-                let k = kv.next().unwrap_or("").to_string();
-                let v = kv.next().unwrap_or("").to_string();
-                if k.is_empty() {
-                    return Err(bad("meta line without a key"));
-                }
-                meta.push((k, v));
-            }
             "dim" => {
                 dim = Some(
                     rest.parse()
@@ -212,7 +111,7 @@ pub fn from_str(text: &str) -> Result<SavedModel, PersistError> {
             "rbf" => {
                 let dim = dim.ok_or_else(|| bad("rbf line before dim"))?;
                 let mut fields = rest.split('|');
-                let parse_vec = |s: &str| -> Result<Vec<f64>, PersistError> {
+                let parse_vec = |s: &str| -> Result<Vec<f64>, FileError> {
                     s.split_whitespace()
                         .map(|t| {
                             t.parse::<f64>()
@@ -257,9 +156,9 @@ pub fn from_str(text: &str) -> Result<SavedModel, PersistError> {
 ///
 /// # Errors
 ///
-/// Returns [`PersistError`] on I/O or format problems.
-pub fn load(path: &Path) -> Result<SavedModel, PersistError> {
-    from_str(&fs::read_to_string(path)?)
+/// Returns [`FileError`] on I/O or format problems.
+pub fn load(path: &Path) -> Result<SavedModel, FileError> {
+    from_str(&MODEL.read(path)?)
 }
 
 #[cfg(test)]
@@ -312,7 +211,7 @@ mod tests {
     /// Appends a valid checksum line so tests can target payload-level
     /// errors past the integrity check.
     fn with_checksum(payload: &str) -> String {
-        let sum = fnv1a64(payload.as_bytes());
+        let sum = ppm_telemetry::fnv1a64(payload.as_bytes());
         format!("{payload}checksum {sum:016x}\n")
     }
 

@@ -248,14 +248,6 @@ pub fn eval_batch<R: Response>(
         .and_then(|outcome| outcome.into_values(points.len()))
 }
 
-/// The number of worker threads to use by default: the `PPM_THREADS`
-/// override when set and valid, otherwise the available parallelism
-/// capped at 16. One environment variable pins both the simulation
-/// batches and the training executor (see [`ppm_exec::default_threads`]).
-pub fn default_threads() -> usize {
-    ppm_exec::default_threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -314,11 +314,7 @@ mod tests {
     /// FNV-1a over the `Debug` form, which spells every float in its
     /// shortest round-trip form, so the digest moves with any bit.
     fn digest(stats: &ProgramStats) -> u64 {
-        format!("{stats:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-            })
+        ppm_telemetry::fnv1a64(format!("{stats:?}").as_bytes())
     }
 
     #[test]

@@ -21,6 +21,10 @@ use std::path::Path;
 
 use ppm_telemetry::{Json, JsonError, MetricKind, MetricRecord};
 
+// Re-exported for the benchmark harness, which imports
+// `ppm_obs::ledger::fnv1a64_hex` and builds against this crate unchanged.
+pub use ppm_telemetry::fnv1a64_hex;
+
 use crate::trace::StageTiming;
 
 /// The ledger format version tag.
@@ -146,7 +150,7 @@ impl Ledger {
     ///
     /// Any I/O failure creating directories or writing the file.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        crate::write_atomic(path, self.render().as_bytes())
+        ppm_telemetry::write_atomic(path, self.render().as_bytes())
     }
 }
 
@@ -320,19 +324,6 @@ fn metric_json(m: &MetricRecord) -> Json {
         }
     }
     Json::Obj(entries)
-}
-
-/// FNV-1a 64-bit over `bytes`, rendered as 16 lowercase hex digits —
-/// the same construction as the checkpoint journal's checksum.
-pub fn fnv1a64_hex(bytes: &[u8]) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    format!("{h:016x}")
 }
 
 #[cfg(test)]

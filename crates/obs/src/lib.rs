@@ -20,8 +20,12 @@
 //!   `scripts/verify.sh`.
 //!
 //! Every document here is parsed and written by `ppm-telemetry`'s
-//! [`Json`] codec, the workspace's only one. Like the rest of the
-//! workspace, this crate has no external dependencies.
+//! [`Json`] codec, the workspace's only one, and put on disk by its one
+//! crash-safe writer, `ppm_telemetry::write_atomic`. The FNV-1a content
+//! hash is `ppm-telemetry`'s too: [`ledger::fnv1a64_hex`], which the
+//! benchmark harness imports, and its crate-root alias [`fnv1a64_hex`]
+//! are re-exports kept so that harness builds unchanged. Like the rest
+//! of the workspace, this crate has no external dependencies.
 
 pub mod ledger;
 pub mod report;
@@ -38,45 +42,3 @@ pub use trace::{validate_chrome_trace, FlightRecorder, StageTiming, TraceError, 
 // and builds against this crate unchanged; workspace code imports
 // `ppm_telemetry::Json`.
 pub use ppm_telemetry::{Json, JsonError};
-
-use std::io::Write;
-use std::path::Path;
-
-/// Writes `bytes` to `path` atomically: the data lands in a sibling
-/// temp file first and is renamed into place, so readers never observe
-/// a partial document. Parent directories are created as needed.
-///
-/// # Errors
-///
-/// Any I/O failure creating directories, writing, or renaming.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_atomic_creates_parents_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("ppm-obs-atomic-{}", std::process::id()));
-        let path = dir.join("nested/out.json");
-        write_atomic(&path, b"one").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"one");
-        write_atomic(&path, b"two").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"two");
-        assert!(!path.with_extension("tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

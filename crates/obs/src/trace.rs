@@ -214,7 +214,7 @@ impl FlightRecorder {
     ///
     /// Any I/O failure creating, writing, or renaming the file.
     pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        crate::write_atomic(path, self.chrome_trace_json().as_bytes())
+        ppm_telemetry::write_atomic(path, self.chrome_trace_json().as_bytes())
     }
 }
 

@@ -129,18 +129,12 @@ pub fn publish(registry: &Path, model: &Path) -> Result<String, ServeError> {
     let text = String::from_utf8_lossy(&bytes);
     persist::from_str(&text)
         .map_err(|e| ServeError::Store(format!("refusing to publish {}: {e}", model.display())))?;
-    let version = ppm_obs::ledger::fnv1a64_hex(&bytes);
-    std::fs::create_dir_all(registry).map_err(|e| {
-        ServeError::Store(format!(
-            "cannot create registry {}: {e}",
-            registry.display()
-        ))
-    })?;
+    let version = ppm_telemetry::fnv1a64_hex(&bytes);
     let target = registry.join(format!("{version}.model"));
-    ppm_obs::write_atomic(&target, &bytes)
+    ppm_telemetry::write_atomic(&target, &bytes)
         .map_err(|e| ServeError::Store(format!("cannot write {}: {e}", target.display())))?;
     let current = registry.join(CURRENT_FILE);
-    ppm_obs::write_atomic(&current, format!("{version}\n").as_bytes())
+    ppm_telemetry::write_atomic(&current, format!("{version}\n").as_bytes())
         .map_err(|e| ServeError::Store(format!("cannot write {}: {e}", current.display())))?;
     Ok(version)
 }
@@ -162,7 +156,7 @@ fn load_current(dir: &Path, fallbacks: &Fallbacks) -> Result<ServingModel, Serve
     let path = dir.join(format!("{version}.model"));
     let bytes = std::fs::read(&path)
         .map_err(|e| ServeError::Store(format!("cannot read {}: {e}", path.display())))?;
-    let actual = ppm_obs::ledger::fnv1a64_hex(&bytes);
+    let actual = ppm_telemetry::fnv1a64_hex(&bytes);
     if actual != version {
         return Err(ServeError::Store(format!(
             "{}: content hash {actual} does not match its name (tampered or truncated)",

@@ -12,7 +12,10 @@
 //!
 //! This lowest layer also owns the workspace's one JSON codec, [`Json`]:
 //! event fields are `Json` values, and every crate above parses and
-//! writes its documents through it.
+//! writes its documents through it. Likewise its one FNV-1a
+//! ([`fnv1a64`]) and its one crash-safe file writer ([`write_atomic`]),
+//! behind model files, checkpoint journals, the model registry and run
+//! ledgers alike.
 //!
 //! Everything is hand-rolled on `std`; there are no dependencies.
 //!
@@ -36,6 +39,7 @@
 //! need to be conditionally compiled out.
 
 mod cputime;
+mod file;
 mod json;
 mod registry;
 mod ring;
@@ -43,6 +47,7 @@ mod sink;
 mod span;
 
 pub use cputime::process_cpu_us;
+pub use file::{fnv1a64, fnv1a64_hex, write_atomic};
 pub use json::{Json, JsonError};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, MetricRecord, Registry};
 pub use ring::{EventRing, RingEvent};

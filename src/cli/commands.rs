@@ -6,11 +6,12 @@ use std::path::Path;
 use std::str::FromStr;
 
 use ppm_core::builder::{BuildConfig, BuildError, RbfModelBuilder};
-use ppm_core::checkpoint::{Checkpoint, CheckpointError};
-use ppm_core::persist::{self, PersistError};
+use ppm_core::checkpoint::Checkpoint;
+use ppm_core::persist;
 use ppm_core::response::{eval_batch, Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::pb_screening;
+use ppm_core::FileError;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
 use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, KnobError, SimConfig, KNOBS};
 use ppm_workload::{Benchmark, TraceGenerator};
@@ -108,14 +109,8 @@ impl From<BuildError> for CliError {
     }
 }
 
-impl From<PersistError> for CliError {
-    fn from(e: PersistError) -> Self {
-        CliError::Persistence(e.to_string())
-    }
-}
-
-impl From<CheckpointError> for CliError {
-    fn from(e: CheckpointError) -> Self {
+impl From<FileError> for CliError {
+    fn from(e: FileError) -> Self {
         CliError::Persistence(e.to_string())
     }
 }
@@ -454,7 +449,7 @@ fn finite_num(parsed: &Parsed, flag: &str, default: f64) -> Result<f64, CliError
 
 /// Writes a loadtest report document to `path`.
 fn write_report(path: &str, doc: &ppm_telemetry::Json) -> Result<(), CliError> {
-    ppm_obs::write_atomic(Path::new(path), doc.dump().as_bytes())
+    ppm_telemetry::write_atomic(Path::new(path), doc.dump().as_bytes())
         .map_err(|e| CliError::Persistence(format!("cannot write report {path}: {e}")))
 }
 

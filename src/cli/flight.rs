@@ -149,7 +149,7 @@ pub fn report(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError>
     out.write_str(&report.human_table())
         .map_err(|e| CliError::Message(e.to_string()))?;
     if let Some(json_path) = parsed.get("--json-out") {
-        ppm_obs::write_atomic(Path::new(json_path), report.to_json().dump().as_bytes())
+        ppm_telemetry::write_atomic(Path::new(json_path), report.to_json().dump().as_bytes())
             .map_err(|e| CliError::Persistence(format!("cannot write {json_path}: {e}")))?;
     }
     if report.regressed() {

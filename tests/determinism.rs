@@ -38,9 +38,8 @@ use ppm_workload::Benchmark;
 enum Class {
     /// Byte-identical at `PPM_THREADS=1` and `3`.
     Threads,
-    /// As `Threads`, and also when rerun on the journal it names. The
-    /// journals must hold the same points; they list them in the order
-    /// their lane groups finished.
+    /// As `Threads`, and also when rerun on the journal it names, which
+    /// is among the compared files and must journal at least one point.
     Resume(&'static str),
     /// Not compared, for the reason given.
     Exempt(&'static str),
@@ -62,7 +61,7 @@ const TABLE: &[(&str, Class, i32, &str, &str)] = &[
     ("help",          Threads,          0, "", ""),
     ("benchmarks",    Threads,          0, "", ""),
     ("simulate",      Threads,          0, "--benchmark mcf --batch 3 --instructions 20000 --no-ledger", ""),
-    ("build",         Resume("j.txt"),  0, BUILD, "m.model"),
+    ("build",         Resume("j.txt"),  0, BUILD, "m.model j.txt"),
     ("predict",       Threads,          0, "--model ../fixture/m.model --rob 96", ""),
     ("screen",        Threads,          0, "--benchmark mcf --instructions 5000 --no-ledger", ""),
     ("firstorder",    Threads,          0, "--benchmark mcf --instructions 20000 --rob 96 --no-ledger", ""),
@@ -114,18 +113,6 @@ fn assert_same(command: &str, how: &str, a: &Outcome, b: &Outcome) {
     for ((name, x), (_, y)) in a.1.iter().zip(&b.1) {
         assert!(x == y, "`ppm {command}` wrote a different {name} {how}");
     }
-}
-
-/// The point records of a `--checkpoint` journal, sorted.
-fn journaled(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("journal written");
-    let mut points: Vec<String> = text
-        .lines()
-        .filter(|line| line.starts_with("point "))
-        .map(str::to_string)
-        .collect();
-    points.sort();
-    points
 }
 
 /// A fresh scratch directory for one test.
@@ -191,11 +178,10 @@ fn every_command_keeps_its_determinism_class() {
         let parallel = run(command, exit, args, outputs, &three, "3");
         assert_same(command, "at PPM_THREADS=1 and 3", &serial, &parallel);
         if let Resume(journal) = class {
-            let points = journaled(&one.join(journal));
-            assert!(!points.is_empty(), "`ppm {command}` journaled no point");
+            let text = std::fs::read_to_string(one.join(journal)).expect("journal written");
             assert!(
-                points == journaled(&three.join(journal)),
-                "`ppm {command}` journaled different points at PPM_THREADS=1 and 3"
+                text.lines().any(|line| line.starts_with("point ")),
+                "`ppm {command}` journaled no point"
             );
             let resumed = run(command, exit, args, outputs, &one, "3");
             assert_same(command, "resumed at 3 on a journal of 1", &serial, &resumed);

@@ -14,6 +14,9 @@
 //! Every emitted document is also checked to be in canonical form:
 //! parsing it and writing it back gives the same bytes, so one codec
 //! wrote it.
+//!
+//! The two text files `ppm build` keeps, the model file and the
+//! checkpoint journal, are pinned byte for byte, checksum line included.
 
 use ppm_telemetry::Json;
 
@@ -46,9 +49,19 @@ fn checkpoint_header_is_pinned() {
         std::env::temp_dir().join("ppm-wire-golden.ckpt"),
         &[("seed".to_string(), "7".to_string())],
     );
+    // Recorded out of key order: the journal lists points sorted.
+    journal.record(&[0.5, 4.0], -1.25);
     journal.record(&[1.0, 2.0], 3.5);
     let text = journal.to_text();
     assert!(text.lines().next() == Some("ppm-checkpoint v1"), "{text}");
+    assert_eq!(
+        text,
+        "ppm-checkpoint v1\n\
+         meta seed 7\n\
+         point 1.00000000000000000e0 2.00000000000000000e0 | 3.50000000000000000e0 | 78fda520200a289f\n\
+         point 5.00000000000000000e-1 4.00000000000000000e0 | -1.25000000000000000e0 | e24fcdf48d74cc96\n\
+         checksum 4e50af9aedc4d3b1\n"
+    );
 }
 
 #[test]
@@ -136,8 +149,18 @@ fn loadtest_ab_report_schema_is_pinned() {
 fn model_file_header_is_pinned() {
     let basis = ppm_rbf::Rbf::new(vec![0.5, 0.5], vec![1.0, 1.0]);
     let network = ppm_rbf::RbfNetwork::new(vec![basis], vec![2.0]);
-    let text = ppm_core::persist::to_string(&network, &[]);
+    let meta = [("benchmark".to_string(), "mcf".to_string())];
+    let text = ppm_core::persist::to_string(&network, &meta);
     assert!(text.lines().next() == Some("ppm-rbf-model v1"), "{text}");
+    assert_eq!(
+        text,
+        "ppm-rbf-model v1\n\
+         meta benchmark mcf\n\
+         dim 2\n\
+         centers 1\n\
+         rbf 5.00000000000000000e-1 5.00000000000000000e-1 | 1.00000000000000000e0 1.00000000000000000e0 | 2.00000000000000000e0\n\
+         checksum 89737fb30d312cc0\n"
+    );
 }
 
 /// A minimal but structurally complete `ppm-ledger v1` run document —
