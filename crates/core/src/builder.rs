@@ -2,7 +2,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
 use ppm_rbf::{FittedRbf, RbfTrainer, TrainError};
 use ppm_regtree::{Dataset, DatasetError, RegressionTree};
@@ -14,7 +13,7 @@ use crate::checkpoint::Checkpoint;
 use crate::metrics::ErrorStats;
 use crate::response::Response;
 use crate::space::DesignSpace;
-use crate::supervise::{eval_batch_grouped, Quarantine, SupervisorPolicy, LANES_PER_GROUP};
+use crate::supervise::{eval_journaled, Quarantine, SupervisorPolicy};
 use crate::FileError;
 
 /// Errors from model building.
@@ -238,8 +237,8 @@ pub struct RegionResidual {
 /// winning model-selection parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelDiagnostics {
-    /// CPI error statistics on a held-out test set, when one was
-    /// evaluated.
+    /// Error statistics of the modelled metric (CPI, EPI or EDP) on a
+    /// held-out test set, when one was evaluated.
     pub holdout: Option<ErrorStats>,
     /// Training residuals grouped by regression-tree region, ordered by
     /// leaf index.
@@ -398,17 +397,15 @@ impl RbfModelBuilder {
     /// quarantined, or [`BuildError::BadData`] if the surviving sample
     /// cannot form a dataset.
     pub fn build<R: Response>(&self, response: &R) -> Result<BuiltModel, BuildError> {
-        self.build_with_checkpoint(response, None)
+        self.build_checkpointed(response, None)
     }
 
     /// Like [`RbfModelBuilder::build`], journaling every completed
-    /// simulation into `checkpoint` so an interrupted run can resume.
-    ///
-    /// Points already present in the journal are served from it without
-    /// re-simulation (emitting a `robust.resume` event). New results are
-    /// recorded and flushed atomically after every lane group — also
-    /// when the batch then fails the quarantine threshold, so completed
-    /// work survives both a failure and a killed process.
+    /// simulation into `checkpoint`, if given, so an interrupted run can
+    /// resume: the sample runs through [`eval_journaled`], which serves
+    /// journaled points without re-simulation and flushes new ones
+    /// after every lane group, also when the batch then fails the
+    /// quarantine threshold.
     ///
     /// Because sampling is deterministic in the seed, a resumed build
     /// produces a model bit-identical to an uninterrupted one.
@@ -420,69 +417,16 @@ impl RbfModelBuilder {
     pub fn build_checkpointed<R: Response>(
         &self,
         response: &R,
-        checkpoint: &mut Checkpoint,
-    ) -> Result<BuiltModel, BuildError> {
-        self.build_with_checkpoint(response, Some(checkpoint))
-    }
-
-    fn build_with_checkpoint<R: Response>(
-        &self,
-        response: &R,
         checkpoint: Option<&mut Checkpoint>,
     ) -> Result<BuiltModel, BuildError> {
         let (design, discrepancy) = self.select_sample()?;
-        let precomputed: Vec<Option<f64>> = match checkpoint.as_deref() {
-            Some(cp) if !cp.is_empty() => {
-                let cached: Vec<Option<f64>> = design.iter().map(|p| cp.lookup(p)).collect();
-                let hits = cached.iter().filter(|v| v.is_some()).count();
-                if hits > 0 {
-                    ppm_telemetry::counter("robust.resumed").add(hits as u64);
-                    ppm_telemetry::event(
-                        "robust.resume",
-                        &[("cached", hits.into()), ("points", design.len().into())],
-                    );
-                }
-                cached
-            }
-            _ => Vec::new(),
-        };
-        // Run permissively so partial results reach the journal even
-        // when the batch will fail the quarantine threshold below.
-        let permissive = self
-            .config
-            .supervisor
-            .clone()
-            .with_max_quarantined_frac(1.0);
-        // The journal is recorded and flushed after every lane group, so
-        // a build killed mid-simulation loses at most the groups still in
-        // flight. The first flush failure is returned after the batch.
-        let journal = checkpoint.map(|cp| Mutex::new((cp, Ok(()))));
-        let outcome = eval_batch_grouped(
+        let outcome = eval_journaled(
             response,
             &design,
             self.config.threads,
-            &permissive,
-            &precomputed,
-            LANES_PER_GROUP,
-            &|done| {
-                let Some(journal) = &journal else { return };
-                let mut guard = journal.lock().unwrap_or_else(PoisonError::into_inner);
-                let (cp, flushed) = &mut *guard;
-                for &(i, y) in done {
-                    cp.record(&design[i], y);
-                }
-                if flushed.is_ok() {
-                    *flushed = cp.flush();
-                }
-            },
+            &self.config.supervisor,
+            checkpoint,
         )?;
-        if let Some(journal) = journal {
-            journal
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .1?;
-        }
-        outcome.check_threshold(&self.config.supervisor)?;
         let (survivors, responses) = outcome.survivors(&design);
         let mut built = self.fit(survivors, responses, discrepancy)?;
         built.quarantined = outcome.quarantined;

@@ -44,9 +44,10 @@
 //!
 //! Simulation batches run under a supervised executor
 //! ([`supervise::eval_batch_supervised`]) that isolates panics,
-//! retries transient failures, and quarantines bad points; completed
-//! results can be journaled to a crash-safe [`checkpoint::Checkpoint`]
-//! and resumed without re-simulation. [`fault::FaultyResponse`] injects
+//! retries transient failures, and quarantines bad points;
+//! [`supervise::eval_journaled`] journals a batch's results to a
+//! crash-safe [`checkpoint::Checkpoint`] and resumes it without
+//! re-simulation. [`fault::FaultyResponse`] injects
 //! deterministic faults for testing these paths.
 //!
 //! # Files

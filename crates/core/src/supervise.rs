@@ -20,9 +20,10 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::builder::BuildError;
+use crate::checkpoint::Checkpoint;
 use crate::response::Response;
 
 /// Why a design point was quarantined.
@@ -244,9 +245,9 @@ pub const LANES_PER_GROUP: usize = 16;
 /// that panics, declines, or returns the wrong number of values falls
 /// back to supervised per-point evaluation of its own points only.
 ///
-/// `precomputed` carries checkpoint hits: `Some(v)` entries are taken
-/// as-is (counted as `resumed`) and never re-evaluated. Pass `&[]` when
-/// no checkpoint is in play.
+/// `precomputed` carries values known ahead (`&[]` for none): `Some(v)`
+/// entries are taken as-is (counted as `resumed`) and never
+/// re-evaluated.
 ///
 /// # Errors
 ///
@@ -261,29 +262,44 @@ pub fn eval_batch_supervised<R: Response>(
     policy: &SupervisorPolicy,
     precomputed: &[Option<f64>],
 ) -> Result<BatchOutcome, BuildError> {
-    eval_batch_grouped(
-        response,
-        points,
-        threads,
-        policy,
-        precomputed,
-        LANES_PER_GROUP,
-        &|_| {},
-    )
+    let lanes = LANES_PER_GROUP;
+    eval_batch_grouped(response, points, threads, policy, precomputed, lanes, None)
 }
 
-/// [`eval_batch_supervised`] with an explicit lane-group bound and a
-/// completion hook. `on_group` runs on the worker once per finished
-/// group, in completion order, with that group's surviving
-/// `(index, value)` pairs — the checkpointing builder journals there.
-pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
+/// [`eval_batch_supervised`] journaled into `journal`: the one path by
+/// which a batch is checkpointed and resumed. Journaled points are
+/// served from it without re-simulation (`robust.resumed`); new results
+/// are recorded and flushed atomically after every lane group, so a
+/// killed run loses at most the groups in flight, and a batch that
+/// fails `policy`'s quarantine threshold still leaves its good points
+/// on disk. With `None` this is [`eval_batch_supervised`] with `&[]`.
+///
+/// # Errors
+///
+/// As [`eval_batch_supervised`], plus [`BuildError::Checkpoint`] for
+/// the first failed flush, which takes precedence over the threshold.
+pub fn eval_journaled<R: Response>(
+    response: &R,
+    points: &[Vec<f64>],
+    threads: usize,
+    policy: &SupervisorPolicy,
+    journal: Option<&mut Checkpoint>,
+) -> Result<BatchOutcome, BuildError> {
+    let lanes = LANES_PER_GROUP;
+    eval_batch_grouped(response, points, threads, policy, &[], lanes, journal)
+}
+
+/// The supervised batch with an explicit lane-group bound. A given
+/// `journal` supplies the precomputed values in place of `precomputed`
+/// and is recorded and flushed after every finished group.
+fn eval_batch_grouped<R: Response>(
     response: &R,
     points: &[Vec<f64>],
     threads: usize,
     policy: &SupervisorPolicy,
     precomputed: &[Option<f64>],
     lanes_per_group: usize,
-    on_group: &H,
+    journal: Option<&mut Checkpoint>,
 ) -> Result<BatchOutcome, BuildError> {
     // Rejects zero threads ("need at least one worker thread").
     let exec =
@@ -295,14 +311,21 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
             points.len()
         )));
     }
-    let _span = ppm_telemetry::span("stage.simulation");
     let n = points.len();
-    let values: Vec<Option<f64>> = if precomputed.is_empty() {
-        vec![None; n]
-    } else {
-        precomputed.to_vec()
+    let mut values: Vec<Option<f64>> = match journal.as_deref() {
+        Some(cp) => points.iter().map(|p| cp.lookup(p)).collect(),
+        None if precomputed.is_empty() => vec![None; n],
+        None => precomputed.to_vec(),
     };
     let resumed = values.iter().filter(|v| v.is_some()).count();
+    if resumed > 0 {
+        ppm_telemetry::counter("robust.resumed").add(resumed as u64);
+        ppm_telemetry::event(
+            "robust.resume",
+            &[("cached", resumed.into()), ("points", n.into())],
+        );
+    }
+    let _span = ppm_telemetry::span("stage.simulation");
     let todo: Vec<usize> = (0..n).filter(|&i| values[i].is_none()).collect();
     ppm_telemetry::event(
         "sim.batch",
@@ -322,6 +345,7 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
     ppm_telemetry::counter("build.points_resumed").add(resumed as u64);
 
     let quarantined: Mutex<Vec<Quarantine>> = Mutex::new(Vec::new());
+    let journal = journal.map(|cp| Mutex::new((cp, Ok(()))));
     let groups = lane_groups(&todo, threads, lanes_per_group);
     ppm_telemetry::counter("sim.batch_groups").add(groups.len() as u64);
     // Each group depends only on its own points and results land in
@@ -331,18 +355,44 @@ pub(crate) fn eval_batch_grouped<R: Response, H: Fn(&[(usize, f64)]) + Sync>(
         .map("sim_batch", groups.len(), |g| {
             let idxs = groups[g];
             let vals = run_group(response, idxs, points, policy, &quarantined);
-            let done: Vec<(usize, f64)> = idxs
-                .iter()
-                .zip(&vals)
-                .filter_map(|(&i, v)| v.map(|y| (i, y)))
-                .collect();
-            on_group(&done);
+            if let Some(journal) = &journal {
+                let mut guard = journal.lock().unwrap_or_else(PoisonError::into_inner);
+                let (cp, flushed) = &mut *guard;
+                for (&i, v) in idxs.iter().zip(&vals) {
+                    if let Some(y) = *v {
+                        cp.record(&points[i], y);
+                    }
+                }
+                if flushed.is_ok() {
+                    *flushed = cp.flush();
+                }
+            }
             vals
         })
         .into_iter()
         .flatten()
         .collect();
-    finish(values, todo, fresh, quarantined, resumed, policy)
+    if let Some(journal) = journal {
+        journal
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1?;
+    }
+    for (&i, v) in todo.iter().zip(fresh) {
+        values[i] = v;
+    }
+    let mut quarantined = quarantined
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    quarantined.sort_by_key(|q| q.index);
+    let outcome = BatchOutcome {
+        evaluated: todo.len() - quarantined.len(),
+        resumed,
+        values,
+        quarantined,
+    };
+    outcome.check_threshold(policy)?;
+    Ok(outcome)
 }
 
 /// Splits `todo` into the fewest lane groups that number a multiple of
@@ -421,34 +471,6 @@ fn run_group<R: Response>(
         .collect()
 }
 
-/// Merges freshly evaluated values into the batch result and applies
-/// the quarantine threshold.
-fn finish(
-    mut values: Vec<Option<f64>>,
-    todo: Vec<usize>,
-    fresh: Vec<Option<f64>>,
-    quarantined: Mutex<Vec<Quarantine>>,
-    resumed: usize,
-    policy: &SupervisorPolicy,
-) -> Result<BatchOutcome, BuildError> {
-    for (&i, v) in todo.iter().zip(fresh) {
-        values[i] = v;
-    }
-    let mut quarantined = quarantined
-        .into_inner()
-        .unwrap_or_else(|poison| poison.into_inner());
-    quarantined.sort_by_key(|q| q.index);
-
-    let outcome = BatchOutcome {
-        evaluated: todo.len() - quarantined.len(),
-        resumed,
-        values,
-        quarantined,
-    };
-    outcome.check_threshold(policy)?;
-    Ok(outcome)
-}
-
 /// Records one quarantined point: telemetry plus the report entry.
 fn record_quarantine(
     index: usize,
@@ -467,7 +489,7 @@ fn record_quarantine(
     );
     quarantined
         .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
+        .unwrap_or_else(PoisonError::into_inner)
         .push(Quarantine {
             index,
             point: point.to_vec(),
@@ -668,7 +690,7 @@ mod tests {
 
     fn grouped<R: Response>(r: &R, pts: &[Vec<f64>], threads: usize, group: usize) -> Bits {
         let policy = SupervisorPolicy::default().with_max_quarantined_frac(0.5);
-        let out = eval_batch_grouped(r, pts, threads, &policy, &[], group, &|_| {}).unwrap();
+        let out = eval_batch_grouped(r, pts, threads, &policy, &[], group, None).unwrap();
         (
             out.values.iter().map(|v| v.map(f64::to_bits)).collect(),
             out.quarantined
@@ -741,27 +763,35 @@ mod tests {
     }
 
     #[test]
-    fn group_hook_sees_each_survivor_once() {
+    fn journal_holds_every_survivor_even_when_the_batch_fails() {
+        let path = std::env::temp_dir().join(format!("ppm-supervise-{}.ckpt", std::process::id()));
         let r = Batched::new(-1.0, false);
         let pts = points(20);
-        let seen: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
-        let policy = SupervisorPolicy::default().with_max_quarantined_frac(0.5);
-        let out = eval_batch_grouped(&r, &pts, 2, &policy, &[], 3, &|done| {
-            seen.lock()
-                .unwrap()
-                .push(done.iter().map(|&(i, _)| i).collect());
-        })
-        .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        // Seven groups of at most three round up to eight on two
-        // threads (3 + 3 + 3 + 3 + 2 + 2 + 2 + 2).
-        assert_eq!(seen.len(), 8, "one call per group");
-        seen.sort();
-        let mut indices: Vec<usize> = seen.concat();
-        indices.sort_unstable();
-        // Point 19 (x = 0.95) is non-finite: never reported done.
-        let survivors: Vec<usize> = (0..20).filter(|&i| out.values[i].is_some()).collect();
-        assert_eq!(indices, survivors);
+        let strict = SupervisorPolicy::strict();
+        // Point 19 (x = 0.95) is non-finite: the strict batch fails, but
+        // only after its 19 good points reached the journal on disk.
+        let mut journal = Checkpoint::create(&path, &[]);
+        let err = eval_journaled(&r, &pts, 2, &strict, Some(&mut journal)).unwrap_err();
+        assert!(matches!(
+            err,
+            BuildError::ExcessiveFaults { quarantined: 1, .. }
+        ));
+        let mut journal = Checkpoint::load(&path).unwrap();
+        assert_eq!(journal.len(), 19);
+        for (i, p) in pts.iter().enumerate() {
+            let want = (i < 19).then(|| 1.0 + p[0] + 2.0 * p[1]);
+            assert_eq!(journal.lookup(p), want, "point {i}");
+        }
+        // A rerun serves the survivors from the journal and evaluates
+        // only the faulty point again.
+        let scoped = ppm_telemetry::Registry::scoped();
+        let policy = SupervisorPolicy::default();
+        let out = eval_journaled(&r, &pts, 2, &policy, Some(&mut journal)).unwrap();
+        assert_eq!((out.resumed, out.evaluated), (19, 0));
+        assert_eq!(out.quarantined.len(), 1);
+        assert_eq!(scoped.counter("robust.resumed").get(), 19);
+        assert_eq!(scoped.counter("sim.batch_points").get(), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

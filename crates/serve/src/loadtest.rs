@@ -1,5 +1,5 @@
 //! The load generator: `ppm loadtest` issues open- or closed-loop
-//! request streams against a running service and reports latency
+//! request streams against a running service and reports exact latency
 //! quantiles, so shed/degrade/SLO claims are *measured*, not asserted.
 //!
 //! Closed loop (`rate == 0`): each of `concurrency` workers fires its
@@ -10,10 +10,11 @@
 //! and what makes queueing delay visible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use ppm_live::{http_get, http_request_full};
-use ppm_telemetry::{Json, Registry};
+use ppm_telemetry::{nearest_rank, Json};
 
 use crate::clock::Stopwatch;
 use crate::ServeError;
@@ -72,11 +73,12 @@ impl Default for LoadtestConfig {
 /// `p99_ms`/`mean_ms` cover successful (200) answers only — the
 /// numbers an SLO is about — while refusals (503s, which a saturated
 /// service returns in microseconds) report separately as
-/// `refusal_*`. Folding both into one histogram would let a storm of
+/// `refusal_*`. Folding both into one sample would let a storm of
 /// fast 503s drag the "latency" quantiles down precisely when the
-/// service is at its worst. Transport failures are not timed at all:
-/// their latency measures the client's timeout budget, not the
-/// service.
+/// service is at its worst. Quantiles are exact nearest-rank order
+/// statistics of every timed request ([`nearest_rank`]), and an empty
+/// class reports zeros. Transport failures are not timed at all: their
+/// latency measures the client's timeout budget, not the service.
 #[derive(Debug, Clone)]
 pub struct LoadtestReport {
     /// Requests issued.
@@ -220,13 +222,9 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
         ));
     }
     let tallies = Tallies::default();
-    // A scoped registry: loadtest latency must not pollute the global
-    // metrics of whatever process embeds this (tests, the CLI). One
-    // histogram per outcome class — see the report docs for why they
-    // must not share one.
-    let registry = Registry::new();
-    let ok_latency_us = registry.histogram("loadtest.latency.ok.us");
-    let refusal_latency_us = registry.histogram("loadtest.latency.refused.us");
+    // Every timed latency is kept, one sample per outcome class (see the
+    // report docs for why they must not share one).
+    let (ok_latency_us, refusal_latency_us) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
     // The accounting cross-check brackets the run with /statusz
     // snapshots; the "before" counters also make the trace-ID prefix
     // unique across consecutive runs against the same server.
@@ -285,8 +283,8 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
                     };
                     let elapsed_us = request.elapsed_us();
                     match classify(tallies, &outcome) {
-                        Outcome::Ok => ok_latency_us.record(elapsed_us),
-                        Outcome::Refusal => refusal_latency_us.record(elapsed_us),
+                        Outcome::Ok => record(ok_latency_us, elapsed_us),
+                        Outcome::Refusal => record(refusal_latency_us, elapsed_us),
                         Outcome::Error => {}
                     }
                     k += config.concurrency;
@@ -303,8 +301,10 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
             config.addr
         )));
     }
-    let q = |p: f64| ok_latency_us.quantile(p).unwrap_or(0) as f64 / 1000.0;
-    let rq = |p: f64| refusal_latency_us.quantile(p).unwrap_or(0) as f64 / 1000.0;
+    let (ok_us, refusal_us) = (sorted(ok_latency_us), sorted(refusal_latency_us));
+    let ms = |sample: &[u64], bp| nearest_rank(sample, bp).unwrap_or(0) as f64 / 1000.0;
+    let mean_ms =
+        |sample: &[u64]| sample.iter().sum::<u64>() as f64 / sample.len().max(1) as f64 / 1000.0;
     let trace_check = match before {
         None => None,
         Some(Err(reason)) => Some(TraceCheckReport::skipped(
@@ -325,13 +325,13 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
         shed: tallies.shed.load(Ordering::Relaxed),
         deadline_exceeded: tallies.deadline_exceeded.load(Ordering::Relaxed),
         errors,
-        p50_ms: q(0.50),
-        p95_ms: q(0.95),
-        p99_ms: q(0.99),
-        mean_ms: ok_latency_us.mean().unwrap_or(0.0) / 1000.0,
-        refusal_p50_ms: rq(0.50),
-        refusal_p99_ms: rq(0.99),
-        refusal_mean_ms: refusal_latency_us.mean().unwrap_or(0.0) / 1000.0,
+        p50_ms: ms(&ok_us, 5000),
+        p95_ms: ms(&ok_us, 9500),
+        p99_ms: ms(&ok_us, 9900),
+        mean_ms: mean_ms(&ok_us),
+        refusal_p50_ms: ms(&refusal_us, 5000),
+        refusal_p99_ms: ms(&refusal_us, 9900),
+        refusal_mean_ms: mean_ms(&refusal_us),
         wall_ms,
         rps: if wall_ms > 0.0 {
             sent as f64 / (wall_ms / 1000.0)
@@ -340,6 +340,21 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
         },
         trace_check,
     })
+}
+
+/// Adds one latency to a worker-shared sample.
+fn record(sample: &Mutex<Vec<u64>>, us: u64) {
+    sample
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(us);
+}
+
+/// A worker-shared sample, sorted ascending.
+fn sorted(sample: Mutex<Vec<u64>>) -> Vec<u64> {
+    let mut sample = sample.into_inner().unwrap_or_else(PoisonError::into_inner);
+    sample.sort_unstable();
+    sample
 }
 
 /// Fetches `/statusz` and flattens the counters the accounting check
@@ -532,7 +547,7 @@ pub fn run_ab(config: &LoadtestConfig, baseline_addr: &str) -> Result<AbReport, 
     })
 }
 
-/// Which latency histogram a response belongs to.
+/// Which latency sample a response belongs to.
 enum Outcome {
     /// A successful (200) prediction.
     Ok,

@@ -993,7 +993,7 @@ fn statusz(state: &ServeState) -> String {
     let model = state.store.active();
     let c = &state.counters;
     let (tracing, retained, capacity) = match &state.trace {
-        Some(ring) => (true, ring.retained_len(), ring.capacity()),
+        Some(ring) => (true, ring.len(), ring.capacity()),
         None => (false, 0, 0),
     };
     json_body(&Json::obj([

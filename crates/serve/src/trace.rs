@@ -261,19 +261,6 @@ impl TraceRing {
         self.per_shard_cap * SHARDS
     }
 
-    /// How many records the ring currently holds across all shards.
-    pub fn retained_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.records
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
-    }
-
     /// Offers a completed record to the tail sampler. Non-OK outcomes
     /// are always retained; OK records survive if they are among the
     /// slowest-N seen so far or win the 1-in-K lottery.
@@ -370,7 +357,7 @@ impl TraceRing {
         out
     }
 
-    /// Number of currently retained records.
+    /// How many records the ring currently holds across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()

@@ -15,7 +15,8 @@
 //! writes its documents through it. Likewise its one FNV-1a
 //! ([`fnv1a64`]) and its one crash-safe file writer ([`write_atomic`]),
 //! behind model files, checkpoint journals, the model registry and run
-//! ledgers alike.
+//! ledgers alike. [`nearest_rank`] is the exact quantile of a raw
+//! sample, where a [`Histogram`]'s is bucketed.
 //!
 //! Everything is hand-rolled on `std`; there are no dependencies.
 //!
@@ -41,6 +42,7 @@
 mod cputime;
 mod file;
 mod json;
+mod order;
 mod registry;
 mod ring;
 mod sink;
@@ -49,6 +51,7 @@ mod span;
 pub use cputime::process_cpu_us;
 pub use file::{fnv1a64, fnv1a64_hex, write_atomic};
 pub use json::{Json, JsonError};
+pub use order::nearest_rank;
 pub use registry::{Counter, Gauge, Histogram, MetricKind, MetricRecord, Registry};
 pub use ring::{EventRing, RingEvent};
 pub use sink::{BufferSink, JsonlSink, Level, Record, Sink, StderrSink, Verbosity};

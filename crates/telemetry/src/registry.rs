@@ -219,12 +219,6 @@ impl Histogram {
         (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
     }
 
-    /// Mean observation, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        let n = self.count();
-        (n > 0).then(|| self.sum() as f64 / n as f64)
-    }
-
     /// The non-empty buckets as `(le, cumulative_count)` pairs, in
     /// ascending order — the Prometheus cumulative-bucket form. `le` is
     /// the bucket's inclusive integer upper bound (observations are
@@ -596,7 +590,7 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
+        assert_eq!(h.sum(), 0);
     }
 
     #[test]
@@ -614,7 +608,7 @@ mod tests {
             for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
                 assert_eq!(h.quantile(q), Some(v), "v={v} q={q}");
             }
-            assert_eq!(h.mean(), Some(v as f64));
+            assert_eq!(h.sum(), v);
             assert_eq!(
                 h.cumulative_buckets(),
                 vec![(

@@ -8,9 +8,10 @@ use std::str::FromStr;
 use ppm_core::builder::{BuildConfig, BuildError, RbfModelBuilder};
 use ppm_core::checkpoint::Checkpoint;
 use ppm_core::persist;
-use ppm_core::response::{eval_batch, Metric, SimulatorResponse};
+use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::study::pb_screening;
+use ppm_core::supervise::{eval_journaled, SupervisorPolicy};
 use ppm_core::FileError;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
 use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, KnobError, SimConfig, KNOBS};
@@ -362,6 +363,16 @@ fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             ab.baseline.errors
         )
         .map_err(msg)?;
+        // A leg with no successful answer has no p99 to compare: refuse
+        // the reading, as the SLO gate does, instead of a vacuous 0%.
+        for (leg, run) in [("traced", &ab.traced), ("baseline", &ab.baseline)] {
+            if run.ok == 0 {
+                return Err(CliError::Regression(format!(
+                    "A/B reading has no evidence: 0 of {} {leg} requests succeeded",
+                    run.sent
+                )));
+            }
+        }
         writeln!(out, "tracing p99 overhead {:+.2}%", ab.overhead_pct).map_err(msg)?;
         if let Some(check) = &ab.traced.trace_check {
             report_trace_check(out, check)?;
@@ -756,19 +767,18 @@ fn build(
         ("instructions".to_string(), instructions.to_string()),
         ("seed".to_string(), seed.to_string()),
     ];
-    // An existing journal is resumed: its points are not re-simulated.
-    let built = if let Some(cp_path) = parsed.get("--checkpoint") {
-        let mut cp = if Path::new(cp_path).exists() {
-            let cp = Checkpoint::load(cp_path)?;
+    // An existing journal is resumed: its points, the sample's and the
+    // holdout's, are not re-simulated.
+    let mut journal = match parsed.get("--checkpoint") {
+        Some(path) if Path::new(path).exists() => {
+            let cp = Checkpoint::load(path)?;
             cp.verify_meta(&run_meta)?;
-            cp
-        } else {
-            Checkpoint::create(cp_path, &run_meta)
-        };
-        builder.build_checkpointed(&response, &mut cp)?
-    } else {
-        builder.build(&response)?
+            Some(cp)
+        }
+        Some(path) => Some(Checkpoint::create(path, &run_meta)),
+        None => None,
     };
+    let built = builder.build_checkpointed(&response, journal.as_mut())?;
     if !built.quarantined.is_empty() {
         writeln!(
             out,
@@ -782,12 +792,16 @@ fn build(
     // `--holdout` fresh points the training sample never saw and score
     // the model against them. Deterministic for a fixed seed, so the
     // statistics land in the ledger's hashed body. The points run as lane
-    // groups under the strict policy: a faulty held-out point fails the
-    // build instead of skewing the reported error.
+    // groups under the strict policy, journaled like the sample: a faulty
+    // held-out point fails the build instead of skewing the reported
+    // error.
     let holdout_stats = if holdout > 0 {
         let _span = ppm_telemetry::span("stage.holdout");
         let test = builder.test_points(&DesignSpace::paper_table2(), holdout);
-        let actual = eval_batch(&response, &test, builder.config().threads)?;
+        let threads = builder.config().threads;
+        let strict = SupervisorPolicy::strict();
+        let actual = eval_journaled(&response, &test, threads, &strict, journal.as_mut())?
+            .into_values(test.len())?;
         Some(built.evaluate(&test, &actual))
     } else {
         None
@@ -811,9 +825,10 @@ fn build(
     )
     .map_err(msg)?;
     if let Some(stats) = &holdout_stats {
+        let metric = metric_name.to_uppercase();
         writeln!(
             out,
-            "held-out CPI error over {holdout} points: mean {:.2}% max {:.2}% std {:.2}%",
+            "held-out {metric} error over {holdout} points: mean {:.2}% max {:.2}% std {:.2}%",
             stats.mean_pct, stats.max_pct, stats.std_pct
         )
         .map_err(msg)?;
@@ -1184,6 +1199,34 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("centers"));
+        std::fs::remove_file(&model_path).ok();
+    }
+
+    #[test]
+    fn held_out_line_names_the_modelled_metric() {
+        let dir = std::env::temp_dir().join("ppm_cli_metric_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let model_path = dir.join("m.txt");
+        let out = run_cli(&[
+            "build",
+            "--benchmark",
+            "ammp",
+            "--out",
+            model_path.to_str().unwrap(),
+            "--sample",
+            "20",
+            "--instructions",
+            "5000",
+            "--lhs-candidates",
+            "16",
+            "--metric",
+            "epi",
+            "--holdout",
+            "3",
+        ])
+        .unwrap();
+        assert!(out.contains("held-out EPI error over 3 points"), "{out}");
+        assert!(!out.contains("CPI"), "{out}");
         std::fs::remove_file(&model_path).ok();
     }
 

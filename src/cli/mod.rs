@@ -106,8 +106,8 @@ COMMANDS:
   loadtest    <addr> [--requests <n>] [--concurrency <n>] [--rate <r>]
               [--slo-p99-ms <ms>] [--out <report.json>]
               [--ab <addr> [--ab-out <report.json>]] [--no-trace-check]
-                                 drive a running service, report latency
-                                 quantiles, cross-check request accounting
+                                 drive a running service, report exact
+                                 latency quantiles, cross-check request accounting
                                  against the server, optionally gate on a
                                  p99 SLO or measure tracing overhead (--ab)
   help                           print this text
@@ -135,14 +135,16 @@ OTHER FLAGS:
                       Table 1 space in one batched trace pass (simulate)
 
 FAULT-TOLERANCE FLAGS (`build`):
-  --checkpoint <f>    journal completed simulations to <f> (crash-safe); an
-                      existing <f> is resumed, so its points are not
-                      simulated again (exit code 4 if it is corrupt or
+  --checkpoint <f>    journal every simulation, sample and holdout, to <f>
+                      (crash-safe); an existing <f> is resumed, so its
+                      points are not simulated again and a complete one
+                      simulates nothing (exit code 4 if it is corrupt or
                       belongs to a different run)
 
 EXIT CODES:
   0 success    2 usage error    3 simulation fault    4 persistence failure
-  5 regression (`report`, `loadtest --slo-p99-ms`)
+  5 regression (`report`, `loadtest --slo-p99-ms`, and `loadtest --ab`
+    when a leg had no successful answer)
   6 static-analysis findings (`lint`)
   7 live-plane failure (`--live` bind, `ppm top` endpoint)
   8 serve failure (`serve` bind/registry, `publish`, `loadtest` transport,

@@ -186,7 +186,7 @@ fn interrupted_build_resumes_bit_identical_with_zero_resimulation() {
         FaultPlan::default().with_panic_rate(0.25).with_seed(3),
     );
     let err = builder
-        .build_checkpointed(&faulty, &mut journal)
+        .build_checkpointed(&faulty, Some(&mut journal))
         .unwrap_err();
     let BuildError::ExcessiveFaults {
         quarantined, total, ..
@@ -210,7 +210,7 @@ fn interrupted_build_resumes_bit_identical_with_zero_resimulation() {
     let resumed_before = tel::counter("robust.resumed").get();
     let mut journal = loaded;
     let resumed = builder
-        .build_checkpointed(&clean, &mut journal)
+        .build_checkpointed(&clean, Some(&mut journal))
         .expect("resumed build");
     let fresh_evals = tel::counter("sim.batch_points").get() - fresh_before;
     let served = tel::counter("robust.resumed").get() - resumed_before;
@@ -279,7 +279,7 @@ fn build_killed_mid_simulation_loses_at_most_one_group() {
         snapshot: snapshot.clone(),
     };
     builder
-        .build_checkpointed(&killed, &mut Checkpoint::create(&journal, &[]))
+        .build_checkpointed(&killed, Some(&mut Checkpoint::create(&journal, &[])))
         .expect("the run itself completes");
 
     // What survived the kill: the first group, flushed when it finished.
@@ -288,7 +288,7 @@ fn build_killed_mid_simulation_loses_at_most_one_group() {
 
     let fresh_before = tel::counter("sim.batch_points").get();
     let resumed = builder
-        .build_checkpointed(&clean_response(), &mut survived)
+        .build_checkpointed(&clean_response(), Some(&mut survived))
         .expect("resumed build");
     let fresh = (tel::counter("sim.batch_points").get() - fresh_before) as usize;
     // Points never started before the kill must run anyway; the rest of
@@ -315,11 +315,15 @@ fn resume_over_a_complete_journal_simulates_nothing() {
     std::fs::remove_file(&path).ok();
 
     let mut journal = Checkpoint::create(&path, &[]);
-    let first = builder.build_checkpointed(&clean, &mut journal).unwrap();
+    let first = builder
+        .build_checkpointed(&clean, Some(&mut journal))
+        .unwrap();
 
     let fresh_before = tel::counter("sim.batch_points").get();
     let mut journal = Checkpoint::load(&path).unwrap();
-    let second = builder.build_checkpointed(&clean, &mut journal).unwrap();
+    let second = builder
+        .build_checkpointed(&clean, Some(&mut journal))
+        .unwrap();
     assert_eq!(
         tel::counter("sim.batch_points").get(),
         fresh_before,

@@ -517,7 +517,7 @@ fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
                 "--instructions",
                 "5000",
                 "--holdout",
-                "0",
+                "6",
                 "--quiet",
                 "--checkpoint",
                 "j.txt",
@@ -529,22 +529,30 @@ fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
         )
     };
     let build = |tag: &str| build_on("ammp", tag);
-    assert_code(&build("first"), 0);
+    let first = build("first");
+    assert_code(&first, 0);
     assert_eq!(
         counter(&load(&dir.join("first.json")), "sim.batch_points"),
-        Some(20)
+        Some(26)
     );
-    // The second run finds the journal and simulates no training point.
-    assert_code(&build("second"), 0);
-    let second = load(&dir.join("second.json"));
-    assert_eq!(counter(&second, "robust.resumed"), Some(20));
+    // The second run finds the journal and simulates nothing: neither a
+    // training point nor a held-out one.
+    let second = build("second");
+    assert_code(&second, 0);
+    let ledger = load(&dir.join("second.json"));
+    assert_eq!(counter(&ledger, "robust.resumed"), Some(26));
     assert!(matches!(
-        counter(&second, "sim.batch_points"),
+        counter(&ledger, "sim.batch_points"),
         None | Some(0)
     ));
     assert_eq!(
         std::fs::read(dir.join("first.model")).unwrap(),
         std::fs::read(dir.join("second.model")).unwrap()
+    );
+    assert!(String::from_utf8_lossy(&first.stdout).contains("held-out CPI error over 6 points"));
+    assert_eq!(
+        String::from_utf8_lossy(&first.stdout).replace("first.model", "second.model"),
+        String::from_utf8_lossy(&second.stdout)
     );
     // A journal of another run is a persistence error too, not a silent
     // mix of results.

@@ -10,9 +10,9 @@
 //! random design points, check that no production simulation runs
 //! outside the batch engine, and pin the CLI surfaces that ride on it:
 //! `ppm simulate --batch` cross-checks lanes against the oracle, and
-//! the loadtest SLO gate refuses to pass vacuously against a
-//! shed-everything service (a storm of fast 503s is not a met latency
-//! objective).
+//! the loadtest SLO gate and its tracing A/B reading refuse to pass
+//! vacuously against a shed-everything service (a storm of fast 503s
+//! is not a met latency objective).
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -455,18 +455,19 @@ impl Drop for Reaped {
     }
 }
 
-/// Spawns a shed-everything service (`--queue 0`) and returns the child
-/// plus its bound address, parsed from the stderr banner.
-fn spawn_shed_all_serve() -> (Reaped, String) {
+/// Spawns a service with `queue` slots per worker (`"0"` sheds every
+/// request) and returns the child plus its bound address, parsed from
+/// the stderr banner.
+fn spawn_serve(queue: &str) -> (Reaped, String) {
     let registry = std::env::temp_dir()
-        .join(format!("ppm-simbatch-shed-{}", std::process::id()))
+        .join(format!("ppm-simbatch-queue{queue}-{}", std::process::id()))
         .join("registry");
     let child = Command::new(env!("CARGO_BIN_EXE_ppm"))
         .args([
             "serve",
             "127.0.0.1:0",
             "--queue",
-            "0",
+            queue,
             "--benchmark",
             "ammp",
             "--registry",
@@ -492,7 +493,7 @@ fn spawn_shed_all_serve() -> (Reaped, String) {
 
 #[test]
 fn slo_gate_fails_loud_against_a_fully_shedding_service() {
-    let (_serve, addr) = spawn_shed_all_serve();
+    let (_serve, addr) = spawn_serve("0");
     // Give the accept loop a beat to come up.
     std::thread::sleep(Duration::from_millis(50));
     let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
@@ -526,4 +527,35 @@ fn slo_gate_fails_loud_against_a_fully_shedding_service() {
     // latency instead of blending them.
     assert!(stdout.contains("refusal latency"), "{stdout}");
     assert!(stdout.contains("ok                 0"), "{stdout}");
+
+    // The tracing A/B reading against a shed-all baseline has no p99 to
+    // divide by: it must fail the same way, not print a +0.00% overhead.
+    let (_healthy, healthy_addr) = spawn_serve("8");
+    std::thread::sleep(Duration::from_millis(50));
+    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .args([
+            "loadtest",
+            &healthy_addr,
+            "--ab",
+            &addr,
+            "--requests",
+            "20",
+            "--concurrency",
+            "2",
+            "--quiet",
+        ])
+        .output()
+        .expect("ppm loadtest --ab runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("no evidence") && stderr.contains("0 of 20 baseline"),
+        "the refusal must say why:\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(!stdout.contains("overhead"), "{stdout}");
 }
