@@ -364,6 +364,7 @@ fn eval_batch_grouped<R: Response>(
                     }
                 }
                 if flushed.is_ok() {
+                    // lint:allow(lock-order): the flush is each lane group's one-writer durability point
                     *flushed = cp.flush();
                 }
             }

@@ -1,11 +1,10 @@
 //! Lock-order analysis: the acquired-while-held graph must be acyclic,
 //! and nothing may block on I/O or a channel while holding a guard.
 //!
-//! Scope: the concurrent crates (`telemetry`, `live`, `serve`, `exec`).
-//! A mutex's identity is `<crate>:<receiver field>` — instances sharing
-//! a field name collapse into one node, which over-approximates (two
-//! `records` shards become one node) but can only *add* edges, never
-//! hide one. Edges come from lexical nesting inside a guard's held
+//! Scope: the non-test code of every crate. A mutex's identity is
+//! `<crate>:<receiver field>` — instances sharing a field name collapse
+//! into one node, which over-approximates (two types' `state` mutexes
+//! become one node) but can only *add* edges, never hide one. Edges come from lexical nesting inside a guard's held
 //! region, plus one level of call expansion: if `f` locks `a` and calls
 //! `g`, and `g` locks `b`, then `a → b`. Cycles and re-entrant
 //! acquisitions are reported; so is any blocking call from
@@ -15,9 +14,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::items::FileIndex;
 use crate::report::Diagnostic;
-
-/// Crates whose mutexes participate in the lock graph.
-const SCOPE: [&str; 4] = ["telemetry", "live", "serve", "exec"];
 
 /// One directed edge `outer → inner` with its first witness site.
 #[derive(Debug, Clone)]
@@ -35,10 +31,7 @@ pub fn check(files: &[FileIndex]) -> Vec<Diagnostic> {
     // Per-crate map: fn name (bare and qualified) → mutexes it locks
     // directly, for one-level call expansion.
     let mut fn_locks: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-    for f in files
-        .iter()
-        .filter(|f| SCOPE.contains(&f.crate_name.as_str()))
-    {
+    for f in files {
         for r in f.regions.iter().filter(|r| !r.is_root && !r.in_test) {
             if r.locks.is_empty() {
                 continue;
@@ -67,10 +60,7 @@ pub fn check(files: &[FileIndex]) -> Vec<Diagnostic> {
         }
     };
 
-    for f in files
-        .iter()
-        .filter(|f| SCOPE.contains(&f.crate_name.as_str()))
-    {
+    for f in files {
         for acq in f.locks.iter().filter(|a| !a.in_test) {
             let outer = format!("{}:{}", f.crate_name, acq.mutex);
 
@@ -321,15 +311,29 @@ fn f(s: &S) {
     }
 
     #[test]
-    fn out_of_scope_crates_and_tests_are_ignored() {
+    fn flush_under_a_guard_is_a_finding_in_every_crate() {
         let a = index_file(
-            "crates/linalg/src/a.rs",
-            "fn f(s: &S, out: &mut W) {\n    let g = s.state.lock().unwrap();\n    out.write_all(b\"x\").ok();\n    let _ = g;\n}\n",
+            "crates/core/src/a.rs",
+            r#"
+fn f(s: &S) {
+    let mut g = s.journal.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    g.record(1);
+    let _ = g.flush();
+}
+"#,
         );
+        let diags = check(&[a]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("flush"), "{diags:?}");
+        assert!(diags[0].message.contains("core:journal"), "{diags:?}");
+    }
+
+    #[test]
+    fn test_code_is_ignored() {
         let b = index_file(
             "crates/serve/src/b.rs",
             "#[cfg(test)]\nmod tests {\n    fn f(s: &S, out: &mut W) {\n        let g = s.state.lock().unwrap();\n        out.write_all(b\"x\").ok();\n        let _ = g;\n    }\n}\n",
         );
-        assert!(check(&[a, b]).is_empty());
+        assert!(check(&[b]).is_empty());
     }
 }

@@ -9,8 +9,6 @@
 //! have answered, which is what real arrival processes do to a service
 //! and what makes queueing delay visible.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use ppm_live::{http_get, http_request_full};
@@ -197,14 +195,60 @@ impl LoadtestReport {
     }
 }
 
-/// Shared tallies the worker threads bump.
+/// One worker's outcome counts and timed latencies, merged after the
+/// workers join. Latencies are kept per outcome class (see the report
+/// docs for why they must not share one sample).
 #[derive(Default)]
 struct Tallies {
-    ok: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    errors: AtomicU64,
+    ok: u64,
+    degraded: u64,
+    shed: u64,
+    deadline_exceeded: u64,
+    errors: u64,
+    ok_us: Vec<u64>,
+    refusal_us: Vec<u64>,
+}
+
+impl Tallies {
+    fn merge(mut self, other: Tallies) -> Tallies {
+        self.ok += other.ok;
+        self.degraded += other.degraded;
+        self.shed += other.shed;
+        self.deadline_exceeded += other.deadline_exceeded;
+        self.errors += other.errors;
+        self.ok_us.extend(other.ok_us);
+        self.refusal_us.extend(other.refusal_us);
+        self
+    }
+
+    /// Counts one response and, unless it is an error, times it. 503
+    /// bodies distinguish shedding from deadline enforcement by their
+    /// `error` text — both are explicit refusals, but they indict
+    /// different defenses. Errors (transport failures, malformed
+    /// answers) are not timed.
+    fn classify(&mut self, outcome: &Result<(u16, String), ppm_live::LiveError>, us: u64) {
+        match outcome {
+            Ok((200, body)) => match Json::parse(body) {
+                Ok(doc) if doc.get("prediction").and_then(Json::as_f64).is_some() => {
+                    self.ok += 1;
+                    if doc.get("degraded").and_then(Json::as_bool) == Some(true) {
+                        self.degraded += 1;
+                    }
+                    self.ok_us.push(us);
+                }
+                _ => self.errors += 1,
+            },
+            Ok((503, body)) => {
+                if body.contains("deadline") {
+                    self.deadline_exceeded += 1;
+                } else {
+                    self.shed += 1;
+                }
+                self.refusal_us.push(us);
+            }
+            _ => self.errors += 1,
+        }
+    }
 }
 
 /// Runs the loadtest to completion and reports.
@@ -221,10 +265,6 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
             "loadtest wants at least one request and one worker".to_string(),
         ));
     }
-    let tallies = Tallies::default();
-    // Every timed latency is kept, one sample per outcome class (see the
-    // report docs for why they must not share one).
-    let (ok_latency_us, refusal_latency_us) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
     // The accounting cross-check brackets the run with /statusz
     // snapshots; the "before" counters also make the trace-ID prefix
     // unique across consecutive runs against the same server.
@@ -244,64 +284,28 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
         _ => None,
     };
     let wall = Stopwatch::start();
-    std::thread::scope(|scope| {
-        for worker in 0..config.concurrency {
-            let tallies = &tallies;
-            let ok_latency_us = &ok_latency_us;
-            let refusal_latency_us = &refusal_latency_us;
-            let prefix = prefix.as_deref();
-            scope.spawn(move || {
-                let mut k = worker;
-                while k < config.requests {
-                    if config.rate > 0.0 {
-                        // Open loop: request k launches at start + k/rate,
-                        // regardless of how earlier requests are doing.
-                        let due =
-                            wall.deadline_after(Duration::from_secs_f64(k as f64 / config.rate));
-                        let lag = due.remaining();
-                        if !lag.is_zero() {
-                            std::thread::sleep(lag);
-                        }
-                    }
-                    // lint:allow(panic-reachability) k % len is in bounds
-                    let rob = ROB_SIZES[k % ROB_SIZES.len()];
-                    let path = match config.deadline_ms {
-                        Some(ms) => format!("/predict?rob={rob}&deadline_ms={ms}"),
-                        None => format!("/predict?rob={rob}"),
-                    };
-                    let request = Stopwatch::start();
-                    let outcome = match prefix {
-                        Some(prefix) => http_request_full(
-                            &config.addr,
-                            "GET",
-                            &path,
-                            &[("X-Ppm-Trace", &format!("{prefix}-{k}"))],
-                            config.timeout,
-                        )
-                        .map(|r| (r.status, r.body)),
-                        None => http_get(&config.addr, &path, config.timeout),
-                    };
-                    let elapsed_us = request.elapsed_us();
-                    match classify(tallies, &outcome) {
-                        Outcome::Ok => record(ok_latency_us, elapsed_us),
-                        Outcome::Refusal => record(refusal_latency_us, elapsed_us),
-                        Outcome::Error => {}
-                    }
-                    k += config.concurrency;
-                }
-            });
-        }
+    let id_prefix = prefix.as_deref();
+    let mut tallies = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..config.concurrency)
+            .map(|worker| scope.spawn(move || drive(config, wall, id_prefix, worker)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .fold(Tallies::default(), Tallies::merge)
     });
     let wall_ms = wall.elapsed_us() as f64 / 1000.0;
     let sent = config.requests as u64;
-    let errors = tallies.errors.load(Ordering::Relaxed);
+    let errors = tallies.errors;
     if errors == sent {
         return Err(ServeError::Client(format!(
             "all {sent} requests to {} failed; is the service up?",
             config.addr
         )));
     }
-    let (ok_us, refusal_us) = (sorted(ok_latency_us), sorted(refusal_latency_us));
+    tallies.ok_us.sort_unstable();
+    tallies.refusal_us.sort_unstable();
+    let (ok_us, refusal_us) = (&tallies.ok_us, &tallies.refusal_us);
     let ms = |sample: &[u64], bp| nearest_rank(sample, bp).unwrap_or(0) as f64 / 1000.0;
     let mean_ms =
         |sample: &[u64]| sample.iter().sum::<u64>() as f64 / sample.len().max(1) as f64 / 1000.0;
@@ -320,18 +324,18 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
     };
     Ok(LoadtestReport {
         sent,
-        ok: tallies.ok.load(Ordering::Relaxed),
-        degraded: tallies.degraded.load(Ordering::Relaxed),
-        shed: tallies.shed.load(Ordering::Relaxed),
-        deadline_exceeded: tallies.deadline_exceeded.load(Ordering::Relaxed),
+        ok: tallies.ok,
+        degraded: tallies.degraded,
+        shed: tallies.shed,
+        deadline_exceeded: tallies.deadline_exceeded,
         errors,
-        p50_ms: ms(&ok_us, 5000),
-        p95_ms: ms(&ok_us, 9500),
-        p99_ms: ms(&ok_us, 9900),
-        mean_ms: mean_ms(&ok_us),
-        refusal_p50_ms: ms(&refusal_us, 5000),
-        refusal_p99_ms: ms(&refusal_us, 9900),
-        refusal_mean_ms: mean_ms(&refusal_us),
+        p50_ms: ms(ok_us, 5000),
+        p95_ms: ms(ok_us, 9500),
+        p99_ms: ms(ok_us, 9900),
+        mean_ms: mean_ms(ok_us),
+        refusal_p50_ms: ms(refusal_us, 5000),
+        refusal_p99_ms: ms(refusal_us, 9900),
+        refusal_mean_ms: mean_ms(refusal_us),
         wall_ms,
         rps: if wall_ms > 0.0 {
             sent as f64 / (wall_ms / 1000.0)
@@ -342,19 +346,43 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ServeErro
     })
 }
 
-/// Adds one latency to a worker-shared sample.
-fn record(sample: &Mutex<Vec<u64>>, us: u64) {
-    sample
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(us);
-}
-
-/// A worker-shared sample, sorted ascending.
-fn sorted(sample: Mutex<Vec<u64>>) -> Vec<u64> {
-    let mut sample = sample.into_inner().unwrap_or_else(PoisonError::into_inner);
-    sample.sort_unstable();
-    sample
+/// One worker's share of the test: requests `worker`,
+/// `worker + concurrency`, ... in order.
+fn drive(config: &LoadtestConfig, wall: Stopwatch, prefix: Option<&str>, worker: usize) -> Tallies {
+    let mut tallies = Tallies::default();
+    let mut k = worker;
+    while k < config.requests {
+        if config.rate > 0.0 {
+            // Open loop: request k launches at start + k/rate,
+            // regardless of how earlier requests are doing.
+            let due = wall.deadline_after(Duration::from_secs_f64(k as f64 / config.rate));
+            let lag = due.remaining();
+            if !lag.is_zero() {
+                std::thread::sleep(lag);
+            }
+        }
+        // lint:allow(panic-reachability) k % len is in bounds
+        let rob = ROB_SIZES[k % ROB_SIZES.len()];
+        let path = match config.deadline_ms {
+            Some(ms) => format!("/predict?rob={rob}&deadline_ms={ms}"),
+            None => format!("/predict?rob={rob}"),
+        };
+        let request = Stopwatch::start();
+        let outcome = match prefix {
+            Some(prefix) => http_request_full(
+                &config.addr,
+                "GET",
+                &path,
+                &[("X-Ppm-Trace", &format!("{prefix}-{k}"))],
+                config.timeout,
+            )
+            .map(|r| (r.status, r.body)),
+            None => http_get(&config.addr, &path, config.timeout),
+        };
+        tallies.classify(&outcome, request.elapsed_us());
+        k += config.concurrency;
+    }
+    tallies
 }
 
 /// Fetches `/statusz` and flattens the counters the accounting check
@@ -414,7 +442,7 @@ fn cross_check(
         }
     };
     let mut mismatches = Vec::new();
-    let errors = tallies.errors.load(Ordering::Relaxed);
+    let errors = tallies.errors;
     if errors > 0 {
         // A transport error leaves the client blind to what the server
         // recorded (it may have answered after our timeout), so exact
@@ -432,13 +460,10 @@ fn cross_check(
             .saturating_sub(before.get(key).copied().unwrap_or(0))
     };
     for (key, client) in [
-        ("ok", tallies.ok.load(Ordering::Relaxed)),
-        ("shed", tallies.shed.load(Ordering::Relaxed)),
-        ("degraded", tallies.degraded.load(Ordering::Relaxed)),
-        (
-            "deadline_exceeded",
-            tallies.deadline_exceeded.load(Ordering::Relaxed),
-        ),
+        ("ok", tallies.ok),
+        ("shed", tallies.shed),
+        ("degraded", tallies.degraded),
+        ("deadline_exceeded", tallies.deadline_exceeded),
     ] {
         let server = delta(key);
         if server != client {
@@ -472,7 +497,7 @@ fn cross_check(
                     .iter()
                     .filter(|r| r.get("outcome").and_then(Json::as_str) == Some("deadline_expired"))
                     .count() as u64;
-                let client_deadline = tallies.deadline_exceeded.load(Ordering::Relaxed);
+                let client_deadline = tallies.deadline_exceeded;
                 if deadline_traces != client_deadline {
                     mismatches.push(format!(
                         "deadline traces: client saw {client_deadline} refusals, \
@@ -545,49 +570,6 @@ pub fn run_ab(config: &LoadtestConfig, baseline_addr: &str) -> Result<AbReport, 
         baseline,
         overhead_pct,
     })
-}
-
-/// Which latency sample a response belongs to.
-enum Outcome {
-    /// A successful (200) prediction.
-    Ok,
-    /// An explicit 503 refusal (shed or deadline-exceeded).
-    Refusal,
-    /// A transport failure or malformed answer; not timed.
-    Error,
-}
-
-/// Buckets one response. 503 bodies distinguish shedding from deadline
-/// enforcement by their `error` text — both are explicit refusals, but
-/// they indict different defenses.
-fn classify(tallies: &Tallies, outcome: &Result<(u16, String), ppm_live::LiveError>) -> Outcome {
-    match outcome {
-        Ok((200, body)) => match Json::parse(body) {
-            Ok(doc) if doc.get("prediction").and_then(Json::as_f64).is_some() => {
-                tallies.ok.fetch_add(1, Ordering::Relaxed);
-                if doc.get("degraded").and_then(Json::as_bool) == Some(true) {
-                    tallies.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                Outcome::Ok
-            }
-            _ => {
-                tallies.errors.fetch_add(1, Ordering::Relaxed);
-                Outcome::Error
-            }
-        },
-        Ok((503, body)) => {
-            if body.contains("deadline") {
-                tallies.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            } else {
-                tallies.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Outcome::Refusal
-        }
-        _ => {
-            tallies.errors.fetch_add(1, Ordering::Relaxed);
-            Outcome::Error
-        }
-    }
 }
 
 #[cfg(test)]

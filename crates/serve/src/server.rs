@@ -133,7 +133,7 @@ pub struct ServeConfig {
     /// Per-request tracing (`--no-trace` turns it off): span timelines
     /// in a tail-sampled ring, served at `GET /tracez`.
     pub trace: bool,
-    /// Total trace-ring capacity across shards (`--trace-ring`).
+    /// How many trace records the ring holds (`--trace-ring`).
     pub trace_ring: usize,
     /// Tail-sampling lottery for plain-OK traffic: keep 1 in this many.
     pub trace_sample: u64,

@@ -8,8 +8,8 @@
 //!   accept-sequence number plus a trace ID, either derived from the
 //!   sequence (`ppm-{seq:012x}`) or supplied by the client in the
 //!   `X-Ppm-Trace` header and echoed back.
-//! * [`TraceRing`] — a lock-sharded ring of completed
-//!   [`TraceRecord`]s, fed through a **tail sampler**: every
+//! * [`TraceRing`] — a ring of completed [`TraceRecord`]s behind one
+//!   lock, fed through a **tail sampler**: every
 //!   non-2xx-shaped outcome (shed, deadline-expired, degraded,
 //!   panic-contained) is kept unconditionally, the slowest-N requests
 //!   by total latency are kept, and plain OK traffic is kept 1-in-K.
@@ -27,14 +27,9 @@
 //! lint keeps holding for the trace layer itself.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ppm_telemetry::Json;
-
-/// Number of independently locked shards in the ring. Power of two so
-/// `seq & (SHARDS-1)` distributes round-robin-accepted requests evenly.
-const SHARDS: usize = 8;
 
 /// How many one-second accounting slots the SLO tracker keeps — the
 /// longest burn-rate window (5 minutes).
@@ -177,8 +172,8 @@ impl TraceRecord {
 /// Tail-sampling policy knobs.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Total ring capacity across shards (per-shard cap is
-    /// `capacity / 8`, floor 1). Zero disables tracing entirely.
+    /// How many records the ring holds; past it the oldest is evicted
+    /// first. Zero retains nothing.
     pub capacity: usize,
     /// Keep 1 in this many plain-OK requests (after the slowest-N
     /// check). 1 keeps everything; 0 keeps none beyond the slowest-N.
@@ -198,25 +193,27 @@ impl Default for TraceConfig {
     }
 }
 
-struct Shard {
-    records: Mutex<VecDeque<TraceRecord>>,
-}
-
-/// The lock-sharded ring of retained trace records.
+/// The ring of retained trace records, behind one lock.
 ///
-/// `offer` is the only write path and takes exactly one shard lock
-/// (plus a short slow-heap lock for OK traffic), so tracing stays off
-/// the contended path between workers. Eviction is per-shard FIFO.
+/// `offer` is the only write path and takes that lock once: the
+/// records, the slowest-N list and the 1-in-K tick change together.
+/// Eviction is FIFO at exactly `capacity`.
 pub struct TraceRing {
-    shards: Vec<Shard>,
-    per_shard_cap: usize,
     config: TraceConfig,
-    /// Min-heap (as negated values) of the slowest-N latencies seen.
-    slow: Mutex<Vec<u64>>,
-    normal_tick: AtomicU64,
+    state: Mutex<RingState>,
     retained: Arc<ppm_telemetry::Counter>,
     sampled_out: Arc<ppm_telemetry::Counter>,
     evicted: Arc<ppm_telemetry::Counter>,
+}
+
+/// What [`TraceRing`]'s lock guards.
+#[derive(Default)]
+struct RingState {
+    records: VecDeque<TraceRecord>,
+    /// The slowest-N latencies seen so far, ascending.
+    slow: Vec<u64>,
+    /// Plain-OK requests that have reached the 1-in-K lottery.
+    tick: u64,
 }
 
 /// Filters accepted by [`TraceRing::snapshot`] — the `/tracez` query
@@ -235,119 +232,67 @@ pub struct TraceFilter {
     pub limit: Option<usize>,
 }
 
+impl TraceFilter {
+    fn matches(&self, rec: &TraceRecord) -> bool {
+        self.outcome.is_none_or(|o| rec.outcome == o)
+            && self.min_us.is_none_or(|min| rec.total_us >= min)
+            && self
+                .id_prefix
+                .as_ref()
+                .is_none_or(|prefix| rec.id.starts_with(prefix.as_str()))
+            && self.since_seq.is_none_or(|since| rec.seq > since)
+    }
+}
+
 impl TraceRing {
     /// Creates a ring with the given policy, resolving its counters
     /// from the global telemetry registry.
     pub fn new(config: TraceConfig) -> Self {
-        let per_shard_cap = (config.capacity / SHARDS).max(1);
         TraceRing {
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    records: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            per_shard_cap,
             config,
-            slow: Mutex::new(Vec::new()),
-            normal_tick: AtomicU64::new(0),
+            state: Mutex::new(RingState::default()),
             retained: ppm_telemetry::counter("serve.trace.retained"),
             sampled_out: ppm_telemetry::counter("serve.trace.sampled_out"),
             evicted: ppm_telemetry::counter("serve.trace.evicted"),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total ring capacity.
     pub fn capacity(&self) -> usize {
-        self.per_shard_cap * SHARDS
+        self.config.capacity
     }
 
     /// Offers a completed record to the tail sampler. Non-OK outcomes
     /// are always retained; OK records survive if they are among the
     /// slowest-N seen so far or win the 1-in-K lottery.
     pub fn offer(&self, rec: TraceRecord) {
-        if !self.should_keep(&rec) {
+        let mut state = self.lock();
+        if !state.should_keep(&self.config, &rec) {
             self.sampled_out.inc();
             return;
         }
-        let shard = &self.shards[(rec.seq as usize) % SHARDS];
-        let mut q = shard
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if q.len() >= self.per_shard_cap {
-            q.pop_front();
-            self.evicted.inc();
-        }
-        q.push_back(rec);
+        state.records.push_back(rec);
         self.retained.inc();
-    }
-
-    fn should_keep(&self, rec: &TraceRecord) -> bool {
-        // Errors are never sampled out: non-Ok outcomes and every
-        // non-2xx status (a 400 is an Ok-outcome span timeline, but the
-        // client saw a failure and deserves a retrievable trace).
-        if rec.outcome.always_keep() || rec.status >= 400 {
-            return true;
-        }
-        if self.config.slow_keep > 0 {
-            let mut slow = self
-                .slow
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slow.len() < self.config.slow_keep {
-                slow.push(rec.total_us);
-                slow.sort_unstable();
-                return true;
-            }
-            // slow[0] is the fastest of the current slowest-N.
-            if rec.total_us > slow[0] {
-                slow[0] = rec.total_us;
-                slow.sort_unstable();
-                return true;
-            }
-        }
-        match self.config.sample_one_in {
-            0 => false,
-            k => self
-                .normal_tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(k),
+        if state.records.len() > self.config.capacity {
+            state.records.pop_front();
+            self.evicted.inc();
         }
     }
 
     /// All retained records matching `filter`, sorted by sequence
     /// number ascending. With a `limit`, the *most recent* matches win.
     pub fn snapshot(&self, filter: &TraceFilter) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let q = shard
-                .records
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for rec in q.iter() {
-                if let Some(o) = filter.outcome {
-                    if rec.outcome != o {
-                        continue;
-                    }
-                }
-                if let Some(min) = filter.min_us {
-                    if rec.total_us < min {
-                        continue;
-                    }
-                }
-                if let Some(prefix) = &filter.id_prefix {
-                    if !rec.id.starts_with(prefix.as_str()) {
-                        continue;
-                    }
-                }
-                if let Some(since) = filter.since_seq {
-                    if rec.seq <= since {
-                        continue;
-                    }
-                }
-                out.push(rec.clone());
-            }
-        }
+        let mut out: Vec<TraceRecord> = self
+            .lock()
+            .records
+            .iter()
+            .filter(|rec| filter.matches(rec))
+            .cloned()
+            .collect();
         out.sort_by_key(|r| r.seq);
         if let Some(limit) = filter.limit {
             if out.len() > limit {
@@ -357,17 +302,9 @@ impl TraceRing {
         out
     }
 
-    /// How many records the ring currently holds across all shards.
+    /// How many records the ring currently holds.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.records
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.lock().records.len()
     }
 
     /// True when nothing is retained.
@@ -395,6 +332,38 @@ impl TraceRing {
     }
 }
 
+impl RingState {
+    fn should_keep(&mut self, config: &TraceConfig, rec: &TraceRecord) -> bool {
+        // Errors are never sampled out: non-Ok outcomes and every
+        // non-2xx status (a 400 is an Ok-outcome span timeline, but the
+        // client saw a failure and deserves a retrievable trace).
+        if rec.outcome.always_keep() || rec.status >= 400 {
+            return true;
+        }
+        if config.slow_keep > 0 {
+            if self.slow.len() < config.slow_keep {
+                self.slow.push(rec.total_us);
+                self.slow.sort_unstable();
+                return true;
+            }
+            // slow[0] is the fastest of the current slowest-N.
+            if rec.total_us > self.slow[0] {
+                self.slow[0] = rec.total_us;
+                self.slow.sort_unstable();
+                return true;
+            }
+        }
+        match config.sample_one_in {
+            0 => false,
+            k => {
+                let tick = self.tick;
+                self.tick += 1;
+                tick.is_multiple_of(k)
+            }
+        }
+    }
+}
+
 /// The document `/tracez` serves when tracing is disabled
 /// (`--no-trace`): consumers can distinguish "nothing retained" from
 /// "not recording".
@@ -414,32 +383,28 @@ fn tracez_head(enabled: bool, capacity: usize, retained: usize) -> String {
     .dump()
 }
 
+/// One second's request counts.
+#[derive(Debug, Clone, Copy, Default)]
 struct SloSlot {
-    // atomic-policy(sec): AcqRel, Acquire, Relaxed — the slot's second
-    // is the publication gate: the recycling CAS (AcqRel, Relaxed on
-    // failure) must order with readers' Acquire loads so zeroed counts
-    // are visible before the slot is claimed for a new second.
-    sec: AtomicU64,
-    total: AtomicU64,
-    unavailable: AtomicU64,
-    slow: AtomicU64,
+    sec: u64,
+    total: u64,
+    unavailable: u64,
+    slow: u64,
 }
 
 /// Multi-window SLO accounting over per-request outcomes.
 ///
-/// A ring of 300 one-second slots; each `/predict` request lands in
-/// the slot for its completion second. Slots are recycled lazily: the
-/// first observer of a new second CASes the slot's second forward and
-/// zeroes its counts (a request racing that reset can be miscounted by
-/// one — acceptable for burn-rate accounting, which reads whole
-/// windows).
+/// A wheel of 300 one-second slots behind one lock; each `/predict`
+/// request lands in the slot for its completion second. Slots are
+/// recycled lazily: the first request of a new second finds the slot
+/// holding a stale second and resets it before counting.
 ///
 /// **Burn rate** is the classic SRE normalization: the window's
 /// bad-request ratio divided by the objective's error allowance
 /// (`1 - objective`). Burn 1.0 = exactly spending budget at the
 /// sustainable rate; 10 = ten times too fast.
 pub struct SloTracker {
-    slots: Vec<SloSlot>,
+    slots: Mutex<Vec<SloSlot>>,
     /// Availability objective, e.g. 0.999.
     pub availability_objective: f64,
     /// Latency objective in microseconds (requests slower than this
@@ -468,14 +433,7 @@ impl SloTracker {
     /// Creates a tracker for the given objectives.
     pub fn new(availability_objective: f64, latency_objective_us: u64) -> Self {
         SloTracker {
-            slots: (0..SLO_SLOTS)
-                .map(|_| SloSlot {
-                    sec: AtomicU64::new(0),
-                    total: AtomicU64::new(0),
-                    unavailable: AtomicU64::new(0),
-                    slow: AtomicU64::new(0),
-                })
-                .collect(),
+            slots: Mutex::new(vec![SloSlot::default(); SLO_SLOTS]),
             availability_objective,
             latency_objective_us,
         }
@@ -485,35 +443,34 @@ impl SloTracker {
     /// `clock.rs`); `available` is false for shed / deadline-expired /
     /// failed requests; `total_us` is accept-to-done latency.
     pub fn observe(&self, now_sec: u64, available: bool, total_us: u64) {
-        let slot = &self.slots[(now_sec as usize) % SLO_SLOTS];
-        let seen = slot.sec.load(Ordering::Acquire);
-        if seen != now_sec
-            && slot
-                .sec
-                .compare_exchange(seen, now_sec, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            slot.total.store(0, Ordering::Relaxed);
-            slot.unavailable.store(0, Ordering::Relaxed);
-            slot.slow.store(0, Ordering::Relaxed);
+        let mut slots = self.lock();
+        let slot = &mut slots[(now_sec as usize) % SLO_SLOTS];
+        if slot.sec != now_sec {
+            *slot = SloSlot {
+                sec: now_sec,
+                ..SloSlot::default()
+            };
         }
-        slot.total.fetch_add(1, Ordering::Relaxed);
+        slot.total += 1;
         if !available {
-            slot.unavailable.fetch_add(1, Ordering::Relaxed);
+            slot.unavailable += 1;
         } else if total_us > self.latency_objective_us {
-            slot.slow.fetch_add(1, Ordering::Relaxed);
+            slot.slow += 1;
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<SloSlot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn window_counts(&self, now_sec: u64, span: u64) -> (u64, u64, u64) {
         let (mut total, mut unavailable, mut slow) = (0u64, 0u64, 0u64);
         let oldest = now_sec.saturating_sub(span.saturating_sub(1));
-        for slot in &self.slots {
-            let sec = slot.sec.load(Ordering::Acquire);
-            if sec >= oldest && sec <= now_sec {
-                total += slot.total.load(Ordering::Relaxed);
-                unavailable += slot.unavailable.load(Ordering::Relaxed);
-                slow += slot.slow.load(Ordering::Relaxed);
+        for slot in self.lock().iter() {
+            if slot.sec >= oldest && slot.sec <= now_sec {
+                total += slot.total;
+                unavailable += slot.unavailable;
+                slow += slot.slow;
             }
         }
         (total, unavailable, slow)
@@ -691,26 +648,30 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_fifo_per_shard_and_counts() {
+    fn ring_evicts_fifo_at_exact_capacity_and_counts() {
         let before = ppm_telemetry::registry()
             .counter("serve.trace.evicted")
             .get();
         let ring = TraceRing::new(TraceConfig {
-            capacity: 16, // 2 per shard
+            capacity: 10,
             sample_one_in: 1,
             slow_keep: 0,
         });
         for i in 0..64u64 {
             ring.offer(rec(i, TraceOutcome::Shed, 10));
         }
-        assert_eq!(ring.len(), 16);
+        assert_eq!(ring.capacity(), 10);
+        assert_eq!(ring.len(), 10);
         let after = ppm_telemetry::registry()
             .counter("serve.trace.evicted")
             .get();
-        assert_eq!(after - before, 48);
-        // Survivors are the most recent per shard.
+        assert_eq!(after - before, 54);
+        // Survivors are the 10 most recent.
         let all = ring.snapshot(&TraceFilter::default());
-        assert!(all.iter().all(|r| r.seq >= 32), "{all:?}");
+        assert_eq!(
+            all.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            (54..64).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -221,7 +221,9 @@ impl Sink for StderrSink {
             return;
         }
         if let Some(line) = rec.to_human_line() {
-            eprintln!("[ppm] {line}");
+            // Not `eprintln!`, which panics when stderr is closed: a
+            // reader that went away must not cost the logging thread.
+            let _ = writeln!(std::io::stderr().lock(), "[ppm] {line}");
         }
     }
 

@@ -572,62 +572,30 @@ fn benchmarks(out: &mut dyn fmt::Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    if parsed.get("--batch").is_some() {
-        return simulate_batch(parsed, out);
-    }
-    let bench = benchmark_arg(parsed)?;
-    let config = config_from(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
-    let seed: u64 = parsed.num("--seed", 1u64)?;
-    let batch = BatchProcessor::new(vec![config.clone()])
-        .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))?;
-    let stats = {
-        let _span = ppm_telemetry::span("stage.simulate");
-        batch
-            .run(TraceGenerator::new(bench, seed).take(instructions))
-            .remove(0)
-    };
-    writeln!(out, "benchmark      {bench}").map_err(msg)?;
-    writeln!(out, "instructions   {}", stats.instructions).map_err(msg)?;
-    writeln!(out, "cycles         {}", stats.cycles).map_err(msg)?;
-    writeln!(out, "CPI            {:.4}", stats.cpi()).map_err(msg)?;
-    writeln!(out, "IPC            {:.4}", stats.ipc()).map_err(msg)?;
-    writeln!(out, "il1 miss rate  {:.4}", stats.il1.miss_rate()).map_err(msg)?;
-    writeln!(out, "dl1 miss rate  {:.4}", stats.dl1.miss_rate()).map_err(msg)?;
-    writeln!(out, "l2 miss rate   {:.4}", stats.l2.miss_rate()).map_err(msg)?;
-    writeln!(out, "mispredicts    {:.4}", stats.mispredict_rate()).map_err(msg)?;
-    writeln!(out, "dram accesses  {}", stats.dram_accesses).map_err(msg)?;
-    if parsed.switch("--energy") {
-        let e = estimate_energy(&stats, &config, &EnergyParams::default());
-        writeln!(out, "energy total   {:.1}", e.total()).map_err(msg)?;
-        writeln!(out, "EPI            {:.4}", e.epi()).map_err(msg)?;
-        writeln!(out, "EDP            {:.4}", e.edp()).map_err(msg)?;
-    }
-    Ok(())
-}
-
-/// `ppm simulate --batch <n>`: simulate an n-point Latin-hypercube
-/// sample of the Table 1 design space in one batched trace pass, then
-/// cross-check every lane against a run of the reference oracle
+/// `ppm simulate`: one batched trace pass over its lanes, which are the
+/// configuration the flags describe or, with `--batch <n>`, an n-point
+/// Latin-hypercube sample of the Table 1 design space. A `--batch` run
+/// then cross-checks every lane against a run of the reference oracle
 /// ([`ppm_sim::reference::Processor`]) on the same configuration. A
 /// statistics mismatch is a simulation fault (exit code 3) — the
 /// batched engine's contract is byte-identical results, not
-/// approximately-equal ones. Stdout carries no timing, so it is the
+/// approximately-equal ones. Its stdout carries no timing, so it is the
 /// same at any `PPM_THREADS`; both wall times land in the run ledger's
 /// header (`stage.simulate_batch` / `stage.simulate_serial`).
-fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
+fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
+    let sampled = parsed.get("--batch").is_some();
     let knob_given = KNOBS
         .iter()
         .any(|k| parsed.get(&format!("--{k}")).is_some());
-    if knob_given || parsed.switch("--energy") {
+    if sampled && (knob_given || parsed.switch("--energy")) {
         return Err(CliError::Usage(
             "--batch draws its own configurations: it takes no configuration flags or --energy"
                 .to_string(),
         ));
     }
-    let lanes: usize = parsed.num("--batch", 0usize)?;
+    let flag_config = (!sampled).then(|| config_from(parsed)).transpose()?;
+    let lanes: usize = parsed.num("--batch", 1usize)?;
     if lanes == 0 {
         return Err(CliError::Usage(
             "--batch wants at least one configuration".to_string(),
@@ -635,25 +603,55 @@ fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliEr
     }
     let instructions: usize = parsed.num("--instructions", 100_000)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
-    let space = DesignSpace::paper_table1();
-    let mut rng = ppm_rng::Rng::seed_from_u64(seed);
-    let design = ppm_sampling::lhs::LatinHypercube::new(space.params(), lanes).generate(&mut rng);
-    let configs: Vec<SimConfig> = design.iter().map(|u| space.to_config(u)).collect();
+    let configs: Vec<SimConfig> = match &flag_config {
+        Some(config) => vec![config.clone()],
+        None => {
+            let space = DesignSpace::paper_table1();
+            let mut rng = ppm_rng::Rng::seed_from_u64(seed);
+            ppm_sampling::lhs::LatinHypercube::new(space.params(), lanes)
+                .generate(&mut rng)
+                .iter()
+                .map(|u| space.to_config(u))
+                .collect()
+        }
+    };
     let batch = BatchProcessor::new(configs.clone())
         .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))?;
+    let trace = || TraceGenerator::new(bench, seed).take(instructions);
+
+    if let Some(config) = flag_config {
+        let stats = {
+            let _span = ppm_telemetry::span("stage.simulate");
+            batch.run(trace()).remove(0)
+        };
+        writeln!(out, "benchmark      {bench}").map_err(msg)?;
+        writeln!(out, "instructions   {}", stats.instructions).map_err(msg)?;
+        writeln!(out, "cycles         {}", stats.cycles).map_err(msg)?;
+        writeln!(out, "CPI            {:.4}", stats.cpi()).map_err(msg)?;
+        writeln!(out, "IPC            {:.4}", stats.ipc()).map_err(msg)?;
+        writeln!(out, "il1 miss rate  {:.4}", stats.il1.miss_rate()).map_err(msg)?;
+        writeln!(out, "dl1 miss rate  {:.4}", stats.dl1.miss_rate()).map_err(msg)?;
+        writeln!(out, "l2 miss rate   {:.4}", stats.l2.miss_rate()).map_err(msg)?;
+        writeln!(out, "mispredicts    {:.4}", stats.mispredict_rate()).map_err(msg)?;
+        writeln!(out, "dram accesses  {}", stats.dram_accesses).map_err(msg)?;
+        if parsed.switch("--energy") {
+            let e = estimate_energy(&stats, &config, &EnergyParams::default());
+            writeln!(out, "energy total   {:.1}", e.total()).map_err(msg)?;
+            writeln!(out, "EPI            {:.4}", e.epi()).map_err(msg)?;
+            writeln!(out, "EDP            {:.4}", e.edp()).map_err(msg)?;
+        }
+        return Ok(());
+    }
 
     let batched = {
         let _span = ppm_telemetry::span("stage.simulate_batch");
-        batch.run(TraceGenerator::new(bench, seed).take(instructions))
+        batch.run(trace())
     };
     let serial: Vec<_> = {
         let _span = ppm_telemetry::span("stage.simulate_serial");
         configs
             .iter()
-            .map(|c| {
-                ppm_sim::reference::Processor::new(c.clone())
-                    .run(TraceGenerator::new(bench, seed).take(instructions))
-            })
+            .map(|c| ppm_sim::reference::Processor::new(c.clone()).run(trace()))
             .collect()
     };
 

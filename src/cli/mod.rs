@@ -162,7 +162,7 @@ SERVING FLAGS (`serve`):
                       analytical estimator (default 16; 0 = always degraded)
   --chaos <seed>      inject worker faults and misbehaving clients
   --no-trace          disable per-request tracing and /tracez
-  --trace-ring <n>    retained trace records across shards (default 4096)
+  --trace-ring <n>    trace records kept, oldest evicted first (default 4096)
   --trace-sample <n>  keep 1-in-n plain-OK requests (default 64)
   Fixed: client ?deadline_ms= is capped at 5000 ms; 3 consecutive model
   failures make degradation sticky, probing the model every 16th request;

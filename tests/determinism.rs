@@ -18,9 +18,12 @@
 //! LHS sweep's parallel results across seeds, the batched holdout
 //! against a serial point-by-point one, and two pinned model digests.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::process::Command;
 
+use common::scratch;
 use ppm::model::{BuildConfig, ErrorStats, RbfModelBuilder};
 use ppm_core::persist;
 use ppm_core::response::{Response, SimulatorResponse};
@@ -113,14 +116,6 @@ fn assert_same(command: &str, how: &str, a: &Outcome, b: &Outcome) {
     for ((name, x), (_, y)) in a.1.iter().zip(&b.1) {
         assert!(x == y, "`ppm {command}` wrote a different {name} {how}");
     }
-}
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-det-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// The inputs the rows read: a small model with its ledger and its

@@ -6,17 +6,14 @@
 //! assertions cover the exact artifacts users and `scripts/verify.sh`
 //! see.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::process::{Command, Output};
 
+use common::scratch;
 use ppm_obs::{validate_chrome_trace, verify_content_hash};
 use ppm_telemetry::Json;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-flight-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn ppm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ppm"))

@@ -6,85 +6,47 @@
 //! the assertions cover the exact surface `scripts/verify.sh` and
 //! outside scrapers see.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::path::Path;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
+use common::{scratch, spawn_serving, Reaped};
 use ppm_live::http_get;
 use ppm_telemetry::Json;
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-live-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Kills the child on drop so a failing assertion cannot leak a
-/// running build.
-struct Reaped(Child);
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
 
 /// Spawns `ppm build --live 127.0.0.1:0 ...` and returns the child
 /// plus the bound address parsed from the stderr banner.
 fn spawn_live_build(dir: &Path, sample: &str) -> (Reaped, String) {
     // One simulation worker runs the lane groups one after another, so
     // progress advances in steps a scraper can observe mid-stage.
-    let child = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .env("PPM_THREADS", "1")
-        .args([
-            "build",
-            "--benchmark",
-            "ammp",
-            "--sample",
-            sample,
-            "--instructions",
-            "40000",
-            "--seed",
-            "7",
-            "--train-threads",
-            "2",
-            "--holdout",
-            "0",
-            "--no-ledger",
-            "--live",
-            "127.0.0.1:0",
-            "--out",
-        ])
-        .arg(dir.join("m.txt"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("ppm binary spawns");
-    let mut child = Reaped(child);
-    let stderr = child.0.stderr.take().expect("stderr piped");
-    // The banner is the first stderr line; read just that one here and
-    // drain the rest on a thread so the child never blocks on a full
-    // pipe.
-    let mut lines = BufReader::new(stderr).lines();
-    let banner = loop {
-        match lines.next() {
-            Some(Ok(line)) if line.contains("live plane listening on http://") => break line,
-            Some(Ok(_)) => continue,
-            other => panic!("no live banner on stderr (got {other:?})"),
-        }
-    };
-    std::thread::spawn(move || for _ in lines {});
-    let addr = banner
-        .rsplit("http://")
-        .next()
-        .expect("banner carries an address")
-        .trim()
-        .to_string();
-    (child, addr)
+    spawn_serving(
+        Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .env("PPM_THREADS", "1")
+            .args([
+                "build",
+                "--benchmark",
+                "ammp",
+                "--sample",
+                sample,
+                "--instructions",
+                "40000",
+                "--seed",
+                "7",
+                "--train-threads",
+                "2",
+                "--holdout",
+                "0",
+                "--no-ledger",
+                "--live",
+                "127.0.0.1:0",
+                "--out",
+            ])
+            .arg(dir.join("m.txt")),
+    )
 }
 
 fn buildz(addr: &str) -> Option<Json> {

@@ -10,12 +10,16 @@
 //! * a hot reload of a corrupt model rolls back to the last-known-good
 //!   version with zero failed predictions.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::path::Path;
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use common::{build_and_publish, scratch, spawn_listening, spawn_serving, Reaped};
 use ppm_live::http_get;
 use ppm_telemetry::Json;
 
@@ -24,117 +28,26 @@ use ppm_telemetry::Json;
 /// budget is 2s, the default deadline 250ms).
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Kills the child on drop so a failing assertion cannot leak a
-/// running service.
-struct Reaped(Child);
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Builds a small real RBF model and publishes it into `registry`,
-/// returning the content-hash version `ppm publish` reported.
-fn build_and_publish(dir: &Path, registry: &Path) -> String {
-    let model = dir.join("model.txt");
-    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args([
-            "build",
-            "--benchmark",
-            "ammp",
-            "--sample",
-            "16",
-            "--instructions",
-            "8000",
-            "--seed",
-            "7",
-            "--holdout",
-            "0",
-            "--no-ledger",
-            "--quiet",
-            "--train-threads",
-            "2",
-            "--out",
-        ])
-        .arg(&model)
-        .output()
-        .expect("ppm build runs");
-    assert!(
-        out.status.success(),
-        "build failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args(["publish", "--model"])
-        .arg(&model)
-        .arg("--registry")
-        .arg(registry)
-        .output()
-        .expect("ppm publish runs");
-    assert!(
-        out.status.success(),
-        "publish failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .rsplit("as version ")
-        .next()
-        .expect("publish names the version")
-        .trim()
-        .to_string()
-}
-
 /// Spawns `ppm serve 127.0.0.1:0 --chaos <seed>` and returns the child
 /// plus the bound address parsed from the stderr banner.
 fn spawn_chaos_serve(registry: &Path) -> (Reaped, String) {
-    let child = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args([
-            "serve",
-            "127.0.0.1:0",
-            "--chaos",
-            "7",
-            "--workers",
-            "4",
-            "--queue",
-            "8",
-            "--deadline-ms",
-            "250",
-            "--registry",
-        ])
-        .arg(registry)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("ppm binary spawns");
-    let mut child = Reaped(child);
-    let stderr = child.0.stderr.take().expect("stderr piped");
-    let mut lines = BufReader::new(stderr).lines();
-    let banner = loop {
-        match lines.next() {
-            Some(Ok(line)) if line.contains("[ppm serve] listening on http://") => break line,
-            Some(Ok(_)) => continue,
-            other => panic!("no serve banner on stderr (got {other:?})"),
-        }
-    };
-    // Drain the rest on a thread so the child never blocks on a full pipe.
-    std::thread::spawn(move || for _ in lines {});
-    let addr = banner
-        .rsplit("http://")
-        .next()
-        .expect("banner carries an address")
-        .trim()
-        .to_string();
-    (child, addr)
+    spawn_serving(
+        Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args([
+                "serve",
+                "127.0.0.1:0",
+                "--chaos",
+                "7",
+                "--workers",
+                "4",
+                "--queue",
+                "8",
+                "--deadline-ms",
+                "250",
+                "--registry",
+            ])
+            .arg(registry),
+    )
 }
 
 /// Tallies from one load wave. `transport` counts requests that never
@@ -311,4 +224,26 @@ fn serve_without_a_model_or_fallback_exits_8() {
         "stderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// A service whose stderr reader went away still answers: the warning
+/// it logs for an unreadable request head must not panic the worker
+/// before the 400 is written.
+#[test]
+fn a_closed_stderr_does_not_cost_a_request() {
+    let dir = scratch("closed-stderr");
+    let (_serve, addr, stderr) = spawn_listening(
+        Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args(["serve", "127.0.0.1:0", "--benchmark", "ammp", "--registry"])
+            .arg(dir.join("registry")),
+    );
+    drop(stderr);
+    // Half-close mid-head: the server reads EOF before the blank line.
+    let mut conn = TcpStream::connect(&addr).expect("connects");
+    conn.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    conn.write_all(b"GET /predict HTTP/1.1\r\nHost: x").unwrap();
+    conn.shutdown(Shutdown::Write).unwrap();
+    let mut response = String::new();
+    let _ = conn.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
 }

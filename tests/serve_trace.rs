@@ -16,12 +16,14 @@
 //! * `ppm tail --once` renders the feed, and exits 8 when tracing is
 //!   off.
 
+mod common;
+
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use common::{build_and_publish, scratch};
 use ppm_live::{http_get, http_request_full};
 use ppm_serve::{ServeConfig, ServeServer};
 use ppm_telemetry::Json;
@@ -39,57 +41,6 @@ fn server_test_lock() -> std::sync::MutexGuard<'static, ()> {
     SERVER_TESTS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-trace-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Builds a small real RBF model and publishes it into `registry`.
-fn build_and_publish(dir: &Path, registry: &Path) {
-    let model = dir.join("model.txt");
-    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args([
-            "build",
-            "--benchmark",
-            "ammp",
-            "--sample",
-            "16",
-            "--instructions",
-            "8000",
-            "--seed",
-            "7",
-            "--holdout",
-            "0",
-            "--no-ledger",
-            "--quiet",
-            "--train-threads",
-            "2",
-            "--out",
-        ])
-        .arg(&model)
-        .output()
-        .expect("ppm build runs");
-    assert!(
-        out.status.success(),
-        "build failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args(["publish", "--model"])
-        .arg(&model)
-        .arg("--registry")
-        .arg(registry)
-        .output()
-        .expect("ppm publish runs");
-    assert!(
-        out.status.success(),
-        "publish failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 /// What one client request observed, keyed by the trace ID it sent.

@@ -14,12 +14,14 @@
 //! vacuously against a shed-everything service (a storm of fast 503s
 //! is not a met latency objective).
 
-use std::io::{BufRead, BufReader};
+mod common;
+
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use common::{scratch, spawn_serving, Reaped};
 use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
@@ -332,8 +334,7 @@ fn jsonl_counter(jsonl: &Path, name: &str) -> i64 {
 /// statistics format to.
 #[test]
 fn every_production_simulation_runs_on_the_batch_engine() {
-    let dir = std::env::temp_dir().join(format!("ppm-simbatch-engine-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = scratch("engine");
 
     let jsonl = dir.join("simulate.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
@@ -444,51 +445,23 @@ fn every_production_simulation_runs_on_the_batch_engine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Kills the serve child on drop so a failing assertion cannot leak a
-/// running service.
-struct Reaped(Child);
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// Spawns a service with `queue` slots per worker (`"0"` sheds every
 /// request) and returns the child plus its bound address, parsed from
 /// the stderr banner.
 fn spawn_serve(queue: &str) -> (Reaped, String) {
-    let registry = std::env::temp_dir()
-        .join(format!("ppm-simbatch-queue{queue}-{}", std::process::id()))
-        .join("registry");
-    let child = Command::new(env!("CARGO_BIN_EXE_ppm"))
-        .args([
-            "serve",
-            "127.0.0.1:0",
-            "--queue",
-            queue,
-            "--benchmark",
-            "ammp",
-            "--registry",
-        ])
-        .arg(&registry)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("ppm serve spawns");
-    let mut child = Reaped(child);
-    let stderr = child.0.stderr.take().expect("stderr piped");
-    let lines = BufReader::new(stderr).lines();
-    // Skip warnings (e.g. the analytical-only registry notice) until
-    // the listening banner names the bound address.
-    for line in lines {
-        let line = line.expect("stderr reads");
-        if let Some(addr) = line.strip_prefix("[ppm serve] listening on http://") {
-            return (child, addr.trim().to_string());
-        }
-    }
-    panic!("serve never printed its listening banner");
+    spawn_serving(
+        Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args([
+                "serve",
+                "127.0.0.1:0",
+                "--queue",
+                queue,
+                "--benchmark",
+                "ammp",
+                "--registry",
+            ])
+            .arg(scratch(&format!("queue{queue}")).join("registry")),
+    )
 }
 
 #[test]

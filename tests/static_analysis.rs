@@ -3,8 +3,11 @@
 //! fixtures, a firing for every rule, the CLI exit-code contract, and
 //! the self-scan gate asserting this workspace is violation-free.
 
-use std::path::{Path, PathBuf};
+mod common;
 
+use std::path::Path;
+
+use common::scratch;
 use ppm::cli::{CliError, Parsed};
 use ppm_lint::rules::RULES;
 use ppm_lint::{lint_source, lint_workspace, Config};
@@ -98,15 +101,6 @@ fn write(root: &Path, rel: &str, text: &str) {
     std::fs::write(full, text).expect("write fixture");
 }
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppm-lint-it-{tag}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clean temp root");
-    }
-    std::fs::create_dir_all(&dir).expect("mkdir temp root");
-    dir
-}
-
 fn run_cli(args: &[&str]) -> (String, Result<(), CliError>) {
     let parsed = Parsed::parse(args.iter().map(|s| s.to_string())).expect("args parse");
     let mut out = String::new();
@@ -116,7 +110,7 @@ fn run_cli(args: &[&str]) -> (String, Result<(), CliError>) {
 
 #[test]
 fn cli_lint_exits_6_on_a_seeded_violation_and_0_when_fixed() {
-    let root = temp_root("exit");
+    let root = scratch("exit");
     write(&root, SEEDED_PATH, SEEDED);
     let root_s = root.to_string_lossy().into_owned();
 
@@ -139,7 +133,7 @@ fn cli_lint_exits_6_on_a_seeded_violation_and_0_when_fixed() {
 
 #[test]
 fn cli_lint_json_is_parseable_and_complete() {
-    let root = temp_root("json");
+    let root = scratch("json");
     write(&root, SEEDED_PATH, SEEDED);
     let root_s = root.to_string_lossy().into_owned();
 
@@ -167,7 +161,7 @@ fn cli_lint_json_is_parseable_and_complete() {
 
 #[test]
 fn cli_lint_rejects_unknown_format_and_bad_conf() {
-    let root = temp_root("badargs");
+    let root = scratch("badargs");
     write(&root, "crates/core/src/lib.rs", "pub fn ok() {}\n");
     let root_s = root.to_string_lossy().into_owned();
 
@@ -297,7 +291,7 @@ fn write_seed(root: &Path, rule: &str) {
 #[test]
 fn cli_lint_exits_6_on_each_seeded_rule() {
     for rule in RULES.map(|r| r.name) {
-        let root = temp_root(&format!("seed-{rule}"));
+        let root = scratch(&format!("seed-{rule}"));
         write_seed(&root, rule);
         let root_s = root.to_string_lossy().into_owned();
 
@@ -332,7 +326,7 @@ fn cli_lint_exits_6_on_each_seeded_rule() {
 
 #[test]
 fn analyze_seeded_tree_diagnostics_are_golden() {
-    let root = temp_root("semantic-golden");
+    let root = scratch("semantic-golden");
     for (rule, _, _) in SEMANTIC_SEEDS {
         write_seed(&root, rule);
     }

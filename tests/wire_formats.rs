@@ -18,6 +18,9 @@
 //! The two text files `ppm build` keeps, the model file and the
 //! checkpoint journal, are pinned byte for byte, checksum line included.
 
+mod common;
+
+use common::scratch;
 use ppm_telemetry::Json;
 
 /// Parses `text` as JSON and returns its top-level `"schema"` string.
@@ -214,8 +217,7 @@ fn regression_report_schema_is_pinned() {
 /// fallback benchmark) and returns the body's schema and its sorted
 /// top-level keys.
 fn served_schema_and_keys(tag: &str, path: &str) -> (Option<String>, Vec<String>) {
-    let dir = std::env::temp_dir().join(format!("ppm-wire-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch(tag);
     let server = ppm_serve::ServeServer::start(ppm_serve::ServeConfig {
         registry: dir.join("registry"),
         fallback_benchmark: Some(ppm_workload::Benchmark::Ammp),
