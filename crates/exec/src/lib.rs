@@ -28,6 +28,11 @@
 //! iterator on a helper while the caller consumes the items in order,
 //! so the consumer's result is the serial loop's by construction.
 //!
+//! That is the crate's one contract: deterministic execution. Work
+//! whose scheduling may decide the outcome, such as which worker
+//! answers a request, does not belong here; `ppm serve` keeps its own
+//! request queue and workers.
+//!
 //! Telemetry: every [`Executor::map`] call adds to `exec.tasks`,
 //! records the worker count in `exec.workers`, counts dynamic-queue
 //! `exec.steals` (chunks claimed beyond a worker's fair share) and
@@ -47,11 +52,9 @@
 
 mod pipeline;
 mod pool;
-mod service;
 
 pub use pipeline::pipeline;
 pub use pool::{ExecError, Executor};
-pub use service::{ServicePool, SubmitError};
 
 use std::error::Error;
 use std::fmt;

@@ -31,7 +31,7 @@ pub struct PanicSite {
 }
 
 /// A function body or a thread/worker root region (the argument region
-/// of a `spawn(...)` / `ServicePool::new(...)` call), reduced to what
+/// of a `spawn(...)` call), reduced to what
 /// reachability needs.
 #[derive(Debug, Clone)]
 pub struct Region {
@@ -40,8 +40,7 @@ pub struct Region {
     pub name: String,
     /// Qualified `Type::name` when the fn sits in an impl block.
     pub qual_name: Option<String>,
-    /// True for spawn/worker-pool argument regions — the reachability
-    /// roots.
+    /// True for spawn argument regions — the reachability roots.
     pub is_root: bool,
     /// True inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
@@ -189,8 +188,7 @@ const ATOMIC_OPS: [&str; 15] = [
 const MEMORY_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Blocking I/O and channel operations that must not run under a lock.
-/// `try_send` is deliberately absent: non-blocking sends are the shed
-/// path's whole point.
+/// `try_send` is deliberately absent: it never blocks.
 const IO_CALLS: [&str; 14] = [
     "write",
     "write_all",
@@ -542,21 +540,12 @@ pub fn index_tokens(
                 regions.push(fill_region(name, qual, false, open, end, in_test(ci)));
             }
         }
-        // Spawn roots: the whole argument region of `spawn(...)` or
-        // `ServicePool::{new,with_worker_ids}(...)`.
-        let is_spawn = is_ident(ci, "spawn") && is_punct(ci + 1, '(');
-        let is_pool = (is_ident(ci, "new") || is_ident(ci, "with_worker_ids"))
-            && is_punct(ci + 1, '(')
-            && ci >= 3
-            && is_punct(ci - 1, ':')
-            && is_punct(ci - 2, ':')
-            && is_ident(ci - 3, "ServicePool");
-        if is_spawn || is_pool {
+        // Spawn roots: the whole argument region of `spawn(...)`.
+        if is_ident(ci, "spawn") && is_punct(ci + 1, '(') {
             let end = close_of(ci + 1, '(', ')');
             let line = tok(ci).map_or(0, |t| t.line);
-            let label = if is_spawn { "spawn" } else { "worker-pool" };
             regions.push(fill_region(
-                format!("{label}@{line}"),
+                format!("spawn@{line}"),
                 None,
                 true,
                 ci + 1,

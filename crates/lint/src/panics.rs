@@ -5,12 +5,12 @@
 //! `lint:allow(panic-reachability)`.
 //!
 //! Roots are the argument regions of `thread::spawn(...)` /
-//! `Builder::spawn(...)` and `ServicePool::{new,with_worker_ids}(...)`
-//! calls in the serving crates (`live`, `serve`, `exec`). From each
-//! root, reachability follows call edges by name *within the same
-//! crate*: qualified calls (`Type::fn`) resolve exactly, bare and
-//! method calls resolve to any same-crate function of that name — an
-//! over-approximation that can add edges but never hide one.
+//! `Builder::spawn(...)` calls in the serving crates (`live`, `serve`,
+//! `exec`). From each root, reachability follows call edges by name
+//! *within the same crate*: qualified calls (`Type::fn`) resolve
+//! exactly, bare and method calls resolve to any same-crate function of
+//! that name — an over-approximation that can add edges but never hide
+//! one.
 //! Cross-crate calls are not followed; each crate's own spawn sites
 //! root its own analysis.
 
@@ -200,16 +200,21 @@ fn start() {
         let f = index_file(
             "crates/serve/src/a.rs",
             r#"
-fn start() {
-    let pool = ServicePool::with_worker_ids("serve", 4, 64, move |_w, item| {
-        handle(item);
-    });
+fn start(queue: Arc<Fifo<Option<u32>>>) {
+    let worker = std::thread::Builder::new()
+        .name("ppm-svc-serve-0".to_string())
+        .spawn(move || {
+            while let Some(item) = queue.pop() {
+                serve_one(item);
+            }
+        });
 }
-fn handle(item: Option<u32>) { item.expect("item"); }
+fn serve_one(item: Option<u32>) { item.expect("item"); }
 "#,
         );
         let diags = check(&[f]);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("worker-pool"), "{diags:?}");
+        assert!(diags[0].message.contains("via `serve_one`"), "{diags:?}");
+        assert!(diags[0].message.contains("from spawn@"), "{diags:?}");
     }
 }

@@ -16,7 +16,6 @@
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -153,9 +152,9 @@ impl Server {
     /// when it already runs). Every accepted socket gets [`IO_TIMEOUT`]
     /// read and write timeouts and goes to `on_conn`; accept failures
     /// are recorded in `errors`. The loop ends when the stop flag is
-    /// raised or `on_conn` returns `Break`, and then drops the callback
-    /// — with whatever it owns, such as a worker pool that drains its
-    /// queue — on the accept thread, before [`Server::join`] returns.
+    /// raised, and then drops the callback — with whatever it owns,
+    /// such as workers that drain their queue — on the accept thread,
+    /// before [`Server::join`] returns.
     ///
     /// # Errors
     ///
@@ -167,7 +166,7 @@ impl Server {
         mut on_conn: F,
     ) -> Result<Self, BindError>
     where
-        F: FnMut(TcpStream) -> ControlFlow<()> + Send + 'static,
+        F: FnMut(TcpStream) + Send + 'static,
     {
         let Some(listener) = self.listener.take() else {
             return Ok(self);
@@ -189,9 +188,7 @@ impl Server {
                     };
                     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
                     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                    if on_conn(stream).is_break() {
-                        break;
-                    }
+                    on_conn(stream);
                 }
             })
             .map_err(|e| BindError {

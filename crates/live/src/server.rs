@@ -4,7 +4,6 @@
 //! protect.
 
 use std::net::{SocketAddr, TcpStream};
-use std::ops::ControlFlow;
 
 use ppm_telemetry::EventRing;
 
@@ -48,7 +47,6 @@ impl LiveServer {
         let errors = ClientErrors::new("live.client_errors", "live.client_error");
         let server = Server::bind(addr)?.spawn("ppm-live", errors.clone(), move |stream| {
             serve_connection(stream, &errors, &source, &ring);
-            ControlFlow::Continue(())
         })?;
         Ok(LiveServer { server })
     }

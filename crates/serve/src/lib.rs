@@ -10,8 +10,8 @@
 //! * **Deadlines** — every request carries one (default or
 //!   `?deadline_ms=`, capped), armed at *accept* so queueing counts
 //!   against it; late answers become explicit 503s, never stale data.
-//! * **Load shedding** — a bounded queue in front of a sharded worker
-//!   pool ([`ppm_exec::ServicePool`]); when it fills, requests are
+//! * **Load shedding** — one bounded FIFO between the accept thread and
+//!   the workers, which all pop from it; when it fills, requests are
 //!   refused immediately (`serve.shed`) instead of queueing unboundedly.
 //! * **Graceful degradation** — queue pressure or a streak of model
 //!   failures switches prediction to the analytical estimator
@@ -29,6 +29,7 @@
 mod chaos;
 mod clock;
 mod loadtest;
+mod queue;
 mod server;
 mod store;
 mod tail;
@@ -63,7 +64,8 @@ pub enum ServeError {
     /// The model registry refused an open, publish, or reload — the
     /// message names the failed validation step.
     Store(String),
-    /// The worker pool was misconfigured (zero workers or queue slots).
+    /// The workers could not start: zero workers for a non-zero queue,
+    /// or a worker thread that could not be spawned.
     Pool(String),
     /// A client-side operation (loadtest, control request) failed.
     Client(String),

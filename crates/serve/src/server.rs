@@ -1,17 +1,17 @@
-//! The prediction service: a deadline-enforced HTTP endpoint over a
-//! sharded worker pool, with load shedding, graceful degradation, and
-//! validated hot reload.
+//! The prediction service: a deadline-enforced HTTP endpoint over one
+//! bounded request queue and its workers, with load shedding, graceful
+//! degradation, and validated hot reload.
 //!
 //! # Request life cycle
 //!
 //! Every accepted connection is stamped with a [`Stopwatch`] *at
-//! accept*, so time spent waiting in the worker queue counts against
-//! the request's deadline. The accept thread offers the connection to a
-//! [`ServicePool`]; when every shard queue is full the request is
-//! **shed** — an immediate best-effort 503 instead of unbounded queueing
-//! (`serve.shed`). A worker that picks the request up first checks the
-//! deadline (expired-in-queue is a 503, not a stale answer), evaluates,
-//! and checks again before replying.
+//! accept*, so time spent waiting in the queue counts against the
+//! request's deadline. The accept thread pushes the connection onto the
+//! one [`Fifo`] every worker pops from; when all its slots are taken
+//! the request is **shed** — an immediate best-effort 503 instead of
+//! unbounded queueing (`serve.shed`). A worker that picks the request up
+//! first checks the deadline (expired-in-queue is a 503, not a stale
+//! answer), evaluates, and checks again before replying.
 //!
 //! # The shed / degrade state machine
 //!
@@ -32,17 +32,17 @@
 //! itself on the first success — recovery is automatic, no
 //! operator action required.
 
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ppm_core::fault::{FaultPlan, InjectedFault};
 use ppm_core::space::DesignSpace;
-use ppm_exec::{ServicePool, SubmitError};
+use ppm_exec::{ExecError, MAX_THREADS};
 use ppm_live::http::{
     dispatch, index_line, read_head_or_400, write_response_with_headers, ClientErrors, RouteEntry,
     Server, StopHandle, JSON, PROMETHEUS, TEXT,
@@ -53,6 +53,7 @@ use ppm_workload::Benchmark;
 
 use crate::chaos::ChaosClients;
 use crate::clock::{unix_now_ms, unix_now_sec, Stopwatch};
+use crate::queue::Fifo;
 use crate::store::{ModelStore, ServingModel};
 use crate::trace::{
     render_tracez_disabled, SloTracker, SpanRec, TraceConfig, TraceContext, TraceFilter,
@@ -189,6 +190,9 @@ struct Counters {
     degraded_depth: Arc<Counter>,
     degraded_fail_streak: Arc<Counter>,
     degraded_eval_failure: Arc<Counter>,
+    /// `exec.serve.*`: the worker-pool series, named as they always were.
+    worker_panics: Arc<Counter>,
+    saturated: Arc<Counter>,
 }
 
 impl Counters {
@@ -209,12 +213,28 @@ impl Counters {
             degraded_depth: ppm_telemetry::counter("serve.degraded|reason=degrade_depth"),
             degraded_fail_streak: ppm_telemetry::counter("serve.degraded|reason=fail_streak"),
             degraded_eval_failure: ppm_telemetry::counter("serve.degraded|reason=eval_failure"),
+            worker_panics: ppm_telemetry::counter("exec.serve.worker_panics"),
+            saturated: ppm_telemetry::counter("exec.serve.saturated"),
         }
     }
 }
 
-/// Shared service state: the store, the degrade state machine, and the
-/// knobs the request path consults.
+/// The model-failure half of the degrade state machine, behind one
+/// mutex: its invariant, `streak >= FAIL_STREAK` implies `sticky`,
+/// spans two fields.
+#[derive(Default)]
+struct Degrade {
+    /// Consecutive model-evaluation failures.
+    streak: u32,
+    /// Sticky degradation: set after `FAIL_STREAK` failures, cleared by
+    /// a successful probe or a reload to a new model.
+    sticky: bool,
+    /// Counts predictions taken while sticky, to pace probes.
+    probe_tick: u64,
+}
+
+/// Shared service state: the store, the request queue, the degrade
+/// state machine, and the knobs the request path consults.
 struct ServeState {
     store: ModelStore,
     /// Stops the accept loop (`POST /quitz`).
@@ -225,34 +245,49 @@ struct ServeState {
     default_deadline: Duration,
     degrade_depth: usize,
     workers: usize,
-    queue_capacity: usize,
     fault: Option<FaultPlan>,
-    /// Requests accepted but not yet picked up by a worker — the
-    /// pressure signal behind both `/readyz` and depth degradation.
-    // atomic-policy(queued): SeqCst — incremented before the submit and
-    // decremented on both the worker and the shed path; one total order
-    // keeps the gauge exact so /readyz never flaps on a stale read.
-    queued: AtomicUsize,
-    /// Monotonic request sequence; the chaos plan keys faults off it.
-    seq: AtomicU64,
-    /// Consecutive model-evaluation failures.
-    // atomic-policy(streak): SeqCst, Relaxed — the failure counter's
-    // increment must order with the sticky swap it may trigger; plain
-    // resets stay Relaxed.
-    streak: AtomicU32,
-    /// Sticky degradation: set after `FAIL_STREAK` failures, cleared by
-    /// a successful probe.
-    // atomic-policy(sticky): AcqRel, Acquire, Release — the swap that
-    // flips degradation acquires the failure state that justified it
-    // and releases it to every later reader of the flag.
-    sticky: AtomicBool,
-    /// Counts predictions taken while sticky, to pace probes.
-    probe_tick: AtomicU64,
+    /// Requests accepted but not yet picked up by a worker. Its length
+    /// is the pressure signal behind both `/readyz` and depth
+    /// degradation.
+    queue: Fifo<Conn>,
+    degrade: Mutex<Degrade>,
     counters: Counters,
     /// The tail-sampled request-trace ring; `None` under `--no-trace`.
     trace: Option<TraceRing>,
-    /// Multi-window SLO accounting (always on — it is a few atomics).
+    /// Multi-window SLO accounting (always on).
     slo: SloTracker,
+}
+
+impl ServeState {
+    fn new(config: &ServeConfig, store: ModelStore, server: &Server) -> Self {
+        ServeState {
+            store,
+            stop: server.stop_handle(),
+            errors: ClientErrors::new("serve.client_errors", "serve.client_error"),
+            space: DesignSpace::paper_table1(),
+            default_deadline: config.default_deadline,
+            degrade_depth: config.degrade_depth,
+            workers: config.workers,
+            fault: config.chaos.map(crate::chaos::fault_plan),
+            // `queue_per_worker == 0` is the shed-all drill: a queue
+            // with no slots refuses every push.
+            queue: Fifo::new(config.workers * config.queue_per_worker),
+            degrade: Mutex::default(),
+            counters: Counters::resolve(),
+            trace: (config.trace && config.trace_ring > 0).then(|| {
+                TraceRing::new(TraceConfig {
+                    capacity: config.trace_ring,
+                    sample_one_in: config.trace_sample,
+                    ..TraceConfig::default()
+                })
+            }),
+            slo: SloTracker::new(SLO_AVAILABILITY, SLO_LATENCY_US),
+        }
+    }
+
+    fn degrade(&self) -> MutexGuard<'_, Degrade> {
+        self.degrade.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running prediction service. [`ServeServer::wait`] blocks until the
@@ -268,101 +303,32 @@ pub struct ServeServer {
 
 impl ServeServer {
     /// Opens the registry, binds the address, and starts the accept
-    /// thread and worker pool.
+    /// thread and the workers.
     ///
     /// # Errors
     ///
     /// [`ServeError::Store`] when no model loads and no fallback
     /// benchmark is configured; [`ServeError::Bind`] when the address
-    /// cannot be bound; [`ServeError::Pool`] when the worker pool is
-    /// misconfigured (zero workers with a non-zero queue; a zero queue
-    /// is the shed-all drill mode, not an error).
+    /// cannot be bound; [`ServeError::Pool`] when there are zero workers
+    /// for a non-zero queue (a zero queue is the shed-all drill mode,
+    /// not an error) or a worker thread cannot be spawned.
     pub fn start(config: ServeConfig) -> Result<Self, ServeError> {
         let store = ModelStore::open(&config.registry, config.fallback_benchmark)?;
         let server = Server::bind(&config.addr)?;
-        let stop = server.stop_handle();
-        let errors = ClientErrors::new("serve.client_errors", "serve.client_error");
-        let state = Arc::new(ServeState {
-            store,
-            stop: stop.clone(),
-            errors: errors.clone(),
-            space: DesignSpace::paper_table1(),
-            default_deadline: config.default_deadline,
-            degrade_depth: config.degrade_depth,
-            workers: config.workers,
-            queue_capacity: config.workers * config.queue_per_worker,
-            fault: config.chaos.map(crate::chaos::fault_plan),
-            queued: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            streak: AtomicU32::new(0),
-            sticky: AtomicBool::new(false),
-            probe_tick: AtomicU64::new(0),
-            counters: Counters::resolve(),
-            trace: (config.trace && config.trace_ring > 0).then(|| {
-                TraceRing::new(TraceConfig {
-                    capacity: config.trace_ring,
-                    sample_one_in: config.trace_sample,
-                    ..TraceConfig::default()
-                })
-            }),
-            slo: SloTracker::new(SLO_AVAILABILITY, SLO_LATENCY_US),
-        });
-        // `queue_per_worker == 0` means shed-all: no pool at all, the
-        // accept callback refuses everything. Going through ServicePool
-        // would be rejected as a zero-slot queue, and rightly so — this
-        // mode is a drill, not a degenerate pool.
-        let pool = if config.queue_per_worker == 0 {
-            None
-        } else {
-            let worker_state = Arc::clone(&state);
-            Some(
-                ServicePool::with_worker_ids(
-                    "serve",
-                    config.workers,
-                    config.queue_per_worker,
-                    move |worker, conn: Conn| {
-                        worker_state.queued.fetch_sub(1, Ordering::SeqCst);
-                        // Panic containment with a paper trail: the pool
-                        // already catches handler panics, but a request
-                        // lost to one would vanish from the trace ring.
-                        // Pre-copy the identity, catch, record, and
-                        // re-raise so `exec.serve.worker_panics` still
-                        // counts it.
-                        let (seq, accepted) = (conn.seq, conn.accepted);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            handle_connection(&worker_state, conn, worker);
-                        }));
-                        if let Err(panic) = outcome {
-                            let total_us = accepted.elapsed_us();
-                            finish_request(
-                                &worker_state,
-                                TraceContext::new(seq, None),
-                                "(worker panic)",
-                                TraceOutcome::PanicContained,
-                                0,
-                                "request handler panicked".to_string(),
-                                Some(worker),
-                                vec![span("accept", 0, total_us)],
-                                total_us,
-                            );
-                            worker_state.slo.observe(unix_now_sec(), false, total_us);
-                            std::panic::resume_unwind(panic);
-                        }
-                    },
-                )
-                .map_err(|e| ServeError::Pool(e.to_string()))?,
-            )
-        };
-        // The callback owns the pool: when the accept loop ends, the
-        // pool is dropped on the accept thread, which drains
-        // already-queued connections and joins the workers before
-        // `join` returns — accepted requests still get answers.
-        let server = server.spawn("ppm-serve", errors, move |stream| {
-            accept(&state, pool.as_ref(), stream)
-        })?;
+        if config.workers == 0 && config.queue_per_worker > 0 {
+            return Err(ServeError::Pool(ExecError::ZeroThreads.to_string()));
+        }
+        let state = Arc::new(ServeState::new(&config, store, &server));
+        let errors = state.errors.clone();
+        let mut intake = Intake::spawn(state, config.workers.min(MAX_THREADS))?;
+        // The callback owns the intake: when the accept loop ends it is
+        // dropped on the accept thread, which closes the queue and joins
+        // the workers once they have answered every queued request —
+        // before `join` returns.
+        let server = server.spawn("ppm-serve", errors, move |stream| intake.accept(stream))?;
         let chaos = config
             .chaos
-            .map(|seed| ChaosClients::start(server.addr(), seed, stop));
+            .map(|seed| ChaosClients::start(server.addr(), seed, server.stop_handle()));
         Ok(ServeServer { server, chaos })
     }
 
@@ -385,47 +351,114 @@ impl ServeServer {
     }
 }
 
-/// The accept-thread half of a request: stamp it, number it, and queue
-/// it — or shed it. Never reads the head (see [`shed`]).
-fn accept(
-    state: &ServeState,
-    pool: Option<&ServicePool<Conn>>,
-    stream: TcpStream,
-) -> ControlFlow<()> {
-    state.counters.requests.inc();
-    state.queued.fetch_add(1, Ordering::SeqCst);
-    let mut conn = Conn {
-        stream,
-        accepted: Stopwatch::start(),
-        // Numbered at accept so every request — shed ones included —
-        // has a deterministic trace identity, and so the chaos plan
-        // keys faults off the true arrival order.
-        seq: state.seq.fetch_add(1, Ordering::Relaxed),
-    };
-    let Some(pool) = pool else {
-        // Shed-all drill mode: refuse without a pool to queue into.
-        // Unlike saturation shedding, drain the request head first:
-        // closing with unread bytes in the socket makes the kernel
-        // send RST, which clients see as a transport error instead
-        // of a 503. The slowloris argument for head-blind shedding
-        // does not apply here — there is no queue to protect.
-        state.queued.fetch_sub(1, Ordering::SeqCst);
-        let mut scratch = [0u8; 1024];
-        let _ = std::io::Read::read(&mut conn.stream, &mut scratch);
+/// The accept thread's half of the service: it numbers connections,
+/// queues them or sheds them, and owns the workers that pop them.
+/// Dropping it closes the queue, so each worker exits once the queue is
+/// drained, and joins them.
+struct Intake {
+    state: Arc<ServeState>,
+    workers: Vec<JoinHandle<()>>,
+    /// The next request's sequence number: arrival order.
+    next_seq: u64,
+}
+
+impl Intake {
+    /// Starts `count` workers popping from the state's queue. Each
+    /// attaches the calling thread's telemetry context, so a scoped
+    /// registry sees their counters.
+    fn spawn(state: Arc<ServeState>, count: usize) -> Result<Self, ServeError> {
+        let mut intake = Intake {
+            state,
+            workers: Vec::with_capacity(count),
+            next_seq: 0,
+        };
+        let context = ppm_telemetry::current_context();
+        for worker in 0..count {
+            let state = Arc::clone(&intake.state);
+            let context = context.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("ppm-svc-serve-{worker}"))
+                .spawn(move || {
+                    let _context = context.attach();
+                    while let Some(conn) = state.queue.pop() {
+                        serve_one(&state, conn, worker, handle_connection);
+                    }
+                })
+                .map_err(|e| ServeError::Pool(format!("cannot spawn worker {worker}: {e}")))?;
+            intake.workers.push(handle);
+        }
+        ppm_telemetry::gauge("exec.serve.workers").set(count as f64);
+        Ok(intake)
+    }
+
+    /// Stamps, numbers, and queues one connection — or sheds it. Never
+    /// reads the head while the queue has slots (see [`shed`]).
+    fn accept(&mut self, stream: TcpStream) {
+        let state = &*self.state;
+        state.counters.requests.inc();
+        let conn = Conn {
+            stream,
+            accepted: Stopwatch::start(),
+            // Numbered at accept so every request — shed ones included —
+            // has a deterministic trace identity, and so the chaos plan
+            // keys faults off the true arrival order.
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        let Err(mut conn) = state.queue.push(conn) else {
+            return;
+        };
+        if state.queue.capacity() == 0 {
+            // Shed-all drill mode: unlike saturation shedding, drain the
+            // request head first. Closing with unread bytes in the
+            // socket makes the kernel send RST, which clients see as a
+            // transport error instead of a 503. The slowloris argument
+            // for head-blind shedding does not apply here — there is no
+            // queue to protect.
+            let _ = conn.stream.read(&mut [0u8; 1024]);
+        } else {
+            state.counters.saturated.inc();
+        }
         shed(state, conn);
-        return ControlFlow::Continue(());
-    };
-    let Err(refused) = pool.try_submit(conn) else {
-        return ControlFlow::Continue(());
-    };
-    // A closed pool will never serve again, so the loop ends too.
-    let flow = match refused {
-        SubmitError::Saturated(_) => ControlFlow::Continue(()),
-        SubmitError::Closed(_) => ControlFlow::Break(()),
-    };
-    state.queued.fetch_sub(1, Ordering::SeqCst);
-    shed(state, refused.into_inner());
-    flow
+    }
+}
+
+impl Drop for Intake {
+    fn drop(&mut self) {
+        self.state.queue.close();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// One request on a worker, inside the service's one panic boundary: a
+/// `handle` panic costs its request, never the worker. The request's
+/// identity is copied first, so the trace ring and the SLO still see it.
+fn serve_one(
+    state: &ServeState,
+    conn: Conn,
+    worker: usize,
+    handle: impl FnOnce(&ServeState, Conn, usize),
+) {
+    let (seq, accepted) = (conn.seq, conn.accepted);
+    if catch_unwind(AssertUnwindSafe(|| handle(state, conn, worker))).is_ok() {
+        return;
+    }
+    let total_us = accepted.elapsed_us();
+    finish_request(
+        state,
+        TraceContext::new(seq, None),
+        "(worker panic)",
+        TraceOutcome::PanicContained,
+        0,
+        "request handler panicked".to_string(),
+        Some(worker),
+        vec![span("accept", 0, total_us)],
+        total_us,
+    );
+    state.slo.observe(unix_now_sec(), false, total_us);
+    state.counters.worker_panics.inc();
 }
 
 /// Sheds an accepted connection: an immediate 503 without reading the
@@ -440,7 +473,7 @@ fn shed(state: &ServeState, mut conn: Conn) {
     let ctx = TraceContext::new(conn.seq, None);
     let body = json_body(&Json::obj([
         ("error", Json::from("shed: request queue full")),
-        ("queued", Json::from(state.queued.load(Ordering::SeqCst))),
+        ("queued", Json::from(state.queue.len())),
         ("trace_id", Json::from(ctx.id.as_str())),
     ]));
     let write_start = conn.accepted.elapsed_us();
@@ -508,7 +541,7 @@ fn finish_request(
     }
 }
 
-fn handle_connection(state: &Arc<ServeState>, mut conn: Conn, worker: usize) {
+fn handle_connection(state: &ServeState, mut conn: Conn, worker: usize) {
     let (accepted, seq) = (conn.accepted, conn.seq);
     let picked_up_us = accepted.elapsed_us();
     let head = match read_head_or_400(&mut conn.stream, &state.errors) {
@@ -788,7 +821,8 @@ fn bad_request(detail: &str) -> Reply {
 enum DegradeCause {
     NoModel,
     QueueDepth(usize),
-    FailStreak,
+    /// Sticky degradation, with the failure streak that made it so.
+    FailStreak(u32),
     Eval(EvalFailure),
 }
 
@@ -800,10 +834,9 @@ impl DegradeCause {
                 "queue depth {queued} at degrade threshold {}",
                 state.degrade_depth
             ),
-            DegradeCause::FailStreak => format!(
-                "model failing (streak {}); probing every {PROBE_EVERY} requests",
-                state.streak.load(Ordering::Relaxed),
-            ),
+            DegradeCause::FailStreak(streak) => {
+                format!("model failing (streak {streak}); probing every {PROBE_EVERY} requests")
+            }
             DegradeCause::Eval(failure) => failure.to_string(),
         }
     }
@@ -812,7 +845,7 @@ impl DegradeCause {
         match self {
             DegradeCause::NoModel => state.counters.degraded_no_model.inc(),
             DegradeCause::QueueDepth(_) => state.counters.degraded_depth.inc(),
-            DegradeCause::FailStreak => state.counters.degraded_fail_streak.inc(),
+            DegradeCause::FailStreak(_) => state.counters.degraded_fail_streak.inc(),
             DegradeCause::Eval(_) => state.counters.degraded_eval_failure.inc(),
         }
     }
@@ -890,27 +923,35 @@ fn predict(
         Ok(value) => return error_reply(500, format!("analytical estimate was {value}")),
         Err(e) => return error_reply(400, e.to_string()),
     };
-    let queued = state.queued.load(Ordering::SeqCst);
+    let queued = state.queue.len();
     let mut cause: Option<DegradeCause> = None;
     if model.network.is_none() {
         cause = Some(DegradeCause::NoModel);
     } else if queued >= state.degrade_depth {
         cause = Some(DegradeCause::QueueDepth(queued));
-    } else if state.sticky.load(Ordering::Acquire)
-        && !state
-            .probe_tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(PROBE_EVERY)
-    {
-        cause = Some(DegradeCause::FailStreak);
+    } else {
+        let mut degrade = state.degrade();
+        if degrade.sticky {
+            let tick = degrade.probe_tick;
+            degrade.probe_tick += 1;
+            if !tick.is_multiple_of(PROBE_EVERY) {
+                cause = Some(DegradeCause::FailStreak(degrade.streak));
+            }
+        }
     }
     let prediction = if cause.is_some() {
         analytical
     } else {
+        // The evaluation runs with no lock held; the telemetry events
+        // are emitted after the guard drops.
         match evaluate_real(state, &model, &config, seq) {
             Ok(value) => {
-                state.streak.store(0, Ordering::Relaxed);
-                if state.sticky.swap(false, Ordering::AcqRel) {
+                let recovered = {
+                    let mut degrade = state.degrade();
+                    degrade.streak = 0;
+                    std::mem::take(&mut degrade.sticky)
+                };
+                if recovered {
                     ppm_telemetry::event!(
                         Level::Info,
                         "serve.recovered",
@@ -921,8 +962,14 @@ fn predict(
             }
             Err(failure) => {
                 state.counters.model_failures.inc();
-                let streak = state.streak.fetch_add(1, Ordering::SeqCst) + 1;
-                if streak >= FAIL_STREAK && !state.sticky.swap(true, Ordering::AcqRel) {
+                let (streak, turned_sticky) = {
+                    let mut degrade = state.degrade();
+                    degrade.streak += 1;
+                    let turned = degrade.streak >= FAIL_STREAK && !degrade.sticky;
+                    degrade.sticky |= turned;
+                    (degrade.streak, turned)
+                };
+                if turned_sticky {
                     ppm_telemetry::event!(
                         Level::Warn,
                         "serve.degraded_sticky",
@@ -976,8 +1023,8 @@ fn predict(
 /// (`/healthz`) while unable to give full-fidelity answers.
 fn readyz(state: &ServeState) -> Reply {
     let model = state.store.active();
-    let queued = state.queued.load(Ordering::SeqCst);
-    let sticky = state.sticky.load(Ordering::Acquire);
+    let queued = state.queue.len();
+    let sticky = state.degrade().sticky;
     let ready = model.network.is_some() && !sticky && queued < state.degrade_depth;
     let body = json_body(&Json::obj([
         ("ready", Json::from(ready)),
@@ -992,6 +1039,10 @@ fn readyz(state: &ServeState) -> Reply {
 fn statusz(state: &ServeState) -> String {
     let model = state.store.active();
     let c = &state.counters;
+    let (sticky, streak) = {
+        let degrade = state.degrade();
+        (degrade.sticky, degrade.streak)
+    };
     let (tracing, retained, capacity) = match &state.trace {
         Some(ring) => (true, ring.len(), ring.capacity()),
         None => (false, 0, 0),
@@ -1002,17 +1053,11 @@ fn statusz(state: &ServeState) -> String {
         ("benchmark", Json::from(model.benchmark.to_string())),
         ("metric", Json::from(model.metric.as_str())),
         ("workers", Json::from(state.workers)),
-        ("queue_capacity", Json::from(state.queue_capacity)),
-        ("queued", Json::from(state.queued.load(Ordering::SeqCst))),
+        ("queue_capacity", Json::from(state.queue.capacity())),
+        ("queued", Json::from(state.queue.len())),
         ("degrade_depth", Json::from(state.degrade_depth)),
-        (
-            "sticky_degraded",
-            Json::from(state.sticky.load(Ordering::Acquire)),
-        ),
-        (
-            "fail_streak",
-            Json::from(u64::from(state.streak.load(Ordering::Relaxed))),
-        ),
+        ("sticky_degraded", Json::from(sticky)),
+        ("fail_streak", Json::from(u64::from(streak))),
         ("chaos", Json::from(state.fault.is_some())),
         ("requests", Json::from(c.requests.get())),
         ("ok", Json::from(c.ok.get())),
@@ -1056,8 +1101,9 @@ fn reloadz(state: &ServeState) -> Reply {
             state.counters.reloads.inc();
             if outcome.changed {
                 // A new model starts with a clean failure record.
-                state.streak.store(0, Ordering::Relaxed);
-                state.sticky.store(false, Ordering::Release);
+                let mut degrade = state.degrade();
+                degrade.streak = 0;
+                degrade.sticky = false;
             }
             let body = json_body(&Json::obj([
                 ("version", Json::from(outcome.version.as_str())),
@@ -1088,6 +1134,7 @@ mod tests {
     use super::*;
     use ppm_live::http::IO_TIMEOUT;
     use ppm_live::{http_get, http_post};
+    use std::io::Write;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ppm-serve-{tag}-{}", std::process::id()));
@@ -1212,5 +1259,187 @@ mod tests {
             let doc = Json::parse(&body).unwrap();
             assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
         }
+    }
+
+    /// A connected socket pair: the client end and the service's end,
+    /// with the service's read budget.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
+        (client, stream)
+    }
+
+    /// Service state for `config`, and the bound (not accepting) server
+    /// whose stop handle it holds.
+    fn state_for(config: &ServeConfig) -> (ServeState, Server) {
+        let store = ModelStore::open(&config.registry, config.fallback_benchmark).unwrap();
+        let server = Server::bind(&config.addr).unwrap();
+        (ServeState::new(config, store, &server), server)
+    }
+
+    fn read_response(mut client: TcpStream) -> String {
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\n\r\n";
+
+    #[test]
+    fn a_handler_panic_is_contained_counted_and_traced() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let (state, _server) = state_for(&analytical_config("panic"));
+        let conn = |stream| Conn {
+            stream,
+            accepted: Stopwatch::start(),
+            seq: 41,
+        };
+        let (_client, stream) = socket_pair();
+        serve_one(&state, conn(stream), 1, |_, _, _| {
+            // The panic path is this test's subject. lint:allow(panic-path)
+            panic!("injected handler panic");
+        });
+        assert_eq!(scoped.counter("exec.serve.worker_panics").get(), 1);
+        let ring = state.trace.as_ref().unwrap();
+        let records = ring.snapshot(&TraceFilter::default());
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].outcome, TraceOutcome::PanicContained);
+        assert_eq!(records[0].worker, Some(1));
+        // The same worker answers its next request.
+        let (mut client, stream) = socket_pair();
+        client.write_all(HEALTHZ).unwrap();
+        serve_one(&state, conn(stream), 1, handle_connection);
+        let response = read_response(client);
+        assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+        assert_eq!(scoped.counter("exec.serve.worker_panics").get(), 1);
+    }
+
+    #[test]
+    fn dropping_the_intake_answers_every_queued_request_first() {
+        let _scoped = ppm_telemetry::Registry::scoped();
+        let config = ServeConfig {
+            workers: 1,
+            ..analytical_config("drain")
+        };
+        let (state, _server) = state_for(&config);
+        let state = Arc::new(state);
+        let mut intake = Intake::spawn(Arc::clone(&state), 1).unwrap();
+        // A silent client holds the one worker, so the next three stay
+        // queued until it speaks.
+        let (mut silent, stream) = socket_pair();
+        intake.accept(stream);
+        let queued: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let (mut client, stream) = socket_pair();
+                client.write_all(HEALTHZ).unwrap();
+                intake.accept(stream);
+                client
+            })
+            .collect();
+        assert!(state.queue.len() >= 3);
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            silent.write_all(HEALTHZ).unwrap();
+            read_response(silent)
+        });
+        drop(intake);
+        assert_eq!(state.queue.len(), 0);
+        for client in queued {
+            let response = read_response(client);
+            assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+        }
+        assert!(release.join().unwrap().starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn a_full_queue_sheds_and_counts_saturation() {
+        let scoped = ppm_telemetry::Registry::scoped();
+        let config = ServeConfig {
+            workers: 1,
+            queue_per_worker: 1,
+            ..analytical_config("saturated")
+        };
+        let (state, _server) = state_for(&config);
+        let state = Arc::new(state);
+        let mut intake = Intake::spawn(Arc::clone(&state), 1).unwrap();
+        let (mut silent, stream) = socket_pair();
+        intake.accept(stream);
+        while state.queue.len() > 0 {
+            std::thread::yield_now();
+        }
+        // The worker holds the silent client; the next request takes
+        // the one slot; the one after is shed.
+        let (mut queued, stream) = socket_pair();
+        queued.write_all(HEALTHZ).unwrap();
+        intake.accept(stream);
+        // A shed never reads the head, so this client sends none: unread
+        // request bytes would turn the 503 into a reset.
+        let (shed, stream) = socket_pair();
+        intake.accept(stream);
+        let response = read_response(shed);
+        assert!(response.starts_with("HTTP/1.1 503"), "{response:?}");
+        assert!(
+            response.contains("shed: request queue full"),
+            "{response:?}"
+        );
+        assert_eq!(scoped.counter("exec.serve.saturated").get(), 1);
+        silent.write_all(HEALTHZ).unwrap();
+        drop(intake);
+        assert!(read_response(queued).starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn traces_name_workers_in_range() {
+        let _serial = crate::tests::serial();
+        let config = ServeConfig {
+            workers: 3,
+            ..analytical_config("worker-ids")
+        };
+        let server = ServeServer::start(config).unwrap();
+        let addr = server.addr().to_string();
+        // Analytical answers are degraded, so the ring keeps them all.
+        for _ in 0..12 {
+            let (status, _) = http_get(&addr, "/predict", IO_TIMEOUT).unwrap();
+            assert_eq!(status, 200);
+        }
+        let (_, body) = http_get(&addr, "/tracez?outcome=degraded", IO_TIMEOUT).unwrap();
+        let doc = Json::parse(&body).unwrap();
+        let workers: Vec<i64> = doc
+            .get("records")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|r| r.get("worker").and_then(Json::as_i64))
+            .collect();
+        assert_eq!(workers.len(), 12, "{body}");
+        assert!(workers.iter().all(|w| (0..3).contains(w)), "{workers:?}");
+    }
+
+    #[test]
+    fn zero_workers_need_a_zero_queue() {
+        let _serial = crate::tests::serial();
+        let config = ServeConfig {
+            workers: 0,
+            ..analytical_config("zero-workers")
+        };
+        match ServeServer::start(config) {
+            Err(ServeError::Pool(detail)) => {
+                assert_eq!(detail, "need at least one worker thread");
+            }
+            Err(e) => panic!("wrong refusal: {e}"),
+            Ok(_) => panic!("zero workers started with a non-zero queue"),
+        }
+        // Zero workers and zero slots is the shed-all drill.
+        let config = ServeConfig {
+            workers: 0,
+            queue_per_worker: 0,
+            ..analytical_config("zero-drill")
+        };
+        let server = ServeServer::start(config).unwrap();
+        let addr = server.addr().to_string();
+        let (status, body) = http_get(&addr, "/healthz", IO_TIMEOUT).unwrap();
+        assert_eq!(status, 503, "{body}");
     }
 }

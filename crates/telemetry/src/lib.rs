@@ -35,9 +35,9 @@
 //!
 //! ## Cost when idle
 //!
-//! Instruments are single atomics; with no sinks installed, events and
-//! span closings return after one relaxed atomic load. Call sites never
-//! need to be conditionally compiled out.
+//! Instruments are single atomics; with no sinks installed, events
+//! return, and span closings skip dispatch, after one atomic load. Call
+//! sites never need to be conditionally compiled out.
 
 mod cputime;
 mod file;
@@ -62,11 +62,10 @@ pub use span::{
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 static REGISTRY: Registry = Registry::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static SINKS: Mutex<Vec<Box<dyn Sink>>> = Mutex::new(Vec::new());
 /// Mirrors `SINKS.len()` so the no-sink fast path skips the lock.
 // atomic-policy(SINK_COUNT): Release, Acquire — the count is published
@@ -207,17 +206,6 @@ pub fn span(name: &str) -> Span {
     Span::enter(name)
 }
 
-/// Turns span/event collection on or off. Metrics handles keep
-/// working either way; disabled spans and events become no-ops.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether span/event collection is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Installs a sink at the end of the dispatch order.
 pub fn add_sink(sink: Box<dyn Sink>) {
     let mut sinks = SINKS
@@ -244,8 +232,8 @@ pub fn clear_sinks() {
     }
 }
 
-/// Flushes every installed sink (e.g. before process exit).
-pub fn flush_sinks() {
+/// Flushes every installed sink (before process exit).
+fn flush_sinks() {
     for s in SINKS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -276,7 +264,7 @@ pub(crate) fn dispatch(rec: &Record) {
 }
 
 /// Emits a discrete [`Level::Info`] event with the given fields at the
-/// current span depth. No-op when telemetry is disabled.
+/// current span depth. No-op when no sink is installed.
 pub fn event(name: &str, fields: &[(&str, Json)]) {
     event_at(Level::Info, name, fields);
 }
@@ -285,7 +273,7 @@ pub fn event(name: &str, fields: &[(&str, Json)]) {
 /// events stay visible to `Progress` sinks even when nested; prefer the
 /// [`event!`] macro at call sites for the key/value sugar.
 pub fn event_at(level: Level, name: &str, fields: &[(&str, Json)]) {
-    if !enabled() || SINK_COUNT.load(Ordering::Acquire) == 0 {
+    if SINK_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
     dispatch(&Record::Event {
@@ -407,23 +395,6 @@ mod tests {
         assert_eq!(evt.0[0].0, "n");
         assert_eq!(evt.0[0].1, Json::Int(3));
         assert_eq!(evt.0[1].1, Json::Str("a\"b".to_string()));
-    }
-
-    #[test]
-    fn disabled_telemetry_emits_nothing() {
-        let records = with_buffer(|| {
-            set_enabled(false);
-            {
-                let _s = span("t.disabled");
-            }
-            event("t.disabled_evt", &[]);
-            set_enabled(true);
-        });
-        assert!(records.iter().all(|r| match r {
-            Record::Span { name, .. } => name != "t.disabled",
-            Record::Event { name, .. } => name != "t.disabled_evt",
-            Record::Metric(_) => true,
-        }));
     }
 
     #[test]

@@ -158,13 +158,9 @@ pub(crate) fn snapshot_context() -> TelemetryContext {
 }
 
 /// A running wall-clock timer, closed on drop.
-///
-/// When telemetry is disabled ([`crate::set_enabled`]) the constructor
-/// returns an inert span that records nothing, so instrumentation can
-/// stay in place unconditionally.
 #[derive(Debug)]
 pub struct Span {
-    name: Option<String>,
+    name: String,
     start: Instant,
     start_us: u64,
     cpu_start: Option<u64>,
@@ -174,18 +170,10 @@ impl Span {
     /// Opens a span named `name` and pushes it onto this thread's
     /// span stack.
     pub fn enter(name: &str) -> Self {
-        if !crate::enabled() {
-            return Span {
-                name: None,
-                start: Instant::now(),
-                start_us: 0,
-                cpu_start: None,
-            };
-        }
         SPAN_STACK.with(|s| s.borrow_mut().push(name.to_string()));
         stage_push(name);
         Span {
-            name: Some(name.to_string()),
+            name: name.to_string(),
             start: Instant::now(),
             start_us: monotonic_us(),
             cpu_start: process_cpu_us(),
@@ -200,9 +188,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(name) = self.name.take() else {
-            return;
-        };
+        let name = std::mem::take(&mut self.name);
         let us = self.elapsed_us();
         let cpu_us = match (self.cpu_start, process_cpu_us()) {
             (Some(a), Some(b)) => Some(b.saturating_sub(a)),

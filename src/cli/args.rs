@@ -37,6 +37,8 @@ pub enum ArgError {
         /// The offending flag.
         flag: String,
     },
+    /// An `<addr>` command was given no address; names the command.
+    MissingAddr(String),
 }
 
 impl fmt::Display for ArgError {
@@ -58,6 +60,7 @@ impl fmt::Display for ArgError {
             ArgError::UnknownFlag { command, flag } => {
                 write!(f, "`ppm {command}` does not take {flag} (try `ppm help`)")
             }
+            ArgError::MissingAddr(command) => f.write_str(&usage_line(command)),
         }
     }
 }
@@ -154,6 +157,22 @@ fn flags_of(command: &str) -> Option<&'static str> {
         .map(|(_, flags)| *flags)
 }
 
+/// `usage: ppm <command> <addr> [--flag <value>] [--switch] ...`, from
+/// the command's row of [`COMMANDS`].
+fn usage_line(command: &str) -> String {
+    let mut line = format!("usage: ppm {command}");
+    for word in flags_of(command).unwrap_or_default().split_whitespace() {
+        if !word.starts_with("--") {
+            line.push_str(&format!(" {word}"));
+        } else if listed(SWITCHES, word) {
+            line.push_str(&format!(" [{word}]"));
+        } else {
+            line.push_str(&format!(" [{word} <value>]"));
+        }
+    }
+    line
+}
+
 /// Every command word, in the order `ppm help` lists them.
 pub fn command_names() -> impl Iterator<Item = &'static str> {
     COMMANDS.iter().map(|(name, _)| *name)
@@ -213,6 +232,20 @@ impl Parsed {
     /// the positional allowlist ever have any).
     pub fn positionals(&self) -> &[String] {
         &self.positionals
+    }
+
+    /// The address an `<addr>` command serves or watches: its first
+    /// positional.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::MissingAddr`], whose message is the command's usage
+    /// line, when no address was given.
+    pub fn addr(&self) -> Result<&str, ArgError> {
+        self.positionals
+            .first()
+            .map(String::as_str)
+            .ok_or_else(|| ArgError::MissingAddr(self.command.clone()))
     }
 
     /// A string flag's value, if present.

@@ -206,34 +206,27 @@ pub fn start_live(parsed: &Parsed) -> Result<Option<ppm_live::LiveServer>, CliEr
 /// goes away — a vanished endpoint after a successful first poll means
 /// the watched run finished, and is a clean exit.
 fn top(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm top <addr> [--once] [--interval-ms <n>]".to_string(),
-            ))
-        }
-    };
+    let addr = parsed.addr()?;
     let interval_ms: u64 = parsed.num("--interval-ms", 500u64)?;
     let quiet = parsed.switch("--quiet");
     let timeout = std::time::Duration::from_secs(2);
     let mut state = ppm_live::TopState::new();
     // The first poll failing means there is no live plane to watch:
     // that is the exit-code-7 case scripts should see.
-    let first = ppm_live::fetch_top(&addr, timeout)?;
+    let first = ppm_live::fetch_top(addr, timeout)?;
     if parsed.switch("--once") {
-        out.write_str(&state.frame(&addr, &first)).map_err(msg)?;
+        out.write_str(&state.frame(addr, &first)).map_err(msg)?;
         return Ok(());
     }
-    let mut frame = state.frame(&addr, &first);
+    let mut frame = state.frame(addr, &first);
     loop {
         // Redraw in place: clear screen, cursor home, one frame.
         print!("\x1b[2J\x1b[H{frame}");
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-        match ppm_live::fetch_top(&addr, timeout) {
-            Ok(snap) => frame = state.frame(&addr, &snap),
+        match ppm_live::fetch_top(addr, timeout) {
+            Ok(snap) => frame = state.frame(addr, &snap),
             Err(e) => {
                 if !quiet {
                     eprintln!("[ppm top] {addr} went away ({e}); exiting");
@@ -248,17 +241,7 @@ fn top(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// `crates/serve`). Blocks until `POST /quitz`. Registry/bind failures
 /// exit with code 8.
 fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm serve <addr> [--registry <dir>] [--benchmark <b>] \
-                 [--workers <n>] [--queue <n>] [--deadline-ms <n>] [--degrade-depth <n>] \
-                 [--chaos <seed>] [--no-trace] [--trace-ring <n>] [--trace-sample <n>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.addr()?.to_string();
     let fallback_benchmark = parsed
         .get("--benchmark")
         .map(|name| Benchmark::from_str(name).map_err(msg))
@@ -315,16 +298,7 @@ fn publish(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// (exit code 5), `--out` writes the `ppm-loadtest v1` report (with
 /// `--ab`, `--ab-out` writes the `ppm-loadtest-ab v1` comparison).
 fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm loadtest <addr> [--requests <n>] [--concurrency <n>] \
-                 [--rate <req/s>] [--deadline-ms <n>] [--slo-p99-ms <ms>] [--out <report.json>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.addr()?.to_string();
     let deadline_ms: u64 = parsed.num("--deadline-ms", 0u64)?;
     let slo = match parsed.get("--slo-p99-ms") {
         Some(_) => Some(finite_num(parsed, "--slo-p99-ms", 0.0)?),
@@ -497,16 +471,7 @@ fn report_trace_check(
 /// otherwise polls every `--interval-ms` until interrupted. A failed
 /// first poll (no server, tracing disabled) exits with code 8.
 fn tail(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm tail <addr> [--once] [--interval-ms <n>] [--limit <n>] \
-                 [--outcome <o>] [--min-ms <n>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.addr()?.to_string();
     let min_ms: u64 = parsed.num("--min-ms", 0u64)?;
     let defaults = ppm_serve::TailConfig::default();
     let config = ppm_serve::TailConfig {
@@ -996,6 +961,39 @@ mod tests {
         let mut out = String::new();
         run(&parsed, &mut out)?;
         Ok(out)
+    }
+
+    /// The flags `command` reads beyond the global ones, probed through
+    /// the parser over every flag `ppm help` documents.
+    fn table_flags(command: &str) -> std::collections::BTreeSet<&'static str> {
+        let parses = |args: &[&str]| Parsed::parse(args.iter().map(|a| a.to_string())).is_ok();
+        // A switch parses alone, a value flag with a value.
+        let takes = |cmd: &str, flag: &str| parses(&[cmd, flag]) || parses(&[cmd, flag, "1"]);
+        crate::cli::USAGE
+            .split(|c: char| c.is_whitespace() || "[]".contains(c))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .filter(|flag| takes(command, flag) && !takes("help", flag))
+            .collect()
+    }
+
+    #[test]
+    fn an_addr_commands_usage_error_names_exactly_its_flags() {
+        let addr_commands: Vec<&str> = crate::cli::command_names()
+            .filter(|c| Parsed::parse([*c, "127.0.0.1:1"].map(String::from)).is_ok())
+            .collect();
+        assert_eq!(addr_commands, ["top", "tail", "serve", "loadtest"]);
+        for command in addr_commands {
+            let err = run_cli(&[command]).expect_err("no address");
+            assert_eq!(err.exit_code(), 2, "{command}");
+            let usage = err.to_string();
+            let prefix = format!("usage: ppm {command} <addr>");
+            assert!(usage.starts_with(&prefix), "{usage}");
+            let named: std::collections::BTreeSet<&str> = usage
+                .split(|c: char| c.is_whitespace() || "[]".contains(c))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            assert_eq!(named, table_flags(command), "{command}: {usage}");
+        }
     }
 
     #[test]

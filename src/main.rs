@@ -1,7 +1,7 @@
 //! The `ppm` command-line tool. See `ppm help` or [`ppm::cli::USAGE`].
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -72,23 +72,30 @@ fn write_flight_artifacts(
         );
         let path = flight::ledger_path(parsed, &ledger.run_id);
         if let Err(e) = ledger.write_atomic(&path) {
-            eprintln!("warning: run ledger not written to {}: {e}", path.display());
+            let path = path.display();
+            let _ = writeln!(
+                io::stderr(),
+                "warning: run ledger not written to {path}: {e}"
+            );
         }
     }
     Ok(())
 }
 
+// Final words go through `writeln!`/`write_all`, not `eprintln!`/
+// `print!`, which panic (exit 101) when the reader closed the pipe: a
+// closed stderr or stdout costs the output, never the exit code.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match Parsed::parse(args) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             return ExitCode::from(2);
         }
     };
     if let Err(e) = init_telemetry(&parsed) {
-        eprintln!("error: {e}");
+        let _ = writeln!(io::stderr(), "error: {e}");
         return ExitCode::FAILURE;
     }
     // The live observability plane (`--live <addr>`): started before the
@@ -98,7 +105,7 @@ fn main() -> ExitCode {
     let live_server = match cli::start_live(&parsed) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             return ExitCode::from(e.exit_code());
         }
     };
@@ -126,20 +133,14 @@ fn main() -> ExitCode {
     tel::export_metrics();
     tel::clear_sinks();
     if let Err(e) = &flight_result {
-        eprintln!("error: {e}");
+        let _ = writeln!(io::stderr(), "error: {e}");
     }
+    let _ = io::stdout().write_all(out.as_bytes());
     match result {
-        Ok(()) => {
-            print!("{out}");
-            if flight_result.is_err() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        Ok(()) if flight_result.is_err() => ExitCode::FAILURE,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            print!("{out}");
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             ExitCode::from(e.exit_code())
         }
     }

@@ -9,7 +9,7 @@
 mod common;
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use common::scratch;
 use ppm_obs::{validate_chrome_trace, verify_content_hash};
@@ -457,6 +457,32 @@ fn flags_a_command_does_not_read_exit_2_before_any_work() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that went away costs `ppm` its output, never its exit code:
+/// its final words are written without `eprintln!`/`print!`, which
+/// panic (exit 101) on a closed pipe.
+#[test]
+fn a_closed_stderr_or_stdout_keeps_the_exit_code() {
+    let closed = || {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        writer
+    };
+    let status = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .args(["simulate", "--benchmark", "nope"])
+        .stdout(Stdio::null())
+        .stderr(closed())
+        .status()
+        .expect("ppm binary runs");
+    assert_eq!(status.code(), Some(1), "closed stderr");
+    let status = Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .arg("benchmarks")
+        .stdout(closed())
+        .stderr(Stdio::null())
+        .status()
+        .expect("ppm binary runs");
+    assert_eq!(status.code(), Some(0), "closed stdout");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::net::{Shutdown, TcpStream};
 use std::path::Path;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{build_and_publish, scratch, spawn_listening, spawn_serving, Reaped};
 use ppm_live::http_get;
@@ -246,4 +246,36 @@ fn a_closed_stderr_does_not_cost_a_request() {
     let mut response = String::new();
     let _ = conn.read_to_string(&mut response);
     assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+}
+
+/// A client that connects and sends nothing holds one worker for the
+/// 2 s head-read budget, and no request behind it: every worker pops
+/// from one queue, so the other worker answers each later request
+/// while the silent one waits.
+#[test]
+fn a_silent_client_holds_up_one_worker_and_no_request_behind_it() {
+    let dir = scratch("silent-client");
+    let (_serve, addr) = spawn_serving(
+        Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args([
+                "serve",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+                "--benchmark",
+                "ammp",
+                "--registry",
+            ])
+            .arg(dir.join("registry")),
+    );
+    let _silent = TcpStream::connect(&addr).expect("connects");
+    for i in 0..4 {
+        let started = Instant::now();
+        let answer = http_get(&addr, "/healthz", Duration::from_millis(500));
+        let waited = started.elapsed();
+        match answer {
+            Ok((status, _)) => assert_eq!(status, 200, "request {i}"),
+            Err(e) => panic!("request {i} not answered within 500 ms ({waited:?}): {e}"),
+        }
+    }
 }
