@@ -8,9 +8,10 @@
 use std::collections::BTreeMap;
 
 use ppm_core::builder::RbfModelBuilder;
-use ppm_core::space::{DesignSpace, PARAM_NAMES};
+use ppm_core::space::DesignSpace;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
+use ppm_sim::KNOBS;
 use ppm_workload::Benchmark;
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
             "max_value",
         ],
     );
-    for (idx, name) in PARAM_NAMES.iter().enumerate() {
+    for (idx, name) in KNOBS.iter().map(|knob| knob.name).enumerate() {
         let n = counts.get(&idx).copied().unwrap_or(0);
         let (lo, med, hi) = match values.get(&idx) {
             Some(v) => {

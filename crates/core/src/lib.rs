@@ -5,7 +5,8 @@
 //!
 //! 1. [`space::DesignSpace`] specifies the microarchitectural design
 //!    space — the nine parameters of the paper's Table 1 with their
-//!    ranges, levels and transforms — and converts design points into
+//!    ranges, levels and transforms, one row each of the
+//!    [`ppm_sim::KNOBS`] table — and converts design points into
 //!    simulator configurations.
 //! 2. [`builder::RbfModelBuilder`] selects a latin hypercube sample with
 //!    the best L2-star discrepancy (§2.2), ...

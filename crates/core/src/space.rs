@@ -1,52 +1,13 @@
 //! The microarchitectural design space of the paper's Tables 1 and 2.
 
 use ppm_sampling::space::{Levels, ParamDef, ParamSpace, Transform};
-use ppm_sim::SimConfig;
-
-/// Index of each parameter in a design point, in the paper's Table 1
-/// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Param {
-    /// Total pipeline depth (stages).
-    PipeDepth = 0,
-    /// Reorder buffer entries.
-    RobSize = 1,
-    /// Issue queue size as a fraction of the ROB.
-    IqFrac = 2,
-    /// Load/store queue size as a fraction of the ROB.
-    LsqFrac = 3,
-    /// L2 capacity in KiB.
-    L2SizeKb = 4,
-    /// L2 hit latency in cycles.
-    L2Lat = 5,
-    /// L1 instruction cache capacity in KiB.
-    Il1SizeKb = 6,
-    /// L1 data cache capacity in KiB.
-    Dl1SizeKb = 7,
-    /// L1 data cache hit latency in cycles.
-    Dl1Lat = 8,
-}
-
-/// Short names of the nine parameters, in Table 1 order (matching the
-/// paper's Table 5 terminology).
-pub const PARAM_NAMES: [&str; 9] = [
-    "pipe_depth",
-    "ROB_size",
-    "IQ_size",
-    "LSQ_size",
-    "L2_size",
-    "L2_lat",
-    "il1_size",
-    "dl1_size",
-    "dl1_lat",
-];
+use ppm_sim::{SimConfig, KNOBS};
 
 /// The 9-dimensional processor design space.
 ///
-/// Wraps a [`ParamSpace`] and adds the conversion from unit design
-/// points to concrete [`SimConfig`]s (with snapping of cache sizes to
-/// powers of two and rounding of integer parameters).
+/// Wraps a [`ParamSpace`] read from the [`KNOBS`] table and converts
+/// between unit design points and concrete [`SimConfig`]s, snapping
+/// each value by its knob's rule.
 ///
 /// # Examples
 ///
@@ -68,89 +29,31 @@ pub struct DesignSpace {
 }
 
 impl DesignSpace {
-    /// The training design space of the paper's Table 1.
-    ///
-    /// Ranges are given in (low performance → high performance) order;
-    /// levels and transforms follow the table: cache sizes are
-    /// log-spaced with fixed level counts, ROB/IQ/LSQ take
-    /// sample-size-dependent levels ("S"), the rest are linear with
-    /// fixed counts.
+    /// The training design space of the paper's Table 1: one
+    /// dimension per row of [`KNOBS`], with its range (in low → high
+    /// performance order), levels and spacing.
     pub fn paper_table1() -> Self {
+        let params = KNOBS.iter().map(|knob| {
+            let levels = knob.levels.map_or(Levels::SampleSize, Levels::Fixed);
+            let transform = if knob.log {
+                Transform::Log
+            } else {
+                Transform::Linear
+            };
+            ParamDef::new(knob.name, knob.range.0, knob.range.1, levels, transform)
+        });
         DesignSpace {
-            params: ParamSpace::new(vec![
-                ParamDef::new(
-                    PARAM_NAMES[0],
-                    24.0,
-                    7.0,
-                    Levels::Fixed(18),
-                    Transform::Linear,
-                ),
-                ParamDef::new(
-                    PARAM_NAMES[1],
-                    24.0,
-                    128.0,
-                    Levels::SampleSize,
-                    Transform::Linear,
-                ),
-                ParamDef::new(
-                    PARAM_NAMES[2],
-                    0.25,
-                    0.75,
-                    Levels::SampleSize,
-                    Transform::Linear,
-                ),
-                ParamDef::new(
-                    PARAM_NAMES[3],
-                    0.25,
-                    0.75,
-                    Levels::SampleSize,
-                    Transform::Linear,
-                ),
-                ParamDef::new(
-                    PARAM_NAMES[4],
-                    256.0,
-                    8192.0,
-                    Levels::Fixed(6),
-                    Transform::Log,
-                ),
-                ParamDef::new(
-                    PARAM_NAMES[5],
-                    20.0,
-                    5.0,
-                    Levels::Fixed(16),
-                    Transform::Linear,
-                ),
-                ParamDef::new(PARAM_NAMES[6], 8.0, 64.0, Levels::Fixed(4), Transform::Log),
-                ParamDef::new(PARAM_NAMES[7], 8.0, 64.0, Levels::Fixed(4), Transform::Log),
-                ParamDef::new(
-                    PARAM_NAMES[8],
-                    4.0,
-                    1.0,
-                    Levels::Fixed(4),
-                    Transform::Linear,
-                ),
-            ]),
+            params: ParamSpace::new(params.collect()),
         }
     }
 
     /// The narrower test-point space of the paper's Table 2, expressed
-    /// as a restriction of [`DesignSpace::paper_table1`].
+    /// as a restriction of [`DesignSpace::paper_table1`] to each knob's
+    /// unit `test` bounds.
     pub fn paper_table2() -> Self {
-        let t1 = DesignSpace::paper_table1();
-        // Table 2 vs Table 1 endpoints, converted to unit bounds.
-        let bounds = [
-            ((24.0 - 22.0) / 17.0, (24.0 - 9.0) / 17.0), // pipe 22..9
-            ((37.0 - 24.0) / 104.0, (115.0 - 24.0) / 104.0), // rob 37..115
-            (0.12, 0.88),                                // iq 0.31..0.69
-            (0.12, 0.88),                                // lsq 0.31..0.69
-            (0.0, 1.0),                                  // L2 size full
-            ((20.0 - 18.0) / 15.0, (20.0 - 7.0) / 15.0), // L2 lat 18..7
-            (0.0, 1.0),                                  // il1 full
-            (0.0, 1.0),                                  // dl1 full
-            (0.0, 1.0),                                  // dl1 lat full
-        ];
+        let bounds = KNOBS.map(|knob| knob.test);
         DesignSpace {
-            params: t1.params.restricted(&bounds),
+            params: DesignSpace::paper_table1().params.restricted(&bounds),
         }
     }
 
@@ -173,32 +76,18 @@ impl DesignSpace {
     /// Converts a unit design point into a validated simulator
     /// configuration.
     ///
-    /// Integer parameters are rounded and cache sizes snapped to the
-    /// nearest power of two, so any point in the unit cube maps to a
-    /// realizable configuration.
+    /// Each value is snapped by its knob's rule (integers rounded,
+    /// cache sizes snapped to the nearest power of two), so any point
+    /// in the unit cube maps to a realizable configuration.
     ///
     /// # Panics
     ///
     /// Panics if `unit.len() != 9`.
     pub fn to_config(&self, unit: &[f64]) -> SimConfig {
-        let v = self.to_actual(unit);
-        let pow2 = |x: f64| -> u32 {
-            let kb = x.max(1.0);
-            let exp = kb.log2().round() as u32;
-            1u32 << exp
-        };
-        let config = SimConfig {
-            pipe_depth: v[0].round() as u32,
-            rob_size: v[1].round() as u32,
-            iq_frac: v[2],
-            lsq_frac: v[3],
-            l2_size_kb: pow2(v[4]),
-            l2_lat: v[5].round() as u32,
-            il1_size_kb: pow2(v[6]),
-            dl1_size_kb: pow2(v[7]),
-            dl1_lat: v[8].round() as u32,
-            ..SimConfig::default()
-        };
+        let mut config = SimConfig::default();
+        for (knob, v) in KNOBS.iter().zip(self.to_actual(unit)) {
+            (knob.set)(&mut config, knob.snap.apply(v));
+        }
         debug_assert!(
             config.validate().is_ok(),
             "unit point maps to invalid config"
@@ -210,17 +99,7 @@ impl DesignSpace {
     /// point, in Table 1 parameter order — the inverse of
     /// [`DesignSpace::to_config`] on every configuration it produces.
     pub fn to_unit(&self, config: &SimConfig) -> Vec<f64> {
-        self.params.to_unit(&[
-            f64::from(config.pipe_depth),
-            f64::from(config.rob_size),
-            config.iq_frac,
-            config.lsq_frac,
-            f64::from(config.l2_size_kb),
-            f64::from(config.l2_lat),
-            f64::from(config.il1_size_kb),
-            f64::from(config.dl1_size_kb),
-            f64::from(config.dl1_lat),
-        ])
+        self.params.to_unit(&KNOBS.map(|knob| (knob.get)(config)))
     }
 
     /// Snaps a unit point to the parameter level grids for a given
@@ -234,6 +113,7 @@ impl DesignSpace {
 mod tests {
     use super::*;
     use ppm_rng::Rng;
+    use ppm_sim::Snap;
 
     #[test]
     fn table1_corners_are_the_paper_values() {
@@ -295,14 +175,20 @@ mod tests {
 
     #[test]
     fn cache_sizes_snap_to_powers_of_two() {
+        let caches: Vec<_> = KNOBS
+            .iter()
+            .filter(|knob| knob.snap == Snap::PowerOfTwo)
+            .collect();
+        assert_eq!(caches.len(), 3, "L2, L1I and L1D sizes");
         let s = DesignSpace::paper_table1();
         let mut rng = Rng::seed_from_u64(6);
         for _ in 0..100 {
             let unit: Vec<f64> = (0..9).map(|_| rng.unit_f64()).collect();
             let c = s.to_config(&unit);
-            assert!(c.l2_size_kb.is_power_of_two());
-            assert!(c.il1_size_kb.is_power_of_two());
-            assert!(c.dl1_size_kb.is_power_of_two());
+            for knob in &caches {
+                let kb = (knob.get)(&c) as u32;
+                assert!(kb.is_power_of_two(), "{} = {kb}", knob.field);
+            }
         }
     }
 

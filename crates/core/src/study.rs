@@ -9,7 +9,8 @@ use ppm_sampling::pb::PlackettBurman;
 
 use crate::builder::BuildError;
 use crate::response::{eval_batch, Response};
-use crate::space::{DesignSpace, PARAM_NAMES};
+use crate::space::DesignSpace;
+use ppm_sim::KNOBS;
 
 /// The estimated main effect of one parameter from a screening design.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +65,7 @@ pub fn pb_screening<R: Response>(
                 * 2.0
                 / n;
             MainEffect {
-                param: PARAM_NAMES[k],
+                param: KNOBS[k].name,
                 param_index: k,
                 effect,
             }
@@ -179,7 +180,7 @@ pub fn significant_splits(
         .map(|s| {
             let p = &space.params().params()[s.param];
             SplitInfo {
-                param: PARAM_NAMES[s.param],
+                param: KNOBS[s.param].name,
                 param_index: s.param,
                 value: p.to_actual(s.value),
                 depth: s.depth,

@@ -22,7 +22,7 @@ use crate::ProgramStats;
 /// ));
 /// // A slower L2 can only raise the predicted CPI.
 /// let base = model.predict(&SimConfig::default());
-/// let slow = model.predict(&SimConfig::builder().l2_lat(20).build().unwrap());
+/// let slow = model.predict(&SimConfig { l2_lat: 20, ..SimConfig::default() });
 /// assert!(slow >= base);
 /// ```
 #[derive(Debug, Clone)]
@@ -158,9 +158,18 @@ mod tests {
     fn trends_have_the_right_direction() {
         let m = model(Benchmark::Mcf);
         let base = m.predict(&SimConfig::default());
-        let slow_l2 = m.predict(&SimConfig::builder().l2_lat(20).build().unwrap());
-        let small_l2 = m.predict(&SimConfig::builder().l2_size_kb(256).build().unwrap());
-        let deep = m.predict(&SimConfig::builder().pipe_depth(24).build().unwrap());
+        let slow_l2 = m.predict(&SimConfig {
+            l2_lat: 20,
+            ..SimConfig::default()
+        });
+        let small_l2 = m.predict(&SimConfig {
+            l2_size_kb: 256,
+            ..SimConfig::default()
+        });
+        let deep = m.predict(&SimConfig {
+            pipe_depth: 24,
+            ..SimConfig::default()
+        });
         assert!(slow_l2 > base);
         assert!(small_l2 >= base);
         assert!(deep > base);

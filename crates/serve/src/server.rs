@@ -1193,16 +1193,49 @@ mod tests {
         let _serial = crate::tests::serial();
         let server = ServeServer::start(analytical_config("params")).unwrap();
         let addr = server.addr().to_string();
-        let (status, body) = http_get(&addr, "/predict?rob=banana", IO_TIMEOUT).unwrap();
-        assert_eq!(status, 400, "{body}");
-        let (status, body) = http_get(&addr, "/predict?warp=9", IO_TIMEOUT).unwrap();
-        assert_eq!(status, 400, "{body}");
-        assert!(body.contains("warp"));
+        let predict = |query: &str| {
+            let (status, body) = http_get(&addr, &format!("/predict?{query}"), IO_TIMEOUT).unwrap();
+            (status, Json::parse(&body).unwrap())
+        };
+        let detail = |query: &str| {
+            let (status, doc) = predict(query);
+            assert_eq!(status, 400, "{query}");
+            doc.get("error").and_then(Json::as_str).unwrap().to_string()
+        };
+        assert_eq!(detail("warp=9"), r#"unknown parameter "warp""#);
+        assert_eq!(
+            detail("rob=banana"),
+            r#"rob wants an integer, got "banana""#
+        );
         let (status, _) = http_get(&addr, "/predict?deadline_ms=0", IO_TIMEOUT).unwrap();
         assert_eq!(status, 400);
-        // Out-of-range configs are 400s from the builder's validation.
-        let (status, body) = http_get(&addr, "/predict?rob=7", IO_TIMEOUT).unwrap();
-        assert_eq!(status, 400, "{body}");
+        // Out-of-range configs are 400s from `SimConfig::validate`.
+        assert_eq!(
+            detail("rob=7"),
+            "parameter rob_size violates: 8 <= rob_size <= 512"
+        );
+        // A query naming all nine knobs is answered at exactly that
+        // configuration.
+        let pairs = [
+            ("depth", "20"),
+            ("rob", "100"),
+            ("iq", "0.3"),
+            ("lsq", "0.7"),
+            ("l2-kb", "4096"),
+            ("l2-lat", "7"),
+            ("il1-kb", "16"),
+            ("dl1-kb", "64"),
+            ("dl1-lat", "3"),
+        ];
+        let query: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let (status, doc) = predict(&query.join("&"));
+        assert_eq!(status, 200, "{doc:?}");
+        let config = SimConfig::from_knobs(pairs).unwrap();
+        let store = ModelStore::open(&scratch("params-store"), Some(Benchmark::Ammp)).unwrap();
+        assert_eq!(
+            doc.get("prediction").and_then(Json::as_f64),
+            Some(store.active().fallback.predict(&config))
+        );
         let (status, _) = http_get(&addr, "/nope", IO_TIMEOUT).unwrap();
         assert_eq!(status, 404);
         let (status, _) = http_get(&addr, "/reloadz", IO_TIMEOUT).unwrap();

@@ -187,7 +187,7 @@ impl std::error::Error for BatchError {}
 ///
 /// let configs: Vec<SimConfig> = [24u32, 96]
 ///     .iter()
-///     .map(|&rob| SimConfig::builder().rob_size(rob).build().unwrap())
+///     .map(|&rob| SimConfig { rob_size: rob, ..SimConfig::default() })
 ///     .collect();
 /// let trace = || (0..2_000).map(|i| Instr::alu(Op::IntAlu, 0x1000 + (i % 128) * 4, 1, 0));
 ///
@@ -1554,14 +1554,12 @@ mod tests {
             (10, 48, 16, 3),
         ]
         .iter()
-        .map(|&(depth, rob, dl1, lat)| {
-            SimConfig::builder()
-                .pipe_depth(depth)
-                .rob_size(rob)
-                .dl1_size_kb(dl1)
-                .dl1_lat(lat)
-                .build()
-                .unwrap()
+        .map(|&(depth, rob, dl1, lat)| SimConfig {
+            pipe_depth: depth,
+            rob_size: rob,
+            dl1_size_kb: dl1,
+            dl1_lat: lat,
+            ..SimConfig::default()
         })
         .collect();
         let batched = BatchProcessor::new(configs.clone())
@@ -1595,8 +1593,14 @@ mod tests {
             })
             .collect();
         let configs = vec![
-            SimConfig::builder().rob_size(24).build().unwrap(),
-            SimConfig::builder().rob_size(512).build().unwrap(),
+            SimConfig {
+                rob_size: 24,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                rob_size: 512,
+                ..SimConfig::default()
+            },
         ];
         let mut kernel = Kernel::new(&configs);
         kernel.run(trace.iter().copied());
@@ -1619,8 +1623,14 @@ mod tests {
         // Default machine: 32 KB 2-way L1s and a 1 MB 8-way L2 with
         // 64 B lines, width 4, front end 14 - 4 = 10 stages deep.
         let configs = vec![
-            SimConfig::builder().rob_size(24).build().unwrap(),
-            SimConfig::builder().rob_size(128).build().unwrap(),
+            SimConfig {
+                rob_size: 24,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                rob_size: 128,
+                ..SimConfig::default()
+            },
         ];
         let window = 3 * CHUNK * 32;
         // 512 + 512 + 16,384 lines, one 4-byte tag each, and one filled
@@ -1652,8 +1662,14 @@ mod tests {
         // where a fetch group can straddle the barrier.
         let trace = mixed_trace(CHUNK as u64 + 37);
         let configs = vec![
-            SimConfig::builder().rob_size(24).build().unwrap(),
-            SimConfig::builder().rob_size(128).build().unwrap(),
+            SimConfig {
+                rob_size: 24,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                rob_size: 128,
+                ..SimConfig::default()
+            },
         ];
         let batched = BatchProcessor::new(configs.clone())
             .unwrap()
@@ -1744,12 +1760,10 @@ mod tests {
         for (mem_lat, mshrs) in [(500, 4), (520, 4), (700, 2), (2_000, 4)] {
             let configs: Vec<SimConfig> = [8u32, 76, 512]
                 .iter()
-                .map(|&rob| {
-                    SimConfig::builder()
-                        .rob_size(rob)
-                        .fixed(far_machine(mem_lat, mshrs))
-                        .build()
-                        .unwrap()
+                .map(|&rob| SimConfig {
+                    rob_size: rob,
+                    fixed: far_machine(mem_lat, mshrs),
+                    ..SimConfig::default()
                 })
                 .collect();
             let batched = assert_lanes_match(&configs, &trace);
@@ -1781,7 +1795,10 @@ mod tests {
         let trace = fan_out_trace(12_000);
         let configs: Vec<SimConfig> = [8u32, 24, 128, 512]
             .iter()
-            .map(|&rob| SimConfig::builder().rob_size(rob).build().unwrap())
+            .map(|&rob| SimConfig {
+                rob_size: rob,
+                ..SimConfig::default()
+            })
             .collect();
         assert_lanes_match(&configs, &trace);
     }
@@ -1805,12 +1822,10 @@ mod tests {
             .collect();
         let configs: Vec<SimConfig> = [8u32, 512]
             .iter()
-            .map(|&rob| {
-                SimConfig::builder()
-                    .pipe_depth(40)
-                    .rob_size(rob)
-                    .build()
-                    .unwrap()
+            .map(|&rob| SimConfig {
+                pipe_depth: 40,
+                rob_size: rob,
+                ..SimConfig::default()
             })
             .collect();
         let mut kernel = Kernel::new(&configs);

@@ -1,5 +1,5 @@
-//! Processor configuration: the nine design parameters plus the fixed
-//! machine description.
+//! Processor configuration: the nine design parameters, described once
+//! in the [`KNOBS`] table, plus the fixed machine description.
 
 use std::error::Error;
 use std::fmt;
@@ -31,17 +31,211 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// The nine Table 1 knobs by the names `ppm` takes as `--<knob>` flags
-/// and `/predict` as query keys, in [`SimConfig`] field order.
-pub const KNOBS: [&str; 9] = [
-    "depth", "rob", "iq", "lsq", "l2-kb", "l2-lat", "il1-kb", "dl1-kb", "dl1-lat",
+/// How a sampled Table 1 value becomes one the simulator can build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Snap {
+    /// Kept as sampled: the queue fractions.
+    None,
+    /// Rounded to the nearest integer: depths, entries, latencies.
+    Round,
+    /// Rounded to the nearest power of two in log space: cache sizes.
+    PowerOfTwo,
+}
+
+impl Snap {
+    /// The realizable value nearest to `v` under this rule.
+    pub fn apply(self, v: f64) -> f64 {
+        match self {
+            Snap::None => v,
+            Snap::Round => v.round(),
+            Snap::PowerOfTwo => f64::from(1u32 << (v.max(1.0).log2().round() as u32)),
+        }
+    }
+}
+
+/// One Table 1 design parameter: a row of [`KNOBS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Knob {
+    /// The paper's name (its Table 5 terminology), e.g. `ROB_size`.
+    pub name: &'static str,
+    /// The `ppm --<flag>` and `/predict` query key, e.g. `rob`.
+    pub flag: &'static str,
+    /// The [`SimConfig`] field, as [`SimConfig::validate`] names it.
+    pub field: &'static str,
+    /// Table 1's low and high values, in performance order: unit
+    /// coordinate 0 is the low-performance end, so the first value may
+    /// be the larger (pipeline depth 24 → 7).
+    pub range: (f64, f64),
+    /// A fixed level count, or `None` for one level per sample point
+    /// (Table 1's "S").
+    pub levels: Option<usize>,
+    /// Whether levels are spaced geometrically (the cache sizes) rather
+    /// than linearly.
+    pub log: bool,
+    /// How a sampled value is made realizable.
+    pub snap: Snap,
+    /// Table 2's test region, as unit bounds within `range`.
+    pub test: (f64, f64),
+    /// The smallest and largest value [`SimConfig::validate`] accepts;
+    /// a [`Snap::PowerOfTwo`] knob must also be a power of two.
+    pub valid: (f64, f64),
+    /// The constraint [`SimConfig::validate`] reports for a value
+    /// outside `valid`.
+    pub constraint: &'static str,
+    /// Reads the field.
+    pub get: fn(&SimConfig) -> f64,
+    /// Writes the field (truncated to an integer unless the knob is a
+    /// [`Snap::None`] fraction).
+    pub set: fn(&mut SimConfig, f64),
+}
+
+/// The paper's nine design parameters, one row each, in Table 1 (and
+/// [`SimConfig`] field) order. Every list of the knobs in the workspace
+/// reads this table: the design spaces of Tables 1 and 2, their
+/// conversion to and from a [`SimConfig`], the `ppm` flags and
+/// `/predict` query keys ([`SimConfig::from_knobs`]), and
+/// [`SimConfig::validate`]'s range checks.
+pub const KNOBS: [Knob; 9] = [
+    Knob {
+        name: "pipe_depth",
+        flag: "depth",
+        field: "pipe_depth",
+        range: (24.0, 7.0),
+        levels: Some(18),
+        log: false,
+        snap: Snap::Round,
+        test: ((24.0 - 22.0) / 17.0, (24.0 - 9.0) / 17.0), // 22..9
+        valid: (5.0, 40.0),
+        constraint: "5 <= pipe_depth <= 40",
+        get: |c| f64::from(c.pipe_depth),
+        set: |c, v| c.pipe_depth = v as u32,
+    },
+    Knob {
+        name: "ROB_size",
+        flag: "rob",
+        field: "rob_size",
+        range: (24.0, 128.0),
+        levels: None,
+        log: false,
+        snap: Snap::Round,
+        test: ((37.0 - 24.0) / 104.0, (115.0 - 24.0) / 104.0), // 37..115
+        valid: (8.0, 512.0),
+        constraint: "8 <= rob_size <= 512",
+        get: |c| f64::from(c.rob_size),
+        set: |c, v| c.rob_size = v as u32,
+    },
+    Knob {
+        name: "IQ_size",
+        flag: "iq",
+        field: "iq_frac",
+        range: (0.25, 0.75),
+        levels: None,
+        log: false,
+        snap: Snap::None,
+        test: (0.12, 0.88), // 0.31..0.69
+        valid: (0.05, 1.0),
+        constraint: "0.05 <= iq_frac <= 1.0",
+        get: |c| c.iq_frac,
+        set: |c, v| c.iq_frac = v,
+    },
+    Knob {
+        name: "LSQ_size",
+        flag: "lsq",
+        field: "lsq_frac",
+        range: (0.25, 0.75),
+        levels: None,
+        log: false,
+        snap: Snap::None,
+        test: (0.12, 0.88), // 0.31..0.69
+        valid: (0.05, 1.0),
+        constraint: "0.05 <= lsq_frac <= 1.0",
+        get: |c| c.lsq_frac,
+        set: |c, v| c.lsq_frac = v,
+    },
+    Knob {
+        name: "L2_size",
+        flag: "l2-kb",
+        field: "l2_size_kb",
+        range: (256.0, 8192.0),
+        levels: Some(6),
+        log: true,
+        snap: Snap::PowerOfTwo,
+        test: (0.0, 1.0),
+        valid: (64.0, 65536.0),
+        constraint: "power of two in [64, 65536]",
+        get: |c| f64::from(c.l2_size_kb),
+        set: |c, v| c.l2_size_kb = v as u32,
+    },
+    Knob {
+        name: "L2_lat",
+        flag: "l2-lat",
+        field: "l2_lat",
+        range: (20.0, 5.0),
+        levels: Some(16),
+        log: false,
+        snap: Snap::Round,
+        test: ((20.0 - 18.0) / 15.0, (20.0 - 7.0) / 15.0), // 18..7
+        valid: (2.0, 64.0),
+        constraint: "2 <= l2_lat <= 64",
+        get: |c| f64::from(c.l2_lat),
+        set: |c, v| c.l2_lat = v as u32,
+    },
+    Knob {
+        name: "il1_size",
+        flag: "il1-kb",
+        field: "il1_size_kb",
+        range: (8.0, 64.0),
+        levels: Some(4),
+        log: true,
+        snap: Snap::PowerOfTwo,
+        test: (0.0, 1.0),
+        valid: (4.0, 512.0),
+        constraint: "power of two in [4, 512]",
+        get: |c| f64::from(c.il1_size_kb),
+        set: |c, v| c.il1_size_kb = v as u32,
+    },
+    Knob {
+        name: "dl1_size",
+        flag: "dl1-kb",
+        field: "dl1_size_kb",
+        range: (8.0, 64.0),
+        levels: Some(4),
+        log: true,
+        snap: Snap::PowerOfTwo,
+        test: (0.0, 1.0),
+        valid: (4.0, 512.0),
+        constraint: "power of two in [4, 512]",
+        get: |c| f64::from(c.dl1_size_kb),
+        set: |c, v| c.dl1_size_kb = v as u32,
+    },
+    Knob {
+        name: "dl1_lat",
+        flag: "dl1-lat",
+        field: "dl1_lat",
+        range: (4.0, 1.0),
+        levels: Some(4),
+        log: false,
+        snap: Snap::Round,
+        test: (0.0, 1.0),
+        valid: (1.0, 8.0),
+        constraint: "1 <= dl1_lat <= 8",
+        get: |c| f64::from(c.dl1_lat),
+        set: |c, v| c.dl1_lat = v as u32,
+    },
 ];
+
+impl Knob {
+    /// The row of [`KNOBS`] whose flag is `flag`.
+    pub fn by_flag(flag: &str) -> Option<&'static Knob> {
+        KNOBS.iter().find(|k| k.flag == flag)
+    }
+}
 
 /// Errors raised by [`SimConfig::from_knobs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum KnobError {
-    /// A name outside [`KNOBS`] or a value that does not parse.
+    /// A flag outside [`KNOBS`] or a value that does not parse.
     Parse(String),
     /// The knobs parsed but the configuration is invalid.
     Config(ConfigError),
@@ -151,46 +345,44 @@ impl Default for FixedMachine {
 }
 
 /// A complete processor configuration: the paper's nine design
-/// parameters (Table 1) plus the fixed machine.
+/// parameters (Table 1) plus the fixed machine. Each knob's Table 1
+/// range, levels, snapping and valid range are its row of [`KNOBS`].
 ///
 /// # Examples
 ///
 /// ```
 /// use ppm_sim::SimConfig;
 ///
-/// let config = SimConfig::builder()
-///     .pipe_depth(14)
-///     .rob_size(64)
-///     .iq_frac(0.5)
-///     .lsq_frac(0.5)
-///     .l2_size_kb(1024)
-///     .l2_lat(12)
-///     .il1_size_kb(32)
-///     .dl1_size_kb(32)
-///     .dl1_lat(2)
-///     .build()?;
+/// let config = SimConfig {
+///     rob_size: 64,
+///     iq_frac: 0.5,
+///     ..SimConfig::default()
+/// };
+/// config.validate()?;
 /// assert_eq!(config.iq_size(), 32);
+/// // The same machine by `ppm` flag names, as `/predict` takes them.
+/// assert_eq!(SimConfig::from_knobs([("rob", "64")]), Ok(config));
 /// # Ok::<(), ppm_sim::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Total pipeline depth in stages (paper range 7–24).
+    /// Total pipeline depth in stages.
     pub pipe_depth: u32,
-    /// Reorder buffer entries (paper range 24–128).
+    /// Reorder buffer entries.
     pub rob_size: u32,
-    /// Issue queue size as a fraction of the ROB (paper range 0.25–0.75).
+    /// Issue queue size as a fraction of the ROB.
     pub iq_frac: f64,
-    /// Load/store queue size as a fraction of the ROB (0.25–0.75).
+    /// Load/store queue size as a fraction of the ROB.
     pub lsq_frac: f64,
-    /// Unified L2 capacity in KiB (paper range 256–8192, log-spaced).
+    /// Unified L2 capacity in KiB.
     pub l2_size_kb: u32,
-    /// L2 hit latency in cycles (paper range 5–20).
+    /// L2 hit latency in cycles.
     pub l2_lat: u32,
-    /// L1 instruction cache capacity in KiB (8–64, log-spaced).
+    /// L1 instruction cache capacity in KiB.
     pub il1_size_kb: u32,
-    /// L1 data cache capacity in KiB (8–64, log-spaced).
+    /// L1 data cache capacity in KiB.
     pub dl1_size_kb: u32,
-    /// L1 data cache hit latency in cycles (1–4).
+    /// L1 data cache hit latency in cycles.
     pub dl1_lat: u32,
     /// Everything held constant in the paper's study.
     pub fixed: FixedMachine,
@@ -215,44 +407,32 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts building a configuration from the default machine.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::default(),
-        }
-    }
-
-    /// Builds a configuration from `(knob, value)` text pairs, keeping
+    /// Builds a configuration from `(flag, value)` text pairs, keeping
     /// the default for every knob not named; a later pair for the same
-    /// knob wins.
+    /// knob wins. A [`Snap::None`] knob takes a number, every other
+    /// knob an integer.
     ///
     /// # Errors
     ///
-    /// [`KnobError`] for a name outside [`KNOBS`], a value that does not
+    /// [`KnobError`] for a flag outside [`KNOBS`], a value that does not
     /// parse, or an invalid resulting configuration.
     pub fn from_knobs<'a>(
         pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<SimConfig, KnobError> {
-        let mut b = SimConfig::builder();
-        for (knob, value) in pairs {
+        let mut config = SimConfig::default();
+        for (flag, value) in pairs {
+            let knob = Knob::by_flag(flag)
+                .ok_or_else(|| KnobError::Parse(format!("unknown parameter {flag:?}")))?;
             let bad =
-                |expected| KnobError::Parse(format!("{knob} wants {expected}, got {value:?}"));
-            let int = || value.parse::<u32>().map_err(|_| bad("an integer"));
-            let frac = || value.parse::<f64>().map_err(|_| bad("a number"));
-            b = match knob {
-                "depth" => b.pipe_depth(int()?),
-                "rob" => b.rob_size(int()?),
-                "iq" => b.iq_frac(frac()?),
-                "lsq" => b.lsq_frac(frac()?),
-                "l2-kb" => b.l2_size_kb(int()?),
-                "l2-lat" => b.l2_lat(int()?),
-                "il1-kb" => b.il1_size_kb(int()?),
-                "dl1-kb" => b.dl1_size_kb(int()?),
-                "dl1-lat" => b.dl1_lat(int()?),
-                other => return Err(KnobError::Parse(format!("unknown parameter {other:?}"))),
+                |expected| KnobError::Parse(format!("{flag} wants {expected}, got {value:?}"));
+            let v = match knob.snap {
+                Snap::None => value.parse::<f64>().map_err(|_| bad("a number"))?,
+                _ => f64::from(value.parse::<u32>().map_err(|_| bad("an integer"))?),
             };
+            (knob.set)(&mut config, v);
         }
-        b.build().map_err(KnobError::Config)
+        config.validate().map_err(KnobError::Config)?;
+        Ok(config)
     }
 
     /// The issue queue size in entries: `round(iq_frac × rob_size)`,
@@ -293,51 +473,12 @@ impl SimConfig {
                 Err(ConfigError::OutOfRange { param, constraint })
             }
         }
-        check(
-            (5..=40).contains(&self.pipe_depth),
-            "pipe_depth",
-            "5 <= pipe_depth <= 40",
-        )?;
-        check(
-            (8..=512).contains(&self.rob_size),
-            "rob_size",
-            "8 <= rob_size <= 512",
-        )?;
-        check(
-            (0.05..=1.0).contains(&self.iq_frac),
-            "iq_frac",
-            "0.05 <= iq_frac <= 1.0",
-        )?;
-        check(
-            (0.05..=1.0).contains(&self.lsq_frac),
-            "lsq_frac",
-            "0.05 <= lsq_frac <= 1.0",
-        )?;
-        check(
-            (64..=65536).contains(&self.l2_size_kb) && self.l2_size_kb.is_power_of_two(),
-            "l2_size_kb",
-            "power of two in [64, 65536]",
-        )?;
-        check(
-            (2..=64).contains(&self.l2_lat),
-            "l2_lat",
-            "2 <= l2_lat <= 64",
-        )?;
-        check(
-            (4..=512).contains(&self.il1_size_kb) && self.il1_size_kb.is_power_of_two(),
-            "il1_size_kb",
-            "power of two in [4, 512]",
-        )?;
-        check(
-            (4..=512).contains(&self.dl1_size_kb) && self.dl1_size_kb.is_power_of_two(),
-            "dl1_size_kb",
-            "power of two in [4, 512]",
-        )?;
-        check(
-            (1..=8).contains(&self.dl1_lat),
-            "dl1_lat",
-            "1 <= dl1_lat <= 8",
-        )?;
+        for knob in &KNOBS {
+            let v = (knob.get)(self);
+            let ok = (knob.valid.0..=knob.valid.1).contains(&v)
+                && (knob.snap != Snap::PowerOfTwo || (v as u32).is_power_of_two());
+            check(ok, knob.field, knob.constraint)?;
+        }
         check(self.dl1_lat < self.l2_lat, "dl1_lat", "dl1_lat < l2_lat")?;
         check(
             self.fixed.width >= 1 && self.fixed.width <= 16,
@@ -425,84 +566,6 @@ fn has_power_of_two_sets(size_bytes: u64, line_size: u32, assoc: u32) -> bool {
         && (size_bytes / set_bytes).is_power_of_two()
 }
 
-/// Builder for [`SimConfig`] (terminal method: [`SimConfigBuilder::build`]).
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets the total pipeline depth.
-    pub fn pipe_depth(mut self, v: u32) -> Self {
-        self.config.pipe_depth = v;
-        self
-    }
-
-    /// Sets the reorder buffer size.
-    pub fn rob_size(mut self, v: u32) -> Self {
-        self.config.rob_size = v;
-        self
-    }
-
-    /// Sets the issue queue size as a fraction of the ROB.
-    pub fn iq_frac(mut self, v: f64) -> Self {
-        self.config.iq_frac = v;
-        self
-    }
-
-    /// Sets the LSQ size as a fraction of the ROB.
-    pub fn lsq_frac(mut self, v: f64) -> Self {
-        self.config.lsq_frac = v;
-        self
-    }
-
-    /// Sets the L2 capacity in KiB.
-    pub fn l2_size_kb(mut self, v: u32) -> Self {
-        self.config.l2_size_kb = v;
-        self
-    }
-
-    /// Sets the L2 hit latency.
-    pub fn l2_lat(mut self, v: u32) -> Self {
-        self.config.l2_lat = v;
-        self
-    }
-
-    /// Sets the L1 instruction cache capacity in KiB.
-    pub fn il1_size_kb(mut self, v: u32) -> Self {
-        self.config.il1_size_kb = v;
-        self
-    }
-
-    /// Sets the L1 data cache capacity in KiB.
-    pub fn dl1_size_kb(mut self, v: u32) -> Self {
-        self.config.dl1_size_kb = v;
-        self
-    }
-
-    /// Sets the L1 data cache hit latency.
-    pub fn dl1_lat(mut self, v: u32) -> Self {
-        self.config.dl1_lat = v;
-        self
-    }
-
-    /// Replaces the fixed machine description.
-    pub fn fixed(mut self, v: FixedMachine) -> Self {
-        self.config.fixed = v;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any parameter is out of range.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +578,8 @@ mod tests {
     #[test]
     fn every_knob_sets_its_field() {
         let values = ["20", "100", "0.25", "0.75", "4096", "7", "8", "64", "3"];
-        let config = SimConfig::from_knobs(KNOBS.into_iter().zip(values)).unwrap();
+        let flags = KNOBS.iter().map(|knob| knob.flag);
+        let config = SimConfig::from_knobs(flags.zip(values)).unwrap();
         let expected = SimConfig {
             pipe_depth: 20,
             rob_size: 100,
@@ -529,7 +593,22 @@ mod tests {
             fixed: FixedMachine::default(),
         };
         assert_eq!(config, expected);
-        assert_eq!(SimConfig::from_knobs([]), Ok(SimConfig::default()));
+        let default = SimConfig::default();
+        assert_eq!(SimConfig::from_knobs([]), Ok(default.clone()));
+        // Each row's flag sets its own field and no other: Table 1's
+        // high-performance end differs from every default.
+        for knob in &KNOBS {
+            let value = knob.range.1;
+            let config = SimConfig::from_knobs([(knob.flag, value.to_string().as_str())]).unwrap();
+            assert_eq!((knob.get)(&config), value, "--{}", knob.flag);
+            let mut back = config.clone();
+            (knob.set)(&mut back, (knob.get)(&default));
+            assert_eq!(
+                back, default,
+                "--{} sets more than {}",
+                knob.flag, knob.field
+            );
+        }
         // A later pair for the same knob wins.
         let config = SimConfig::from_knobs([("rob", "32"), ("rob", "64")]).unwrap();
         assert_eq!(config.rob_size, 64);
@@ -573,35 +652,54 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trip() {
-        let c = SimConfig::builder()
-            .pipe_depth(20)
-            .rob_size(128)
-            .l2_size_kb(8192)
-            .build()
-            .unwrap();
-        assert_eq!(c.pipe_depth, 20);
-        assert_eq!(c.rob_size, 128);
-        assert_eq!(c.l2_size_kb, 8192);
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
-        assert!(SimConfig::builder().pipe_depth(2).build().is_err());
-        assert!(SimConfig::builder().rob_size(4).build().is_err());
-        assert!(SimConfig::builder().l2_size_kb(300).build().is_err()); // not pow2
-        assert!(SimConfig::builder().dl1_lat(30).build().is_err());
-        let err = SimConfig::builder().iq_frac(0.0).build().unwrap_err();
+        let with = |edit: fn(&mut SimConfig)| {
+            let mut c = SimConfig::default();
+            edit(&mut c);
+            c.validate()
+        };
+        assert!(with(|c| c.pipe_depth = 2).is_err());
+        assert!(with(|c| c.rob_size = 4).is_err());
+        assert!(with(|c| c.l2_size_kb = 300).is_err()); // not pow2
+        assert!(with(|c| c.dl1_lat = 30).is_err());
+        let err = with(|c| c.iq_frac = 0.0).unwrap_err();
         assert!(err.to_string().contains("iq_frac"));
+        // Past either end of its valid range, each knob is reported by
+        // its field name with its row's constraint.
+        for knob in &KNOBS {
+            for v in [knob.valid.0 / 2.0, knob.valid.1 * 2.0] {
+                let mut c = SimConfig::default();
+                (knob.set)(&mut c, v);
+                let err = c.validate().unwrap_err();
+                assert_eq!(
+                    err,
+                    ConfigError::OutOfRange {
+                        param: knob.field,
+                        constraint: knob.constraint
+                    },
+                    "{} = {v}",
+                    knob.field
+                );
+            }
+        }
     }
 
     #[test]
     fn dl1_lat_must_be_below_l2_lat() {
-        assert!(SimConfig::builder().dl1_lat(6).l2_lat(5).build().is_err());
+        let c = SimConfig {
+            dl1_lat: 6,
+            l2_lat: 5,
+            ..SimConfig::default()
+        };
+        assert!(c.validate().is_err());
     }
 
     #[test]
     fn gshare_history_bounds_are_validated() {
+        let with_fixed = |fixed| SimConfig {
+            fixed,
+            ..SimConfig::default()
+        };
         // Bimodal never consults the history register, so zero bits is
         // fine there — the default machine relies on it.
         let bimodal = FixedMachine {
@@ -609,7 +707,7 @@ mod tests {
             gshare_history: 0,
             ..FixedMachine::default()
         };
-        assert!(SimConfig::builder().fixed(bimodal).build().is_ok());
+        assert!(with_fixed(bimodal).validate().is_ok());
         // History-based predictors need at least one bit: a zero-history
         // gshare silently degenerates to bimodal, which is exactly the
         // misconfiguration validate exists to reject.
@@ -619,14 +717,14 @@ mod tests {
                 gshare_history: 0,
                 ..FixedMachine::default()
             };
-            let err = SimConfig::builder().fixed(zero).build().unwrap_err();
+            let err = with_fixed(zero).validate().unwrap_err();
             assert!(err.to_string().contains("gshare_history"), "{err}");
             let one = FixedMachine {
                 predictor: kind,
                 gshare_history: 1,
                 ..FixedMachine::default()
             };
-            assert!(SimConfig::builder().fixed(one).build().is_ok());
+            assert!(with_fixed(one).validate().is_ok());
         }
         // The history register is 64-bit but capped at 32 bits of use.
         let oversized = FixedMachine {
@@ -634,7 +732,7 @@ mod tests {
             gshare_history: 33,
             ..FixedMachine::default()
         };
-        assert!(SimConfig::builder().fixed(oversized).build().is_err());
+        assert!(with_fixed(oversized).validate().is_err());
     }
 
     /// `validate` names `param`, and the batch engine refuses the machine
@@ -715,10 +813,11 @@ mod tests {
             dl1_assoc: 512,
             ..FixedMachine::default()
         };
-        let config = SimConfig::builder()
-            .fixed(fully_associative)
-            .build()
-            .unwrap();
+        let config = SimConfig {
+            fixed: fully_associative,
+            ..SimConfig::default()
+        };
+        config.validate().unwrap();
         let trace = (0..2_000).map(|i| crate::Instr::load(0x1000 + (i % 64) * 4, i * 72, 1, 0));
         let stats = crate::BatchProcessor::new(vec![config]).unwrap().run(trace);
         assert_eq!(stats[0].instructions, 2_000);
@@ -728,17 +827,19 @@ mod tests {
     fn paper_extremes_are_valid() {
         // The corners of the paper's Table 1 space.
         for (depth, rob, frac) in [(24u32, 24u32, 0.25f64), (7, 128, 0.75)] {
-            let c = SimConfig::builder()
-                .pipe_depth(depth)
-                .rob_size(rob)
-                .iq_frac(frac)
-                .lsq_frac(frac)
-                .l2_size_kb(256)
-                .l2_lat(20)
-                .il1_size_kb(8)
-                .dl1_size_kb(8)
-                .dl1_lat(4)
-                .build();
+            let c = SimConfig {
+                pipe_depth: depth,
+                rob_size: rob,
+                iq_frac: frac,
+                lsq_frac: frac,
+                l2_size_kb: 256,
+                l2_lat: 20,
+                il1_size_kb: 8,
+                dl1_size_kb: 8,
+                dl1_lat: 4,
+                ..SimConfig::default()
+            }
+            .validate();
             assert!(c.is_ok(), "corner ({depth},{rob},{frac}) rejected");
         }
     }

@@ -202,8 +202,14 @@ mod tests {
 
     #[test]
     fn bigger_caches_cost_more_energy_on_a_cache_friendly_trace() {
-        let small = run(SimConfig::builder().l2_size_kb(256).build().unwrap());
-        let big = run(SimConfig::builder().l2_size_kb(8192).build().unwrap());
+        let small = run(SimConfig {
+            l2_size_kb: 256,
+            ..SimConfig::default()
+        });
+        let big = run(SimConfig {
+            l2_size_kb: 8192,
+            ..SimConfig::default()
+        });
         let params = EnergyParams::default();
         let e_small = estimate_energy(&small.0, &small.1, &params);
         let e_big = estimate_energy(&big.0, &big.1, &params);

@@ -252,7 +252,10 @@ mod tests {
         let configs = [8u32, 64];
         let mut misses = Vec::new();
         for kb in configs {
-            let config = SimConfig::builder().dl1_size_kb(kb).build().unwrap();
+            let config = SimConfig {
+                dl1_size_kb: kb,
+                ..SimConfig::default()
+            };
             let mut h = Hierarchy::new(&config);
             // 32 KiB working set streamed repeatedly.
             for pass in 0..4 {
@@ -314,7 +317,10 @@ mod tests {
     #[test]
     fn l2_latency_parameter_is_respected() {
         for lat in [5u32, 20] {
-            let config = SimConfig::builder().l2_lat(lat).build().unwrap();
+            let config = SimConfig {
+                l2_lat: lat,
+                ..SimConfig::default()
+            };
             let mut h = Hierarchy::new(&config);
             h.data_access(0, 0x100);
             // Thrash L1 set, then re-access: L2 hit with latency `lat`.

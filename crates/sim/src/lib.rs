@@ -17,7 +17,10 @@
 //! * per-class functional units and store-to-load forwarding.
 //!
 //! The nine microarchitectural parameters of the paper's Table 1 are all
-//! honoured by [`SimConfig`]. Simulation is *trace driven*: the
+//! honoured by [`SimConfig`], and described once, in the [`KNOBS`]
+//! table: a row per parameter with its paper name, `ppm` flag, Table 1
+//! range, levels, spacing and snapping, Table 2 bounds, valid range,
+//! and field access. Simulation is *trace driven*: the
 //! instruction stream (a [`TraceSource`]) is a pure function of the
 //! workload, never of the configuration, so CPI is a deterministic
 //! function of the design point — the property the surrogate-modeling
@@ -54,7 +57,7 @@ mod trace;
 pub use batch::{BatchError, BatchProcessor};
 pub use bpred::{BranchPredictor, Btb, Gshare, PredictorKind};
 pub use cache::{Cache, CacheStats, ReplacementPolicy};
-pub use config::{ConfigError, FixedMachine, KnobError, SimConfig, SimConfigBuilder, KNOBS};
+pub use config::{ConfigError, FixedMachine, Knob, KnobError, SimConfig, Snap, KNOBS};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyParams};
 pub use hierarchy::{AccessOutcome, Hierarchy};
 pub use memory::MemorySystem;

@@ -588,8 +588,14 @@ mod tests {
                 .collect::<Vec<_>>()
                 .into_iter()
         };
-        let shallow = SimConfig::builder().pipe_depth(7).build().unwrap();
-        let deep = SimConfig::builder().pipe_depth(24).build().unwrap();
+        let shallow = SimConfig {
+            pipe_depth: 7,
+            ..SimConfig::default()
+        };
+        let deep = SimConfig {
+            pipe_depth: 24,
+            ..SimConfig::default()
+        };
         let cpi_shallow = Processor::new(shallow).run(mk_trace()).cpi();
         let cpi_deep = Processor::new(deep).run(mk_trace()).cpi();
         assert!(
@@ -603,8 +609,14 @@ mod tests {
         // Independent loads streaming through memory: MLP is limited by
         // the window size.
         let mk_trace = || (0..20_000u64).map(|i| Instr::load(loop_pc(i), i * 64, 0, 0));
-        let small = SimConfig::builder().rob_size(24).build().unwrap();
-        let big = SimConfig::builder().rob_size(128).build().unwrap();
+        let small = SimConfig {
+            rob_size: 24,
+            ..SimConfig::default()
+        };
+        let big = SimConfig {
+            rob_size: 128,
+            ..SimConfig::default()
+        };
         let cpi_small = Processor::new(small).run(mk_trace()).cpi();
         let cpi_big = Processor::new(big).run(mk_trace()).cpi();
         assert!(
@@ -618,8 +630,14 @@ mod tests {
         // A 48 KiB code loop: thrashes an 8 KiB I-cache, fits in 64 KiB.
         let mk_trace =
             || (0..120_000u64).map(|i| Instr::alu(Op::IntAlu, 0x1_0000 + (i % 12_288) * 4, 0, 0));
-        let small = SimConfig::builder().il1_size_kb(8).build().unwrap();
-        let big = SimConfig::builder().il1_size_kb(64).build().unwrap();
+        let small = SimConfig {
+            il1_size_kb: 8,
+            ..SimConfig::default()
+        };
+        let big = SimConfig {
+            il1_size_kb: 64,
+            ..SimConfig::default()
+        };
         let cpi_small = Processor::new(small).run(mk_trace()).cpi();
         let cpi_big = Processor::new(big).run(mk_trace()).cpi();
         assert!(
@@ -631,8 +649,14 @@ mod tests {
     #[test]
     fn dl1_latency_hurts_dependent_loads() {
         let mk_trace = || (0..20_000u64).map(|i| Instr::load(loop_pc(i), 0x8000, 1, 0));
-        let fast = SimConfig::builder().dl1_lat(1).build().unwrap();
-        let slow = SimConfig::builder().dl1_lat(4).build().unwrap();
+        let fast = SimConfig {
+            dl1_lat: 1,
+            ..SimConfig::default()
+        };
+        let slow = SimConfig {
+            dl1_lat: 4,
+            ..SimConfig::default()
+        };
         let cpi_fast = Processor::new(fast).run(mk_trace()).cpi();
         let cpi_slow = Processor::new(slow).run(mk_trace()).cpi();
         assert!(
@@ -719,18 +743,20 @@ mod tests {
 
         fn random_config(seed: u64) -> SimConfig {
             let mut rng = Rng::seed_from_u64(seed);
-            SimConfig::builder()
-                .pipe_depth(rng.range_u64(7, 24) as u32)
-                .rob_size(rng.range_u64(24, 128) as u32)
-                .iq_frac(rng.range_f64(0.25, 0.75))
-                .lsq_frac(rng.range_f64(0.25, 0.75))
-                .l2_size_kb(1 << rng.range_u64(8, 13) as u32)
-                .l2_lat(rng.range_u64(5, 20) as u32)
-                .il1_size_kb(1 << rng.range_u64(3, 6) as u32)
-                .dl1_size_kb(1 << rng.range_u64(3, 6) as u32)
-                .dl1_lat(rng.range_u64(1, 4) as u32)
-                .build()
-                .expect("random config in valid ranges")
+            let config = SimConfig {
+                pipe_depth: rng.range_u64(7, 24) as u32,
+                rob_size: rng.range_u64(24, 128) as u32,
+                iq_frac: rng.range_f64(0.25, 0.75),
+                lsq_frac: rng.range_f64(0.25, 0.75),
+                l2_size_kb: 1 << rng.range_u64(8, 13) as u32,
+                l2_lat: rng.range_u64(5, 20) as u32,
+                il1_size_kb: 1 << rng.range_u64(3, 6) as u32,
+                dl1_size_kb: 1 << rng.range_u64(3, 6) as u32,
+                dl1_lat: rng.range_u64(1, 4) as u32,
+                ..SimConfig::default()
+            };
+            config.validate().expect("random config in valid ranges");
+            config
         }
 
         /// Any trace on any in-range configuration completes with

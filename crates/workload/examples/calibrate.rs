@@ -28,83 +28,23 @@ fn main() {
             s.mispredict_rate()
         );
     }
-    println!("\nsensitivities (cpi at low/high of each param):");
-    type ConfigAt = Box<dyn Fn(bool) -> SimConfig>;
-    let params: Vec<(&str, ConfigAt)> = vec![
-        (
-            "pipe_depth",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .pipe_depth(if hi { 7 } else { 24 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "rob",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .rob_size(if hi { 128 } else { 24 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "l2_size",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .l2_size_kb(if hi { 8192 } else { 256 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "l2_lat",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .l2_lat(if hi { 5 } else { 20 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "il1",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .il1_size_kb(if hi { 64 } else { 8 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "dl1",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .dl1_size_kb(if hi { 64 } else { 8 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "dl1_lat",
-            Box::new(|hi| {
-                SimConfig::builder()
-                    .dl1_lat(if hi { 1 } else { 4 })
-                    .build()
-                    .unwrap()
-            }),
-        ),
-    ];
+    println!("\nsensitivities (cpi at low/high of each integer Table 1 knob):");
+    let knobs: Vec<&Knob> = KNOBS.iter().filter(|k| k.snap != Snap::None).collect();
+    let at = |knob: &Knob, end: f64| {
+        let mut config = SimConfig::default();
+        (knob.set)(&mut config, end);
+        config
+    };
     print!("{:<12}", "bench");
-    for (name, _) in &params {
-        print!(" {:>14}", name);
+    for knob in &knobs {
+        print!(" {:>14}", knob.flag);
     }
     println!();
     for b in Benchmark::all() {
         print!("{:<12}", b.to_string());
-        for (_, mk) in &params {
-            let lo = run(b, mk(false), n).cpi();
-            let hi = run(b, mk(true), n).cpi();
+        for knob in &knobs {
+            let lo = run(b, at(knob, knob.range.0), n).cpi();
+            let hi = run(b, at(knob, knob.range.1), n).cpi();
             print!(" {:>6.2}/{:<7.2}", lo, hi);
         }
         println!();

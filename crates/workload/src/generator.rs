@@ -561,13 +561,25 @@ mod tests {
             let trace = TraceGenerator::new(b, 1).take(250_000);
             simulate(c, trace).cpi()
         };
-        let small_l2 = SimConfig::builder().l2_size_kb(256).build().unwrap();
-        let big_l2 = SimConfig::builder().l2_size_kb(8192).build().unwrap();
+        let small_l2 = SimConfig {
+            l2_size_kb: 256,
+            ..SimConfig::default()
+        };
+        let big_l2 = SimConfig {
+            l2_size_kb: 8192,
+            ..SimConfig::default()
+        };
         let mcf_gain = run(Benchmark::Mcf, small_l2.clone()) / run(Benchmark::Mcf, big_l2.clone());
         assert!(mcf_gain > 1.05, "mcf L2 sensitivity too weak: {mcf_gain}");
 
-        let small_il1 = SimConfig::builder().il1_size_kb(8).build().unwrap();
-        let big_il1 = SimConfig::builder().il1_size_kb(64).build().unwrap();
+        let small_il1 = SimConfig {
+            il1_size_kb: 8,
+            ..SimConfig::default()
+        };
+        let big_il1 = SimConfig {
+            il1_size_kb: 64,
+            ..SimConfig::default()
+        };
         let vortex_gain =
             run(Benchmark::Vortex, small_il1.clone()) / run(Benchmark::Vortex, big_il1.clone());
         let mcf_il1_gain = run(Benchmark::Mcf, small_il1) / run(Benchmark::Mcf, big_il1);
@@ -587,7 +599,10 @@ mod tests {
         // subsystem matters more. Check that the L2-latency sensitivity
         // grows under the reference variant.
         let run = |input: crate::InputSet, l2_lat: u32| {
-            let c = SimConfig::builder().l2_lat(l2_lat).build().unwrap();
+            let c = SimConfig {
+                l2_lat,
+                ..SimConfig::default()
+            };
             let trace = TraceGenerator::with_input(Benchmark::Twolf, input, 1).take(120_000);
             simulate(c, trace).cpi()
         };

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use ppm_sim::KNOBS;
+use ppm_sim::Knob;
 
 /// Errors from command-line parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +90,7 @@ const LEDGER_FLAGS: &str = "--ledger-out --ledger-dir --no-ledger";
 /// Every command and the flags it reads beyond [`GLOBAL_FLAGS`].
 /// `<addr>` lets bare arguments follow the command word (`ppm serve
 /// 127.0.0.1:8080`); every other command rejects them. `[config]`
-/// adds `--<knob>` for each of the nine Table 1 [`KNOBS`]; `[ledger]`
+/// adds `--<flag>` for each row of the Table 1 [`ppm_sim::KNOBS`]; `[ledger]`
 /// marks the commands that write a run ledger and adds [`LEDGER_FLAGS`].
 const COMMANDS: [(&str, &str); 16] = [
     ("help", ""),
@@ -145,8 +145,7 @@ fn accepts(flags: &str, flag: &str) -> bool {
     listed(GLOBAL_FLAGS, flag)
         || listed(flags, flag)
         || (listed(flags, "[ledger]") && listed(LEDGER_FLAGS, flag))
-        || (listed(flags, "[config]")
-            && flag.strip_prefix("--").is_some_and(|k| KNOBS.contains(&k)))
+        || (listed(flags, "[config]") && flag.strip_prefix("--").and_then(Knob::by_flag).is_some())
 }
 
 /// The flag list of `command`, if it names one.
@@ -304,6 +303,7 @@ impl Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_sim::KNOBS;
 
     fn parse(args: &[&str]) -> Result<Parsed, ArgError> {
         Parsed::parse(args.iter().map(|s| s.to_string()))
@@ -507,12 +507,15 @@ mod tests {
                 assert!(usage.contains(flag), "help does not mention {flag}");
             }
         }
-        for knob in KNOBS {
-            assert!(usage.contains(&format!("--{knob} ")), "help lacks --{knob}");
+        // Each knob's help row shows its Table 1 range, smaller end first.
+        for knob in &KNOBS {
+            let (a, b) = knob.range;
+            let row = format!("--{} <{}..{}>", knob.flag, a.min(b), a.max(b));
+            assert!(usage.contains(&row), "help lacks {row}");
         }
         for word in usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
             if let Some(name) = word.strip_prefix("--") {
-                let known = KNOBS.contains(&name)
+                let known = Knob::by_flag(name).is_some()
                     || listed(GLOBAL_FLAGS, word)
                     || listed(LEDGER_FLAGS, word)
                     || COMMANDS.iter().any(|(_, flags)| listed(flags, word));

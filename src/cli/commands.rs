@@ -506,9 +506,10 @@ fn benchmark_arg(parsed: &Parsed) -> Result<Benchmark, CliError> {
 /// that does not parse is a usage error (exit code 2), an out-of-range
 /// configuration a plain error.
 fn config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
-    let given = KNOBS
-        .iter()
-        .filter_map(|&knob| parsed.get(&format!("--{knob}")).map(|value| (knob, value)));
+    let given = KNOBS.iter().filter_map(|knob| {
+        let flag = knob.flag;
+        parsed.get(&format!("--{flag}")).map(|value| (flag, value))
+    });
     SimConfig::from_knobs(given).map_err(|e| match e {
         KnobError::Config(e) => msg(e),
         e => CliError::Usage(format!("--{e}")),
@@ -552,7 +553,7 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let sampled = parsed.get("--batch").is_some();
     let knob_given = KNOBS
         .iter()
-        .any(|k| parsed.get(&format!("--{k}")).is_some());
+        .any(|k| parsed.get(&format!("--{}", k.flag)).is_some());
     if sampled && (knob_given || parsed.switch("--energy")) {
         return Err(CliError::Usage(
             "--batch draws its own configurations: it takes no configuration flags or --energy"

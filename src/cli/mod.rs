@@ -12,9 +12,9 @@
 //! ```
 //!
 //! Configuration flags (all optional, defaults are the mid-range
-//! machine): `--depth N --rob N --iq F --lsq F --l2-kb N --l2-lat N
-//! --il1-kb N --dl1-kb N --dl1-lat N`, plus `--instructions N` for the
-//! trace length and `--seed N`.
+//! machine): one `--<flag>` per row of the Table 1 knob table,
+//! [`ppm_sim::KNOBS`], plus `--instructions N` for the trace length and
+//! `--seed N`.
 //!
 //! Observability flags, accepted by every command: `--quiet` (no
 //! stderr progress), `--trace` (nested span tracing on stderr; the

@@ -212,7 +212,10 @@ struct HandTraceResponse {
 impl HandTraceResponse {
     fn config(unit: &[f64]) -> SimConfig {
         let kb = [8, 16, 32, 64][((unit[0] * 4.0) as usize).min(3)];
-        SimConfig::builder().dl1_size_kb(kb).build().unwrap()
+        SimConfig {
+            dl1_size_kb: kb,
+            ..SimConfig::default()
+        }
     }
 
     fn run(&self, points: &[Vec<f64>]) -> Vec<f64> {
@@ -366,11 +369,11 @@ fn every_production_simulation_runs_on_the_batch_engine() {
     assert_eq!(jsonl_counter(&jsonl, "sim.runs"), 1);
     assert_eq!(jsonl_counter(&jsonl, "sim.batch_lanes"), 1);
 
-    let config = SimConfig::builder()
-        .rob_size(48)
-        .dl1_lat(3)
-        .build()
-        .unwrap();
+    let config = SimConfig {
+        rob_size: 48,
+        dl1_lat: 3,
+        ..SimConfig::default()
+    };
     let s = Processor::new(config.clone()).run(TraceGenerator::new(Benchmark::Mcf, 4).take(20_000));
     let e = estimate_energy(&s, &config, &EnergyParams::default());
     let want = format!(

@@ -60,7 +60,10 @@ fn fp_multiply_chain_runs_at_its_latency() {
 #[test]
 fn l1_load_chain_runs_at_dl1_latency() {
     for lat in [1u32, 2, 4] {
-        let config = SimConfig::builder().dl1_lat(lat).build().unwrap();
+        let config = SimConfig {
+            dl1_lat: lat,
+            ..SimConfig::default()
+        };
         let got = cpi(
             config,
             (0..60_000).map(|i| Instr::load(loop_pc(i), 0x8000 + (i % 64) * 8, 1, 0)),
@@ -76,7 +79,10 @@ fn l1_load_chain_runs_at_dl1_latency() {
 /// A load→ALU→load recurrence: each pair costs dl1_lat + 1 cycles.
 #[test]
 fn load_use_pairs_cost_latency_plus_one() {
-    let config = SimConfig::builder().dl1_lat(2).build().unwrap();
+    let config = SimConfig {
+        dl1_lat: 2,
+        ..SimConfig::default()
+    };
     // load_i depends on alu_{i-1}, which depends on load_{i-1}:
     // the critical path is (dl1_lat + 1) per two instructions.
     let trace = (0..100_000u64).flat_map(|i| {
@@ -95,7 +101,10 @@ fn mispredict_penalty_matches_depth_arithmetic() {
     let mk = |depth: u32| {
         let mut rng = ppm::rng::Rng::seed_from_u64(1);
         let outcomes: Vec<bool> = (0..60_000).map(|_| rng.chance(0.5)).collect();
-        let config = SimConfig::builder().pipe_depth(depth).build().unwrap();
+        let config = SimConfig {
+            pipe_depth: depth,
+            ..SimConfig::default()
+        };
         let trace = outcomes
             .into_iter()
             .enumerate()
@@ -205,7 +214,10 @@ fn latency_parameters_are_monotone() {
     };
     let mut last = 0.0;
     for lat in [5u32, 10, 15, 20] {
-        let config = SimConfig::builder().l2_lat(lat).build().unwrap();
+        let config = SimConfig {
+            l2_lat: lat,
+            ..SimConfig::default()
+        };
         let got = cpi(config, mk_trace());
         assert!(got >= last, "CPI fell when L2 latency rose: {got} < {last}");
         last = got;
