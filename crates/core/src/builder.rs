@@ -9,10 +9,10 @@ use ppm_rng::{derive_seed, Rng};
 use ppm_sampling::lhs::{LatinHypercube, SampleError};
 use ppm_sampling::random::random_design;
 
-use crate::checkpoint::Checkpoint;
 use crate::metrics::ErrorStats;
 use crate::response::Response;
 use crate::space::DesignSpace;
+use crate::store::ResultStore;
 use crate::supervise::{eval_journaled, Quarantine, SupervisorPolicy};
 use crate::FileError;
 
@@ -43,8 +43,8 @@ pub enum BuildError {
         /// Evidence from the first quarantined point.
         detail: String,
     },
-    /// The checkpoint journal could not be read or written; the message
-    /// carries the rendered [`FileError`].
+    /// The result store `--checkpoint` names could not be read or
+    /// written; the message carries the rendered [`FileError`].
     Checkpoint(String),
     /// RBF training failed (empty parameter grid, zero threads).
     Train(TrainError),
@@ -400,24 +400,24 @@ impl RbfModelBuilder {
         self.build_checkpointed(response, None)
     }
 
-    /// Like [`RbfModelBuilder::build`], journaling every completed
-    /// simulation into `checkpoint`, if given, so an interrupted run can
+    /// Like [`RbfModelBuilder::build`], recording every completed
+    /// simulation in `store`, if given, so an interrupted run can
     /// resume: the sample runs through [`eval_journaled`], which serves
-    /// journaled points without re-simulation and flushes new ones
-    /// after every lane group, also when the batch then fails the
-    /// quarantine threshold.
+    /// every point whose key the store holds without re-simulation and
+    /// flushes new ones after every lane group, also when the batch then
+    /// fails the quarantine threshold.
     ///
-    /// Because sampling is deterministic in the seed, a resumed build
-    /// produces a model bit-identical to an uninterrupted one.
+    /// A stored value is bit-identical to a simulated one, so a resumed
+    /// build produces a model bit-identical to an uninterrupted one.
     ///
     /// # Errors
     ///
     /// As [`RbfModelBuilder::build`], plus [`BuildError::Checkpoint`]
-    /// if the journal cannot be flushed.
+    /// if the store cannot be flushed.
     pub fn build_checkpointed<R: Response>(
         &self,
         response: &R,
-        checkpoint: Option<&mut Checkpoint>,
+        store: Option<&mut ResultStore>,
     ) -> Result<BuiltModel, BuildError> {
         let (design, discrepancy) = self.select_sample()?;
         let outcome = eval_journaled(
@@ -425,7 +425,7 @@ impl RbfModelBuilder {
             &design,
             self.config.threads,
             &self.config.supervisor,
-            checkpoint,
+            store,
         )?;
         let (survivors, responses) = outcome.survivors(&design);
         let mut built = self.fit(survivors, responses, discrepancy)?;

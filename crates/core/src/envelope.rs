@@ -1,10 +1,10 @@
 //! The one checksummed text envelope of both files `BuildRBFmodel`
-//! keeps, the model ([`crate::persist`]) and the journal
-//! ([`crate::checkpoint`]):
+//! keeps, the model ([`crate::persist`]) and the result store
+//! ([`crate::store`]):
 //!
 //! ```text
 //! <header>
-//! meta <key> <value>        # zero or more
+//! meta <key> <value>        # zero or more; the store writes none
 //! <body lines>              # the format's own
 //! checksum <fnv1a64 of everything above, 16 hex digits>
 //! ```
@@ -15,8 +15,8 @@ use std::path::Path;
 
 use ppm_telemetry::fnv1a64;
 
-/// Errors from reading or writing a model file or a checkpoint journal.
-/// `Io` and `Format` carry the kind of file: `model file` or `checkpoint`.
+/// Errors from reading or writing a model file or a result store. Each
+/// carries the kind of file: `model file` or `checkpoint`.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum FileError {
@@ -24,15 +24,6 @@ pub enum FileError {
     Io(&'static str, std::io::Error),
     /// The file is not valid (the message describes the first problem).
     Format(&'static str, String),
-    /// A checkpoint's metadata does not match the requesting run.
-    Mismatch {
-        /// Metadata key that disagrees.
-        key: String,
-        /// Value recorded in the journal.
-        found: String,
-        /// Value the current run expects.
-        expected: String,
-    },
 }
 
 impl fmt::Display for FileError {
@@ -40,14 +31,6 @@ impl fmt::Display for FileError {
         match self {
             FileError::Io(file, e) => write!(f, "{file} i/o error: {e}"),
             FileError::Format(file, msg) => write!(f, "invalid {file}: {msg}"),
-            FileError::Mismatch {
-                key,
-                found,
-                expected,
-            } => write!(
-                f,
-                "checkpoint belongs to a different run: {key} is {found:?}, expected {expected:?}"
-            ),
         }
     }
 }
@@ -56,7 +39,7 @@ impl Error for FileError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FileError::Io(_, e) => Some(e),
-            _ => None,
+            FileError::Format(..) => None,
         }
     }
 }
@@ -71,20 +54,8 @@ pub(crate) struct Envelope(&'static str, &'static str);
 /// The fitted-model file.
 pub(crate) const MODEL: Envelope = Envelope("ppm-rbf-model v1", "model file");
 
-/// The simulation journal.
-pub(crate) const CHECKPOINT: Envelope = Envelope("ppm-checkpoint v1", "checkpoint");
-
-/// Panics if a metadata key contains whitespace or a value contains a
-/// newline: either would not read back as the same pair.
-pub(crate) fn check_meta(meta: &[(String, String)]) {
-    for (k, v) in meta {
-        assert!(
-            !k.contains(char::is_whitespace),
-            "metadata key {k:?} contains whitespace"
-        );
-        assert!(!v.contains('\n'), "metadata value contains a newline");
-    }
-}
+/// The store of simulated results, which `--checkpoint` names.
+pub(crate) const STORE: Envelope = Envelope("ppm-store v1", "checkpoint");
 
 /// Floats with 17 significant digits, space-separated, so they read
 /// back bit-exact.
@@ -107,13 +78,22 @@ impl Envelope {
         FileError::Format(self.1, msg.into())
     }
 
-    /// The whole file: header, `meta` lines (checked by [`check_meta`]),
-    /// the lines `body` writes, then the checksum line.
+    /// The whole file: header, `meta` lines, the lines `body` writes,
+    /// then the checksum line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a metadata key contains whitespace or a value contains
+    /// a newline: either would not read back as the same pair.
     pub(crate) fn seal(&self, meta: &[(String, String)], body: impl FnOnce(&mut String)) -> String {
-        check_meta(meta);
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.0);
         for (k, v) in meta {
+            assert!(
+                !k.contains(char::is_whitespace),
+                "metadata key {k:?} contains whitespace"
+            );
+            assert!(!v.contains('\n'), "metadata value contains a newline");
             let _ = writeln!(out, "meta {k} {v}");
         }
         body(&mut out);
@@ -184,7 +164,7 @@ mod tests {
     #[test]
     fn open_checks_the_header_before_the_checksum() {
         let model = MODEL.seal(&[], |out| out.push_str("dim 2\n"));
-        let err = CHECKPOINT.open(&model).map(|_| ()).unwrap_err();
+        let err = STORE.open(&model).map(|_| ()).unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid checkpoint: unknown header \"ppm-rbf-model v1\""

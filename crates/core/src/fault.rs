@@ -8,7 +8,7 @@
 //! [`FaultPlan::transient_attempts`] set, a faulty point recovers after
 //! that many failed attempts, which exercises the supervisor's retry
 //! path; with it at 0, faults are permanent and exercise quarantine,
-//! degradation, and checkpoint-resume.
+//! degradation, and resuming from a result store.
 //!
 //! This is a test harness: a transiently-faulty wrapper is
 //! intentionally *not* deterministic across attempts (that is the
@@ -189,6 +189,10 @@ impl<R: Response> FaultyResponse<R> {
 impl<R: Response> Response for FaultyResponse<R> {
     fn dim(&self) -> usize {
         self.inner.dim()
+    }
+
+    fn key(&self, unit: &[f64]) -> u64 {
+        self.inner.key(unit)
     }
 
     fn eval(&self, unit: &[f64]) -> f64 {

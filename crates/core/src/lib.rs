@@ -46,39 +46,40 @@
 //! Simulation batches run under a supervised executor
 //! ([`supervise::eval_batch_supervised`]) that isolates panics,
 //! retries transient failures, and quarantines bad points;
-//! [`supervise::eval_journaled`] journals a batch's results to a
-//! crash-safe [`checkpoint::Checkpoint`] and resumes it without
-//! re-simulation. [`fault::FaultyResponse`] injects
-//! deterministic faults for testing these paths.
+//! [`supervise::eval_journaled`] records a batch's results in a
+//! crash-safe [`store::ResultStore`], keyed by what determines each
+//! one, and serves every point whose key it already holds without
+//! re-simulation, whichever run stored it. [`fault::FaultyResponse`]
+//! injects deterministic faults for testing these paths.
 //!
 //! # Files
 //!
-//! The two files the procedure keeps — the simulated sample in the
-//! `ppm-checkpoint v1` journal ([`checkpoint`]) and the fitted network
-//! in the `ppm-rbf-model v1` model file ([`persist`]) — share one
-//! checksummed envelope (header, `meta` lines, trailing FNV-1a
-//! `checksum` line), one error type, [`FileError`], and one crash-safe
-//! writer, `ppm_telemetry::write_atomic`. Each module adds only its own
-//! body lines.
+//! The two files the procedure keeps — the simulated results in the
+//! `ppm-store v1` store ([`store`]) and the fitted network in the
+//! `ppm-rbf-model v1` model file ([`persist`]) — share one checksummed
+//! envelope (header, `meta` lines, trailing FNV-1a `checksum` line), one
+//! error type, [`FileError`], and one crash-safe writer,
+//! `ppm_telemetry::write_atomic`. Each module adds only its own body
+//! lines; the store writes no `meta` line.
 
 pub mod adaptive;
 pub mod builder;
-pub mod checkpoint;
 mod envelope;
 pub mod fault;
 pub mod metrics;
 pub mod persist;
 pub mod response;
 pub mod space;
+pub mod store;
 pub mod study;
 pub mod supervise;
 
 pub use adaptive::{build_adaptive, AdaptiveConfig};
 pub use builder::{BuildConfig, BuildError, BuiltModel, RbfModelBuilder};
-pub use checkpoint::Checkpoint;
 pub use envelope::FileError;
 pub use fault::{FaultPlan, FaultyResponse, InjectedFault};
 pub use metrics::ErrorStats;
 pub use response::{FnResponse, Metric, Response, SimulatorResponse};
 pub use space::DesignSpace;
+pub use store::ResultStore;
 pub use supervise::{eval_batch_supervised, BatchOutcome, Fault, Quarantine, SupervisorPolicy};

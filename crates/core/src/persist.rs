@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The header, `meta` and `checksum` lines are the envelope this file
-//! shares with the checkpoint journal; this module reads and writes only
+//! shares with the result store; this module reads and writes only
 //! the `dim` / `centers` / `rbf` body. The trailing checksum makes
 //! truncation and corruption detectable, and [`save`] writes through a
 //! sibling temp file renamed into place, so a crash mid-write can never

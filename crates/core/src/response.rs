@@ -2,11 +2,18 @@
 //! design point.
 
 use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig, SimStats};
+use ppm_telemetry::fnv1a64;
 use ppm_workload::{Benchmark, TraceGenerator};
 
 use crate::builder::BuildError;
+use crate::envelope::floats;
 use crate::space::DesignSpace;
 use crate::supervise::{eval_batch_supervised, SupervisorPolicy};
+
+/// The version of the simulator, the trace generator and the metric
+/// reduction, in every [`SimulatorResponse`] key: a change that moves a
+/// simulated value bumps it, or a result store serves the old value.
+pub const SIM_VERSION: u32 = 1;
 
 /// Which scalar a [`SimulatorResponse`] reports per design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -59,6 +66,13 @@ pub trait Response: Sync {
     fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
         let _ = points;
         None
+    }
+
+    /// The key a [`ResultStore`](crate::store::ResultStore) keeps the
+    /// value at `unit` under: equal keys mean equal values, in any run.
+    /// The default hashes the point's 17-digit text.
+    fn key(&self, unit: &[f64]) -> u64 {
+        fnv1a64(floats(unit).as_bytes())
     }
 }
 
@@ -163,6 +177,16 @@ impl Response for SimulatorResponse {
     fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
         self.simulate(points.iter().map(Vec::as_slice))
     }
+
+    /// Hashes what determines the simulation: [`SIM_VERSION`], the
+    /// benchmark, the trace seed and length, the metric and the machine
+    /// `unit` maps to, so runs that differ only in their sample share
+    /// keys.
+    fn key(&self, unit: &[f64]) -> u64 {
+        let (bench, seed, len, metric) = (self.benchmark, self.seed, self.trace_len, self.metric);
+        let machine = self.space.to_config(unit).canonical();
+        fnv1a64(format!("{SIM_VERSION} {bench} {seed} {len} {metric:?} {machine}").as_bytes())
+    }
 }
 
 impl SimulatorResponse {
@@ -230,9 +254,10 @@ impl<F: Fn(&[f64]) -> f64 + Sync> Response for FnResponse<F> {
 /// Results are returned in input order regardless of thread count, and
 /// the computation is deterministic. This is the strict façade over the
 /// supervised executor: any panic or non-finite value fails the whole
-/// batch as a typed error. Use
-/// [`eval_batch_supervised`](crate::supervise::eval_batch_supervised)
-/// directly for retries, quarantine, and checkpoint reuse.
+/// batch as a typed error. Use [`eval_batch_supervised`] directly for
+/// retries and quarantine, or
+/// [`eval_journaled`](crate::supervise::eval_journaled) to reuse a
+/// result store.
 ///
 /// # Errors
 ///
@@ -298,6 +323,32 @@ mod tests {
             worst > best,
             "low-performance corner ({worst}) should be slower than high ({best})"
         );
+    }
+
+    #[test]
+    fn simulator_key_covers_what_determines_the_value() {
+        let base = SimulatorResponse::new(ppm_workload::Benchmark::Mcf, 10_000);
+        let x = [0.5; 9];
+        let key = base.key(&x);
+        let others = [
+            SimulatorResponse::new(ppm_workload::Benchmark::Ammp, 10_000),
+            SimulatorResponse::new(ppm_workload::Benchmark::Mcf, 10_001),
+            base.clone().with_seed(2),
+            base.clone().with_metric(Metric::Epi),
+        ];
+        for other in &others {
+            assert_ne!(other.key(&x), key, "{other:?}");
+        }
+        let mut moved = x;
+        moved[1] = 0.9;
+        assert_ne!(base.key(&moved), key);
+        // A point that snaps to the same machine is the same simulation.
+        moved[1] = 0.5 + 1e-9;
+        assert_eq!(base.space().to_config(&moved), base.space().to_config(&x));
+        assert_eq!(base.key(&moved), key);
+        // The default key is the point itself.
+        let f = FnResponse::new(9, |_| 0.0).unwrap();
+        assert_ne!(f.key(&moved), f.key(&x));
     }
 
     #[test]

@@ -10,21 +10,26 @@
 //! caller receives a typed [`BatchOutcome`] describing exactly which
 //! points survived and why the rest did not.
 //!
+//! [`eval_journaled`] is the one call that reads and writes a
+//! [`ResultStore`]: it looks each point up under its [`Response::key`]
+//! and records every new result under the same key.
+//!
 //! Telemetry: every retry emits a `robust.retry` event (counter
 //! `robust.retries`), every quarantine a `robust.quarantine` event
 //! (counter `robust.quarantined`), and every evaluated point increments
 //! `sim.batch_points` — the counter resume tests use to prove that
-//! checkpointed points are never re-simulated. `sim.batch_groups` counts
-//! lane groups, and `sim.batch_declined` the groups whose one-pass
-//! evaluation panicked or returned the wrong number of values.
+//! points found in a result store are never re-simulated.
+//! `sim.batch_groups` counts lane groups, and `sim.batch_declined` the
+//! groups whose one-pass evaluation panicked or returned the wrong
+//! number of values.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use crate::builder::BuildError;
-use crate::checkpoint::Checkpoint;
 use crate::response::Response;
+use crate::store::ResultStore;
 
 /// Why a design point was quarantined.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,9 +119,9 @@ pub struct BatchOutcome {
     /// Quarantined points, in input order.
     pub quarantined: Vec<Quarantine>,
     /// Points actually evaluated by the response (excludes points
-    /// served from a checkpoint).
+    /// served from a result store).
     pub evaluated: usize,
-    /// Points whose value came from a checkpoint journal.
+    /// Points whose value came from a result store.
     pub resumed: usize,
 }
 
@@ -266,13 +271,15 @@ pub fn eval_batch_supervised<R: Response>(
     eval_batch_grouped(response, points, threads, policy, precomputed, lanes, None)
 }
 
-/// [`eval_batch_supervised`] journaled into `journal`: the one path by
-/// which a batch is checkpointed and resumed. Journaled points are
-/// served from it without re-simulation (`robust.resumed`); new results
-/// are recorded and flushed atomically after every lane group, so a
-/// killed run loses at most the groups in flight, and a batch that
-/// fails `policy`'s quarantine threshold still leaves its good points
-/// on disk. With `None` this is [`eval_batch_supervised`] with `&[]`.
+/// [`eval_batch_supervised`] recorded in `store`: the one path by which
+/// a batch is checkpointed and resumed. Each point is looked up under
+/// its [`Response::key`], and a point whose key the store holds, from
+/// this run or any other, is served from it without re-simulation
+/// (`robust.resumed`); new results are recorded and flushed atomically
+/// after every lane group, so a killed run loses at most the groups in
+/// flight, and a batch that fails `policy`'s quarantine threshold still
+/// leaves its good points on disk. With `None` no key is computed and
+/// this is [`eval_batch_supervised`] with `&[]`.
 ///
 /// # Errors
 ///
@@ -283,14 +290,14 @@ pub fn eval_journaled<R: Response>(
     points: &[Vec<f64>],
     threads: usize,
     policy: &SupervisorPolicy,
-    journal: Option<&mut Checkpoint>,
+    store: Option<&mut ResultStore>,
 ) -> Result<BatchOutcome, BuildError> {
     let lanes = LANES_PER_GROUP;
-    eval_batch_grouped(response, points, threads, policy, &[], lanes, journal)
+    eval_batch_grouped(response, points, threads, policy, &[], lanes, store)
 }
 
 /// The supervised batch with an explicit lane-group bound. A given
-/// `journal` supplies the precomputed values in place of `precomputed`
+/// `store` supplies the precomputed values in place of `precomputed`
 /// and is recorded and flushed after every finished group.
 fn eval_batch_grouped<R: Response>(
     response: &R,
@@ -299,7 +306,7 @@ fn eval_batch_grouped<R: Response>(
     policy: &SupervisorPolicy,
     precomputed: &[Option<f64>],
     lanes_per_group: usize,
-    journal: Option<&mut Checkpoint>,
+    store: Option<&mut ResultStore>,
 ) -> Result<BatchOutcome, BuildError> {
     // Rejects zero threads ("need at least one worker thread").
     let exec =
@@ -312,8 +319,12 @@ fn eval_batch_grouped<R: Response>(
         )));
     }
     let n = points.len();
-    let mut values: Vec<Option<f64>> = match journal.as_deref() {
-        Some(cp) => points.iter().map(|p| cp.lookup(p)).collect(),
+    let keys: Vec<u64> = match store {
+        Some(_) => points.iter().map(|p| response.key(p)).collect(),
+        None => Vec::new(),
+    };
+    let mut values: Vec<Option<f64>> = match store.as_deref() {
+        Some(store) => keys.iter().map(|&key| store.get(key)).collect(),
         None if precomputed.is_empty() => vec![None; n],
         None => precomputed.to_vec(),
     };
@@ -338,14 +349,14 @@ fn eval_batch_grouped<R: Response>(
     ppm_telemetry::counter("sim.batch_points").add(todo.len() as u64);
     // Progress counters for the live plane's /buildz route: planned
     // counts the whole batch up front, done advances as points finish
-    // (checkpoint hits count as done immediately), so done/planned is
+    // (store hits count as done immediately), so done/planned is
     // the completion rate the ETA estimate divides by.
     ppm_telemetry::counter("build.points_planned").add(n as u64);
     ppm_telemetry::counter("build.points_done").add(resumed as u64);
     ppm_telemetry::counter("build.points_resumed").add(resumed as u64);
 
     let quarantined: Mutex<Vec<Quarantine>> = Mutex::new(Vec::new());
-    let journal = journal.map(|cp| Mutex::new((cp, Ok(()))));
+    let store = store.map(|store| Mutex::new((store, Ok(()))));
     let groups = lane_groups(&todo, threads, lanes_per_group);
     ppm_telemetry::counter("sim.batch_groups").add(groups.len() as u64);
     // Each group depends only on its own points and results land in
@@ -355,17 +366,17 @@ fn eval_batch_grouped<R: Response>(
         .map("sim_batch", groups.len(), |g| {
             let idxs = groups[g];
             let vals = run_group(response, idxs, points, policy, &quarantined);
-            if let Some(journal) = &journal {
-                let mut guard = journal.lock().unwrap_or_else(PoisonError::into_inner);
-                let (cp, flushed) = &mut *guard;
+            if let Some(store) = &store {
+                let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
+                let (store, flushed) = &mut *guard;
                 for (&i, v) in idxs.iter().zip(&vals) {
                     if let Some(y) = *v {
-                        cp.record(&points[i], y);
+                        store.record(keys[i], y);
                     }
                 }
                 if flushed.is_ok() {
                     // lint:allow(lock-order): the flush is each lane group's one-writer durability point
-                    *flushed = cp.flush();
+                    *flushed = store.flush();
                 }
             }
             vals
@@ -373,8 +384,8 @@ fn eval_batch_grouped<R: Response>(
         .into_iter()
         .flatten()
         .collect();
-    if let Some(journal) = journal {
-        journal
+    if let Some(store) = store {
+        store
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .1?;
@@ -618,7 +629,7 @@ mod tests {
         assert_eq!(out.resumed, 1);
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(scoped.counter("build.points_planned").get(), 4);
-        // Done covers successes, the checkpoint hit, and the
+        // Done covers successes, the precomputed hit, and the
         // quarantined point — progress must reach planned even when
         // points fail.
         assert_eq!(scoped.counter("build.points_done").get(), 4);
@@ -770,20 +781,20 @@ mod tests {
         let pts = points(20);
         let strict = SupervisorPolicy::strict();
         // Point 19 (x = 0.95) is non-finite: the strict batch fails, but
-        // only after its 19 good points reached the journal on disk.
-        let mut journal = Checkpoint::create(&path, &[]);
+        // only after its 19 good points reached the store on disk.
+        let mut journal = ResultStore::create(&path);
         let err = eval_journaled(&r, &pts, 2, &strict, Some(&mut journal)).unwrap_err();
         assert!(matches!(
             err,
             BuildError::ExcessiveFaults { quarantined: 1, .. }
         ));
-        let mut journal = Checkpoint::load(&path).unwrap();
+        let mut journal = ResultStore::load(&path).unwrap();
         assert_eq!(journal.len(), 19);
         for (i, p) in pts.iter().enumerate() {
             let want = (i < 19).then(|| 1.0 + p[0] + 2.0 * p[1]);
-            assert_eq!(journal.lookup(p), want, "point {i}");
+            assert_eq!(journal.get(r.key(p)), want, "point {i}");
         }
-        // A rerun serves the survivors from the journal and evaluates
+        // A rerun serves the survivors from the store and evaluates
         // only the faulty point again.
         let scoped = ppm_telemetry::Registry::scoped();
         let policy = SupervisorPolicy::default();

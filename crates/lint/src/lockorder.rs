@@ -7,8 +7,8 @@
 //! become one node) but can only *add* edges, never hide one. Edges come from lexical nesting inside a guard's held
 //! region, plus one level of call expansion: if `f` locks `a` and calls
 //! `g`, and `g` locks `b`, then `a → b`. Cycles and re-entrant
-//! acquisitions are reported; so is any blocking call from
-//! [`items::FileIndex::locks`]' I/O list made while held.
+//! acquisitions are reported; so is any blocking call from the I/O list
+//! of [`crate::items`] made while held.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -22,7 +22,6 @@ use crate::report::Diagnostic;
 /// golden test; removing an emitter means removing the entry.
 pub const KNOWN_FORMATS: [&str; 12] = [
     "ppm-buildz v1",
-    "ppm-checkpoint v1",
     "ppm-eventz v1",
     "ppm-ledger v1",
     "ppm-lint v2",
@@ -32,6 +31,7 @@ pub const KNOWN_FORMATS: [&str; 12] = [
     "ppm-report v1",
     "ppm-serve v1",
     "ppm-statusz v1",
+    "ppm-store v1",
     "ppm-tracez v1",
 ];
 

@@ -14,7 +14,7 @@
 //!   it.
 //!
 //! The format is versioned through the `schema` field
-//! ([`LEDGER_SCHEMA`]), following the `ppm-checkpoint v1` convention.
+//! ([`LEDGER_SCHEMA`]), following the `ppm-store v1` convention.
 
 use std::fmt;
 use std::path::Path;

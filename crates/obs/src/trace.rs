@@ -208,7 +208,7 @@ impl FlightRecorder {
     }
 
     /// Writes the Chrome-trace JSON to `path` atomically (temp file +
-    /// rename, the same convention as the checkpoint journal).
+    /// rename, the same convention as the result store).
     ///
     /// # Errors
     ///

@@ -18,9 +18,10 @@
 //!   ([`ppm_firstorder`]), which sheds *precision* instead of
 //!   availability; recovery is automatic via periodic probes.
 //! * **Validated hot reload** — models live in a content-addressed
-//!   registry ([`store`]); `POST /reloadz` swaps in the `CURRENT`
-//!   version only after it passes checksum, hash, and probe validation,
-//!   so a corrupt candidate rolls back by never being swapped in.
+//!   registry ([`publish`], [`ModelStore`]); `POST /reloadz` swaps in
+//!   the `CURRENT` version only after it passes checksum, hash, and
+//!   probe validation, so a corrupt candidate rolls back by never being
+//!   swapped in.
 //! * **Chaos mode** — `--chaos <seed>` injects worker panics, NaN
 //!   predictions, slow evaluations, and misbehaving clients
 //!   (deterministically, via `ppm_core::fault`), and `ppm loadtest`

@@ -125,7 +125,7 @@ pub struct ServeConfig {
     /// estimator. Zero means *every* prediction is degraded — useful
     /// for drills and smoke tests.
     pub degrade_depth: usize,
-    /// The model registry directory (see [`crate::store`]).
+    /// The model registry directory (see [`crate::ModelStore`]).
     pub registry: PathBuf,
     /// Serve analytically when the registry has no loadable model.
     pub fallback_benchmark: Option<Benchmark>,

@@ -435,6 +435,18 @@ impl SimConfig {
         Ok(config)
     }
 
+    /// The whole machine as text that differs whenever any field does:
+    /// each knob as `<flag>=<value>` from [`KNOBS`], then every
+    /// [`FixedMachine`] field through its derived `Debug`. A result
+    /// store hashes it into the key of a simulation.
+    pub fn canonical(&self) -> String {
+        let knobs: String = KNOBS
+            .iter()
+            .map(|k| format!("{}={:?} ", k.flag, (k.get)(self)))
+            .collect();
+        format!("{knobs}{:?}", self.fixed)
+    }
+
     /// The issue queue size in entries: `round(iq_frac × rob_size)`,
     /// at least 4.
     pub fn iq_size(&self) -> u32 {
@@ -612,6 +624,46 @@ mod tests {
         // A later pair for the same knob wins.
         let config = SimConfig::from_knobs([("rob", "32"), ("rob", "64")]).unwrap();
         assert_eq!(config.rob_size, 64);
+    }
+
+    #[test]
+    fn canonical_changes_with_every_field() {
+        let base = SimConfig::default();
+        let canonical = base.canonical();
+        assert_eq!(canonical, base.clone().canonical());
+        for knob in &KNOBS {
+            let mut changed = base.clone();
+            (knob.set)(&mut changed, knob.valid.1);
+            assert_ne!((knob.get)(&changed), (knob.get)(&base), "--{}", knob.flag);
+            assert_ne!(changed.canonical(), canonical, "--{}", knob.flag);
+        }
+        // One field of each FixedMachine type: an integer, the bool and
+        // each enum.
+        let fixed = [
+            FixedMachine {
+                mem_lat: 121,
+                ..FixedMachine::default()
+            },
+            FixedMachine {
+                next_line_prefetch: true,
+                ..FixedMachine::default()
+            },
+            FixedMachine {
+                replacement: ReplacementPolicy::Fifo,
+                ..FixedMachine::default()
+            },
+            FixedMachine {
+                predictor: PredictorKind::Gshare,
+                ..FixedMachine::default()
+            },
+        ];
+        for fixed in fixed {
+            let changed = SimConfig {
+                fixed: fixed.clone(),
+                ..base.clone()
+            };
+            assert_ne!(changed.canonical(), canonical, "{fixed:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! [`BatchProcessor`] is the one simulator every production run uses:
 //! N configurations over one trace pass, N = 1 for a single point. The
-//! [`reference`] module is the oracle it is checked against.
+//! [`reference`](mod@reference) module is the oracle it is checked
+//! against.
 //!
 //! # Examples
 //!

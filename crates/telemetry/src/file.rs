@@ -1,5 +1,5 @@
 //! The two primitives every persisted artifact shares: the FNV-1a hash
-//! behind model and journal checksums, registry versions and ledger
+//! behind model and result-store checksums, registry versions and ledger
 //! content hashes, and the crash-safe writer that puts each of those
 //! files in place.
 

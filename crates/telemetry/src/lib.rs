@@ -6,15 +6,15 @@
 //! The crate provides three instrument kinds held in a global
 //! [`Registry`] — [`Counter`]s, [`Gauge`]s, and log-bucketed
 //! [`Histogram`]s with quantile queries — plus RAII [`Span`] timers
-//! that nest per thread, and discrete [`event`]s with typed fields.
-//! Output goes through pluggable [`Sink`]s: a human-readable stderr
-//! progress reporter and a JSON-lines exporter ship in-crate.
+//! that nest per thread, and discrete [`event`](fn@event)s with typed
+//! fields. Output goes through pluggable [`Sink`]s: a human-readable
+//! stderr progress reporter and a JSON-lines exporter ship in-crate.
 //!
 //! This lowest layer also owns the workspace's one JSON codec, [`Json`]:
 //! event fields are `Json` values, and every crate above parses and
 //! writes its documents through it. Likewise its one FNV-1a
 //! ([`fnv1a64`]) and its one crash-safe file writer ([`write_atomic`]),
-//! behind model files, checkpoint journals, the model registry and run
+//! behind model files, result stores, the model registry and run
 //! ledgers alike. [`nearest_rank`] is the exact quantile of a raw
 //! sample, where a [`Histogram`]'s is bucketed.
 //!
@@ -218,7 +218,7 @@ pub fn add_sink(sink: Box<dyn Sink>) {
 /// Removes every installed sink, flushing each first. The sinks are
 /// taken out under the lock but flushed after it is released, so a
 /// slow flush (a sink writing to a file or socket) cannot stall
-/// concurrent [`dispatch`] callers.
+/// concurrent `dispatch` callers.
 pub fn clear_sinks() {
     let mut taken = {
         let mut sinks = SINKS

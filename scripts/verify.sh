@@ -253,6 +253,12 @@ done
 git diff --exit-code -- results/*.csv
 gate_done results
 
+echo "== rustdoc: every intra-doc link resolves =="
+# A broken, ambiguous or private doc link is a warning, and a warning
+# fails this gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+gate_done doc
+
 echo "== ppm lint (static analysis: token and semantic rules) =="
 # The workspace's own analyzer (crates/lint) in one pass over src/,
 # every library crate, and tests/. Token rules: panic-path,

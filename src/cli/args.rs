@@ -427,7 +427,7 @@ mod tests {
             );
         }
         // Serve tuning values no caller set are constants now, and
-        // `--checkpoint` resumes from an existing journal on its own.
+        // `--checkpoint` reuses an existing store on its own.
         for (command, flag) in [
             ("serve", "--max-deadline-ms"),
             ("serve", "--fail-streak"),

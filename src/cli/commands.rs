@@ -6,10 +6,10 @@ use std::path::Path;
 use std::str::FromStr;
 
 use ppm_core::builder::{BuildConfig, BuildError, RbfModelBuilder};
-use ppm_core::checkpoint::Checkpoint;
 use ppm_core::persist;
 use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
+use ppm_core::store::ResultStore;
 use ppm_core::study::pb_screening;
 use ppm_core::supervise::{eval_journaled, SupervisorPolicy};
 use ppm_core::FileError;
@@ -32,7 +32,7 @@ pub enum CliError {
     Usage(String),
     /// Simulation or model-building faults (exit code 3).
     Simulation(BuildError),
-    /// Model or checkpoint files that could not be read or written
+    /// Model files or result stores that could not be read or written
     /// (exit code 4).
     Persistence(String),
     /// The regression sentry found the candidate worse than the
@@ -99,7 +99,7 @@ impl From<ArgError> for CliError {
 impl From<BuildError> for CliError {
     fn from(e: BuildError) -> Self {
         match e {
-            // Journal problems are persistence failures, not faults in
+            // Store problems are persistence failures, not faults in
             // the simulated pipeline.
             BuildError::Checkpoint(msg) => CliError::Persistence(msg),
             // A sample-selection failure means the caller asked for an
@@ -722,8 +722,7 @@ fn build(
         .with_train_threads(train_threads)
         .with_lhs_candidates(lhs_candidates);
     let builder = RbfModelBuilder::new(space, config);
-    // The run parameters the checkpoint must agree on: resuming with a
-    // different workload or sample would silently mix results.
+    // The run parameters the model file records.
     let run_meta = vec![
         ("benchmark".to_string(), bench.to_string()),
         ("metric".to_string(), metric_name.to_string()),
@@ -731,18 +730,14 @@ fn build(
         ("instructions".to_string(), instructions.to_string()),
         ("seed".to_string(), seed.to_string()),
     ];
-    // An existing journal is resumed: its points, the sample's and the
-    // holdout's, are not re-simulated.
-    let mut journal = match parsed.get("--checkpoint") {
-        Some(path) if Path::new(path).exists() => {
-            let cp = Checkpoint::load(path)?;
-            cp.verify_meta(&run_meta)?;
-            Some(cp)
-        }
-        Some(path) => Some(Checkpoint::create(path, &run_meta)),
+    // An existing store is reused, whichever run wrote it: no point of
+    // the sample or the holdout whose key it holds is simulated again.
+    let mut store = match parsed.get("--checkpoint") {
+        Some(path) if Path::new(path).exists() => Some(ResultStore::load(path)?),
+        Some(path) => Some(ResultStore::create(path)),
         None => None,
     };
-    let built = builder.build_checkpointed(&response, journal.as_mut())?;
+    let built = builder.build_checkpointed(&response, store.as_mut())?;
     if !built.quarantined.is_empty() {
         writeln!(
             out,
@@ -756,7 +751,7 @@ fn build(
     // `--holdout` fresh points the training sample never saw and score
     // the model against them. Deterministic for a fixed seed, so the
     // statistics land in the ledger's hashed body. The points run as lane
-    // groups under the strict policy, journaled like the sample: a faulty
+    // groups under the strict policy, stored like the sample: a faulty
     // held-out point fails the build instead of skewing the reported
     // error.
     let holdout_stats = if holdout > 0 {
@@ -764,7 +759,7 @@ fn build(
         let test = builder.test_points(&DesignSpace::paper_table2(), holdout);
         let threads = builder.config().threads;
         let strict = SupervisorPolicy::strict();
-        let actual = eval_journaled(&response, &test, threads, &strict, journal.as_mut())?
+        let actual = eval_journaled(&response, &test, threads, &strict, store.as_mut())?
             .into_values(test.len())?;
         Some(built.evaluate(&test, &actual))
     } else {
@@ -1249,7 +1244,7 @@ mod tests {
         let e: CliError = ppm_serve::ServeError::Store("no CURRENT".into()).into();
         assert_eq!(e.exit_code(), 8);
         assert_eq!(CliError::Message("x".into()).exit_code(), 1);
-        // The From impls route checkpoint trouble to the persistence
+        // The From impls route result-store trouble to the persistence
         // category and everything else simulation-ward.
         let e: CliError = BuildError::Checkpoint("bad".into()).into();
         assert_eq!(e.exit_code(), 4);

@@ -5,7 +5,7 @@
 //! ppm simulate  --benchmark mcf [config]  run one detailed simulation
 //! ppm build     --benchmark mcf --out m.txt [--sample 90] [--metric cpi]
 //!               [--train-threads N] [--lhs-candidates N]
-//!               [--checkpoint j.txt]       (an existing journal resumes)
+//!               [--checkpoint s.txt]       (an existing store is reused)
 //! ppm predict   --model m.txt [config]    evaluate a saved model
 //! ppm screen    --benchmark mcf           Plackett-Burman screening
 //! ppm firstorder --benchmark mcf [config] analytical CPI estimate
@@ -135,11 +135,11 @@ OTHER FLAGS:
                       Table 1 space in one batched trace pass (simulate)
 
 FAULT-TOLERANCE FLAGS (`build`):
-  --checkpoint <f>    journal every simulation, sample and holdout, to <f>
-                      (crash-safe); an existing <f> is resumed, so its
-                      points are not simulated again and a complete one
-                      simulates nothing (exit code 4 if it is corrupt or
-                      belongs to a different run)
+  --checkpoint <f>    store every simulation, sample and holdout, in <f>
+                      (crash-safe), keyed by what determines it; an
+                      existing <f> is reused, also one another run wrote,
+                      so no point it holds is simulated again (exit code
+                      4 if it is corrupt)
 
 EXIT CODES:
   0 success    2 usage error    3 simulation fault    4 persistence failure

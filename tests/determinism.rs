@@ -3,8 +3,9 @@
 //! [`TABLE`] gives each command of the CLI's flag table one class:
 //! `Threads` (the exit code, stdout and every named output file are
 //! byte-identical at `PPM_THREADS=1` and `3`), `Resume` (the same, and
-//! also when the run is repeated on its own `--checkpoint` journal at
-//! the other thread count) or `Exempt`, with the reason. A command with
+//! also when the run is repeated on its own `--checkpoint` store at the
+//! other thread count, so a hit gives what a miss does) or `Exempt`,
+//! with the reason. A command with
 //! no row, or a row that names no command, fails
 //! `every_command_has_exactly_one_row`: a new command joins the table
 //! when it joins the CLI.
@@ -26,7 +27,7 @@ use std::process::Command;
 use common::scratch;
 use ppm::model::{BuildConfig, ErrorStats, RbfModelBuilder};
 use ppm_core::persist;
-use ppm_core::response::{Response, SimulatorResponse};
+use ppm_core::response::{Response, SimulatorResponse, SIM_VERSION};
 use ppm_core::space::DesignSpace;
 use ppm_obs::fnv1a64_hex;
 use ppm_rbf::RbfTrainer;
@@ -41,8 +42,9 @@ use ppm_workload::Benchmark;
 enum Class {
     /// Byte-identical at `PPM_THREADS=1` and `3`.
     Threads,
-    /// As `Threads`, and also when rerun on the journal it names, which
-    /// is among the compared files and must journal at least one point.
+    /// As `Threads`, and also when rerun on the result store it names,
+    /// which is among the compared files and must hold at least one
+    /// entry.
     Resume(&'static str),
     /// Not compared, for the reason given.
     Exempt(&'static str),
@@ -172,21 +174,16 @@ fn every_command_keeps_its_determinism_class() {
         let serial = run(command, exit, args, outputs, &one, "1");
         let parallel = run(command, exit, args, outputs, &three, "3");
         assert_same(command, "at PPM_THREADS=1 and 3", &serial, &parallel);
-        if let Resume(journal) = class {
-            let text = std::fs::read_to_string(one.join(journal)).expect("journal written");
+        if let Resume(store) = class {
+            let text = std::fs::read_to_string(one.join(store)).expect("store written");
             assert!(
-                text.lines().any(|line| line.starts_with("point ")),
-                "`ppm {command}` journaled no point"
+                text.lines().any(|line| line.starts_with("entry ")),
+                "`ppm {command}` stored no entry"
             );
             let resumed = run(command, exit, args, outputs, &one, "3");
-            assert_same(command, "resumed at 3 on a journal of 1", &serial, &resumed);
+            assert_same(command, "resumed at 3 on a store of 1", &serial, &resumed);
             let resumed = run(command, exit, args, outputs, &three, "1");
-            assert_same(
-                command,
-                "resumed at 1 on a journal of 3",
-                &parallel,
-                &resumed,
-            );
+            assert_same(command, "resumed at 1 on a store of 3", &parallel, &resumed);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -291,6 +288,11 @@ fn build_holdout_matches_the_serial_holdout() {
 /// moves a digest changes the models users build and needs a reason.
 #[test]
 fn small_builds_reproduce_pinned_model_digests() {
+    assert_eq!(
+        SIM_VERSION, 1,
+        "a simulator or trace generator change that moves a digest below must bump \
+         SIM_VERSION, or a result store serves the old simulations"
+    );
     let dir = scratch("pinned");
     for (benchmark, digest) in [("crafty", "79f7167e44b2402f"), ("mcf", "dd37fc77cce2b265")] {
         let args = format!(

@@ -2,9 +2,10 @@
 //! execution, graceful degradation, and crash-safe checkpoint/resume.
 //!
 //! The centerpiece scenario kills a model build mid-batch with injected
-//! panics, resumes from the journal, and proves the final model is
-//! byte-identical to an uninterrupted run with zero re-simulation of
-//! journaled points (via the `sim.batch_points` telemetry counter).
+//! panics, resumes from its result store (the journal), and proves the
+//! final model is byte-identical to an uninterrupted run with zero
+//! re-simulation of stored points (via the `sim.batch_points` telemetry
+//! counter).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +15,7 @@ use ppm::model::builder::{BuildConfig, BuildError, RbfModelBuilder};
 use ppm::model::response::{FnResponse, Response};
 use ppm::model::space::DesignSpace;
 use ppm::model::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
-use ppm::model::{persist, Checkpoint, FaultPlan, FaultyResponse, InjectedFault};
+use ppm::model::{persist, FaultPlan, FaultyResponse, InjectedFault, ResultStore};
 use ppm_telemetry as tel;
 
 /// Telemetry counters are process-global; tests that read them must not
@@ -180,7 +181,7 @@ fn interrupted_build_resumes_bit_identical_with_zero_resimulation() {
     // mid-batch — but only after the survivors reach the journal.
     let path = temp_path("resume.ckpt");
     std::fs::remove_file(&path).ok();
-    let mut journal = Checkpoint::create(&path, &meta);
+    let mut journal = ResultStore::create(&path);
     let faulty = FaultyResponse::new(
         clean_response(),
         FaultPlan::default().with_panic_rate(0.25).with_seed(3),
@@ -201,7 +202,7 @@ fn interrupted_build_resumes_bit_identical_with_zero_resimulation() {
     );
 
     // The journal on disk holds exactly the surviving points.
-    let loaded = Checkpoint::load(&path).expect("journal must be readable after the crash");
+    let loaded = ResultStore::load(&path).expect("journal must be readable after the crash");
     assert_eq!(loaded.len(), 40 - quarantined);
 
     // Resume with a healthy response: only the previously-quarantined
@@ -279,11 +280,11 @@ fn build_killed_mid_simulation_loses_at_most_one_group() {
         snapshot: snapshot.clone(),
     };
     builder
-        .build_checkpointed(&killed, Some(&mut Checkpoint::create(&journal, &[])))
+        .build_checkpointed(&killed, Some(&mut ResultStore::create(&journal)))
         .expect("the run itself completes");
 
     // What survived the kill: the first group, flushed when it finished.
-    let mut survived = Checkpoint::load(&snapshot).expect("snapshot is a valid journal");
+    let mut survived = ResultStore::load(&snapshot).expect("snapshot is a valid journal");
     assert_eq!(survived.len(), group, "journal must be flushed per group");
 
     let fresh_before = tel::counter("sim.batch_points").get();
@@ -314,13 +315,13 @@ fn resume_over_a_complete_journal_simulates_nothing() {
     let path = temp_path("complete.ckpt");
     std::fs::remove_file(&path).ok();
 
-    let mut journal = Checkpoint::create(&path, &[]);
+    let mut journal = ResultStore::create(&path);
     let first = builder
         .build_checkpointed(&clean, Some(&mut journal))
         .unwrap();
 
     let fresh_before = tel::counter("sim.batch_points").get();
-    let mut journal = Checkpoint::load(&path).unwrap();
+    let mut journal = ResultStore::load(&path).unwrap();
     let second = builder
         .build_checkpointed(&clean, Some(&mut journal))
         .unwrap();

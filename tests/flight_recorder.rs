@@ -528,37 +528,40 @@ fn counter(ledger: &Json, name: &str) -> Option<i64> {
 #[test]
 fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
     let dir = scratch("checkpoint");
-    let build_on = |benchmark: &str, tag: &str| {
-        ppm_in(
-            &dir,
-            &[
-                "build",
-                "--benchmark",
-                benchmark,
-                "--sample",
-                "20",
-                "--instructions",
-                "5000",
-                "--holdout",
-                "6",
-                "--quiet",
-                "--checkpoint",
-                "j.txt",
-                "--out",
-                &format!("{tag}.model"),
-                "--ledger-out",
-                &format!("{tag}.json"),
-            ],
-        )
+    // An ammp build of `sample` points and 6 held-out ones, on the store
+    // `j.txt` when `store` is set.
+    let build_with = |sample: &str, store: bool, tag: &str| {
+        let model = format!("{tag}.model");
+        let ledger = format!("{tag}.json");
+        let mut args = vec![
+            "build",
+            "--benchmark",
+            "ammp",
+            "--sample",
+            sample,
+            "--instructions",
+            "5000",
+            "--holdout",
+            "6",
+            "--quiet",
+            "--out",
+            &model,
+            "--ledger-out",
+            &ledger,
+        ];
+        if store {
+            args.extend(["--checkpoint", "j.txt"]);
+        }
+        ppm_in(&dir, &args)
     };
-    let build = |tag: &str| build_on("ammp", tag);
+    let build = |tag: &str| build_with("20", true, tag);
     let first = build("first");
     assert_code(&first, 0);
     assert_eq!(
         counter(&load(&dir.join("first.json")), "sim.batch_points"),
         Some(26)
     );
-    // The second run finds the journal and simulates nothing: neither a
+    // The second run finds the store and simulates nothing: neither a
     // training point nor a held-out one.
     let second = build("second");
     assert_code(&second, 0);
@@ -577,13 +580,27 @@ fn checkpoint_on_an_existing_journal_resumes_and_a_corrupt_one_exits_4() {
         String::from_utf8_lossy(&first.stdout).replace("first.model", "second.model"),
         String::from_utf8_lossy(&second.stdout)
     );
-    // A journal of another run is a persistence error too, not a silent
-    // mix of results.
-    let mismatched = build_on("mcf", "mismatched");
-    assert_code(&mismatched, 4);
-    assert!(String::from_utf8_lossy(&mismatched.stderr).contains("different run"));
-    // One flipped byte fails the journal's checksum: exit 4, not a
-    // silent fresh start over the damaged file.
+    // A run with another sample reuses what it shares with the first:
+    // the held-out points, which depend only on the seed and the count.
+    // A hit gives what a miss does, so the model and stdout are those of
+    // the same build without a store.
+    let wider = build_with("30", true, "wider");
+    assert_code(&wider, 0);
+    let ledger = load(&dir.join("wider.json"));
+    assert_eq!(counter(&ledger, "robust.resumed"), Some(6));
+    assert_eq!(counter(&ledger, "sim.batch_points"), Some(30));
+    let fresh = build_with("30", false, "fresh");
+    assert_code(&fresh, 0);
+    assert_eq!(
+        std::fs::read(dir.join("wider.model")).unwrap(),
+        std::fs::read(dir.join("fresh.model")).unwrap()
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&fresh.stdout).replace("fresh.model", "wider.model"),
+        String::from_utf8_lossy(&wider.stdout)
+    );
+    // One flipped byte fails the store's checksum: exit 4, not a silent
+    // fresh start over the damaged file.
     let journal = dir.join("j.txt");
     let mut bytes = std::fs::read(&journal).unwrap();
     let mid = bytes.len() / 2;

@@ -1,7 +1,7 @@
 //! Golden tests pinning every wire format in the registry
 //! (`crates/lint/src/wire.rs`, `KNOWN_FORMATS`).
 //!
-//! Each test drives the real emitter: reports, rings, and checkpoints
+//! Each test drives the real emitter: reports, rings, and result stores
 //! directly, and the server bodies (`/predict`, `/statusz`) through a
 //! live analytical `ppm serve`, whose exact top-level key set is pinned
 //! too. Each compares the schema field against the literal version
@@ -15,8 +15,9 @@
 //! parsing it and writing it back gives the same bytes, so one codec
 //! wrote it.
 //!
-//! The two text files `ppm build` keeps, the model file and the
-//! checkpoint journal, are pinned byte for byte, checksum line included.
+//! The two text files `ppm build` keeps, the model file and the result
+//! store, are pinned byte for byte, checksum line included; the journal
+//! format the store replaced is refused.
 
 mod common;
 
@@ -47,24 +48,46 @@ fn buildz_document_schema_is_pinned() {
 }
 
 #[test]
-fn checkpoint_header_is_pinned() {
-    let mut journal = ppm_core::Checkpoint::create(
-        std::env::temp_dir().join("ppm-wire-golden.ckpt"),
-        &[("seed".to_string(), "7".to_string())],
-    );
-    // Recorded out of key order: the journal lists points sorted.
-    journal.record(&[0.5, 4.0], -1.25);
-    journal.record(&[1.0, 2.0], 3.5);
-    let text = journal.to_text();
-    assert!(text.lines().next() == Some("ppm-checkpoint v1"), "{text}");
+fn store_text_is_pinned() {
+    let mut store =
+        ppm_core::ResultStore::create(std::env::temp_dir().join("ppm-wire-golden.store"));
+    // Recorded out of key order: the store lists entries sorted.
+    store.record(0x9e37_79b9_7f4a_7c15, -1.25);
+    store.record(0x0123_4567_89ab_cdef, 3.5);
+    let text = store.to_text();
+    assert!(text.lines().next() == Some("ppm-store v1"), "{text}");
     assert_eq!(
         text,
-        "ppm-checkpoint v1\n\
-         meta seed 7\n\
-         point 1.00000000000000000e0 2.00000000000000000e0 | 3.50000000000000000e0 | 78fda520200a289f\n\
-         point 5.00000000000000000e-1 4.00000000000000000e0 | -1.25000000000000000e0 | e24fcdf48d74cc96\n\
-         checksum 4e50af9aedc4d3b1\n"
+        "ppm-store v1\n\
+         entry 0123456789abcdef | 3.50000000000000000e0 | 7c116c54a2db8c58\n\
+         entry 9e3779b97f4a7c15 | -1.25000000000000000e0 | 25bc5276b13af78c\n\
+         checksum e293d5b2c7a42b2d\n"
     );
+}
+
+/// `ppm build --checkpoint` refuses a journal in the format the store
+/// replaced, before it writes anything.
+#[test]
+fn retired_checkpoint_journal_exits_4() {
+    let dir = scratch("retired-journal");
+    let body = "ppm-checkpoint v1\nmeta seed 1\n";
+    let sum = ppm_telemetry::fnv1a64(body.as_bytes());
+    std::fs::write(dir.join("j.txt"), format!("{body}checksum {sum:016x}\n")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppm"))
+        .current_dir(&dir)
+        .args(["build", "--benchmark", "ammp", "--sample", "20"])
+        .args(["--instructions", "5000", "--checkpoint", "j.txt"])
+        .args(["--out", "m.model", "--quiet", "--no-ledger"])
+        .output()
+        .expect("ppm runs");
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("invalid checkpoint: unknown header \"ppm-checkpoint v1\""),
+        "{stderr}"
+    );
+    assert!(!dir.join("m.model").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
