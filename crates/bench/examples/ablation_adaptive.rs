@@ -2,23 +2,16 @@
 //! versus a one-shot latin hypercube at the same simulation budget.
 
 use ppm_core::adaptive::{build_adaptive, AdaptiveConfig};
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Twolf;
     let response = scale.response(bench);
     let budget = scale.final_sample;
 
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(budget));
-    let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
+    let holdout = scale.holdout(&response);
 
     let mut report = Report::new(
         "ablation_adaptive",
@@ -27,8 +20,8 @@ fn main() {
     );
 
     // One-shot LHS at the full budget.
-    let one_shot = builder.build(&response).expect("finite CPI responses");
-    let s1 = one_shot.evaluate(&test, &actual);
+    let one_shot = scale.build(&response, budget);
+    let s1 = holdout.score(|p| one_shot.predict(p));
     report.row(vec![
         "one-shot LHS (paper)".into(),
         one_shot.design.len().to_string(),
@@ -44,8 +37,9 @@ fn main() {
         candidate_pool: 256,
         build: scale.build_config(budget),
     };
-    let adaptive = build_adaptive(&space, &response, &config).expect("finite CPI responses");
-    let s2 = adaptive.evaluate(&test, &actual);
+    let adaptive =
+        build_adaptive(&scale.space(), &response, &config).expect("finite CPI responses");
+    let s2 = holdout.score(|p| adaptive.predict(p));
     report.row(vec![
         "adaptive refinement".into(),
         adaptive.design.len().to_string(),

@@ -2,28 +2,21 @@
 //! software to use AICc; this ablation compares AICc against BIC and
 //! GCV on the same samples.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_rbf::Criterion;
+use ppm_rbf::{Criterion, RbfTrainer};
+use ppm_regtree::Dataset;
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Mcf;
     let response = scale.response(bench);
     let n = scale.final_sample;
 
     // One shared sample so only the criterion varies.
-    let base_builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-    let (design, disc) = base_builder.select_sample().expect("valid sweep config");
-    let responses =
-        eval_batch(&response, &design, base_builder.config().threads).expect("clean batch");
-    let test = base_builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, base_builder.config().threads).expect("clean batch");
+    let (design, responses) = scale.sample(&response, n);
+    let data = Dataset::new(design, responses).expect("finite CPI responses");
+    let holdout = scale.holdout(&response);
 
     let mut report = Report::new(
         "ablation_criterion",
@@ -39,20 +32,19 @@ fn main() {
     );
 
     for criterion in [Criterion::Aicc, Criterion::Bic, Criterion::Gcv] {
-        let mut config = scale.build_config(n);
-        config.trainer.criterion = criterion;
-        let builder = RbfModelBuilder::new(space.clone(), config);
-        let built = builder
-            .fit(design.clone(), responses.clone(), disc)
-            .expect("finite CPI responses");
-        let stats = built.evaluate(&test, &actual);
+        let trainer = RbfTrainer {
+            criterion,
+            ..scale.trainer()
+        };
+        let model = trainer.fit(&data).expect("usable training grid");
+        let stats = holdout.score(|p| model.network.predict(p));
         report.row(vec![
             format!("{criterion:?}"),
             fmt(stats.mean_pct, 2),
             fmt(stats.max_pct, 2),
-            built.model.network.num_centers().to_string(),
-            built.model.p_min.to_string(),
-            fmt(built.model.alpha, 0),
+            model.network.num_centers().to_string(),
+            model.p_min.to_string(),
+            fmt(model.alpha, 0),
         ]);
     }
     report.emit();

@@ -2,26 +2,18 @@
 //! `p_min` and α away from the grid-searched optimum (paper §2.6 finds
 //! the best by AICc; Table 4 reports the winners).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::metrics::ErrorStats;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Mcf;
     let response = scale.response(bench);
     let n = scale.final_sample;
 
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-    let (design, _) = builder.select_sample().expect("valid sweep config");
-    let responses = eval_batch(&response, &design, builder.config().threads).expect("clean batch");
-    let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
+    let (design, responses) = scale.sample(&response, n);
+    let data = ppm_regtree::Dataset::new(design, responses).expect("finite CPI responses");
+    let holdout = scale.holdout(&response);
 
     let p_mins: &[usize] = &[1, 2, 4];
     let alphas: &[f64] = if scale.full {
@@ -40,15 +32,8 @@ fn main() {
     let mut best_err = f64::INFINITY;
     for &p_min in p_mins {
         for &alpha in alphas {
-            let trainer = scale.trainer();
-            let fitted = trainer.fit_fixed(
-                &ppm_regtree::Dataset::new(design.clone(), responses.clone())
-                    .expect("finite CPI responses"),
-                p_min,
-                alpha,
-            );
-            let predicted: Vec<f64> = test.iter().map(|p| fitted.network.predict(p)).collect();
-            let stats = ErrorStats::from_predictions(&predicted, &actual);
+            let fitted = scale.trainer().fit_fixed(&data, p_min, alpha);
+            let stats = holdout.score(|p| fitted.network.predict(p));
             report.row(vec![
                 p_min.to_string(),
                 fmt(alpha, 0),

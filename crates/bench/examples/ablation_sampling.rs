@@ -5,9 +5,6 @@
 //! training sample is (a) the best-of-N LHS by L2-star discrepancy, (b)
 //! a single LHS draw, (c) uniform random points.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_rng::Rng;
 use ppm_sampling::discrepancy::l2_star;
@@ -18,15 +15,13 @@ use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Twolf;
     let response = scale.response(bench);
     let n = scale.final_sample;
 
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-    let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
+    let builder = scale.builder(n);
+    let space = builder.space();
+    let holdout = scale.holdout(&response);
 
     let mut report = Report::new(
         "ablation_sampling",
@@ -68,12 +63,11 @@ fn main() {
         for &seed in &seeds {
             let design = make(name, seed);
             disc_sum += l2_star(&design);
-            let responses =
-                eval_batch(&response, &design, builder.config().threads).expect("clean batch");
+            let responses = scale.simulate(&response, &design);
             let built = builder
                 .fit(design, responses, f64::NAN)
                 .expect("finite CPI responses");
-            let stats = built.evaluate(&test, &actual);
+            let stats = holdout.score(|p| built.predict(p));
             err_sum += stats.mean_pct;
             max_sum += stats.max_pct;
         }

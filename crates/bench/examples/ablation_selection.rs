@@ -3,10 +3,6 @@
 //! forward selection over all tree nodes and against using every leaf
 //! as a center (no selection).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::metrics::ErrorStats;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_rbf::{
     select_all_leaves, select_centers, select_centers_forward, SelectionConfig, SelectionResult,
@@ -16,17 +12,12 @@ use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Vortex;
     let response = scale.response(bench);
     let n = scale.final_sample;
 
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-    let (design, _) = builder.select_sample().expect("valid sweep config");
-    let responses = eval_batch(&response, &design, builder.config().threads).expect("clean batch");
-    let test = builder.test_points(&test_space, scale.test_points);
-    let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
+    let (design, responses) = scale.sample(&response, n);
+    let holdout = scale.holdout(&response);
 
     let data = Dataset::new(design, responses).expect("finite CPI responses");
     let tree = RegressionTree::fit(&data, 1);
@@ -55,8 +46,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let result = select(&tree, &data, &config);
         let elapsed = t0.elapsed().as_secs_f64();
-        let predicted: Vec<f64> = test.iter().map(|p| result.network.predict(p)).collect();
-        let stats = ErrorStats::from_predictions(&predicted, &actual);
+        let stats = holdout.score(|p| result.network.predict(p));
         // Wall time varies run to run, so it goes to stdout, not the CSV.
         println!("{name}: selected in {elapsed:.2}s");
         report.row(vec![

@@ -4,9 +4,7 @@
 //! predictor scheme, cache replacement, instruction prefetch) and check
 //! that model accuracy is unaffected.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::{eval_batch, FnResponse};
-use ppm_core::space::DesignSpace;
+use ppm_core::response::{FnResponse, Response};
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_sim::{BatchProcessor, FixedMachine, PredictorKind, ReplacementPolicy, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
@@ -30,8 +28,6 @@ fn machine(name: &str) -> FixedMachine {
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let bench = Benchmark::Vortex;
 
     let mut report = Report::new(
@@ -55,13 +51,13 @@ fn main() {
         "random replacement",
     ] {
         let fixed = machine(name);
-        let space_for_response = space.clone();
+        let space = scale.space();
         let trace_len = scale.trace_len;
         let fixed_for_response = fixed.clone();
         let response = FnResponse::new(9, move |unit: &[f64]| {
             let config = SimConfig {
                 fixed: fixed_for_response.clone(),
-                ..space_for_response.to_config(unit)
+                ..space.to_config(unit)
             };
             let trace = TraceGenerator::new(bench, 1).take(trace_len);
             BatchProcessor::new(vec![config])
@@ -71,12 +67,9 @@ fn main() {
         })
         .expect("non-zero dimension");
 
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let built = builder.build(&response).expect("finite CPI responses");
-        let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
-        let stats = built.evaluate(&test, &actual);
-        let mid = ppm_core::response::Response::eval(&response, &[0.5; 9]);
+        let built = scale.build(&response, scale.final_sample);
+        let stats = scale.holdout(&response).score(|p| built.predict(p));
+        let mid = response.eval(&[0.5; 9]);
         report.row(vec![
             name.to_string(),
             fmt(mid, 3),

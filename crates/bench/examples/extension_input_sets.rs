@@ -7,9 +7,7 @@
 //! ranking) for twolf under MinneSPEC-scale and reference-scale inputs
 //! and reports how the memory parameters move up the ranking.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::{eval_batch, FnResponse};
-use ppm_core::space::DesignSpace;
+use ppm_core::response::FnResponse;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_sim::BatchProcessor;
@@ -17,7 +15,7 @@ use ppm_workload::{Benchmark, InputSet, TraceGenerator};
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
+    let space = scale.space();
     let bench = Benchmark::Twolf;
 
     let mut report = Report::new(
@@ -41,10 +39,7 @@ fn main() {
                 .cpi()
         })
         .expect("non-zero dimension");
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let (design, _) = builder.select_sample().expect("valid sweep config");
-        let responses =
-            eval_batch(&response, &design, builder.config().threads).expect("clean batch");
+        let (design, responses) = scale.sample(&response, scale.final_sample);
         let splits = significant_splits(&space, &design, &responses, 1, 6).expect("valid");
         for (rank, s) in splits.iter().enumerate() {
             report.row(vec![

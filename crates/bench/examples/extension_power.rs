@@ -2,16 +2,12 @@
 //! Builds RBF models of energy-per-instruction for three benchmarks and
 //! reports the same error diagnostics as Table 3 does for CPI.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::{eval_batch, Metric};
-use ppm_core::space::DesignSpace;
+use ppm_core::response::Metric;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
 
     let mut report = Report::new(
         "extension_power",
@@ -31,13 +27,8 @@ fn main() {
     for bench in [Benchmark::Mcf, Benchmark::Vortex, Benchmark::Equake] {
         for (name, metric) in [("EPI", Metric::Epi), ("EDP", Metric::Edp)] {
             let response = scale.response(bench).with_metric(metric);
-            let builder =
-                RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-            let built = builder.build(&response).expect("finite responses");
-            let test = builder.test_points(&test_space, scale.test_points);
-            let actual =
-                eval_batch(&response, &test, builder.config().threads).expect("clean batch");
-            let stats = built.evaluate(&test, &actual);
+            let built = scale.build(&response, scale.final_sample);
+            let stats = scale.holdout(&response).score(|p| built.predict(p));
             report.row(vec![
                 bench.to_string(),
                 name.to_string(),

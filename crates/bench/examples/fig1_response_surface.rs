@@ -6,23 +6,19 @@
 //! the instruction cache is small (curvature / interaction), with sharp
 //! changes at low cache sizes.
 
-use ppm_core::builder::BuildConfig;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::interaction_grid;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
     let response = scale.response(Benchmark::Vortex);
 
     // Sweep il1_size (param 6, 4 levels) x L2_lat (param 5, 16 levels),
     // simulated as one batch.
     let (il1_vals, l2lat_vals, points) =
-        interaction_grid(&space, 6, 5, &[0.5; 9], scale.final_sample);
-    let cpi = eval_batch(&response, &points, BuildConfig::default().threads).expect("clean batch");
+        interaction_grid(&scale.space(), 6, 5, &[0.5; 9], scale.final_sample);
+    let cpi = scale.simulate(&response, &points);
     let grid: Vec<&[f64]> = cpi.chunks(l2lat_vals.len()).collect();
 
     let mut columns = vec!["il1_size_kb".to_string()];

@@ -5,14 +5,13 @@
 //! size and the curve has a knee (around 90 in their setup) beyond
 //! which extra simulations improve space coverage slowly.
 
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_rng::Rng;
 use ppm_sampling::lhs::LatinHypercube;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
+    let space = scale.space();
     let sizes: Vec<usize> = if scale.full {
         vec![10, 20, 30, 50, 70, 90, 110, 140, 170, 200]
     } else {

@@ -6,16 +6,11 @@
 //! size, and the decrease tapers at higher sizes (knee around the
 //! L2-star discrepancy knee).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
 
     let mut report = Report::new(
         "fig4_error_vs_samples",
@@ -26,15 +21,12 @@ fn main() {
     for bench in [Benchmark::Mcf, Benchmark::Twolf] {
         let response = scale.response(bench);
         // One fixed test set per benchmark, shared across sample sizes.
-        let probe = RbfModelBuilder::new(space.clone(), scale.build_config(30));
-        let test = probe.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
+        let holdout = scale.holdout(&response);
 
         let mut means = Vec::new();
         for &n in &scale.sample_sizes {
-            let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-            let built = builder.build(&response).expect("finite CPI responses");
-            let stats = built.evaluate(&test, &actual);
+            let built = scale.build(&response, n);
+            let stats = holdout.score(|p| built.predict(p));
             report.row(vec![
                 bench.to_string(),
                 n.to_string(),

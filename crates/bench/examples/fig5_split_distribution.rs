@@ -7,8 +7,6 @@
 
 use std::collections::BTreeMap;
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_sim::KNOBS;
@@ -16,10 +14,8 @@ use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let response = scale.response(Benchmark::Mcf);
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-    let built = builder.build(&response).expect("finite CPI responses");
+    let space = scale.space();
+    let built = scale.build(&scale.response(Benchmark::Mcf), scale.final_sample);
     // All splits (large k), p_min = 1 as the paper typically selects.
     let splits = significant_splits(&space, &built.design, &built.responses, 1, usize::MAX)
         .expect("valid sample");

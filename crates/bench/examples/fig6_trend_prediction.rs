@@ -6,25 +6,20 @@
 //! mirror the simulated trends for the il1 × L2-latency interaction
 //! (with the largest deviations at small caches and high latencies).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::interaction_grid;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
     let response = scale.response(Benchmark::Vortex);
-    let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-    let built = builder.build(&response).expect("finite CPI responses");
+    let built = scale.build(&response, scale.final_sample);
 
     // Simulate the whole il1 x L2-latency grid as one batch; the report
     // keeps every third L2-latency level at paper scale, every fifth
     // otherwise.
-    let (il1_vals, l2_vals, points) = interaction_grid(&space, 6, 5, &[0.5; 9], 16);
-    let simulated = eval_batch(&response, &points, builder.config().threads).expect("clean batch");
+    let (il1_vals, l2_vals, points) = interaction_grid(&scale.space(), 6, 5, &[0.5; 9], 16);
+    let simulated = scale.simulate(&response, &points);
     let predicted: Vec<f64> = points.iter().map(|x| built.predict(x)).collect();
     let sim_grid: Vec<&[f64]> = simulated.chunks(l2_vals.len()).collect();
     let model_grid: Vec<&[f64]> = predicted.chunks(l2_vals.len()).collect();

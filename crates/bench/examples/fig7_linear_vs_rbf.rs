@@ -8,18 +8,12 @@
 //! model's error stays several times higher even at the largest sample
 //! (paper: 6.5% vs 2.1% at n=200).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::metrics::ErrorStats;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::fit_linear_baseline;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
 
     let mut report = Report::new(
         "fig7_linear_vs_rbf",
@@ -38,21 +32,14 @@ fn main() {
     let mut comparisons = 0usize;
     for bench in [Benchmark::Mcf, Benchmark::Vortex, Benchmark::Twolf] {
         let response = scale.response(bench);
-        let probe = RbfModelBuilder::new(space.clone(), scale.build_config(30));
-        let test = probe.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
+        let holdout = scale.holdout(&response);
 
         for &n in &scale.sample_sizes {
-            let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-            let built = builder.build(&response).expect("finite CPI responses");
-            let rbf_stats = built.evaluate(&test, &actual);
+            let built = scale.build(&response, n);
+            let rbf_stats = holdout.score(|p| built.predict(p));
 
             let (lin_mean, lin_terms) = match fit_linear_baseline(&built.design, &built.responses) {
-                Ok(lin) => {
-                    let pred: Vec<f64> = test.iter().map(|p| lin.predict(p)).collect();
-                    let stats = ErrorStats::from_predictions(&pred, &actual);
-                    (stats.mean_pct, lin.num_terms())
-                }
+                Ok(lin) => (holdout.score(|p| lin.predict(p)).mean_pct, lin.num_terms()),
                 Err(e) => {
                     println!("{bench} n={n}: linear model failed: {e}");
                     (f64::NAN, 0)

@@ -10,10 +10,6 @@
 //! profiling pass costs (~1 trace pass ≈ 1 simulation; we grant the
 //! RBF its usual sample).
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::metrics::ErrorStats;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
 use ppm_sim::SimConfig;
@@ -21,8 +17,7 @@ use ppm_workload::{Benchmark, TraceGenerator};
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
+    let space = scale.space();
 
     let mut report = Report::new(
         "related_firstorder",
@@ -38,24 +33,18 @@ fn main() {
 
     for bench in [Benchmark::Mcf, Benchmark::Crafty, Benchmark::Equake] {
         let response = scale.response(bench);
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
+        let holdout = scale.holdout(&response);
 
         // First-order: one profiling pass, then analytic evaluation.
         let fo = FirstOrderModel::new(ProgramStats::collect(
             TraceGenerator::new(bench, 1).take(scale.trace_len),
             &SimConfig::default(),
         ));
-        let fo_pred: Vec<f64> = test
-            .iter()
-            .map(|p| fo.predict(&space.to_config(p)))
-            .collect();
-        let fo_stats = ErrorStats::from_predictions(&fo_pred, &actual);
+        let fo_stats = holdout.score(|p| fo.predict(&space.to_config(p)));
 
         // RBF surrogate.
-        let built = builder.build(&response).expect("finite CPI responses");
-        let rbf_stats = built.evaluate(&test, &actual);
+        let built = scale.build(&response, scale.final_sample);
+        let rbf_stats = holdout.score(|p| built.predict(p));
 
         report.row(vec![
             bench.to_string(),

@@ -9,16 +9,13 @@
 //! significance ranking against the regression tree's split ranking
 //! from the full sample.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::{pb_screening, significant_splits};
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
+    let space = scale.space();
 
     let mut report = Report::new(
         "related_pb_screening",
@@ -34,13 +31,11 @@ fn main() {
 
     for bench in [Benchmark::Mcf, Benchmark::Vortex] {
         let response = scale.response(bench);
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let threads = builder.config().threads;
+        let threads = scale.build_config(scale.final_sample).threads;
         let effects = pb_screening(&space, &response, 12, threads).expect("supported PB design");
 
         // Tree ranking from a proper LHS sample for comparison.
-        let (design, _) = builder.select_sample().expect("valid sweep config");
-        let responses = eval_batch(&response, &design, threads).expect("clean batch");
+        let (design, responses) = scale.sample(&response, scale.final_sample);
         let splits = significant_splits(&space, &design, &responses, 1, usize::MAX).expect("valid");
         let tree_rank = |param: &str| -> String {
             splits

@@ -7,16 +7,11 @@
 //! the floating-point benchmarks (equake, ammp) showing the lowest
 //! maximum errors.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::response::eval_batch;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
     let paper = [
         (Benchmark::Mcf, (2.1, 12.7, 1.8)),
         (Benchmark::Crafty, (2.9, 10.8, 2.7)),
@@ -50,11 +45,8 @@ fn main() {
     let mut int_max: f64 = 0.0;
     for (bench, (pm, px, ps)) in paper {
         let response = scale.response(bench);
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let built = builder.build(&response).expect("finite CPI responses");
-        let test = builder.test_points(&test_space, scale.test_points);
-        let actual = eval_batch(&response, &test, builder.config().threads).expect("clean batch");
-        let stats = built.evaluate(&test, &actual);
+        let built = scale.build(&response, scale.final_sample);
+        let stats = scale.holdout(&response).score(|p| built.predict(p));
         report.row(vec![
             bench.to_string(),
             fmt(stats.mean_pct, 2),

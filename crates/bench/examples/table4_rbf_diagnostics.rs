@@ -7,14 +7,11 @@
 //! well below half the number of sample points while growing with the
 //! sample.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::space::DesignSpace;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
     let response = scale.response(Benchmark::Mcf);
     let paper: &[(usize, usize, f64, usize)] = &[
         (30, 1, 5.0, 15),
@@ -43,8 +40,7 @@ fn main() {
     let mut all_below_half = true;
     let mut centers_grow = Vec::new();
     for &n in &scale.sample_sizes {
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(n));
-        let built = builder.build(&response).expect("finite CPI responses");
+        let built = scale.build(&response, n);
         let centers = built.model.network.num_centers();
         let frac = centers as f64 / n as f64;
         if frac >= 0.5 {

@@ -7,15 +7,13 @@
 //! cache and window parameters. The most significant splits occur at
 //! shallow depths.
 
-use ppm_core::builder::RbfModelBuilder;
-use ppm_core::space::DesignSpace;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
 fn main() {
     let scale = Scale::from_env();
-    let space = DesignSpace::paper_table1();
+    let space = scale.space();
 
     let mut report = Report::new(
         "table5_splits",
@@ -31,9 +29,7 @@ fn main() {
     );
 
     for bench in [Benchmark::Mcf, Benchmark::Vortex] {
-        let response = scale.response(bench);
-        let builder = RbfModelBuilder::new(space.clone(), scale.build_config(scale.final_sample));
-        let built = builder.build(&response).expect("finite CPI responses");
+        let built = scale.build(&scale.response(bench), scale.final_sample);
         let splits = significant_splits(&space, &built.design, &built.responses, 1, 8)
             .expect("valid sample");
         let mut top_params = Vec::new();

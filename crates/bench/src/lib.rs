@@ -7,6 +7,14 @@
 //! cargo run --release -p ppm-experiments --example table3_error_diagnostics
 //! ```
 //!
+//! Every accuracy number goes through one path on [`Scale`]: the
+//! Table 1 builder for a sample size ([`Scale::builder`],
+//! [`Scale::build`], [`Scale::sample`]), one strict simulation call
+//! ([`Scale::simulate`]), the §3 Table 2 holdout ([`Scale::holdout`],
+//! which depends only on the seed, so one holdout serves every sample
+//! size), and the scoring of any predictor against it
+//! ([`Holdout::score`]).
+//!
 //! By default the harnesses run at a *reduced scale* (shorter traces,
 //! smaller samples) so the whole suite completes in minutes; set
 //! `PPM_FULL=1` for paper-scale runs. Simulation uses `PPM_THREADS`
@@ -18,8 +26,10 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use ppm_core::builder::BuildConfig;
-use ppm_core::response::SimulatorResponse;
+use ppm_core::builder::{BuildConfig, BuiltModel, RbfModelBuilder};
+use ppm_core::metrics::ErrorStats;
+use ppm_core::response::{eval_batch, Response, SimulatorResponse};
+use ppm_core::space::DesignSpace;
 use ppm_rbf::RbfTrainer;
 use ppm_workload::Benchmark;
 
@@ -90,6 +100,86 @@ impl Scale {
     pub fn response(&self, benchmark: Benchmark) -> SimulatorResponse {
         SimulatorResponse::new(benchmark, self.trace_len)
     }
+
+    /// The Table 1 training space every harness samples.
+    pub fn space(&self) -> DesignSpace {
+        DesignSpace::paper_table1()
+    }
+
+    /// The Table 1 builder for the given sample size.
+    pub fn builder(&self, sample_size: usize) -> RbfModelBuilder {
+        RbfModelBuilder::new(self.space(), self.build_config(sample_size))
+    }
+
+    /// Samples, simulates and fits a model of `response` at the given
+    /// sample size (paper steps 1–4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response yields values the model cannot train on.
+    pub fn build<R: Response>(&self, response: &R, sample_size: usize) -> BuiltModel {
+        self.builder(sample_size)
+            .build(response)
+            // A harness has no partial result to report. lint:allow(panic-path)
+            .expect("finite responses")
+    }
+
+    /// The training sample of the given size and its simulated
+    /// responses, unfitted: the design [`Scale::build`] would train on.
+    ///
+    /// # Panics
+    ///
+    /// As [`Scale::simulate`].
+    pub fn sample<R: Response>(
+        &self,
+        response: &R,
+        sample_size: usize,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (design, _) = self
+            .builder(sample_size)
+            .select_sample()
+            // The scale's candidate count is non-zero. lint:allow(panic-path)
+            .expect("valid sweep config");
+        let responses = self.simulate(response, &design);
+        (design, responses)
+    }
+
+    /// Evaluates `response` at every point, strictly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any faulty point instead of quarantining it.
+    pub fn simulate<R: Response>(&self, response: &R, points: &[Vec<f64>]) -> Vec<f64> {
+        // A number from a partial batch is not a result. lint:allow(panic-path)
+        eval_batch(response, points, BuildConfig::default().threads).expect("clean batch")
+    }
+
+    /// The independent random test set of the paper's §3, drawn from
+    /// Table 2 and simulated. The points depend only on the build seed,
+    /// so one holdout serves every sample size.
+    pub fn holdout<R: Response>(&self, response: &R) -> Holdout {
+        let points = self
+            .builder(self.final_sample)
+            .test_points(&DesignSpace::paper_table2(), self.test_points);
+        let actual = self.simulate(response, &points);
+        Holdout { points, actual }
+    }
+}
+
+/// The Table 2 holdout: test points in Table 1 unit coordinates and
+/// their simulated responses.
+#[derive(Debug, Clone)]
+pub struct Holdout {
+    points: Vec<Vec<f64>>,
+    actual: Vec<f64>,
+}
+
+impl Holdout {
+    /// The percentage-error statistics of `predict` on the holdout.
+    pub fn score(&self, predict: impl Fn(&[f64]) -> f64) -> ErrorStats {
+        let predicted: Vec<f64> = self.points.iter().map(|p| predict(p)).collect();
+        ErrorStats::from_predictions(&predicted, &self.actual)
+    }
 }
 
 /// A simple experiment report: a header, column names and rows, printed
@@ -144,8 +234,9 @@ impl Report {
     }
 
     /// Writes the CSV mirror to `results/<name>.csv`, then prints the
-    /// markdown table and where the CSV went (or why it could not be
-    /// written) to stdout.
+    /// markdown table and where the CSV went to stdout. If the CSV
+    /// cannot be written, prints why to stderr and exits with status 1,
+    /// so a stale committed CSV cannot pass for a fresh one.
     pub fn emit(&self) {
         let mut csv = String::new();
         for r in std::iter::once(&self.columns).chain(&self.rows) {
@@ -153,12 +244,15 @@ impl Report {
         }
         let dir = results_dir();
         let path = dir.join(format!("{}.csv", self.name));
-        let saved = match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, csv)) {
-            Ok(()) => format!("(written to {})", path.display()),
-            Err(e) => format!("warning: could not write {}: {e}", path.display()),
-        };
         // Printing the report is what the harnesses are for. lint:allow(print-in-lib)
-        println!("{}\n{saved}", self.to_markdown());
+        println!("{}", self.to_markdown());
+        if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, csv)) {
+            // lint:allow(print-in-lib)
+            eprintln!("error: could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        // lint:allow(print-in-lib)
+        println!("(written to {})", path.display());
     }
 }
 
@@ -180,6 +274,7 @@ pub fn fmt(v: f64, prec: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_core::response::FnResponse;
 
     #[test]
     fn scale_has_sane_defaults() {
@@ -187,6 +282,21 @@ mod tests {
         assert!(scale.final_sample <= 200);
         assert!(!scale.sample_sizes.is_empty());
         assert!(scale.trace_len >= 10_000);
+    }
+
+    #[test]
+    fn holdout_is_the_table2_test_set_for_any_sample_size() {
+        let scale = Scale::from_env();
+        let response = FnResponse::new(9, |x: &[f64]| 1.0 + x.iter().sum::<f64>()).unwrap();
+        let holdout = scale.holdout(&response);
+        let table2 = DesignSpace::paper_table2();
+        assert_eq!(
+            holdout.points,
+            scale.builder(30).test_points(&table2, scale.test_points)
+        );
+        assert!(holdout.score(|p| response.eval(p)).max_pct < 1e-12);
+        let high = holdout.score(|p| 1.1 * response.eval(p));
+        assert!((high.mean_pct - 10.0).abs() < 1e-9 && high.std_pct < 1e-9);
     }
 
     #[test]

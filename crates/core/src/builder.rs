@@ -598,6 +598,10 @@ mod tests {
                 assert!((0.0..=1.0).contains(&v));
             }
         }
+        // The points depend only on the seed, so one holdout serves
+        // every sample size.
+        let larger = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(200));
+        assert_eq!(larger.test_points(&DesignSpace::paper_table2(), 50), test);
     }
 
     #[test]

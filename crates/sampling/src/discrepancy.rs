@@ -116,80 +116,6 @@ fn pairwise_sum(xs: &[f64]) -> f64 {
     pairwise_sum(&xs[..mid]) + pairwise_sum(&xs[mid..])
 }
 
-/// Computes Hickernell's centered L2 discrepancy.
-///
-/// This variant is invariant under reflections of the hypercube about
-/// coordinate half-planes; it is the measure Fang et al. use to compare
-/// latin hypercube designs. Lower is better.
-///
-/// # Panics
-///
-/// Panics if the design is empty, points have inconsistent dimensions, or
-/// any coordinate lies outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// let d = ppm_sampling::discrepancy::centered_l2(&[vec![0.5]]);
-/// assert!((d - (1.0f64 / 12.0).sqrt()).abs() < 1e-12);
-/// ```
-pub fn centered_l2(points: &[Vec<f64>]) -> f64 {
-    let (p, n) = validate(points);
-    let term1 = (13.0f64 / 12.0).powi(n as i32);
-
-    let mut term2 = 0.0;
-    for x in points {
-        let mut prod = 1.0;
-        for &xi in x {
-            let z = (xi - 0.5).abs();
-            prod *= 1.0 + 0.5 * z - 0.5 * z * z;
-        }
-        term2 += prod;
-    }
-
-    let mut term3 = 0.0;
-    for xi in points {
-        for xj in points {
-            let mut prod = 1.0;
-            for (&a, &b) in xi.iter().zip(xj) {
-                let za = (a - 0.5).abs();
-                let zb = (b - 0.5).abs();
-                prod *= 1.0 + 0.5 * za + 0.5 * zb - 0.5 * (a - b).abs();
-            }
-            term3 += prod;
-        }
-    }
-
-    let pf = p as f64;
-    let d2 = term1 - 2.0 / pf * term2 + term3 / (pf * pf);
-    d2.max(0.0).sqrt()
-}
-
-/// The maximin-distance criterion: the smallest pairwise Euclidean
-/// distance in the design. *Higher* is better (points repel each
-/// other), complementary to the discrepancy measures.
-///
-/// # Panics
-///
-/// Panics if the design has fewer than two points or inconsistent
-/// dimensions, or coordinates outside `[0, 1]`.
-pub fn maximin(points: &[Vec<f64>]) -> f64 {
-    let (p, _) = validate(points);
-    assert!(p >= 2, "maximin needs at least two points");
-    let mut best = f64::INFINITY;
-    for i in 0..p {
-        for j in (i + 1)..p {
-            let d2: f64 = points[i]
-                .iter()
-                .zip(&points[j])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            best = best.min(d2);
-        }
-    }
-    best.sqrt()
-}
-
 fn validate(points: &[Vec<f64>]) -> (usize, usize) {
     assert!(!points.is_empty(), "discrepancy of an empty design");
     let n = points[0].len();
@@ -234,7 +160,6 @@ mod tests {
         let grid: Vec<Vec<f64>> = (0..10).map(|i| vec![(i as f64 + 0.5) / 10.0]).collect();
         let clustered: Vec<Vec<f64>> = (0..10).map(|i| vec![0.4 + i as f64 * 0.01]).collect();
         assert!(l2_star(&grid) < l2_star(&clustered));
-        assert!(centered_l2(&grid) < centered_l2(&clustered));
     }
 
     #[test]
@@ -255,35 +180,6 @@ mod tests {
             assert!(avg < last, "discrepancy did not shrink at p={p}");
             last = avg;
         }
-    }
-
-    #[test]
-    fn maximin_prefers_spread_points() {
-        let spread = vec![
-            vec![0.1, 0.1],
-            vec![0.9, 0.9],
-            vec![0.1, 0.9],
-            vec![0.9, 0.1],
-        ];
-        let clumped = vec![
-            vec![0.5, 0.5],
-            vec![0.52, 0.5],
-            vec![0.1, 0.9],
-            vec![0.9, 0.1],
-        ];
-        assert!(maximin(&spread) > maximin(&clumped));
-    }
-
-    #[test]
-    fn maximin_known_value() {
-        let pts = vec![vec![0.0], vec![0.5], vec![1.0]];
-        assert!((maximin(&pts) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two points")]
-    fn maximin_single_point_panics() {
-        maximin(&[vec![0.5]]);
     }
 
     #[test]
@@ -308,9 +204,7 @@ mod tests {
                 .map(|_| (0..n).map(|_| rng.unit_f64()).collect())
                 .collect();
             let star = l2_star(&pts);
-            let cent = centered_l2(&pts);
             assert!(star.is_finite() && star >= 0.0, "seed {seed}");
-            assert!(cent.is_finite() && cent >= 0.0, "seed {seed}");
         }
     }
 
@@ -369,25 +263,6 @@ mod tests {
             let before = l2_star(&pts);
             rng.shuffle(&mut pts);
             assert!((l2_star(&pts) - before).abs() < 1e-12, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn random_centered_reflection_invariant() {
-        // Reflecting every coordinate about 0.5 leaves centered L2 unchanged.
-        for seed in 0..32u64 {
-            let mut rng = Rng::seed_from_u64(seed);
-            let pts: Vec<Vec<f64>> = (0..10)
-                .map(|_| (0..3).map(|_| rng.unit_f64()).collect())
-                .collect();
-            let reflected: Vec<Vec<f64>> = pts
-                .iter()
-                .map(|x| x.iter().map(|&v| 1.0 - v).collect())
-                .collect();
-            assert!(
-                (centered_l2(&pts) - centered_l2(&reflected)).abs() < 1e-9,
-                "seed {seed}"
-            );
         }
     }
 }

@@ -8,9 +8,8 @@
 //! * [`lhs`] — latin hypercube sampling, including the paper's
 //!   best-of-many variant that keeps the candidate hypercube with the
 //!   lowest L2-star discrepancy.
-//! * [`discrepancy`] — the L2-star discrepancy (Warnock's closed form)
-//!   and Hickernell's centered L2 discrepancy, which quantify how
-//!   uniformly a sample fills the unit hypercube.
+//! * [`discrepancy`] — the L2-star discrepancy (Warnock's closed form),
+//!   which quantifies how uniformly a sample fills the unit hypercube.
 //! * [`random`] — plain uniform random designs (used for independent test
 //!   sets and as an ablation baseline).
 //! * [`pb`] — Plackett–Burman two-level screening designs with optional

@@ -45,7 +45,7 @@ use ppm_core::space::DesignSpace;
 use ppm_exec::{ExecError, MAX_THREADS};
 use ppm_live::http::{
     dispatch, index_line, read_head_or_400, write_response_with_headers, ClientErrors, RouteEntry,
-    Server, StopHandle, JSON, PROMETHEUS, TEXT,
+    Server, StopHandle, JSON, MAX_HEAD, PROMETHEUS, TEXT,
 };
 use ppm_sim::SimConfig;
 use ppm_telemetry::{Counter, Histogram, Json, Level, Record};
@@ -409,12 +409,13 @@ impl Intake {
             return;
         };
         if state.queue.capacity() == 0 {
-            // Shed-all drill mode: unlike saturation shedding, drain the
-            // request head first. Closing with unread bytes in the
-            // socket makes the kernel send RST, which clients see as a
-            // transport error instead of a 503. The slowloris argument
-            // for head-blind shedding does not apply here — there is no
-            // queue to protect.
+            // Shed-all drill mode: unlike saturation shedding, wait for
+            // the request head. `shed` drains only the bytes that have
+            // already arrived, and a head that lands after the 503 is
+            // unread at close, which makes the kernel send RST. The
+            // drill promises every client a readable 503, and the
+            // slowloris argument for never waiting does not apply here —
+            // there is no queue to protect.
             let _ = conn.stream.read(&mut [0u8; 1024]);
         } else {
             state.counters.saturated.inc();
@@ -461,13 +462,17 @@ fn serve_one(
     state.counters.worker_panics.inc();
 }
 
-/// Sheds an accepted connection: an immediate 503 without reading the
+/// Sheds an accepted connection: an immediate 503 without parsing the
 /// request head. Control routes shed too under saturation — a deliberate
-/// tradeoff: reading heads on the accept thread would let one slowloris
-/// stall every queue decision. Because the head stays unread, a shed
-/// request's trace record carries the seq-derived ID, never a
-/// client-supplied one — clients correlate sheds by count, not by ID.
+/// tradeoff: waiting for heads on the accept thread would let one
+/// slowloris stall every queue decision. The bytes that have already
+/// arrived are read without waiting and discarded, so the close after
+/// the 503 is a FIN, not the RST that unread bytes would cause. Because
+/// the head is never parsed, a shed request's trace record carries the
+/// seq-derived ID, never a client-supplied one — clients correlate
+/// sheds by count, not by ID.
 fn shed(state: &ServeState, mut conn: Conn) {
+    drain_arrived(&mut conn.stream);
     state.counters.shed.inc();
     state.counters.shed_queue_full.inc();
     let ctx = TraceContext::new(conn.seq, None);
@@ -501,6 +506,24 @@ fn shed(state: &ServeState, mut conn: Conn) {
         total_us,
     );
     state.slo.observe(unix_now_sec(), false, total_us);
+}
+
+/// Reads and discards, without waiting, what the client has sent so far,
+/// up to one request head ([`MAX_HEAD`]); the stream is
+/// blocking again afterwards.
+fn drain_arrived(stream: &mut TcpStream) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut buf = [0u8; 1024];
+    let mut left = MAX_HEAD;
+    while left > 0 {
+        match stream.read(&mut buf) {
+            Ok(n) if n > 0 => left = left.saturating_sub(n),
+            _ => break,
+        }
+    }
+    let _ = stream.set_nonblocking(false);
 }
 
 /// A trace span from `start_us` to `end_us` (offsets from accept).
@@ -1407,9 +1430,10 @@ mod tests {
         let (mut queued, stream) = socket_pair();
         queued.write_all(HEALTHZ).unwrap();
         intake.accept(stream);
-        // A shed never reads the head, so this client sends none: unread
-        // request bytes would turn the 503 into a reset.
-        let (shed, stream) = socket_pair();
+        // The shed client has sent its request before accept: the shed
+        // must read those bytes, or the close turns the 503 into a reset.
+        let (mut shed, stream) = socket_pair();
+        shed.write_all(HEALTHZ).unwrap();
         intake.accept(stream);
         let response = read_response(shed);
         assert!(response.starts_with("HTTP/1.1 503"), "{response:?}");

@@ -213,6 +213,10 @@ else
   [ "$code" -eq 5 ] || { echo "SLO drill: expected exit 5, got $code"; \
     cat "$smoke_dir/shed-loadtest.out"; exit 1; }
 fi
+# Every refusal must be a 503 the client read, not a reset.
+grep -qE '^shed +40$' "$smoke_dir/shed-loadtest.out" \
+  || { echo "shed drill: not every request read its 503"; \
+    cat "$smoke_dir/shed-loadtest.out"; exit 1; }
 # /quitz is shed like everything else in drill mode; stop it directly.
 kill "$serve_pid"
 wait "$serve_pid" || true
@@ -241,7 +245,9 @@ echo "== paper results: reduced-scale harnesses == committed CSVs =="
 # (results_dir() is fixed at compile time) and none depends on
 # PPM_THREADS. The 17 runs took 41 and 49 s in two measurements on a
 # 2-vCPU VM, with the examples built. Paper-scale Table 3 and Fig. 4
-# (PPM_FULL=1, about 45 s and 30 s) stay manual.
+# (PPM_FULL=1, about 45 s and 30 s) stay manual. A harness that cannot
+# write its CSV exits 1 (set -e stops here), and `git diff` does not see
+# untracked files, so a CSV nobody committed fails the gate on its own.
 cargo build -q --release -p ppm-experiments --examples
 for example in crates/bench/examples/*.rs; do
   name=$(basename "$example" .rs)
@@ -251,6 +257,8 @@ for example in crates/bench/examples/*.rs; do
   "target/release/examples/$name" > /dev/null
 done
 git diff --exit-code -- results/*.csv
+untracked=$(git ls-files --others -- ':(glob)results/*.csv')
+[ -z "$untracked" ] || { echo "untracked result CSVs: $untracked"; exit 1; }
 gate_done results
 
 echo "== rustdoc: every intra-doc link resolves =="
