@@ -4,10 +4,10 @@
 //! predictor scheme, cache replacement, instruction prefetch) and check
 //! that model accuracy is unaffected.
 
-use ppm_core::response::{FnResponse, Response};
+use ppm_core::response::Response;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_sim::{BatchProcessor, FixedMachine, PredictorKind, ReplacementPolicy, SimConfig};
-use ppm_workload::{Benchmark, TraceGenerator};
+use ppm_sim::{FixedMachine, PredictorKind, ReplacementPolicy};
+use ppm_workload::Benchmark;
 
 fn machine(name: &str) -> FixedMachine {
     let mut f = FixedMachine::default();
@@ -50,23 +50,7 @@ fn main() {
         "tournament + prefetch",
         "random replacement",
     ] {
-        let fixed = machine(name);
-        let space = scale.space();
-        let trace_len = scale.trace_len;
-        let fixed_for_response = fixed.clone();
-        let response = FnResponse::new(9, move |unit: &[f64]| {
-            let config = SimConfig {
-                fixed: fixed_for_response.clone(),
-                ..space.to_config(unit)
-            };
-            let trace = TraceGenerator::new(bench, 1).take(trace_len);
-            BatchProcessor::new(vec![config])
-                .expect("valid configuration")
-                .run(trace)[0]
-                .cpi()
-        })
-        .expect("non-zero dimension");
-
+        let response = scale.response(bench).with_machine(machine(name));
         let built = scale.build(&response, scale.final_sample);
         let stats = scale.holdout(&response).score(|p| built.predict(p));
         let mid = response.eval(&[0.5; 9]);

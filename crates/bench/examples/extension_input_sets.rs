@@ -7,11 +7,10 @@
 //! ranking) for twolf under MinneSPEC-scale and reference-scale inputs
 //! and reports how the memory parameters move up the ranking.
 
-use ppm_core::response::FnResponse;
+use ppm_core::response::SimulatorResponse;
 use ppm_core::study::significant_splits;
 use ppm_experiments::{fmt, Report, Scale};
-use ppm_sim::BatchProcessor;
-use ppm_workload::{Benchmark, InputSet, TraceGenerator};
+use ppm_workload::{Benchmark, InputSet};
 
 fn main() {
     let scale = Scale::from_env();
@@ -28,17 +27,7 @@ fn main() {
         ("lgred", InputSet::MinneLgred),
         ("reference", InputSet::Reference),
     ] {
-        let space_for_response = space.clone();
-        let trace_len = scale.trace_len;
-        let response = FnResponse::new(9, move |unit: &[f64]| {
-            let config = space_for_response.to_config(unit);
-            let trace = TraceGenerator::with_input(bench, input, 1).take(trace_len);
-            BatchProcessor::new(vec![config])
-                .expect("valid configuration")
-                .run(trace)[0]
-                .cpi()
-        })
-        .expect("non-zero dimension");
+        let response = SimulatorResponse::from_profile(bench.profile_with(input), scale.trace_len);
         let (design, responses) = scale.sample(&response, scale.final_sample);
         let splits = significant_splits(&space, &design, &responses, 1, 6).expect("valid");
         for (rank, s) in splits.iter().enumerate() {

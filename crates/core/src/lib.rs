@@ -11,7 +11,9 @@
 //! 2. [`builder::RbfModelBuilder`] selects a latin hypercube sample with
 //!    the best L2-star discrepancy (§2.2), ...
 //! 3. ... evaluates the processor [`response::Response`] at each point
-//!    (detailed simulation, run in parallel), ...
+//!    (detailed simulation, in parallel: every simulation is a
+//!    [`response::SimulatorResponse`], a workload profile and a fixed
+//!    machine whose lanes share one trace pass and whose key names both), ...
 //! 4. ... and fits a radial basis function network with
 //!    regression-tree-derived centers and AICc subset selection
 //!    (§2.3–§2.6).

@@ -1,9 +1,13 @@
 //! Processor responses: what the model-building procedure measures at a
 //! design point.
 
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, SimConfig, SimStats};
+use std::iter::Take;
+
+use ppm_sim::{
+    estimate_energy, BatchError, BatchProcessor, EnergyParams, FixedMachine, SimConfig, SimStats,
+};
 use ppm_telemetry::fnv1a64;
-use ppm_workload::{Benchmark, TraceGenerator};
+use ppm_workload::{Benchmark, Profile, TraceGenerator};
 
 use crate::builder::BuildError;
 use crate::envelope::floats;
@@ -70,17 +74,22 @@ pub trait Response: Sync {
 
     /// The key a [`ResultStore`](crate::store::ResultStore) keeps the
     /// value at `unit` under: equal keys mean equal values, in any run.
-    /// The default hashes the point's 17-digit text.
+    /// The default hashes the point's 17-digit text and nothing else, so
+    /// two responses on the default key (a closure over a machine or a
+    /// trace, say) must not share a store: they would serve each other's
+    /// values.
     fn key(&self, unit: &[f64]) -> u64 {
         fnv1a64(floats(unit).as_bytes())
     }
 }
 
 /// A response computed by running the cycle-level simulator on a
-/// benchmark trace (the paper's step 3).
-///
-/// [`Response::eval`] is a 1-lane [`BatchProcessor`] run and
-/// [`Response::eval_many`] one lane per point, on one shared path.
+/// workload trace (the paper's step 3): the one place a machine meets a
+/// trace. It holds the workload [`Profile`], the [`FixedMachine`], the
+/// trace seed and length and the metric; [`SimulatorResponse::run`]
+/// runs configurations as the lanes of one [`BatchProcessor`] over the
+/// trace, and [`Response::eval`] (one lane) and [`Response::eval_many`]
+/// (one lane per point) reduce its output to the metric.
 ///
 /// Simulator failures (invalid derived config, degenerate CPI) surface
 /// as NaN from [`Response::eval`], which the supervised executor
@@ -98,7 +107,8 @@ pub trait Response: Sync {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulatorResponse {
-    benchmark: Benchmark,
+    profile: Profile,
+    machine: FixedMachine,
     trace_len: usize,
     seed: u64,
     space: DesignSpace,
@@ -106,30 +116,41 @@ pub struct SimulatorResponse {
 }
 
 impl SimulatorResponse {
-    /// Creates a response for a benchmark, simulating `trace_len`
-    /// instructions per design point, over the Table 1 space.
+    /// Creates a response for a benchmark's `lgred` profile, simulating
+    /// `trace_len` instructions per design point over the Table 1 space.
     ///
     /// # Panics
     ///
     /// Panics if `trace_len == 0`.
     pub fn new(benchmark: Benchmark, trace_len: usize) -> Self {
-        Self::with_space(benchmark, trace_len, DesignSpace::paper_table1())
+        Self::from_profile(benchmark.profile(), trace_len)
     }
 
-    /// Like [`SimulatorResponse::new`] with an explicit design space.
+    /// Creates a response for any workload profile (another input set,
+    /// a custom workload), on the default [`FixedMachine`].
     ///
     /// # Panics
     ///
-    /// Panics if `trace_len == 0`.
-    pub fn with_space(benchmark: Benchmark, trace_len: usize, space: DesignSpace) -> Self {
+    /// Panics if `trace_len == 0` or the profile fails
+    /// [`Profile::validate`].
+    pub fn from_profile(profile: Profile, trace_len: usize) -> Self {
         assert!(trace_len > 0, "empty trace");
+        profile.validate();
         SimulatorResponse {
-            benchmark,
+            profile,
+            machine: FixedMachine::default(),
             trace_len,
             seed: 1,
-            space,
+            space: DesignSpace::paper_table1(),
             metric: Metric::Cpi,
         }
+    }
+
+    /// Runs every design point on `machine` (default
+    /// [`FixedMachine::default`]).
+    pub fn with_machine(mut self, machine: FixedMachine) -> Self {
+        self.machine = machine;
+        self
     }
 
     /// Overrides the workload seed (default 1).
@@ -149,14 +170,36 @@ impl SimulatorResponse {
         self.metric
     }
 
-    /// The benchmark being modeled.
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
     /// The design space used to interpret unit points.
     pub fn space(&self) -> &DesignSpace {
         &self.space
+    }
+
+    /// The instruction stream every configuration runs: the profile's
+    /// first `trace_len` instructions at the seed.
+    pub fn trace(&self) -> Take<TraceGenerator> {
+        TraceGenerator::from_profile(&self.profile, self.seed).take(self.trace_len)
+    }
+
+    /// Runs `configs` as the lanes of one [`BatchProcessor`] over
+    /// [`SimulatorResponse::trace`], in order, each on its own `fixed`
+    /// machine ([`SimulatorResponse::with_machine`] sets the machine of
+    /// the unit points [`Response::eval_many`] runs).
+    ///
+    /// # Errors
+    ///
+    /// See [`BatchError`]: no configuration, an invalid one, or lanes on
+    /// different fixed machines.
+    pub fn run(&self, configs: &[SimConfig]) -> Result<Vec<SimStats>, BatchError> {
+        Ok(BatchProcessor::new(configs.to_vec())?.run(self.trace()))
+    }
+
+    /// The configuration `unit` maps to, on this response's machine.
+    fn config(&self, unit: &[f64]) -> SimConfig {
+        SimConfig {
+            fixed: self.machine.clone(),
+            ..self.space.to_config(unit)
+        }
     }
 }
 
@@ -166,7 +209,7 @@ impl Response for SimulatorResponse {
     }
 
     fn eval(&self, unit: &[f64]) -> f64 {
-        self.simulate(std::iter::once(unit))
+        self.eval_many(&[unit.to_vec()])
             .and_then(|values| values.first().copied())
             .unwrap_or(f64::NAN)
     }
@@ -175,49 +218,32 @@ impl Response for SimulatorResponse {
     /// for an invalid derived configuration, which the per-point path
     /// then isolates.
     fn eval_many(&self, points: &[Vec<f64>]) -> Option<Vec<f64>> {
-        self.simulate(points.iter().map(Vec::as_slice))
-    }
-
-    /// Hashes what determines the simulation: [`SIM_VERSION`], the
-    /// benchmark, the trace seed and length, the metric and the machine
-    /// `unit` maps to, so runs that differ only in their sample share
-    /// keys.
-    fn key(&self, unit: &[f64]) -> u64 {
-        let (bench, seed, len, metric) = (self.benchmark, self.seed, self.trace_len, self.metric);
-        let machine = self.space.to_config(unit).canonical();
-        fnv1a64(format!("{SIM_VERSION} {bench} {seed} {len} {metric:?} {machine}").as_bytes())
-    }
-}
-
-impl SimulatorResponse {
-    /// Runs the points as the lanes of one [`BatchProcessor`] and
-    /// reduces each lane to the metric; `None` for an invalid config.
-    fn simulate<'a>(&self, units: impl Iterator<Item = &'a [f64]>) -> Option<Vec<f64>> {
-        let configs: Vec<SimConfig> = units.map(|u| self.space.to_config(u)).collect();
-        let batch = BatchProcessor::new(configs.clone()).ok()?;
-        let trace = TraceGenerator::new(self.benchmark, self.seed).take(self.trace_len);
-        let all = batch.run(trace);
-        Some(
-            all.iter()
-                .zip(&configs)
-                .map(|(stats, config)| self.report(stats, config))
-                .collect(),
-        )
-    }
-
-    /// Reduces simulation statistics to the configured scalar metric.
-    fn report(&self, stats: &SimStats, config: &SimConfig) -> f64 {
-        match self.metric {
+        let configs: Vec<SimConfig> = points.iter().map(|u| self.config(u)).collect();
+        let energy = |s: &SimStats, c: &SimConfig| estimate_energy(s, c, &EnergyParams::default());
+        let reduce = |(stats, config): (&SimStats, &SimConfig)| match self.metric {
             // A degenerate CPI becomes NaN so the supervisor can
             // quarantine the point instead of feeding it to the fit.
             Metric::Cpi => stats.checked_cpi().unwrap_or(f64::NAN),
-            Metric::Epi => estimate_energy(stats, config, &EnergyParams::default()).epi(),
-            Metric::Edp => estimate_energy(stats, config, &EnergyParams::default()).edp(),
-        }
+            Metric::Epi => energy(stats, config).epi(),
+            Metric::Edp => energy(stats, config).edp(),
+        };
+        let all = self.run(&configs).ok()?;
+        Some(all.iter().zip(&configs).map(reduce).collect())
+    }
+
+    /// Hashes what determines the simulation: [`SIM_VERSION`], the
+    /// profile's `Debug` text, the trace seed and length, the metric and
+    /// the configuration `unit` maps to on this machine, so runs that
+    /// differ only in their sample share keys.
+    fn key(&self, unit: &[f64]) -> u64 {
+        let (profile, seed, len, metric) = (&self.profile, self.seed, self.trace_len, self.metric);
+        let config = self.config(unit).canonical();
+        fnv1a64(format!("{SIM_VERSION} {profile:?} {seed} {len} {metric:?} {config}").as_bytes())
     }
 }
 
-/// An analytic response defined by a closure.
+/// An analytic response defined by a closure. Its store key is the
+/// default (the point alone), so it names nothing the closure captures.
 pub struct FnResponse<F> {
     dim: usize,
     f: F,
@@ -327,14 +353,29 @@ mod tests {
 
     #[test]
     fn simulator_key_covers_what_determines_the_value() {
-        let base = SimulatorResponse::new(ppm_workload::Benchmark::Mcf, 10_000);
+        let base = SimulatorResponse::new(Benchmark::Mcf, 10_000);
         let x = [0.5; 9];
         let key = base.key(&x);
+        let mcf = Benchmark::Mcf.profile();
+        assert_eq!(
+            SimulatorResponse::from_profile(mcf.clone(), 10_000).key(&x),
+            key
+        );
         let others = [
-            SimulatorResponse::new(ppm_workload::Benchmark::Ammp, 10_000),
-            SimulatorResponse::new(ppm_workload::Benchmark::Mcf, 10_001),
+            SimulatorResponse::new(Benchmark::Ammp, 10_000),
+            SimulatorResponse::new(Benchmark::Mcf, 10_001),
             base.clone().with_seed(2),
             base.clone().with_metric(Metric::Epi),
+            base.clone().with_machine(FixedMachine {
+                replacement: ppm_sim::ReplacementPolicy::Random,
+                ..FixedMachine::default()
+            }),
+            SimulatorResponse::from_profile(
+                Benchmark::Mcf.profile_with(ppm_workload::InputSet::Reference),
+                10_000,
+            ),
+            // Same name, one field apart: the whole profile is keyed.
+            SimulatorResponse::from_profile(Profile { dep_p: 0.5, ..mcf }, 10_000),
         ];
         for other in &others {
             assert_ne!(other.key(&x), key, "{other:?}");

@@ -6,10 +6,9 @@
 //! Run with `cargo run --release --example custom_workload`.
 
 use ppm::model::builder::{BuildConfig, RbfModelBuilder};
-use ppm::model::response::{FnResponse, Response};
+use ppm::model::response::{Response, SimulatorResponse};
 use ppm::model::space::DesignSpace;
-use ppm::sim::{BatchProcessor, SimConfig};
-use ppm::workload::{InstrMix, MemRegion, Profile, TraceGenerator};
+use ppm::workload::{InstrMix, MemRegion, Profile};
 
 /// A made-up "in-memory database" workload: load heavy, large flat
 /// working set, moderately predictable control.
@@ -65,19 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A response over the paper's design space backed by the custom
     // trace.
-    let space = DesignSpace::paper_table1();
-    let space_for_response = space.clone();
-    let response = FnResponse::new(9, move |unit: &[f64]| {
-        let config: SimConfig = space_for_response.to_config(unit);
-        let trace = TraceGenerator::from_profile(&imdb_profile(), 1).take(80_000);
-        // Table 1 configurations are always valid; a NaN would be
-        // quarantined by the supervisor rather than trained on.
-        BatchProcessor::new(vec![config]).map_or(f64::NAN, |sim| sim.run(trace)[0].cpi())
-    })?;
+    let response = SimulatorResponse::from_profile(profile, 80_000);
 
     println!("building a CPI model from 60 simulations...");
-    let built = RbfModelBuilder::new(space.clone(), BuildConfig::default().with_sample_size(60))
-        .build(&response)?;
+    let config = BuildConfig::default().with_sample_size(60);
+    let built = RbfModelBuilder::new(DesignSpace::paper_table1(), config).build(&response)?;
 
     // How sensitive is this workload to its L2, according to the model?
     let mut base = [0.5; 9];

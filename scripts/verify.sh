@@ -235,6 +235,16 @@ http_request POST /quitz "$addr" > /dev/null
 wait "$serve_pid"
 gate_done serve
 
+echo "== library examples: each runs and exits 0 =="
+# The six examples/*.rs show the library API end to end, and no other
+# gate runs them. None writes a file; the six took about 6 s in total on
+# a 2-vCPU VM, built. A non-zero exit stops the script here (set -e).
+cargo build -q --release -p ppm --examples
+for example in examples/*.rs; do
+  "target/release/examples/$(basename "$example" .rs)" > /dev/null
+done
+gate_done examples
+
 echo "== paper results: reduced-scale harnesses == committed CSVs =="
 # EXPERIMENTS.md's numbers live in results/*.csv. This gate reruns, in
 # release, the 17 reduced-scale harnesses (every crates/bench example

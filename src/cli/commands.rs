@@ -14,7 +14,7 @@ use ppm_core::study::pb_screening;
 use ppm_core::supervise::{eval_journaled, SupervisorPolicy};
 use ppm_core::FileError;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, KnobError, SimConfig, KNOBS};
+use ppm_sim::{estimate_energy, EnergyParams, KnobError, SimConfig, KNOBS};
 use ppm_workload::{Benchmark, TraceGenerator};
 
 use crate::cli::args::{ArgError, Parsed};
@@ -567,12 +567,13 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             "--batch wants at least one configuration".to_string(),
         ));
     }
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
+    let response = SimulatorResponse::new(bench, instructions).with_seed(seed);
     let configs: Vec<SimConfig> = match &flag_config {
         Some(config) => vec![config.clone()],
         None => {
-            let space = DesignSpace::paper_table1();
+            let space = response.space();
             let mut rng = ppm_rng::Rng::seed_from_u64(seed);
             ppm_sampling::lhs::LatinHypercube::new(space.params(), lanes)
                 .generate(&mut rng)
@@ -581,15 +582,15 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
                 .collect()
         }
     };
-    let batch = BatchProcessor::new(configs.clone())
-        .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))?;
-    let trace = || TraceGenerator::new(bench, seed).take(instructions);
+    let run = |stage: &str| {
+        let _span = ppm_telemetry::span(stage);
+        response
+            .run(&configs)
+            .map_err(|e| CliError::Simulation(BuildError::InvalidConfig(e.to_string())))
+    };
 
     if let Some(config) = flag_config {
-        let stats = {
-            let _span = ppm_telemetry::span("stage.simulate");
-            batch.run(trace()).remove(0)
-        };
+        let stats = run("stage.simulate")?.remove(0);
         writeln!(out, "benchmark      {bench}").map_err(msg)?;
         writeln!(out, "instructions   {}", stats.instructions).map_err(msg)?;
         writeln!(out, "cycles         {}", stats.cycles).map_err(msg)?;
@@ -609,20 +610,11 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let batched = {
-        let _span = ppm_telemetry::span("stage.simulate_batch");
-        batch.run(trace())
-    };
-    let serial: Vec<_> = {
-        let _span = ppm_telemetry::span("stage.simulate_serial");
-        configs
-            .iter()
-            .map(|c| ppm_sim::reference::Processor::new(c.clone()).run(trace()))
-            .collect()
-    };
-
-    for (lane, (b, s)) in batched.iter().zip(&serial).enumerate() {
-        if b != s {
+    let batched = run("stage.simulate_batch")?;
+    let serial = ppm_telemetry::span("stage.simulate_serial");
+    for (lane, (config, b)) in configs.iter().zip(&batched).enumerate() {
+        let s = ppm_sim::reference::Processor::new(config.clone()).run(response.trace());
+        if *b != s {
             return Err(CliError::Simulation(BuildError::InvalidConfig(format!(
                 "batched lane {lane} diverged from its serial run \
                  (batched CPI {:.6}, serial CPI {:.6}): the shared-trace \
@@ -632,6 +624,7 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             ))));
         }
     }
+    drop(serial);
 
     writeln!(out, "benchmark      {bench}").map_err(msg)?;
     writeln!(out, "lanes          {lanes}").map_err(msg)?;
@@ -675,6 +668,15 @@ fn sim_threads() -> Result<usize, CliError> {
     Ok(ppm_exec::default_threads())
 }
 
+/// `--instructions`: an empty trace has no CPI and no profile, so 0 is
+/// a usage error (exit code 2).
+fn instructions_arg(parsed: &Parsed) -> Result<usize, CliError> {
+    match parsed.num("--instructions", 100_000)? {
+        0 => Err(CliError::Usage("--instructions must be at least 1".into())),
+        n => Ok(n),
+    }
+}
+
 /// The training-side worker-thread count: `--train-threads` when given,
 /// else [`sim_threads`]. Bad values in either place are usage errors
 /// (exit code 2), not guesses.
@@ -696,14 +698,13 @@ fn build(
     let bench = benchmark_arg(parsed)?;
     let out_path = parsed.require("--out")?.to_string();
     let sample: usize = parsed.num("--sample", 90)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let holdout: usize = parsed.num("--holdout", 12)?;
     let train_threads = train_threads_arg(parsed)?;
     let lhs_candidates: usize = parsed.num("--lhs-candidates", 200)?;
     let (metric, metric_name) = metric_arg(parsed)?;
 
-    let space = DesignSpace::paper_table1();
     let response = SimulatorResponse::new(bench, instructions)
         .with_seed(seed)
         .with_metric(metric);
@@ -721,7 +722,7 @@ fn build(
         .with_seed(seed)
         .with_train_threads(train_threads)
         .with_lhs_candidates(lhs_candidates);
-    let builder = RbfModelBuilder::new(space, config);
+    let builder = RbfModelBuilder::new(response.space().clone(), config);
     // The run parameters the model file records.
     let run_meta = vec![
         ("benchmark".to_string(), bench.to_string()),
@@ -811,9 +812,8 @@ fn predict(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 
 fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let threads = sim_threads()?;
-    let space = DesignSpace::paper_table1();
     let response = SimulatorResponse::new(bench, instructions);
     ppm_telemetry::event(
         "screen.start",
@@ -822,7 +822,7 @@ fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             ("simulations", 24u64.into()),
         ],
     );
-    let effects = pb_screening(&space, &response, 12, threads)?;
+    let effects = pb_screening(response.space(), &response, 12, threads)?;
     writeln!(out, "{:<12} {:>12}", "parameter", "effect (CPI)").map_err(msg)?;
     for e in effects {
         writeln!(out, "{:<12} {:>12.4}", e.param, e.effect).map_err(msg)?;
@@ -830,17 +830,19 @@ fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// One profile pass over the first `--instructions` of the benchmark's
+/// trace at `--seed`, as `workload-info` and `firstorder` report it.
+fn program_stats(parsed: &Parsed, bench: Benchmark) -> Result<ProgramStats, CliError> {
+    let instructions = instructions_arg(parsed)?;
+    let seed: u64 = parsed.num("--seed", 1u64)?;
+    let _span = ppm_telemetry::span("stage.workload_stats");
+    let trace = TraceGenerator::new(bench, seed).take(instructions);
+    Ok(ProgramStats::collect(trace, &SimConfig::default()))
+}
+
 fn workload_info(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
-    let seed: u64 = parsed.num("--seed", 1u64)?;
-    let stats = {
-        let _span = ppm_telemetry::span("stage.workload_stats");
-        ProgramStats::collect(
-            TraceGenerator::new(bench, seed).take(instructions),
-            &SimConfig::default(),
-        )
-    };
+    let stats = program_stats(parsed, bench)?;
     writeln!(out, "benchmark           {bench}").map_err(msg)?;
     writeln!(out, "instructions        {}", stats.instructions).map_err(msg)?;
     writeln!(out, "load fraction       {:.3}", stats.load_frac).map_err(msg)?;
@@ -873,17 +875,8 @@ fn workload_info(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliErr
 
 fn firstorder(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
-    let seed: u64 = parsed.num("--seed", 1u64)?;
     let config = config_from(parsed)?;
-    let stats = {
-        let _span = ppm_telemetry::span("stage.workload_stats");
-        ProgramStats::collect(
-            TraceGenerator::new(bench, seed).take(instructions),
-            &SimConfig::default(),
-        )
-    };
-    let model = FirstOrderModel::new(stats);
+    let model = FirstOrderModel::new(program_stats(parsed, bench)?);
     let predicted = model.predict(&config);
     writeln!(out, "benchmark            {bench}").map_err(msg)?;
     writeln!(out, "first-order CPI      {predicted:.4}").map_err(msg)?;
@@ -1134,19 +1127,36 @@ mod tests {
     }
 
     #[test]
-    fn zero_train_threads_is_a_usage_error() {
-        let err = run_cli(&[
-            "build",
-            "--benchmark",
-            "mcf",
-            "--out",
-            "/dev/null",
-            "--train-threads",
-            "0",
-        ])
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        assert!(err.to_string().contains("--train-threads"), "{err}");
+    fn zero_counts_are_usage_errors() {
+        let dir = std::env::temp_dir().join("ppm_cli_zero_counts");
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = dir.join("m.txt");
+        std::fs::remove_file(&model).ok();
+        let model = model.to_str().unwrap();
+        let build = ["build", "--benchmark", "mcf", "--out", model];
+        let rows: [(&[&str], &str); 8] = [
+            (&build, "--train-threads"),
+            (&build, "--instructions"),
+            (&["simulate", "--benchmark", "mcf"], "--instructions"),
+            (
+                &["simulate", "--benchmark", "mcf", "--batch", "4"],
+                "--instructions",
+            ),
+            (&["simulate", "--benchmark", "mcf"], "--batch"),
+            (&["screen", "--benchmark", "mcf"], "--instructions"),
+            (&["workload-info", "--benchmark", "mcf"], "--instructions"),
+            (&["firstorder", "--benchmark", "mcf"], "--instructions"),
+        ];
+        for (command, flag) in rows {
+            let args = [command, &[flag, "0"]].concat();
+            let parsed = Parsed::parse(args.iter().map(|s| s.to_string())).unwrap();
+            let mut out = String::new();
+            let err = run(&parsed, &mut out).expect_err("a zero count is refused");
+            assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+            assert!(err.to_string().contains(flag), "{args:?}: {err}");
+            assert_eq!(out, "", "{args:?} wrote to stdout");
+            assert!(!Path::new(model).exists(), "{args:?} wrote a model");
+        }
     }
 
     #[test]

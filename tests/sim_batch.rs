@@ -27,9 +27,12 @@ use ppm_core::space::DesignSpace;
 use ppm_core::supervise::{eval_batch_supervised, SupervisorPolicy, LANES_PER_GROUP};
 use ppm_rng::Rng;
 use ppm_sim::reference::Processor;
-use ppm_sim::{estimate_energy, BatchProcessor, EnergyParams, FixedMachine, Instr, SimConfig};
+use ppm_sim::{
+    estimate_energy, BatchProcessor, EnergyParams, FixedMachine, Instr, PredictorKind,
+    ReplacementPolicy, SimConfig,
+};
 use ppm_telemetry::Json;
-use ppm_workload::{Benchmark, TraceGenerator};
+use ppm_workload::{Benchmark, InputSet, TraceGenerator};
 
 const TRACE_LEN: usize = 12_000;
 
@@ -79,18 +82,53 @@ fn batch_handles_duplicate_and_extreme_configs() {
     // Corners of the space plus a duplicated mid-point: duplicate lanes
     // must not share or interfere with each other's state.
     let mid = space.to_config(&[0.5; 9]);
-    let configs = vec![
+    let points = [
         space.to_config(&[0.0; 9]),
         space.to_config(&[1.0; 9]),
         mid.clone(),
         mid,
     ];
-    let serial = serial_stats(&configs, Benchmark::Twolf, 3);
-    let batched = BatchProcessor::new(configs)
-        .unwrap()
-        .run(TraceGenerator::new(Benchmark::Twolf, 3).take(TRACE_LEN));
-    assert_eq!(batched, serial);
-    assert_eq!(batched[2], batched[3], "identical lanes, identical stats");
+    // On the default machine and on the machines and input set that the
+    // substrate and input-set ablations run multi-lane.
+    let tournament = FixedMachine {
+        predictor: PredictorKind::Tournament,
+        gshare_history: 10,
+        next_line_prefetch: true,
+        ..FixedMachine::default()
+    };
+    let random = FixedMachine {
+        replacement: ReplacementPolicy::Random,
+        ..FixedMachine::default()
+    };
+    let twolf = Benchmark::Twolf;
+    for (profile, fixed) in [
+        (twolf.profile(), FixedMachine::default()),
+        (twolf.profile(), tournament),
+        (twolf.profile(), random),
+        (
+            twolf.profile_with(InputSet::Reference),
+            FixedMachine::default(),
+        ),
+    ] {
+        let configs: Vec<SimConfig> = points
+            .iter()
+            .map(|c| SimConfig {
+                fixed: fixed.clone(),
+                ..c.clone()
+            })
+            .collect();
+        let serial: Vec<_> = configs
+            .iter()
+            .map(|c| {
+                Processor::new(c.clone())
+                    .run(TraceGenerator::from_profile(&profile, 3).take(TRACE_LEN))
+            })
+            .collect();
+        let response = SimulatorResponse::from_profile(profile, TRACE_LEN).with_seed(3);
+        let batched = response.run(&configs).unwrap();
+        assert_eq!(batched, serial, "{fixed:?}");
+        assert_eq!(batched[2], batched[3], "identical lanes, identical stats");
+    }
 }
 
 /// The paper-scale differential: every benchmark at the paper's 300k
