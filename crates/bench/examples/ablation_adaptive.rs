@@ -1,7 +1,6 @@
 //! Ablation: adaptive sampling (the paper's future-work suggestion)
 //! versus a one-shot latin hypercube at the same simulation budget.
 
-use ppm_core::adaptive::{build_adaptive, AdaptiveConfig};
 use ppm_experiments::{fmt, Report, Scale};
 use ppm_workload::Benchmark;
 
@@ -30,15 +29,10 @@ fn main() {
     ]);
 
     // Adaptive: a third of the budget up front, the rest in batches.
-    let config = AdaptiveConfig {
-        initial_size: (budget / 3).max(10),
-        batch_size: (budget / 6).max(5),
-        budget,
-        candidate_pool: 256,
-        build: scale.build_config(budget),
-    };
-    let adaptive =
-        build_adaptive(&scale.space(), &response, &config).expect("finite CPI responses");
+    let adaptive = scale
+        .builder(budget)
+        .build_adaptive(&response)
+        .expect("finite CPI responses");
     let s2 = holdout.score(|p| adaptive.predict(p));
     report.row(vec![
         "adaptive refinement".into(),

@@ -47,13 +47,17 @@ fn main() {
             .sum();
         let total: f64 = splits.iter().map(|s| s.sse_reduction).sum();
         println!(
-            "{name}: memory-parameter split significance {:.2} CPI^2              ({:.0}% of the top-6 total)",
+            "{name}: memory-parameter split significance {:.2} CPI^2 \
+             ({:.0}% of the top-6 total)",
             mem_weight,
             100.0 * mem_weight / total
         );
     }
     report.emit();
     println!(
-        "(expected: the memory parameters' absolute significance grows under          reference inputs — the paper's §3 remark. In our substrate the window's          significance grows alongside it, since more misses also mean more          latency to tolerate.)"
+        "(expected: the memory parameters' absolute significance grows under \
+         reference inputs — the paper's §3 remark. In our substrate the window's \
+         significance grows alongside it, since more misses also mean more \
+         latency to tolerate.)"
     );
 }

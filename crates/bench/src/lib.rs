@@ -11,9 +11,9 @@
 //! Table 1 builder for a sample size ([`Scale::builder`],
 //! [`Scale::build`], [`Scale::sample`]), one strict simulation call
 //! ([`Scale::simulate`]), the §3 Table 2 holdout ([`Scale::holdout`],
-//! which depends only on the seed, so one holdout serves every sample
-//! size), and the scoring of any predictor against it
-//! ([`Holdout::score`]).
+//! the builder's [`RbfModelBuilder::holdout`], which depends only on
+//! the seed, so one holdout serves every sample size), and the scoring
+//! of any predictor against it ([`Holdout::score`]).
 //!
 //! By default the harnesses run at a *reduced scale* (shorter traces,
 //! smaller samples) so the whole suite completes in minutes; set
@@ -26,8 +26,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use ppm_core::builder::{BuildConfig, BuiltModel, RbfModelBuilder};
-use ppm_core::metrics::ErrorStats;
+use ppm_core::builder::{BuildConfig, BuiltModel, Holdout, RbfModelBuilder};
 use ppm_core::response::{eval_batch, Response, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_rbf::RbfTrainer;
@@ -154,31 +153,18 @@ impl Scale {
         eval_batch(response, points, BuildConfig::default().threads).expect("clean batch")
     }
 
-    /// The independent random test set of the paper's §3, drawn from
-    /// Table 2 and simulated. The points depend only on the build seed,
-    /// so one holdout serves every sample size.
+    /// The builder's §3 holdout of [`Scale::test_points`] points. The
+    /// points depend only on the build seed, so one holdout serves
+    /// every sample size.
+    ///
+    /// # Panics
+    ///
+    /// As [`Scale::simulate`].
     pub fn holdout<R: Response>(&self, response: &R) -> Holdout {
-        let points = self
-            .builder(self.final_sample)
-            .test_points(&DesignSpace::paper_table2(), self.test_points);
-        let actual = self.simulate(response, &points);
-        Holdout { points, actual }
-    }
-}
-
-/// The Table 2 holdout: test points in Table 1 unit coordinates and
-/// their simulated responses.
-#[derive(Debug, Clone)]
-pub struct Holdout {
-    points: Vec<Vec<f64>>,
-    actual: Vec<f64>,
-}
-
-impl Holdout {
-    /// The percentage-error statistics of `predict` on the holdout.
-    pub fn score(&self, predict: impl Fn(&[f64]) -> f64) -> ErrorStats {
-        let predicted: Vec<f64> = self.points.iter().map(|p| predict(p)).collect();
-        ErrorStats::from_predictions(&predicted, &self.actual)
+        self.builder(self.final_sample)
+            .holdout(response, self.test_points, None)
+            // A number from a partial batch is not a result. lint:allow(panic-path)
+            .expect("clean batch")
     }
 }
 
@@ -274,7 +260,6 @@ pub fn fmt(v: f64, prec: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::response::FnResponse;
 
     #[test]
     fn scale_has_sane_defaults() {
@@ -282,21 +267,6 @@ mod tests {
         assert!(scale.final_sample <= 200);
         assert!(!scale.sample_sizes.is_empty());
         assert!(scale.trace_len >= 10_000);
-    }
-
-    #[test]
-    fn holdout_is_the_table2_test_set_for_any_sample_size() {
-        let scale = Scale::from_env();
-        let response = FnResponse::new(9, |x: &[f64]| 1.0 + x.iter().sum::<f64>()).unwrap();
-        let holdout = scale.holdout(&response);
-        let table2 = DesignSpace::paper_table2();
-        assert_eq!(
-            holdout.points,
-            scale.builder(30).test_points(&table2, scale.test_points)
-        );
-        assert!(holdout.score(|p| response.eval(p)).max_pct < 1e-12);
-        let high = holdout.score(|p| 1.1 * response.eval(p));
-        assert!((high.mean_pct - 10.0).abs() < 1e-9 && high.std_pct < 1e-9);
     }
 
     #[test]

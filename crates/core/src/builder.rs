@@ -6,11 +6,12 @@ use std::fmt;
 use ppm_rbf::{FittedRbf, RbfTrainer, TrainError};
 use ppm_regtree::{Dataset, DatasetError, RegressionTree};
 use ppm_rng::{derive_seed, Rng};
+use ppm_sampling::discrepancy::l2_star;
 use ppm_sampling::lhs::{LatinHypercube, SampleError};
 use ppm_sampling::random::random_design;
 
 use crate::metrics::ErrorStats;
-use crate::response::Response;
+use crate::response::{eval_batch, Response};
 use crate::space::DesignSpace;
 use crate::store::ResultStore;
 use crate::supervise::{eval_journaled, Quarantine, SupervisorPolicy};
@@ -330,6 +331,24 @@ impl BuiltModel {
     }
 }
 
+/// The independent random test set of the paper's §3, drawn from Table
+/// 2 and simulated: see [`RbfModelBuilder::holdout`].
+#[derive(Debug, Clone)]
+pub struct Holdout {
+    /// The test points, in the training space's unit coordinates.
+    pub points: Vec<Vec<f64>>,
+    /// Their simulated responses, aligned with `points`.
+    pub actual: Vec<f64>,
+}
+
+impl Holdout {
+    /// The percentage-error statistics of `predict` on the holdout.
+    pub fn score(&self, predict: impl Fn(&[f64]) -> f64) -> ErrorStats {
+        let predicted: Vec<f64> = self.points.iter().map(|p| predict(p)).collect();
+        ErrorStats::from_predictions(&predicted, &self.actual)
+    }
+}
+
 /// Builds RBF network models of a response over a design space,
 /// following the paper's procedure.
 ///
@@ -476,8 +495,33 @@ impl RbfModelBuilder {
             .collect()
     }
 
+    /// The §3 holdout: `count` [`RbfModelBuilder::test_points`] of
+    /// Table 2, simulated under [`SupervisorPolicy::strict`] through
+    /// [`eval_journaled`] and recorded in `store`, if given, like the
+    /// sample. A faulty held-out point fails the holdout instead of
+    /// skewing the error. The points depend only on the seed, so one
+    /// holdout serves every sample size.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::ExcessiveFaults`] if any point faults, and
+    /// [`BuildError::Checkpoint`] if the store cannot be flushed.
+    pub fn holdout<R: Response>(
+        &self,
+        response: &R,
+        count: usize,
+        store: Option<&mut ResultStore>,
+    ) -> Result<Holdout, BuildError> {
+        let _span = ppm_telemetry::span("stage.holdout");
+        let points = self.test_points(&DesignSpace::paper_table2(), count);
+        let strict = SupervisorPolicy::strict();
+        let actual = eval_journaled(response, &points, self.config.threads, &strict, store)?
+            .into_values(points.len())?;
+        Ok(Holdout { points, actual })
+    }
+
     /// The iterative procedure of step 6: build models at increasing
-    /// sample sizes until the mean test error falls below
+    /// sample sizes until the mean error on `holdout` falls below
     /// `target_mean_pct`.
     ///
     /// Returns the first model meeting the target together with its
@@ -494,8 +538,7 @@ impl RbfModelBuilder {
         response: &R,
         sample_sizes: &[usize],
         target_mean_pct: f64,
-        test_points: &[Vec<f64>],
-        test_actual: &[f64],
+        holdout: &Holdout,
     ) -> Result<(BuiltModel, ErrorStats), BuildError> {
         if sample_sizes.is_empty() {
             return Err(BuildError::InvalidConfig(
@@ -509,7 +552,7 @@ impl RbfModelBuilder {
             let mut builder = self.clone();
             builder.config.sample_size = n;
             let built = builder.build(response)?;
-            let stats = built.evaluate(test_points, test_actual);
+            let stats = holdout.score(|p| built.predict(p));
             ppm_telemetry::event(
                 "build.evaluated",
                 &[("points", n.into()), ("mean_pct", stats.mean_pct.into())],
@@ -530,11 +573,76 @@ impl RbfModelBuilder {
             target_pct: target_mean_pct,
         })
     }
+
+    /// Step 6 by adaptive refinement, the extension sketched in the
+    /// paper's conclusion: "the simulation costs involved in
+    /// constructing predictive models can potentially be reduced using
+    /// adaptive sampling, wherein sets of design points to simulate are
+    /// selected based on data from initial small samples."
+    ///
+    /// For a sample size n, it starts from a best-of-N latin hypercube
+    /// of `(n/3).max(10).min(n)` points, then repeatedly (i) fits the
+    /// RBF network and a regression tree to the data so far, (ii)
+    /// scores 256 random candidate points by the *disagreement* between
+    /// the two learners (a cheap proxy for local model uncertainty), and
+    /// (iii) simulates the `(n/6).max(5)` most uncertain candidates and
+    /// adds them, until the sample holds n points. Every batch is
+    /// simulated strictly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::InvalidConfig`] if n < 2,
+    /// [`BuildError::ExcessiveFaults`] if a simulation faults, and
+    /// [`BuildError::BadData`] if the sample cannot form a dataset.
+    pub fn build_adaptive<R: Response>(&self, response: &R) -> Result<BuiltModel, BuildError> {
+        let n = self.config.sample_size;
+        if n < 2 {
+            return Err(BuildError::InvalidConfig(
+                "adaptive sample too small (need at least 2 points)".to_string(),
+            ));
+        }
+        let threads = self.config.threads;
+        let mut rng = Rng::seed_from_u64(derive_seed(self.config.seed, 400));
+
+        // Round 0: a small space-filling sample.
+        let lhs = LatinHypercube::new(self.space.params(), (n / 3).max(10).min(n))
+            .with_threads(self.config.train_threads);
+        let mut design = lhs.best_of(self.config.lhs_candidates.max(1), &mut rng)?;
+        let mut responses = eval_batch(response, &design, threads)?;
+
+        while design.len() < n {
+            ppm_telemetry::counter("adaptive.rounds").inc();
+            ppm_telemetry::event("adaptive.round", &[("points", design.len().into())]);
+            // Fit both learners to the data so far.
+            let built = self.fit(design.clone(), responses.clone(), f64::NAN)?;
+            let data = Dataset::new(design.clone(), responses.clone())?;
+            let tree = RegressionTree::fit(&data, built.model.p_min.max(1));
+
+            // Score random candidates by learner disagreement.
+            let mut scored: Vec<(f64, Vec<f64>)> = (0..256)
+                .map(|_| {
+                    let raw: Vec<f64> = (0..self.space.dim()).map(|_| rng.unit_f64()).collect();
+                    let unit = self.space.snap(&raw, n);
+                    let disagreement = (built.predict(&unit) - tree.predict(&unit)).abs();
+                    (disagreement, unit)
+                })
+                .collect();
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+
+            let take = (n / 6).max(5).min(n - design.len());
+            let new_points: Vec<Vec<f64>> = scored.into_iter().take(take).map(|(_, p)| p).collect();
+            responses.extend(eval_batch(response, &new_points, threads)?);
+            design.extend(new_points);
+        }
+        let discrepancy = l2_star(&design);
+        self.fit(design, responses, discrepancy)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist;
     use crate::response::FnResponse;
 
     fn smooth_response() -> FnResponse<impl Fn(&[f64]) -> f64 + Sync> {
@@ -549,9 +657,8 @@ mod tests {
         let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(80));
         let built = builder.build(&smooth_response()).unwrap();
         assert!(built.quarantined.is_empty());
-        let test = builder.test_points(&DesignSpace::paper_table2(), 40);
-        let actual: Vec<f64> = test.iter().map(|p| smooth_response().eval(p)).collect();
-        let stats = built.evaluate(&test, &actual);
+        let holdout = builder.holdout(&smooth_response(), 40, None).unwrap();
+        let stats = holdout.score(|p| built.predict(p));
         assert!(stats.mean_pct < 5.0, "mean error {stats}");
     }
 
@@ -605,6 +712,32 @@ mod tests {
     }
 
     #[test]
+    fn holdout_is_the_table2_test_set_for_any_sample_size() {
+        let response = FnResponse::new(9, |x: &[f64]| 1.0 + x.iter().sum::<f64>()).unwrap();
+        let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(90));
+        let holdout = builder.holdout(&response, 25, None).unwrap();
+        let table2 = DesignSpace::paper_table2();
+        let smaller = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(30));
+        assert_eq!(holdout.points, smaller.test_points(&table2, 25));
+        assert!(holdout.score(|p| response.eval(p)).max_pct < 1e-12);
+        let high = holdout.score(|p| 1.1 * response.eval(p));
+        assert!((high.mean_pct - 10.0).abs() < 1e-9 && high.std_pct < 1e-9);
+
+        // A second holdout on the same store simulates nothing and
+        // returns the same values.
+        let dir = std::env::temp_dir().join(format!("ppm-holdout-{}", std::process::id()));
+        let mut store = ResultStore::create(dir.join("s.txt"));
+        let registry = ppm_telemetry::Registry::scoped();
+        let first = builder.holdout(&response, 25, Some(&mut store)).unwrap();
+        assert_eq!(registry.counter("sim.batch_points").get(), 25);
+        let again = builder.holdout(&response, 25, Some(&mut store)).unwrap();
+        assert_eq!(registry.counter("sim.batch_points").get(), 25);
+        assert_eq!(again.actual, first.actual);
+        assert_eq!(first.actual, holdout.actual);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn region_residuals_cover_every_training_point() {
         let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(50));
         let built = builder.build(&smooth_response()).unwrap();
@@ -624,9 +757,10 @@ mod tests {
     fn diagnostics_reflect_the_winning_model() {
         let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(50));
         let built = builder.build(&smooth_response()).unwrap();
-        let test = builder.test_points(&DesignSpace::paper_table2(), 20);
-        let actual: Vec<f64> = test.iter().map(|p| smooth_response().eval(p)).collect();
-        let holdout = built.evaluate(&test, &actual);
+        let holdout = builder
+            .holdout(&smooth_response(), 20, None)
+            .unwrap()
+            .score(|p| built.predict(p));
         let diag = built.diagnostics(Some(holdout)).unwrap();
         assert_eq!(diag.holdout, Some(holdout));
         assert_eq!(diag.centers, built.model.network.num_centers());
@@ -669,10 +803,9 @@ mod tests {
     fn build_to_accuracy_stops_at_first_adequate_size() {
         let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(30));
         let response = smooth_response();
-        let test = builder.test_points(&DesignSpace::paper_table2(), 30);
-        let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
+        let holdout = builder.holdout(&response, 30, None).unwrap();
         let (built, stats) = builder
-            .build_to_accuracy(&response, &[30, 60, 90], 8.0, &test, &actual)
+            .build_to_accuracy(&response, &[30, 60, 90], 8.0, &holdout)
             .unwrap();
         assert!(stats.mean_pct <= 8.0);
         assert!(built.design.len() <= 90);
@@ -686,10 +819,9 @@ mod tests {
             1.0 + (37.0 * x[0]).sin() + (53.0 * x[1]).cos() * (29.0 * x[2]).sin()
         })
         .unwrap();
-        let test = builder.test_points(&DesignSpace::paper_table2(), 30);
-        let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
+        let holdout = builder.holdout(&response, 30, None).unwrap();
         let err = builder
-            .build_to_accuracy(&response, &[20], 0.01, &test, &actual)
+            .build_to_accuracy(&response, &[20], 0.01, &holdout)
             .unwrap_err();
         assert!(matches!(err, BuildError::TargetNotReached { .. }));
         assert!(err.to_string().contains("not reached"));
@@ -698,9 +830,74 @@ mod tests {
     #[test]
     fn build_to_accuracy_rejects_empty_budget() {
         let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(20));
+        let holdout = Holdout {
+            points: Vec::new(),
+            actual: Vec::new(),
+        };
         let err = builder
-            .build_to_accuracy(&smooth_response(), &[], 5.0, &[], &[])
+            .build_to_accuracy(&smooth_response(), &[], 5.0, &holdout)
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidConfig(_)));
+    }
+
+    fn bumpy() -> FnResponse<impl Fn(&[f64]) -> f64 + Sync> {
+        // Smooth background plus a localized bump that uniform samples
+        // often miss — the case adaptive refinement should help with.
+        FnResponse::new(9, |x| {
+            let d2: f64 = (0..3).map(|k| (x[k] - 0.8) * (x[k] - 0.8)).sum();
+            2.0 + x[0] + 2.5 * (-d2 / 0.02).exp()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn adaptive_build_respects_budget() {
+        let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(44));
+        let built = builder.build_adaptive(&bumpy()).unwrap();
+        assert_eq!(built.design.len(), 44);
+        assert_eq!(built.responses.len(), 44);
+        // The discrepancy is the final sample's, as for a one-shot build.
+        assert_eq!(built.discrepancy, l2_star(&built.design));
+        assert!(built.discrepancy > 0.0);
+    }
+
+    #[test]
+    fn adaptive_concentrates_points_near_the_bump() {
+        // n = 72: an initial sample of 24, then batches of 12.
+        let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(72));
+        let built = builder.build_adaptive(&bumpy()).unwrap();
+        // Count refinement points inside the bump's neighbourhood vs the
+        // fraction of volume it occupies (~0.3^3 of the first 3 dims).
+        let added = &built.design[24..];
+        let near = added
+            .iter()
+            .filter(|p| (0..3).all(|k| (p[k] - 0.8).abs() < 0.2))
+            .count();
+        let frac = near as f64 / added.len() as f64;
+        assert!(
+            frac > 0.1,
+            "adaptive rounds placed only {near}/{} points near the bump",
+            added.len()
+        );
+    }
+
+    #[test]
+    fn adaptive_build_is_independent_of_thread_counts() {
+        let build = |threads: usize| {
+            let mut config = BuildConfig::quick(30).with_train_threads(threads);
+            config.threads = threads;
+            let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), config);
+            let built = builder.build_adaptive(&bumpy()).unwrap();
+            (persist::to_string(&built.model.network, &[]), built.design)
+        };
+        assert_eq!(build(1), build(3));
+    }
+
+    #[test]
+    fn adaptive_sample_below_two_is_a_typed_error() {
+        let builder = RbfModelBuilder::new(DesignSpace::paper_table1(), BuildConfig::quick(1));
+        let err = builder.build_adaptive(&bumpy()).unwrap_err();
+        assert!(matches!(err, BuildError::InvalidConfig(_)));
+        assert!(err.to_string().contains("at least 2 points"));
     }
 }

@@ -17,10 +17,15 @@
 //! 4. ... and fits a radial basis function network with
 //!    regression-tree-derived centers and AICc subset selection
 //!    (§2.3–§2.6).
-//! 5. [`metrics::ErrorStats`] scores predictions on an independently
-//!    generated random test set (§3, Table 2).
+//! 5. [`builder::RbfModelBuilder::holdout`] simulates an independently
+//!    generated random test set (§3, Table 2), and
+//!    [`builder::Holdout::score`] reports any predictor's
+//!    [`metrics::ErrorStats`] on it.
 //! 6. [`builder::RbfModelBuilder::build_to_accuracy`] repeats with
-//!    increasing sample sizes until the desired accuracy is reached.
+//!    increasing sample sizes until the error on a [`builder::Holdout`]
+//!    is small enough; [`builder::RbfModelBuilder::build_adaptive`]
+//!    instead grows one sample where two learners disagree (the
+//!    adaptive sampling of the paper's conclusion).
 //!
 //! The linear-regression baseline of §4.2 is available through
 //! [`study::fit_linear_baseline`], and [`study::interaction_grid`]
@@ -64,7 +69,6 @@
 //! `ppm_telemetry::write_atomic`. Each module adds only its own body
 //! lines; the store writes no `meta` line.
 
-pub mod adaptive;
 pub mod builder;
 mod envelope;
 pub mod fault;
@@ -76,8 +80,7 @@ pub mod store;
 pub mod study;
 pub mod supervise;
 
-pub use adaptive::{build_adaptive, AdaptiveConfig};
-pub use builder::{BuildConfig, BuildError, BuiltModel, RbfModelBuilder};
+pub use builder::{BuildConfig, BuildError, BuiltModel, Holdout, RbfModelBuilder};
 pub use envelope::FileError;
 pub use fault::{FaultPlan, FaultyResponse, InjectedFault};
 pub use metrics::ErrorStats;

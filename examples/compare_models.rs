@@ -4,15 +4,13 @@
 //! Run with `cargo run --release --example compare_models`.
 
 use ppm::model::builder::{BuildConfig, RbfModelBuilder};
-use ppm::model::metrics::ErrorStats;
-use ppm::model::response::{eval_batch, SimulatorResponse};
+use ppm::model::response::SimulatorResponse;
 use ppm::model::space::DesignSpace;
 use ppm::model::study::fit_linear_baseline;
 use ppm::workload::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let space = DesignSpace::paper_table1();
-    let test_space = DesignSpace::paper_table2();
 
     println!(
         "{:<12} {:>12} {:>12} {:>8}",
@@ -29,11 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let linear = fit_linear_baseline(&built.design, &built.responses)?;
 
         // Same test set for both.
-        let test = builder.test_points(&test_space, 30);
-        let actual = eval_batch(&response, &test, 1)?;
-        let rbf_stats = built.evaluate(&test, &actual);
-        let lin_pred: Vec<f64> = test.iter().map(|p| linear.predict(p)).collect();
-        let lin_stats = ErrorStats::from_predictions(&lin_pred, &actual);
+        let holdout = builder.holdout(&response, 30, None)?;
+        let rbf_stats = holdout.score(|p| built.predict(p));
+        let lin_stats = holdout.score(|p| linear.predict(p));
 
         println!(
             "{:<12} {:>12.2} {:>12.2} {:>8.1}x",

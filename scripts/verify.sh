@@ -277,6 +277,20 @@ echo "== rustdoc: every intra-doc link resolves =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 gate_done doc
 
+echo "== benchmark API: benchmark/ compiles against this tree =="
+# benchmark/ is its own workspace, which no other gate builds, and its
+# traced runs call public functions of the workspace crates: a changed
+# signature there fails every benchmark run, not this script. Cargo
+# rewrites the benchmark's stale lock file, so the check runs on a copy
+# and writes nothing under benchmark/; the copy lives in the smoke
+# directory, which the exit trap removes. About 2.5 s cold on a 2-vCPU
+# VM.
+api_dir=$(mktemp -d -p "$smoke_dir")
+cp -r Cargo.toml Cargo.lock crates src benchmark "$api_dir"/
+CARGO_TARGET_DIR="$PWD/target/benchmark-api" cargo check -q --offline \
+  --manifest-path "$api_dir/benchmark/Cargo.toml"
+gate_done benchmark_api
+
 echo "== ppm lint (static analysis: token and semantic rules) =="
 # The workspace's own analyzer (crates/lint) in one pass over src/,
 # every library crate, and tests/. Token rules: panic-path,

@@ -11,7 +11,6 @@ use ppm_core::response::{Metric, SimulatorResponse};
 use ppm_core::space::DesignSpace;
 use ppm_core::store::ResultStore;
 use ppm_core::study::pb_screening;
-use ppm_core::supervise::{eval_journaled, SupervisorPolicy};
 use ppm_core::FileError;
 use ppm_firstorder::{FirstOrderModel, ProgramStats};
 use ppm_sim::{estimate_energy, EnergyParams, KnobError, SimConfig, KNOBS};
@@ -751,18 +750,10 @@ fn build(
     // Held-out accuracy on the paper's §3 test region: simulate
     // `--holdout` fresh points the training sample never saw and score
     // the model against them. Deterministic for a fixed seed, so the
-    // statistics land in the ledger's hashed body. The points run as lane
-    // groups under the strict policy, stored like the sample: a faulty
-    // held-out point fails the build instead of skewing the reported
-    // error.
+    // statistics land in the ledger's hashed body.
     let holdout_stats = if holdout > 0 {
-        let _span = ppm_telemetry::span("stage.holdout");
-        let test = builder.test_points(&DesignSpace::paper_table2(), holdout);
-        let threads = builder.config().threads;
-        let strict = SupervisorPolicy::strict();
-        let actual = eval_journaled(&response, &test, threads, &strict, store.as_mut())?
-            .into_values(test.len())?;
-        Some(built.evaluate(&test, &actual))
+        let test = builder.holdout(&response, holdout, store.as_mut())?;
+        Some(test.score(|p| built.predict(p)))
     } else {
         None
     };

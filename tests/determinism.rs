@@ -25,7 +25,7 @@ use std::path::Path;
 use std::process::Command;
 
 use common::scratch;
-use ppm::model::{BuildConfig, ErrorStats, RbfModelBuilder};
+use ppm::model::{BuildConfig, RbfModelBuilder};
 use ppm_core::persist;
 use ppm_core::response::{Response, SimulatorResponse, SIM_VERSION};
 use ppm_core::space::DesignSpace;
@@ -266,11 +266,11 @@ fn build_holdout_matches_the_serial_holdout() {
         DesignSpace::paper_table1(),
         BuildConfig::default().with_seed(3),
     );
-    let test = builder.test_points(&DesignSpace::paper_table2(), 9);
     let response = SimulatorResponse::new(Benchmark::Twolf, 10_000).with_seed(3);
-    let actual: Vec<f64> = test.iter().map(|p| response.eval(p)).collect();
-    let predicted: Vec<f64> = test.iter().map(|p| saved.network.predict(p)).collect();
-    let stats = ErrorStats::from_predictions(&predicted, &actual);
+    let holdout = builder.holdout(&response, 9, None).expect("clean batch");
+    let serial: Vec<f64> = holdout.points.iter().map(|p| response.eval(p)).collect();
+    assert_eq!(serial, holdout.actual);
+    let stats = holdout.score(|p| saved.network.predict(p));
     assert_eq!(
         line,
         format!(

@@ -3,8 +3,7 @@
 //! downstream user would.
 
 use ppm::model::builder::{BuildConfig, RbfModelBuilder};
-use ppm::model::metrics::ErrorStats;
-use ppm::model::response::{eval_batch, SimulatorResponse};
+use ppm::model::response::SimulatorResponse;
 use ppm::model::space::DesignSpace;
 use ppm::model::study::fit_linear_baseline;
 use ppm::workload::Benchmark;
@@ -21,9 +20,8 @@ fn quick_build(bench: Benchmark) -> (RbfModelBuilder, SimulatorResponse, ppm::mo
 #[test]
 fn pipeline_builds_an_accurate_model_of_the_simulator() {
     let (builder, response, built) = quick_build(Benchmark::Crafty);
-    let test = builder.test_points(&DesignSpace::paper_table2(), 12);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
-    let stats = built.evaluate(&test, &actual);
+    let holdout = builder.holdout(&response, 12, None).expect("clean batch");
+    let stats = holdout.score(|p| built.predict(p));
     // Reduced-scale accuracy band: the paper reaches ~3% at n=200; with
     // n=40 and short traces we accept anything clearly informative.
     assert!(
@@ -37,11 +35,9 @@ fn pipeline_builds_an_accurate_model_of_the_simulator() {
 fn rbf_beats_the_linear_baseline_on_the_same_sample() {
     let (builder, response, built) = quick_build(Benchmark::Mcf);
     let linear = fit_linear_baseline(&built.design, &built.responses).expect("fits");
-    let test = builder.test_points(&DesignSpace::paper_table2(), 12);
-    let actual = eval_batch(&response, &test, 1).expect("clean batch");
-    let rbf = built.evaluate(&test, &actual);
-    let lin_pred: Vec<f64> = test.iter().map(|p| linear.predict(p)).collect();
-    let lin = ErrorStats::from_predictions(&lin_pred, &actual);
+    let holdout = builder.holdout(&response, 12, None).expect("clean batch");
+    let rbf = holdout.score(|p| built.predict(p));
+    let lin = holdout.score(|p| linear.predict(p));
     assert!(
         rbf.mean_pct < lin.mean_pct,
         "rbf ({rbf}) should beat linear ({lin}) — the paper's Figure 7 claim"

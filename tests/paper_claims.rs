@@ -42,15 +42,14 @@ fn discrepancy_curve_decreases_and_tapers() {
 fn error_decreases_with_sample_size() {
     let space = DesignSpace::paper_table1();
     let probe = RbfModelBuilder::new(space.clone(), BuildConfig::quick(20));
-    let test = probe.test_points(&DesignSpace::paper_table2(), 40);
     for bench in [Benchmark::Mcf, Benchmark::Twolf] {
         let response = ppm::model::SimulatorResponse::new(bench, 20_000);
-        let actual = eval_batch(&response, &test, probe.config().threads).expect("clean batch");
+        let holdout = probe.holdout(&response, 40, None).expect("clean batch");
         let mut errors = Vec::new();
         for n in [20usize, 60, 140] {
             let builder = RbfModelBuilder::new(space.clone(), BuildConfig::quick(n));
             let built = builder.build(&response).expect("finite CPI responses");
-            errors.push(built.evaluate(&test, &actual).mean_pct);
+            errors.push(holdout.score(|p| built.predict(p)).mean_pct);
         }
         assert!(
             errors[2] < errors[0],
